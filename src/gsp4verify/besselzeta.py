@@ -134,17 +134,10 @@ def torus_translate(series: BesselSeries, ja: int, jb: int,
     acts through the functional's character, the central t-part shifts
     the argument."""
     d = series.datum
-    factor = _pow(d.lam1, ja) * _pow(d.lam2, jb)
+    factor = d.lam1 ** ja * d.lam2 ** jb
     vals = tuple(factor * series.value(n + jt)
                  for n in range(series.order - max(jt, 0) + 1))
     return BesselSeries(d, vals)
-
-
-def _pow(a, n: int):
-    a = as_ratfunc(a)
-    if n >= 0:
-        return a ** n
-    return (as_ratfunc(1, a.prime) / a) ** (-n)
 
 
 def _series_to_ratfunc(series: BesselSeries, num_deg: int) -> RatFunc:

@@ -28,7 +28,8 @@ from fractions import Fraction
 
 import sympy
 
-from .padic import mat, mat_mul, mat_t
+from .padic import (J4, mat, mat_add, mat_inv, mat_mul, mat_scalar,
+                    mat_t, solve)
 
 Q = Fraction
 
@@ -44,24 +45,15 @@ def _e(i, j, c=1):
     return tuple(tuple(r) for r in m)
 
 
-def _madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb))
-                 for ra, rb in zip(a, b))
-
-
-def _mscale(a, c):
-    return tuple(tuple(Q(c) * x for x in r) for r in a)
-
-
 def lie_basis():
     """Ordered 11-element basis: two Cartan coroots, the identity, the
     four positive root vectors, the four negative root vectors."""
-    t1 = _madd(_e(0, 0), _e(3, 3, -1))
-    t2 = _madd(_e(1, 1), _e(2, 2, -1))
-    ident = _madd(_madd(_e(0, 0), _e(1, 1)), _madd(_e(2, 2), _e(3, 3)))
-    n0 = _madd(_e(0, 1), _e(2, 3, -1))        # chi1 - chi2
+    t1 = mat_add(_e(0, 0), _e(3, 3, -1))
+    t2 = mat_add(_e(1, 1), _e(2, 2, -1))
+    ident = mat_add(mat_add(_e(0, 0), _e(1, 1)), mat_add(_e(2, 2), _e(3, 3)))
+    n0 = mat_add(_e(0, 1), _e(2, 3, -1))      # chi1 - chi2
     n1 = _e(1, 2)                             # 2 chi2 - mu
-    n2 = _madd(_e(0, 2), _e(1, 3))            # chi1 + chi2 - mu
+    n2 = mat_add(_e(0, 2), _e(1, 3))          # chi1 + chi2 - mu
     n3 = _e(0, 3)                             # 2 chi1 - mu
     pos = [n0, n1, n2, n3]
     neg = [mat_t(mat(x)) for x in pos]
@@ -72,16 +64,15 @@ def lie_basis():
 
 
 def lie_bracket(x, y):
-    return _madd(mat_mul(x, y), _mscale(mat_mul(y, x), -1))
+    return mat_add(mat_mul(x, y), mat_scalar(mat_mul(y, x), -1))
 
 
 def similitude_derivative(x):
     """The scalar s with x^T J + J x = s J, or None if x is not in the
     Lie algebra of the similitude group."""
-    from .padic import J4
-    lhs = _madd(mat_mul(mat_t(mat(x)), J4), mat_mul(J4, mat(x)))
+    lhs = mat_add(mat_mul(mat_t(mat(x)), J4), mat_mul(J4, mat(x)))
     s = lhs[0][3]
-    if lhs != _mscale(J4, s):
+    if lhs != mat_scalar(J4, s):
         return None
     return s
 
@@ -208,29 +199,12 @@ def _casimir_pairs():
     n = len(basis)
     gram = [[_trace(mat_mul(basis[i][1], basis[j][1])) for j in range(n)]
             for i in range(n)]
-    ginv = _mat_inv_q(gram)
+    ginv = mat_inv(gram)
     return basis, ginv
 
 
 def _trace(m):
     return sum(Q(m[i][i]) for i in range(len(m)))
-
-
-def _mat_inv_q(m):
-    n = len(m)
-    aug = [[Q(x) for x in row] + [Q(1) if i == j else Q(0)
-                                  for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 _CAS_BASIS, _CAS_GINV = None, None
@@ -318,21 +292,6 @@ class RepSpace:
     def weight_multiplicities(self) -> dict:
         return {w: len(rows) for w, rows in self._by_weight.items() if rows}
 
-    def contains(self, vec: dict) -> bool:
-        vec = dict(vec)
-        groups: dict = {}
-        for idx, c in vec.items():
-            groups.setdefault(self.space.gweight(idx), {})[idx] = c
-        for w, part in groups.items():
-            for pivot, row in self._by_weight.get(w, []):
-                c = part.get(pivot)
-                if c:
-                    for k, x in row.items():
-                        part[k] = part.get(k, Q(0)) - c * x
-            if any(x != 0 for x in part.values()):
-                return False
-        return True
-
 
 def rep_dimension_formula(a: int, b: int) -> int:
     n = (a + 1) * (b + 1) * (a + b + 2) * (2 * a + b + 3)
@@ -411,7 +370,7 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
     # krylov[n] = sum_{i<n} t_i krylov[i]: solve the n x n system
     a_t = [[mat_rows[j][i] for j in range(n)] for i in range(n)]
     rhs = [mat_rows[n][i] for i in range(n)]
-    sol = _solve_q(a_t, rhs)
+    sol = solve(a_t, rhs)
     # minimal polynomial: x^n - sum t_i x^i
     x = sympy.Symbol("x")
     poly = x ** n - sum(sympy.Rational(sol[i].numerator,
@@ -442,21 +401,6 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
                 out[k] = v / (c0q - r)
         out = {k: v for k, v in out.items() if v != 0}
     return out
-
-
-def _solve_q(a, rhs):
-    n = len(rhs)
-    aug = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # -- restriction to the fibre product --------------------------------------------

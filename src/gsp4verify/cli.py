@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .symcore import as_ratfunc, ell_pow, sym
 
@@ -433,9 +433,9 @@ def read_config_file(path):
     return raw
 
 
-_INT_KEYS = {"a": "a_max", "b": "b_max", "k1": "k_max", "k2": "k_max",
-             "t": "t_max", "m": "m_max", "n": "n_max",
-             "order": "series_order", "jobs": "parallelism"}
+_INT_KEYS = {"a": "a_max", "b": "b_max", "k": "k_max", "t": "t_max",
+             "m": "m_max", "n": "n_max", "order": "series_order",
+             "jobs": "parallelism"}
 
 
 def build_config(args):
@@ -505,7 +505,7 @@ def make_parser():
     parser.add_argument("--config", help="flat key-value configuration file")
     parser.add_argument("--ell", action="append",
                         help="prime(s) to sweep, comma separated")
-    for key in ("a", "b", "k1", "k2", "t", "m", "n", "order", "jobs"):
+    for key in _INT_KEYS:
         parser.add_argument("--" + key, type=int)
     parser.add_argument("--format", choices=("json", "tsv", "human"))
     parser.add_argument("--out", help="write the report to this file")

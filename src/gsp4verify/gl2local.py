@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, ell_pow,
-                      vee)
+from .symcore import ExactArithmeticError, RatFunc, as_ratfunc, ell_pow
 from .padic import Cyc, SchwartzFn, fourier, val
 
 Q = Fraction
@@ -35,13 +34,6 @@ Q = Fraction
 
 class ShellBoundExceeded(ExactArithmeticError):
     """A shell integral failed to stabilise within the given bound."""
-
-
-def _pow(a: RatFunc, n: int) -> RatFunc:
-    a = as_ratfunc(a)
-    if n >= 0:
-        return a ** n
-    return (as_ratfunc(1, a.prime) / a) ** (-n)
 
 
 def _rat(x) -> Fraction:
@@ -126,17 +118,17 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     # q = (chi/psi)(l) |l| : the per-shell ratio
     q = (a_chi / a_psi) * ell_pow(-2, p)
     d = val(det, p)
-    prefactor = _pow(a_chi, d) * ell_pow(-d, p) * (one - q)
+    prefactor = a_chi ** d * ell_pow(-d, p) * (one - q)
     j_min = -phi.s - m
     j_top = max(phi.n - m, j_min)
     total = as_ratfunc(0, p)
     for j in range(j_min, j_top):
         c = _unit_average(phi, j, r)
         if c:
-            total = total + as_ratfunc(c, p) * _pow(q, j)
+            total = total + as_ratfunc(c, p) * q ** j
     c_inf = _rat(phi.value_at(0, 0))
     if c_inf:
-        total = total + as_ratfunc(c_inf, p) * _pow(q, j_top) / (one - q)
+        total = total + as_ratfunc(c_inf, p) * q ** j_top / (one - q)
     return prefactor * total
 
 
@@ -224,9 +216,9 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
         if (avg == fg and shell_avg(j + 1) == fg
                 and shell_avg(j + 2) == fg):
             # stabilised: geometric tail sum_{i >= j} a_r^i (1-1/l) fg
-            total = total + _pow(a_r, j) / (one - a_r) * unit_vol * fg
+            total = total + a_r ** j / (one - a_r) * unit_vol * fg
             break
-        total = total + _pow(a_r, j) * unit_vol * avg
+        total = total + a_r ** j * unit_vol * avg
         j += 1
     return (one - a_r) * total
 

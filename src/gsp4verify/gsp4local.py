@@ -26,16 +26,10 @@ from fractions import Fraction
 from .symcore import RatFunc, as_ratfunc, ell_pow, sym
 from .padic import (GSp4Elt, _padic_residue, gsp4_multiplier, hecke_r_reps,
                     hecke_t1_reps, hecke_t_reps, identity, iwasawa_gsp4, mat,
-                    mat_mul, siegel_u_reps, val, weyl_s1, weyl_s2)
+                    mat_det, mat_mul, rref_modp, siegel_u_reps, val, weyl_s1,
+                    weyl_s2)
 
 Q = Fraction
-
-
-def _pow(a: RatFunc, n: int) -> RatFunc:
-    a = as_ratfunc(a)
-    if n >= 0:
-        return a ** n
-    return (as_ratfunc(1, a.prime) / a) ** (-n)
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,8 @@ def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:
     b_val = val(b[1][1], p)
     c_val = val(gsp4_multiplier(b), p)
     mod = ell_pow(-2 * (2 * a_val + b_val) + 3 * c_val, p)
-    return (mod * _pow(sigma.alpha, a_val) * _pow(sigma.beta, b_val)
-            * _pow(sigma.c, c_val))
+    return (mod * sigma.alpha ** a_val * sigma.beta ** b_val
+            * sigma.c ** c_val)
 
 
 # -- cells of the Siegel-parahoric quotient -------------------------------------
@@ -109,34 +103,14 @@ def _lagrangian_invariant(k, p: int):
     """Invariant of the Borel orbit of the reduction mod p of the plane
     spanned by the first two columns of k: the intersection dimensions
     with the standard partial flag."""
-    cols = [[_padic_residue(k[r][c], p, p) for r in range(4)] for c in (0, 1)]
-    dims = []
-    for i in (1, 2, 3):
-        # dimension of span(cols) intersect span(e_1..e_i): 2 minus the
-        # rank of the projection onto the last 4-i coordinates
-        rows = [c[i:] for c in cols]
-        rank = _rank_modp(rows, p)
-        dims.append(2 - rank)
-    return tuple(dims)
-
-
-def _rank_modp(rows, p: int) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] % p), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        for r in range(len(m)):
-            if r != rank and m[r][col] % p:
-                f = (m[r][col] * inv) % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    # coordinates reversed: the rank of the projection onto the last j
+    # coordinates is the number of pivots among the first j columns
+    cols = [[_padic_residue(k[r][c], p, p) for r in (3, 2, 1, 0)]
+            for c in (0, 1)]
+    pivots = [row.index(1) for row in rref_modp(cols, p)]
+    # dimension of span(cols) intersect span(e_1..e_i): 2 minus the rank
+    # of the projection onto the last 4-i coordinates
+    return tuple(2 - sum(j < 4 - i for j in pivots) for i in (1, 2, 3))
 
 
 def parahoric_cell_reps():
@@ -280,24 +254,7 @@ def u_matrix_char_poly(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:
     one = as_ratfunc(1, p)
     m = [[(one if i == j else as_ratfunc(0, p)) - u[i][j] * x
           for j in range(4)] for i in range(4)]
-    return _det4(m, p)
-
-
-def _det4(m, p):
-    # cofactor expansion; entries are RatFuncs
-    import itertools
-    total = as_ratfunc(0, p)
-    for perm in itertools.permutations(range(4)):
-        sign = 1
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = as_ratfunc(sign, p)
-        for i in range(4):
-            term = term * m[i][perm[i]]
-        total = total + term
-    return total
+    return mat_det(m)
 
 
 # -- Hecke-module action ---------------------------------------------------------
@@ -319,5 +276,6 @@ def hecke_module_action(xi, f: InducedVectorG) -> InducedVectorG:
         new_values.append((c, total))
     new_values = tuple(sorted(set(new_values)))
     cells = [c for c, _ in new_values]
-    assert len(cells) == len(set(cells)), "action left the invariant space"
+    if len(cells) != len(set(cells)):
+        raise ValueError("action left the invariant space")
     return InducedVectorG(sigma, new_values)

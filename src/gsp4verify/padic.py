@@ -12,9 +12,10 @@ operators.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 Q = Fraction
 
@@ -56,10 +57,6 @@ def mat_mul(a, b):
     n, m, k = len(a), len(b[0]), len(b)
     return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
                        for j in range(m)) for i in range(n))
-
-
-def mat_vec(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
 
 
 def vec_mat(v, a):
@@ -106,22 +103,83 @@ def mat_det(a):
     return det
 
 
+def _gauss_jordan(m, ncols):
+    """Reduce the rows m (lists over Q) in place to reduced row echelon
+    form on their first ncols columns; return the pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return pivots
+
+
 def mat_inv(a):
     n = len(a)
     m = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
          for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    if len(_gauss_jordan(m, n)) < n:
+        raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in m)
+
+
+def solve(a, rhs):
+    """The solution x of a x = rhs for a square nonsingular a."""
+    n = len(a)
+    m = [list(row) + [b] for row, b in zip(a, rhs)]
+    if len(_gauss_jordan(m, n)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(row[n] for row in m)
+
+
+def nullspace(rows):
+    """Basis of {x : rows . x = 0}, one vector per non-pivot column."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0])
+    pivots = _gauss_jordan(m, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        x = [Q(0)] * ncols
+        x[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -m[i][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def rref_modp(rows, p: int):
+    """The nonzero rows of the reduced row echelon form of rows over F_p."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return m[:r]
 
 
 def min_val(a, p: int):
@@ -221,19 +279,11 @@ def iwasawa_gl2(g, p: int):
 
 def _primitive(v, p: int):
     """Scale a nonzero rational vector into Z^n with p-valuation zero."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator // _gcd(den, Fraction(x).denominator)
+    den = math.lcm(*(Fraction(x).denominator for x in v))
     w = [Fraction(x) * den for x in v]
     mv = min(val(x, p) for x in w if x != 0)
     scale = Fraction(p) ** (-mv)
     return tuple(x * scale for x in w)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _solve_unit_system(rows, rhs, p: int):
@@ -243,7 +293,7 @@ def _solve_unit_system(rows, rhs, p: int):
     for cols in itertools.combinations(range(4), k):
         sub = mat([[rows[i][j] for j in cols] for i in range(k)])
         if val(mat_det(sub), p) == 0:
-            sol = mat_vec(mat_inv(sub), rhs)
+            sol = solve(sub, rhs)
             x = [Q(0)] * 4
             for idx, j in enumerate(cols):
                 x[j] = sol[idx]
@@ -276,7 +326,9 @@ def iwasawa_gsp4(g, p: int):
 
     # kernel of the bottom two rows is a 2-dim isotropic subspace
     r3, r4 = g[2], g[3]
-    basis = _nullspace_2x4([r3, r4])
+    basis = nullspace([r3, r4])
+    if len(basis) != 2:
+        raise ValueError("bottom rows of a similitude must be independent")
     w1 = _primitive(basis[0], p)
     i = next(i for i in range(4) if val(w1[i], p) == 0)
     w2 = _primitive(basis[1], p)
@@ -307,38 +359,6 @@ def iwasawa_gsp4(g, p: int):
     assert val(gsp4_multiplier(k), p) == 0
     assert b[0][0] * b[3][3] == mu and b[1][1] * b[2][2] == mu
     return b, k
-
-
-def _nullspace_2x4(rows):
-    """Basis of the null space {x : rows . x = 0} for two independent rows."""
-    m = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    r = 0
-    for col in range(4):
-        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(4) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [Q(0)] * 4
-        x[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -m[i][fc]
-        basis.append(tuple(x))
-    assert len(basis) == 2
-    return basis
 
 
 # -- open-compact membership ---------------------------------------------------
@@ -898,9 +918,6 @@ def smith_vals(m, p: int):
     """p-adic elementary divisor exponents (d1 <= d2 <= ...), via minor
     valuations."""
     n = len(m)
-    prev = 0
-    out = []
-    cur = [[Q(1)]]
     vs = []
     for k in range(1, n + 1):
         best = INF
@@ -999,40 +1016,16 @@ def lagrangian_subspaces(p: int):
 
     for v1 in vecs:
         for v2 in vecs:
-            rows = _rref_2x4_modp([list(v1), list(v2)], p)
-            if rows is None:
+            rows = rref_modp([v1, v2], p)
+            if len(rows) < 2:
                 continue
             key = tuple(map(tuple, rows))
             if key in seen:
                 continue
-            if pairing(rows[0], rows[1]) == 0:
-                seen.add(key)
-                out.append(rows)
-            else:
-                seen.add(key)
-    return [r for r in (tuple(map(tuple, rows)) for rows in out)]
-
-
-def _rref_2x4_modp(rows, p):
-    m = [[x % p for x in r] for r in rows]
-    r = 0
-    for c in range(4):
-        piv = next((i for i in range(r, 2) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(2):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == 2:
-            break
-    if r < 2:
-        return None
-    return m
+            seen.add(key)
+            if pairing(*key) == 0:
+                out.append(key)
+    return out
 
 
 def siegel_parahoric_reps(p: int):

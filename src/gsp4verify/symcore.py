@@ -402,7 +402,8 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
         if g != 1:
             qn, rn = sympy.div(fn, g, *symmap.values())
             qd, rd = sympy.div(fd, g, *symmap.values())
-            assert rn == 0 and rd == 0
+            if rn != 0 or rd != 0:
+                raise ExactArithmeticError("gcd does not divide the pair")
             nt, dt = _from_sympy(qn, names), _from_sympy(qd, names)
 
     num2, den2 = _drop_v(nt, prime), _drop_v(dt, prime)
@@ -627,14 +628,18 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    def _check_var(self, other):
+        if self.var != other.var:
+            raise ValueError("series in %s and %s" % (self.var, other.var))
+
     def __add__(self, other):
-        assert self.var == other.var
+        self._check_var(other)
         n = min(len(self.coeffs), len(other.coeffs))
         return PowerSeries(self.var,
                            [self.coeffs[i] + other.coeffs[i] for i in range(n)])
 
     def __sub__(self, other):
-        assert self.var == other.var
+        self._check_var(other)
         n = min(len(self.coeffs), len(other.coeffs))
         return PowerSeries(self.var,
                            [self.coeffs[i] - other.coeffs[i] for i in range(n)])
@@ -643,7 +648,7 @@ class PowerSeries:
         if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
             c = as_ratfunc(other)
             return PowerSeries(self.var, [x * c for x in self.coeffs])
-        assert self.var == other.var
+        self._check_var(other)
         n = min(len(self.coeffs), len(other.coeffs))
         out = [RatFunc.const(0) for _ in range(n)]
         for i in range(n):
@@ -697,10 +702,6 @@ def series_expand(f: RatFunc, var: str, order: int) -> PowerSeries:
                 acc = acc - dj * out[k - j]
         out.append(acc / d0)
     return PowerSeries(var, out)
-
-
-def series_of_ratfunc(f: RatFunc, var: str, order: int) -> PowerSeries:
-    return series_expand(f, var, order)
 
 
 def reconstruct_ratfunc(series: PowerSeries, den: RatFunc,

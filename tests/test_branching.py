@@ -228,7 +228,7 @@ def test_cartan_project_idempotent_and_equivariant():
 
 
 def test_unipotent_is_exponential_of_nilpotent():
-    n = br._madd(br._e(0, 2), br._e(1, 3))
+    n = mat_add(br._e(0, 2), br._e(1, 3))
     u = br.twist_element(1)
     zero4 = tuple(tuple(Q(0) for _ in range(4)) for _ in range(4))
     assert mat_add(identity(4), n) == u

@@ -75,6 +75,28 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert [r["case"] for r in records] == ["polynomial-l2"]
 
 
+def test_k_flag_bounds_both_weights():
+    parser = cli.make_parser()
+    config = cli.build_config(parser.parse_args(["--k", "0", "--suite",
+                                                 "tame-norm"]))
+    assert config.k_max == 0
+    ids = [c for _, c, _, _ in cli.build_cases(config)]
+    assert ids and all(c.endswith("-k00") for c in ids)
+
+
+def test_k_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 1\n")
+    parser = cli.make_parser()
+    config = cli.build_config(parser.parse_args(["--config", str(cfg)]))
+    assert config.k_max == 1
+
+
+def test_per_weight_k_flags_are_gone(capsys):
+    assert cli.main(["--k1", "1"]) == 2
+    assert cli.main(["--k2", "1"]) == 2
+
+
 def test_env_var_sets_parallelism(monkeypatch):
     monkeypatch.setenv(cli.JOBS_ENV, "3")
     parser = cli.make_parser()

@@ -105,8 +105,7 @@ def test_borel_transformation_law(p):
             if det != 0 and det % p:
                 break
         va, vd = val(a, p), val(d, p)
-        factor = (gl._pow(ac, va) * gl._pow(ap, vd)
-                  * ell_pow(-(va - vd), p))
+        factor = ac ** va * ap ** vd * ell_pow(-(va - vd), p)
         lhs = gl.eval_siegel(phi, ac, ap, mul2(b, k))
         assert lhs == factor * gl.eval_siegel(phi, ac, ap, k)
 
@@ -129,12 +128,12 @@ def test_equivariance_of_sections(p):
         gphi = act_schwartz(mat([list(r) for r in g]), phi)
         # direct law
         lhs = gl.eval_siegel(gphi, ac, ap, h)
-        rhs = (gl._pow(ac, -dg) * ell_pow(dg, p)
+        rhs = (ac ** -dg * ell_pow(dg, p)
                * gl.eval_siegel(phi, ac, ap, mul2(h, g)))
         assert lhs == rhs
         # Fourier-side law
         lhs = gl.eval_siegel(fourier(gphi), ac, ap, h)
-        rhs = (gl._pow(ap, -dg) * ell_pow(dg, p)
+        rhs = (ap ** -dg * ell_pow(dg, p)
                * gl.eval_siegel(fourier(phi), ac, ap, mul2(h, g)))
         assert lhs == rhs
 

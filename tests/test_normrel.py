@@ -197,6 +197,14 @@ def test_frobrecip_concrete_prime():
     assert ok
 
 
+def test_frobrecip_wrong_parahoric_index_fails(monkeypatch):
+    from gsp4verify import padic
+    monkeypatch.setattr(nr, "siegel_parahoric_reps",
+                        lambda p: padic.siegel_parahoric_reps(p)[:-1])
+    ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, p=2)
+    assert ok is False
+
+
 def test_frobrecip_perturbed_fails():
     ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, perturb=True)
     assert not ok

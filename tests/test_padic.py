@@ -5,14 +5,17 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from gsp4verify import padic as pa
 from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
     gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
     in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
-    siegel_parahoric_reps, siegel_u_reps, smith_vals, val, weyl_s1, weyl_s2,
+    nullspace, rref_modp, siegel_parahoric_reps, siegel_u_reps, smith_vals,
+    solve, val, weyl_s1, weyl_s2,
 )
 
 
@@ -205,6 +208,66 @@ def test_fourier_involution():
     # and it commutes with x -> -x
     neg = act_schwartz(mat([[-1, 0], [0, -1]]), phi)
     assert fourier(neg) == act_schwartz(mat([[-1, 0], [0, -1]]), fourier(phi))
+
+
+# -- exact linear algebra, against sympy ------------------------------------
+
+def int_matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+square_matrices = st.integers(1, 4).flatmap(lambda n: int_matrices(n, n))
+rect_matrices = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda shape: int_matrices(*shape))
+
+
+def _q(x) -> Q:
+    return Q(int(x.p), int(x.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices, st.lists(st.integers(-4, 4), min_size=4, max_size=4))
+def test_mat_inv_and_solve_match_sympy(rows, rhs):
+    a = mat(rows)
+    b = [Q(x) for x in rhs[:len(rows)]]
+    sm = sympy.Matrix(rows)
+    if sm.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv(a)
+        with pytest.raises(ZeroDivisionError):
+            solve(a, b)
+        return
+    assert mat_inv(a) == tuple(tuple(_q(x) for x in sm.inv().row(i))
+                               for i in range(len(rows)))
+    assert solve(a, b) == tuple(_q(x) for x in sm.LUsolve(sympy.Matrix(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rect_matrices)
+def test_nullspace_spans_sympy_nullspace(rows):
+    basis = nullspace(mat(rows))
+    theirs = sympy.Matrix(rows).nullspace()
+    assert len(basis) == len(theirs)
+    for x in basis:
+        assert all(sum(r[j] * x[j] for j in range(len(x))) == 0
+                   for r in rows)
+    if basis:
+        ours = sympy.Matrix([list(x) for x in basis])
+        both = ours.col_join(sympy.Matrix.hstack(*theirs).T)
+        assert ours.rank() == both.rank() == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rect_matrices, st.sampled_from([2, 3, 5, 7]))
+def test_rref_modp_matches_sympy_over_gf_p(rows, p):
+    gf = sympy.GF(p)
+    dm = DomainMatrix([[gf(x) for x in r] for r in rows],
+                      (len(rows), len(rows[0])), gf)
+    reduced = rref_modp(rows, p)
+    assert len(reduced) == dm.rank()
+    theirs = [[int(x) % p for x in r] for r in dm.rref()[0].to_list()]
+    assert reduced == theirs[:len(reduced)]
 
 
 # -- coset enumeration ------------------------------------------------------

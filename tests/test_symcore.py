@@ -139,6 +139,18 @@ def test_series_arithmetic_truncates():
     assert all(c.is_zero() for c in prod.coeffs[1:])
 
 
+def test_series_in_different_variables_raise():
+    x, y = symbols("x y")
+    s = series_expand(1 / (1 - x), "x", 3)
+    t = series_expand(1 / (1 - y), "y", 3)
+    with pytest.raises(ValueError):
+        s + t
+    with pytest.raises(ValueError):
+        s - t
+    with pytest.raises(ValueError):
+        s * t
+
+
 def test_reconstruct_ratfunc():
     x, a = symbols("x a")
     f = (1 - a * x) / ((1 - x) * (1 - 2 * x))
