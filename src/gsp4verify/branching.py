@@ -29,7 +29,7 @@ from fractions import Fraction
 import sympy
 
 from .padic import (J4, mat, mat_add, mat_inv, mat_mul, mat_scalar,
-                    mat_t, solve)
+                    mat_t, root_unipotent, solve)
 
 Q = Fraction
 
@@ -501,7 +501,7 @@ def hw_vector(a: int, b: int, q: int, r: int,
 
 def twist_element(h: int):
     """The unipotent 1 + h(E13 + E24)."""
-    return mat([[1, 0, h, 0], [0, 1, 0, h], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return root_unipotent(2, h)
 
 
 def s_weight_projection(space: TensorSpace, vec: dict, weight: int) -> dict:

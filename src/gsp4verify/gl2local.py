@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .symcore import ExactArithmeticError, RatFunc, as_ratfunc, ell_pow
-from .padic import Cyc, SchwartzFn, fourier, val
+from .padic import Cyc, SchwartzFn, fourier, mat_mul, val
 
 Q = Fraction
 
@@ -41,20 +41,6 @@ def _rat(x) -> Fraction:
     if isinstance(x, Cyc):
         return x.as_rational()
     return Fraction(x)
-
-
-def _cyc_add(a, b):
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        return _as_cyc_pair(a, b)
-    return a + b
-
-
-def _as_cyc_pair(a, b):
-    if not isinstance(a, Cyc):
-        a = Cyc.rational(b.p, Fraction(a))
-    if not isinstance(b, Cyc):
-        b = Cyc.rational(a.p, Fraction(b))
-    return a + b
 
 
 def l_factor(a, shift, prime=None) -> RatFunc:
@@ -89,7 +75,7 @@ def _unit_average(phi: SchwartzFn, j: int, r) -> Fraction:
         if u % p == 0:
             continue
         value = phi.value_at(scale * u * r[0], scale * u * r[1])
-        total = value if total is None else _cyc_add(total, value)
+        total = value if total is None else total + value
         count += 1
     # the average over the full unit group is Galois-stable, hence rational
     return _rat(total) / count
@@ -160,10 +146,6 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
     def f_at(h):
         return eval_siegel(phi, a_chi, a_psi, h)
 
-    def mul(a, b):
-        return [[sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)]
-                for i in range(2)]
-
     n0 = phi.n + phi.s + 1
 
     # integral over u in Z_l, by stabilising averages at finer moduli:
@@ -174,8 +156,7 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
             mod = p ** nn
             tot = as_ratfunc(0, p)
             for u in range(mod):
-                h = mul(mul([list(WEYL[0]), list(WEYL[1])],
-                            [[1, Q(u)], [0, 1]]), g)
+                h = mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
                 tot = tot + f_at(h)
             tot = tot * as_ratfunc(Q(1, mod), p)
             history.append(tot)
@@ -197,7 +178,7 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
             for e in range(1, mod):
                 if e % p == 0:
                     continue
-                h = mul([[1, 0], [Q(e * p ** j), 1]], g)
+                h = mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
                 tot = tot + f_at(h)
                 cnt += 1
             tot = tot * as_ratfunc(Q(1, cnt), p)

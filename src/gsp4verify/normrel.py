@@ -18,9 +18,9 @@ from fractions import Fraction
 
 from .besselzeta import tame_pairing
 from .gsp4local import hecke_eigenvalue
-from .padic import (HElt, LevelSpec, SchwartzFn, act_schwartz, identity,
-                    in_level, mat, mat_add, mat_inv, mat_mul, mat_scalar,
-                    siegel_parahoric_reps)
+from .padic import (HElt, LevelSpec, SchwartzFn, act_schwartz, coset_block,
+                    identity, in_level, mat, mat_add, mat_inv, mat_mul,
+                    mat_scalar, mat_t, root_unipotent, siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
 Q = Fraction
@@ -30,8 +30,7 @@ Q = Fraction
 
 def eta(p: int, r: int, a=1) -> tuple:
     """The rational unipotent 1 + a p^{-r} (E13 + E24)."""
-    x = Q(a) / Q(p) ** r
-    return mat([[1, 0, x, 0], [0, 1, 0, x], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return root_unipotent(2, Q(a) / Q(p) ** r)
 
 
 def upper_shear(b) -> tuple:
@@ -44,12 +43,6 @@ def lower_shear(c) -> tuple:
 
 def diag2(a, d) -> tuple:
     return mat([[a, 0], [0, d]])
-
-
-def coset_block(p: int, u, v, w) -> tuple:
-    """[[p,0,u,v],[0,p,w,u],[0,0,1,0],[0,0,0,1]]: the standard coset
-    matrices of the level-raising double coset."""
-    return mat([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 # -- indicator-sum Hecke elements ------------------------------------------------
@@ -278,7 +271,6 @@ def indept_identity(p: int, T: int, t: int):
 def _kmn_generators(p: int, m: int, n: int):
     """Generating elements of the level group used for the coset-orbit
     closure check."""
-    from .padic import mat_t, root_unipotent
     gens = []
     for i in (1, 2, 3):                      # upper-right block shears
         gens.append(root_unipotent(i, 1))

@@ -649,7 +649,7 @@ class SchwartzFn:
 
     def _canonicalize(self):
         p = self.p
-        self.table = {k: c for k, c in self.table.items() if not _czero(c)}
+        self.table = {k: c for k, c in self.table.items() if c != 0}
         # merge cosets upward while possible
         while self.n > -self.s and self.table:
             M = p ** (self.s + self.n)
@@ -659,7 +659,7 @@ class SchwartzFn:
             for (a, b), c in self.table.items():
                 parents.setdefault((a % Mp, b % Mp), []).append(c)
             for key, vals in parents.items():
-                if len(vals) != p * p or any(not _ceq(v, vals[0]) for v in vals):
+                if len(vals) != p * p or any(v != vals[0] for v in vals):
                     ok = False
                     break
             if not ok:
@@ -712,7 +712,7 @@ class SchwartzFn:
         a, b = self.refined(s, n), other.refined(s, n)
         table = dict(a.table)
         for k, c in b.table.items():
-            table[k] = _cadd(table.get(k, Q(0)), c)
+            table[k] = table.get(k, Q(0)) + c
         return SchwartzFn(self.p, s, n, table)
 
     def __sub__(self, other):
@@ -720,7 +720,7 @@ class SchwartzFn:
 
     def __mul__(self, c):
         return SchwartzFn(self.p, self.s, self.n,
-                          {k: _cmul(v, c) for k, v in self.table.items()})
+                          {k: v * c for k, v in self.table.items()})
 
     __rmul__ = __mul__
 
@@ -729,7 +729,7 @@ class SchwartzFn:
             return NotImplemented
         return (self.p == other.p and self.s == other.s and self.n == other.n
                 and self.table.keys() == other.table.keys()
-                and all(_ceq(self.table[k], other.table[k])
+                and all(self.table[k] == other.table[k]
                         for k in self.table))
 
     def is_zero(self):
@@ -746,37 +746,12 @@ class SchwartzFn:
         w = Q(1, self.p ** (2 * self.n))
         total = Q(0)
         for c in self.table.values():
-            total = _cadd(total, _cmul(c, w))
+            total = total + c * w
         return total
 
     def __repr__(self):
         pts = ", ".join(f"({x},{y}): {c}" for (x, y), c in self.support_points())
         return f"SchwartzFn(p={self.p}, level={self.n}, {{{pts}}})"
-
-
-def _czero(c):
-    return c.is_zero() if isinstance(c, Cyc) else c == 0
-
-
-def _ceq(a, b):
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        p = a.p if isinstance(a, Cyc) else b.p
-        return _as_cyc(a, p) == _as_cyc(b, p)
-    return a == b
-
-
-def _cadd(a, b):
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        p = a.p if isinstance(a, Cyc) else b.p
-        return _as_cyc(a, p) + _as_cyc(b, p)
-    return a + b
-
-
-def _cmul(a, b):
-    if isinstance(a, Cyc) or isinstance(b, Cyc):
-        p = a.p if isinstance(a, Cyc) else b.p
-        return _as_cyc(a, p) * _as_cyc(b, p)
-    return a * b
 
 
 def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
@@ -795,7 +770,7 @@ def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
         for b in range(M):
             x, y = vec_mat((Q(a) / den, Q(b) / den), g)
             c = phi.value_at(x, y)
-            if not _czero(c):
+            if c != 0:
                 table[(a, b)] = c
     return SchwartzFn(p, s2, n2, table)
 
@@ -826,8 +801,8 @@ def fourier(phi: SchwartzFn) -> SchwartzFn:
             tot = Q(0)
             for (u0, v0, c, _) in terms:
                 ph = e_char(x * v0 - y * u0, p)
-                tot = _cadd(tot, _cmul(_cmul(c, ph), w))
-            if not _czero(tot):
+                tot = tot + c * ph * w
+            if tot != 0:
                 table[(a, b)] = tot
     return SchwartzFn(p, s_out, n_out, table)
 
@@ -866,9 +841,10 @@ def root_unipotent(i: int, t) -> tuple:
 ROOT_POSITIONS = [(0, 1), (1, 2), (0, 2), (0, 3)]
 
 
-def siegel_unipotent(p_or_none, u, v, w) -> tuple:
-    """[[1,0,u,v],[0,1,w,u],[0,0,1,0],[0,0,0,1]]."""
-    return mat([[1, 0, u, v], [0, 1, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
+def coset_block(p: int, u, v, w) -> tuple:
+    """[[p,0,u,v],[0,p,w,u],[0,0,1,0],[0,0,0,1]]: the standard coset
+    matrices of the level-raising double coset and of U(p)."""
+    return mat([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def hnf_key(m, p: int) -> tuple:
@@ -990,15 +966,8 @@ def hecke_r_reps(p: int):
 def siegel_u_reps(p: int):
     """Left K0(p)-coset reps of the U(p) operator on Siegel-parahoric
     invariants."""
-    out = []
-    for u in range(p):
-        for v in range(p):
-            for w in range(p):
-                out.append(mat([[p, 0, u, v],
-                                [0, p, w, u],
-                                [0, 0, 1, 0],
-                                [0, 0, 0, 1]]))
-    return out
+    return [coset_block(p, u, v, w)
+            for u in range(p) for v in range(p) for w in range(p)]
 
 
 # -- Lagrangian coset representatives ------------------------------------------

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 import sympy
+from sympy import QQ
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -53,12 +54,6 @@ def _merge_prime(p1: Optional[int], p2: Optional[int]) -> Optional[int]:
     if p2 is None or p1 == p2:
         return p1
     raise PrimeMismatch(f"cannot mix primes {p1} and {p2}")
-
-
-# cache of canonicalized monomial products, keyed by the two canonical
-# monomial keys and the prime; values are (key, unit-coefficient)
-_MONO_MUL_CACHE: dict = {}
-_MONO_MUL_CACHE_MAX = 1 << 20
 
 
 def _canon_term(mono: dict, coeff: Fraction, prime: Optional[int]):
@@ -177,26 +172,17 @@ class LaurentPoly:
         p = _merge_prime(self.prime, other.prime)
         a, b = self.with_prime(p), other.with_prime(p)
         acc: dict = {}
-        cache = _MONO_MUL_CACHE
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                ck = (m1, m2, p)
-                hit = cache.get(ck)
-                if hit is None:
-                    d = dict(m1)
-                    for s, e in m2:
-                        d[s] = d.get(s, 0) + e
-                    hit = _canon_term(d, Q(1), p)
-                    if len(cache) < _MONO_MUL_CACHE_MAX:
-                        cache[ck] = hit
-                key, unit = hit
-                c = c1 * c2 if unit == 1 else c1 * c2 * unit
-                if c:
-                    prev = acc.get(key, Q(0)) + c
-                    if prev == 0:
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = prev
+                d = dict(m1)
+                for s, e in m2:
+                    d[s] = d.get(s, 0) + e
+                key, c = _canon_term(d, c1 * c2, p)
+                prev = acc.get(key, Q(0)) + c
+                if prev == 0:
+                    acc.pop(key, None)
+                else:
+                    acc[key] = prev
         return LaurentPoly(acc, p, _canonical=True)
 
     __rmul__ = __mul__
@@ -286,52 +272,16 @@ def _as_poly(x, prime=None) -> LaurentPoly:
 # -- gcd machinery (delegated to sympy on an l-eliminated lift) -------------
 
 
-def _lift_v(poly: LaurentPoly) -> dict:
-    """Map terms into the plain polynomial ring: l is replaced by v^2."""
-    out = {}
+def _lift_v(poly: LaurentPoly) -> list:
+    """Terms as (exponent dict, coeff) pairs in the plain polynomial ring:
+    l is replaced by v^2."""
+    out = []
     for mono, c in poly.terms.items():
         d = dict(mono)
         e = d.pop(L_NAME, 0)
         if e:
             d[V_NAME] = d.get(V_NAME, 0) + 2 * e
-        out[tuple(sorted(d.items()))] = c
-    return out
-
-
-def _drop_v(terms: dict, prime: Optional[int]) -> LaurentPoly:
-    acc = {}
-    for mono, c in terms.items():
-        key, c2 = _canon_term(dict(mono), c, prime)
-        if c2:
-            acc[key] = acc.get(key, Q(0)) + c2
-    return LaurentPoly({k: c for k, c in acc.items() if c != 0}, prime,
-                       _canonical=True)
-
-
-def _to_sympy(terms: dict, symmap: dict):
-    expr = sympy.Integer(0)
-    for mono, c in terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for s, e in mono:
-            t *= symmap[s] ** e
-        expr += t
-    return sympy.expand(expr)
-
-
-def _from_sympy(expr, names) -> dict:
-    expr = sympy.expand(expr)
-    poly = sympy.Poly(expr, *[sympy.Symbol(n) for n in names], domain="QQ") \
-        if names else None
-    out = {}
-    if poly is None:
-        q = sympy.Rational(expr)
-        if q != 0:
-            out[()] = Q(q.p, q.q)
-        return out
-    for monom, coeff in poly.terms():
-        key = tuple(sorted((n, e) for n, e in zip(names, monom) if e))
-        q = sympy.Rational(coeff)
-        out[key] = Q(q.p, q.q)
+        out.append((d, c))
     return out
 
 
@@ -339,8 +289,11 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
     """Reduce a fraction of LaurentPolys to canonical form.
 
     A single-term denominator c*m is a unit of the Laurent ring, so its
-    canonical form is (num / (c*m), 1); that case skips the lift, the
-    gcd and the re-canonicalisation below."""
+    canonical form is (num / (c*m), 1) without a gcd.  Otherwise both
+    sides are lifted to exponent vectors in Q[v, ...] and every symbol is
+    shifted by its least exponent over both sides.  That removes the
+    common monomial content, so a single-term numerator is already
+    coprime to the denominator; any other pair is divided by its gcd."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
@@ -353,60 +306,32 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
             num = num.monomial_div(mono, c)
         return num, LaurentPoly.const(1, prime)
 
-    nt, dt = _lift_v(num), _lift_v(den)
+    lifted = _lift_v(num), _lift_v(den)
+    names = sorted({s for side in lifted for d, _ in side for s in d})
+    sides = [[([d.get(s, 0) for s in names], c) for d, c in side]
+             for side in lifted]
+    low = [min(col) for col in zip(*(e for side in sides for e, _ in side))]
+    sides = [{tuple(x - m for x, m in zip(e, low)): c for e, c in side}
+             for side in sides]
 
-    # shift exponents so both sides are honest polynomials
-    shift: dict = {}
-    for terms in (nt, dt):
-        for mono in terms:
-            for s, e in mono:
-                shift[s] = min(shift.get(s, 0), e)
-    if any(m < 0 for m in shift.values()):
-        def do_shift(terms):
-            out = {}
-            for mono, c in terms.items():
-                d = dict(mono)
-                for s, m in shift.items():
-                    if m < 0:
-                        d[s] = d.get(s, 0) - m
-                out[tuple(sorted((s, e) for s, e in d.items() if e))] = c
-            return out
-        nt, dt = do_shift(nt), do_shift(dt)
-
-    # gcd reduction; skip sympy when the numerator is a single term (a
-    # single-term denominator was returned above)
-    if len(nt) == 1:
-        ((mono, _),) = nt.items()
-        mexp = dict(mono)
-        gexp = {}
-        for s, e in mexp.items():
-            m = min([e] + [dict(mm).get(s, 0) for mm in dt])
-            if m > 0:
-                gexp[s] = m
-        if gexp:
-            gm = tuple(sorted(gexp.items()))
-            def mdiv(terms):
-                out = {}
-                for mono2, c in terms.items():
-                    d = dict(mono2)
-                    for s, e in gexp.items():
-                        d[s] = d.get(s, 0) - e
-                    out[tuple(sorted((s, e) for s, e in d.items() if e))] = c
-                return out
-            nt, dt = mdiv(nt), mdiv(dt)
-    else:
-        names = sorted({s for t in (nt, dt) for m in t for s, _ in m})
-        symmap = {n: sympy.Symbol(n) for n in names}
-        fn, fd = _to_sympy(nt, symmap), _to_sympy(dt, symmap)
+    if len(sides[0]) > 1:
+        gens = [sympy.Symbol(s) for s in names]
+        fn, fd = (sympy.Poly.from_dict(
+            {e: QQ(c.numerator, c.denominator) for e, c in side.items()},
+            *gens, domain=QQ) for side in sides)
         g = sympy.gcd(fn, fd)
         if g != 1:
-            qn, rn = sympy.div(fn, g, *symmap.values())
-            qd, rd = sympy.div(fd, g, *symmap.values())
-            if rn != 0 or rd != 0:
+            fn, rn = sympy.div(fn, g)
+            fd, rd = sympy.div(fd, g)
+            if not (rn.is_zero and rd.is_zero):
                 raise ExactArithmeticError("gcd does not divide the pair")
-            nt, dt = _from_sympy(qn, names), _from_sympy(qd, names)
+        sides = [{e: Q(c.numerator, c.denominator)
+                  for e, c in f.as_dict(native=True).items()}
+                 for f in (fn, fd)]
 
-    num2, den2 = _drop_v(nt, prime), _drop_v(dt, prime)
+    num2, den2 = (LaurentPoly({tuple(zip(names, e)): c
+                               for e, c in side.items()}, prime)
+                  for side in sides)
 
     # unit normalization: lex-least denominator term gets coefficient 1
     lead = min(den2.terms)
@@ -450,6 +375,9 @@ class RatFunc:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()

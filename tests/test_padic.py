@@ -104,7 +104,7 @@ def test_membership_catalog():
     for kind in ("G", "K0", "K1det"):
         assert in_level(g, LevelSpec(kind), p)
     assert in_level(g, LevelSpec("Kmn", m=2, n=1), p)
-    u = pa.siegel_unipotent(None, 1, 0, 0)
+    u = pa.root_unipotent(2, 1)
     assert in_level(u, LevelSpec("K0"), p)
     low = pa.mat_t(pa.root_unipotent(2, 1))
     # check it is symplectic and not in the parahoric
