@@ -62,15 +62,15 @@ class XiElt:
 
     def _collapse(self):
         """Merge terms indexing the same coset."""
-        out = []
+        out = []    # of (g0, inverse of g0, coefficient)
         for g, c in self.terms:
-            for i, (g0, c0) in enumerate(out):
-                if in_level(mat_mul(mat_inv(g0), g), self.level, self.p):
-                    out[i] = (g0, c0 + c)
+            for i, (g0, g0_inv, c0) in enumerate(out):
+                if in_level(mat_mul(g0_inv, g), self.level, self.p):
+                    out[i] = (g0, g0_inv, c0 + c)
                     break
             else:
-                out.append((g, c))
-        return [(g, c) for g, c in out if c != 0]
+                out.append((g, mat_inv(g), c))
+        return [(g, c) for g, _, c in out if c != 0]
 
     def __eq__(self, other):
         if not isinstance(other, XiElt):
@@ -80,10 +80,11 @@ class XiElt:
         a, b = self._collapse(), other._collapse()
         if len(a) != len(b):
             return False
+        b_inv = [(mat_inv(g2), c2) for g2, c2 in b]
         for g, c in a:
-            if not any(c == c2 and in_level(mat_mul(mat_inv(g2), g),
+            if not any(c == c2 and in_level(mat_mul(g2_inv, g),
                                             self.level, self.p)
-                       for g2, c2 in b):
+                       for g2_inv, c2 in b_inv):
                 return False
         return True
 
@@ -215,7 +216,8 @@ def _in_kh1(h: HElt, p: int, t: int) -> bool:
 def _pair_table(f1: SchwartzFn, f2: SchwartzFn, t: int) -> dict:
     """Table of a pure-tensor pair at the fixed modulus p^t (both
     factors must have scale 0 and level at most t)."""
-    assert f1.s == 0 and f2.s == 0 and f1.n <= t and f2.n <= t
+    if f1.s != 0 or f2.s != 0 or f1.n > t or f2.n > t:
+        raise ValueError("pair factors need scale 0 and level at most t")
     a = f1.refined(0, t)
     b = f2.refined(0, t)
     return {(k1, k2): c1 * c2
@@ -241,7 +243,8 @@ def indept_identity(p: int, T: int, t: int):
                     g2 = mat([[1 + p ** T * d1, 0],
                               [p ** T * c2, 1 + p ** T * d2]])
                     reps.append(HElt.of(g1, g2))
-    assert len(reps) == q ** 4
+    if len(reps) != q ** 4:
+        raise ArithmeticError("transversal has the wrong size")
     # transversal lies in the principal congruence subgroup of level p^T
     for h in reps:
         for g in (h.g1, h.g2):
@@ -313,14 +316,15 @@ def wild_coset_identity(p: int, m: int, n: int):
     blocks = [(u, v, w) for u in range(p) for v in range(p)
               for w in range(p)]
     mats = {b: coset_block(p, *b) for b in blocks}
+    inverses = {b: mat_inv(mats[b]) for b in blocks}
     for i, b in enumerate(blocks):
         for b2 in blocks[i + 1:]:
-            if in_level(mat_mul(mat_inv(mats[b]), mats[b2]), spec, p):
+            if in_level(mat_mul(inverses[b], mats[b2]), spec, p):
                 return False, {"failed": "coset disjointness", "at": (b, b2)}
     for g in _kmn_generators(p, m, n):
         for b in blocks:
             moved = mat_mul(g, mats[b])
-            if not any(in_level(mat_mul(mat_inv(mats[b2]), moved), spec, p)
+            if not any(in_level(mat_mul(inverses[b2], moved), spec, p)
                        for b2 in blocks):
                 return False, {"failed": "coset stability", "at": b}
     report["cosets"] = len(blocks)

@@ -1,18 +1,21 @@
 """p-adic machinery over exact rationals.
 
 Everything here works with Fraction matrices, viewed inside Q_p for a fixed
-prime p.  Provides the 4x4 symplectic similitude group (antidiagonal form),
-the GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
-with respect to the upper-triangular Borel, open-compact membership tests,
-Schwartz functions on Q_p^2 with an exact Fourier transform (values in a
-cyclotomic model), and left-coset enumeration for the standard Hecke
-operators.
+prime p.  Matrix products run on integers: each factor is scaled to integer
+rows over one common denominator, and each entry of the product becomes
+one reduced Fraction.  Provides the 4x4 symplectic similitude group
+(antidiagonal form), the GL2 x GL2 subgroup glued along the determinant,
+Iwasawa decompositions with respect to the upper-triangular Borel,
+open-compact membership tests, Schwartz functions on Q_p^2 with an exact
+Fourier transform (values in a cyclotomic model), and left-coset
+enumeration for the standard Hecke operators.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -53,15 +56,33 @@ def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def _integer_rows(a):
+    """Integer rows r and a common denominator d with a = r / d; the
+    entries of a must be int or Fraction."""
+    for row in a:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"matrix entry {x!r} is not int or Fraction")
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row]
+            for row in a], d
+
+
 def mat_mul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
-                       for j in range(m)) for i in range(n))
+    """Exact product of int/Fraction matrices: integer row-by-column sums
+    over the product of the two common denominators, reduced once per
+    entry."""
+    ra, da = _integer_rows(a)
+    rb, db = _integer_rows(b)
+    d = da * db
+    cols = list(zip(*rb))
+    return tuple(tuple(Fraction(sum(map(operator.mul, r, c)), d)
+                       for c in cols) for r in ra)
 
 
 def vec_mat(v, a):
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v)))
-                 for j in range(len(a[0])))
+    """The row vector v times the matrix a."""
+    return mat_mul((v,), a)[0]
 
 
 def mat_t(a):
@@ -199,7 +220,8 @@ JHAT = mat([[0, 1], [1, 0]])
 def gsp4_multiplier(m) -> Fraction:
     """Return mu with m^T J m = mu J, or raise if m is not symplectic-up-to-
     scalar for the antidiagonal form."""
-    g = mat_mul(mat_t(m), mat_mul(J4, m))
+    jm = (m[3], m[2], tuple(-x for x in m[1]), tuple(-x for x in m[0]))
+    g = mat_mul(mat_t(m), jm)  # J4 m is a signed reversal of the rows
     mu = g[0][3]
     if g != mat_scalar(J4, mu) or mu == 0:
         raise ValueError("matrix does not preserve the symplectic form")
@@ -271,9 +293,11 @@ def iwasawa_gl2(g, p: int):
         t = -d / c
         k1 = mat([[t, 1], [1, 0]])
     b = mat_mul(g, k1)
-    assert b[1][0] == 0
+    if b[1][0] != 0:
+        raise ArithmeticError("GL2 Iwasawa factor is not upper triangular")
     k = mat_inv(k1)
-    assert min_val(k, p) >= 0 and is_p_unit(mat_det(k), p)
+    if min_val(k, p) < 0 or not is_p_unit(mat_det(k), p):
+        raise ArithmeticError("GL2 Iwasawa factor is not in GL2(Z_p)")
     return b, k
 
 
@@ -304,15 +328,16 @@ def _solve_unit_system(rows, rhs, p: int):
 def complete_isotropic_pair(w1, w2, p: int):
     """Complete a saturated isotropic pair (w1, w2) in Z_p^4 to a basis
     (w1, w2, w3, w4) whose Gram matrix for J is exactly J."""
-    assert sympl_pair(w1, w2) == 0
+    if sympl_pair(w1, w2) != 0:
+        raise ValueError("the pair (w1, w2) is not isotropic")
     r1 = vec_mat(w1, J4)
     r2 = vec_mat(w2, J4)
     w4 = _solve_unit_system([r1, r2], (Q(1), Q(0)), p)
     r4 = vec_mat(w4, J4)
     w3 = _solve_unit_system([r1, r2, r4], (Q(0), Q(1), Q(0)), p)
     k = mat_t(mat([w1, w2, w3, w4]))  # columns w1..w4
-    assert gsp4_multiplier(k) == 1
-    assert min_val(k, p) >= 0
+    if gsp4_multiplier(k) != 1 or min_val(k, p) < 0:
+        raise ArithmeticError("completed basis is not in Sp4(Z_p)")
     return k
 
 
@@ -335,12 +360,14 @@ def iwasawa_gsp4(g, p: int):
     alpha = w2[i] / w1[i]
     w2 = tuple(x - alpha * y for x, y in zip(w2, w1))
     w2 = _primitive(w2, p)
-    # make the pair exactly isotropic (it already is: the kernel is isotropic)
-    assert sympl_pair(w1, w2) == 0
+    # the kernel of the bottom rows of a similitude is isotropic
+    if sympl_pair(w1, w2) != 0:
+        raise ArithmeticError("kernel of the bottom rows is not isotropic")
 
     k1 = complete_isotropic_pair(w1, w2, p)
     g1 = mat_mul(g, k1)
-    assert g1[2][0] == g1[2][1] == g1[3][0] == g1[3][1] == 0
+    if any(g1[i][j] != 0 for i in (2, 3) for j in (0, 1)):
+        raise ArithmeticError("lower-left block did not vanish")
 
     a_blk = mat([g1[0][:2], g1[1][:2]])
     b_a, k_a = iwasawa_gl2(a_blk, p)
@@ -351,13 +378,13 @@ def iwasawa_gsp4(g, p: int):
               [0, 0, n_blk[0][0], n_blk[0][1]],
               [0, 0, n_blk[1][0], n_blk[1][1]]])
     b = mat_mul(g1, k2)
-    for i in range(4):
-        for j in range(i):
-            assert b[i][j] == 0, "Iwasawa failed to triangularize"
+    if any(b[i][j] != 0 for i in range(4) for j in range(i)):
+        raise ArithmeticError("Iwasawa failed to triangularize")
     k = mat_inv(mat_mul(k1, k2))
-    assert min_val(k, p) >= 0
-    assert val(gsp4_multiplier(k), p) == 0
-    assert b[0][0] * b[3][3] == mu and b[1][1] * b[2][2] == mu
+    if min_val(k, p) < 0 or val(gsp4_multiplier(k), p) != 0:
+        raise ArithmeticError("Iwasawa factor k is not in GSp4(Z_p)")
+    if b[0][0] * b[3][3] != mu or b[1][1] * b[2][2] != mu:
+        raise ArithmeticError("Borel factor has the wrong multiplier")
     return b, k
 
 
@@ -401,11 +428,13 @@ def _cong(mat2, target, p, k):
 def in_level(g, spec: LevelSpec, p: int) -> bool:
     if isinstance(g, GSp4Elt):
         g = g.m
+    if min_val(g, p) < 0:
+        return False
     try:
         mu = gsp4_multiplier(g)
     except ValueError:
         return False
-    if min_val(g, p) < 0 or val(mu, p) != 0:
+    if val(mu, p) != 0:
         return False
     A, B, C, D = _blocks(g)
     Z2 = ((Q(0), Q(0)), (Q(0), Q(0)))
@@ -543,7 +572,8 @@ class Cyc:
 
 def _as_cyc(x, p: int) -> Cyc:
     if isinstance(x, Cyc):
-        assert x.p == p
+        if x.p != p:
+            raise ValueError(f"cyclotomic scalars at primes {x.p} and {p}")
         return x
     return Cyc.rational(p, x)
 
@@ -589,7 +619,8 @@ class SchwartzFn:
 
     def __init__(self, p: int, s: int, n: int, table: dict,
                  canonical: bool = False):
-        assert s + n >= 0 and s >= 0
+        if s < 0 or s + n < 0:
+            raise ValueError(f"invalid scale {s} and level {n}")
         self.p, self.s, self.n = p, s, n
         self.table = table
         if not canonical:
@@ -680,7 +711,9 @@ class SchwartzFn:
                 break
 
     def refined(self, s2: int, n2: int) -> "SchwartzFn":
-        assert s2 >= self.s and n2 >= self.n
+        if s2 < self.s or n2 < self.n:
+            raise ValueError(f"cannot refine scale {self.s} and level "
+                             f"{self.n} to {s2} and {n2}")
         p = self.p
         M_old = p ** (self.s + self.n)
         M = p ** (s2 + n2)
@@ -706,7 +739,9 @@ class SchwartzFn:
                                _padic_residue(ys, p, M)), Q(0))
 
     def __add__(self, other):
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError(f"Schwartz functions at primes {self.p} and "
+                             f"{other.p}")
         s = max(self.s, other.s)
         n = max(self.n, other.n)
         a, b = self.refined(s, n), other.refined(s, n)
@@ -1005,7 +1040,8 @@ def siegel_parahoric_reps(p: int):
         w1 = tuple(Q(x) for x in rows[0])
         w2 = tuple(Q(x) for x in rows[1])
         pr = sympl_pair(w1, w2)
-        assert val(pr, p) >= 1 or pr == 0
+        if pr != 0 and val(pr, p) < 1:
+            raise ArithmeticError("Lagrangian basis is not isotropic mod p")
         if pr != 0:
             # adjust w2 by a multiple of p to make the pair exactly isotropic
             m = pr / p
@@ -1013,7 +1049,8 @@ def siegel_parahoric_reps(p: int):
             # solve <w1, x> = -m integrally, set w2 += p x
             x = _solve_unit_system([r1], (Q(-m),), p)
             w2 = tuple(a + p * b for a, b in zip(w2, x))
-            assert sympl_pair(w1, w2) == 0
+            if sympl_pair(w1, w2) != 0:
+                raise ArithmeticError("isotropic adjustment failed")
         k = complete_isotropic_pair(w1, w2, p)
         out.append(k)
     return out

@@ -248,7 +248,6 @@ class LaurentPoly:
             return "0"
         parts = []
         for mono, c in sorted(self.terms.items()):
-            factors = [] if c != 1 or not mono else []
             body = "*".join(f"{s}^{e}" if e != 1 else s for s, e in mono)
             if not mono:
                 parts.append(str(c))

@@ -15,8 +15,9 @@ from gsp4verify.padic import (
     gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
     in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
     nullspace, rref_modp, siegel_parahoric_reps, siegel_u_reps, smith_vals,
-    solve, val, weyl_s1, weyl_s2,
+    solve, val, vec_mat, weyl_s1, weyl_s2,
 )
+from gsp4verify.symcore import ell
 
 
 def test_val():
@@ -116,6 +117,127 @@ def test_membership_catalog():
     assert in_level(d, LevelSpec("G"), 5)
 
 
+def _product_oracle(a, b):
+    """Sum of products, entry by entry."""
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), Q(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _entries(p):
+    """int entries, and Fractions whose denominators are prime to p or
+    divisible by p (or p^2)."""
+    fractions = st.builds(lambda n, k, u: Q(n, p ** k * u),
+                          st.integers(-30, 30), st.integers(0, 2),
+                          st.sampled_from([1, 7, 11]))
+    return st.one_of(st.integers(-30, 30), fractions)
+
+
+@st.composite
+def _product_operands(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n, k, m = draw(st.sampled_from([(2, 2, 2), (4, 4, 4), (2, 4, 2)]))
+    entry = _entries(p)
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(entry) for _ in range(cols))
+                     for _ in range(rows))
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+def test_mat_mul_and_vec_mat_match_sum_of_products(operands):
+    a, b = operands
+    prod = mat_mul(a, b)
+    assert prod == _product_oracle(a, b)
+    assert all(type(x) is Q for row in prod for x in row)
+    for v in a:
+        assert vec_mat(v, b) == _product_oracle((v,), b)[0]
+
+
+def test_mat_mul_rejects_ratfunc_entries():
+    with pytest.raises(TypeError):
+        mat_mul(((ell(3), 0), (0, 1)), identity(2))
+    with pytest.raises(TypeError):
+        vec_mat((1, ell(3)), identity(2))
+
+
+def _in_level_reference(g, spec, p):
+    """in_level written out in its original order: the multiplier first
+    (from g^T J g as a sum of products), then integrality, then the
+    congruences of the level."""
+    jg = _product_oracle(pa.J4, g)
+    gram = _product_oracle(tuple(zip(*g)), jg)
+    mu = gram[0][3]
+    if mu == 0 or any(gram[i][j] != mu * pa.J4[i][j]
+                      for i in range(4) for j in range(4)):
+        return False
+    if any(val(x, p) < 0 for row in g for x in row) or val(mu, p) != 0:
+        return False
+
+    def cong(rows, cols, target, k):
+        return all(val(g[i][j] - target(i, j), p) >= k
+                   for i in rows for j in cols)
+
+    def zero(i, j):
+        return 0
+
+    def one(i, j):
+        return int(i == j)
+    top, bottom = (0, 1), (2, 3)
+    if spec.kind == "G":
+        return True
+    if spec.kind == "K0":
+        return cong(bottom, top, zero, 1)
+    if spec.kind == "K1det":
+        return val(mat_det(g) - 1, p) >= 1
+    kmn = (cong(bottom, top, zero, spec.n)
+           and cong(bottom, bottom, one, spec.n)
+           and val(mu - 1, p) >= spec.m)
+    if spec.kind == "Kmn":
+        return kmn
+    if spec.kind == "Kmn2":
+        return (kmn and cong(top, top, one, spec.m)
+                and cong(top, bottom, zero, spec.m))
+    assert spec.kind == "princ"
+    return cong(range(4), range(4), one, spec.n)
+
+
+@st.composite
+def _level_inputs(draw):
+    """A 4x4 matrix that is integral, non-integral or not a similitude,
+    built as a word in root unipotents, their transposes and central
+    scalings, optionally with one entry moved; and a prime."""
+    p = draw(st.sampled_from([2, 3]))
+    g = identity(4)
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            t = Q(draw(st.integers(-3, 3))) * Q(p) ** draw(st.integers(-1, 2))
+            u = pa.root_unipotent(draw(st.integers(0, 3)), t)
+            h = pa.mat_t(u) if draw(st.booleans()) else u
+        else:
+            lam = draw(st.sampled_from([1, -1, p - 1, 1 + p, p]))
+            h = mat([[1, 0, 0, 0], [0, 1, 0, 0],
+                     [0, 0, lam, 0], [0, 0, 0, lam]])
+        g = mat_mul(g, h)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows = [list(r) for r in g]
+        rows[i][j] += draw(st.sampled_from([1, p, Q(1, p)]))
+        g = mat(rows)
+    return g, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level_inputs(), st.integers(0, 2), st.integers(0, 2))
+def test_in_level_matches_reference_conjunction(inputs, m, n):
+    g, p = inputs
+    for spec in (LevelSpec("G"), LevelSpec("K0"), LevelSpec("K1det"),
+                 LevelSpec("Kmn", m, n), LevelSpec("Kmn2", m, n),
+                 LevelSpec("princ", 0, n)):
+        assert in_level(g, spec, p) == _in_level_reference(g, spec, p), spec
+
+
 # -- cyclotomic scalars ---------------------------------------------------
 
 def test_cyc_basics():
@@ -127,6 +249,11 @@ def test_cyc_basics():
     assert full.is_rational() and full.as_rational() == 0
     # zeta_9^3 is a primitive cube root
     assert Cyc.root(3, 3, 2) == Cyc.root(3, 1, 1)
+
+
+def test_cyc_sum_across_primes_raises():
+    with pytest.raises(ValueError):
+        Cyc.root(2, 1, 1) + Cyc.root(3, 1, 1)
 
 
 def test_e_char():
@@ -150,6 +277,16 @@ def test_schwartz_canonical_merge():
             f = f + SchwartzFn.coset(p, a, b, 1)
     assert f == SchwartzFn.lattice_product(p, 0, 0)
     assert f.n == 0 and f.s == 0
+
+
+def test_schwartz_bad_scale_and_downward_refinement_raise():
+    with pytest.raises(ValueError):
+        SchwartzFn(3, -1, 2, {})
+    phi = SchwartzFn.depth_pair(3, 2)
+    with pytest.raises(ValueError):
+        phi.refined(phi.s, phi.n - 1)
+    with pytest.raises(ValueError):
+        phi + SchwartzFn.depth_pair(2, 2)
 
 
 def test_schwartz_eval_and_action():

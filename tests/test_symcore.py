@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gsp4verify import symcore as sc
 from gsp4verify.symcore import (
@@ -284,8 +284,13 @@ def _expr(terms, shift=None, v=sympy.Symbol("v")):
 xylv = laurent_polys(st.sampled_from(["x", "y", "l", "v"]))
 
 
+_V_X2 = LaurentPoly({(): Q(1, 3), (("v", 1), ("x", 2)): Q(1, 3)})
+
+
 @settings(max_examples=150, deadline=None)
 @given(xylv, xylv, xylv, st.sampled_from([None, 2, 3]))
+# sympy.cancel returns the residual of this one as Add(-1/3, 1/3)
+@example(_V_X2, LaurentPoly({(("x", -1),): Q(2)}), _V_X2, 3)
 def test_ratfunc_reduction_against_sympy(a, b, c, prime):
     # an oracle independent of symcore's gcd path: sympy on expressions;
     # the common factor c must cancel
@@ -293,11 +298,13 @@ def test_ratfunc_reduction_against_sympy(a, b, c, prime):
     if b.is_zero() or c.is_zero():
         return
     f = RatFunc(a * c, b * c)
-    # the value is kept: l -> v^2, and v -> sqrt(p) when p is pinned
+    # the value is kept: l -> v^2, and v -> sqrt(p) when p is pinned.  The
+    # residual is a Laurent polynomial, so its expansion is 0 exactly when
+    # it vanishes
     v = sympy.Symbol("v") if prime is None else sympy.sqrt(prime)
     n, d, a_, b_ = (_expr(_lifted_exponents(q), v=v)
                     for q in (f.num, f.den, a, b))
-    assert sympy.cancel(n * b_ - a_ * d) == 0
+    assert sympy.expand(n * b_ - a_ * d) == 0
     # num and den are coprime in Q[v, x, y] once shifted to polynomials
     nt, dt = _lifted_exponents(f.num), _lifted_exponents(f.den)
     monos = list(nt) + list(dt)
