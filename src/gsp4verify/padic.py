@@ -81,8 +81,12 @@ def mat_mul(a, b):
 
 
 def vec_mat(v, a):
-    """The row vector v times the matrix a."""
-    return mat_mul((v,), a)[0]
+    """The row vector v times the matrix a, by the same integer kernel."""
+    (rv,), dv = _integer_rows((v,))
+    ra, da = _integer_rows(a)
+    d = dv * da
+    return tuple(Fraction(sum(map(operator.mul, rv, c)), d)
+                 for c in zip(*ra))
 
 
 def mat_t(a):
