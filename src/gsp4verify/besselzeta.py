@@ -121,7 +121,8 @@ def ul_bessel_transform(series: BesselSeries, k: int = 1) -> BesselSeries:
         raise ValueError("k must be >= 1")
     p = series.datum.p
     factor = ell(p) ** (2 * k) * char_sum(0, k, p)
-    assert factor == ell(p) ** (3 * k)
+    if factor != ell(p) ** (3 * k):
+        raise ArithmeticError("character sum is not the full modulus")
     vals = tuple(factor * series.value(n + k)
                  for n in range(series.order - k + 1))
     return BesselSeries(series.datum, vals)

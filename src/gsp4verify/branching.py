@@ -119,6 +119,19 @@ def _wedge_add(out, col, i, j, coeff):
         out[_WEDGE_INDEX[(j, i)]][col] -= coeff
 
 
+def _columns(m):
+    """Sparse columns of a square matrix: entry j lists the pairs
+    (i, m[i][j]) with m[i][j] non-zero."""
+    return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+                 for j in range(len(m)))
+
+
+#: name -> sparse columns of the Lie element on the standard and on the
+#: wedge representation
+_LIE_COLUMNS = {name: (_columns(x), _columns(wedge_lie_matrix(x)))
+                for name, x in lie_basis()}
+
+
 # -- ambient tensor spaces -------------------------------------------------------
 
 class TensorSpace:
@@ -135,10 +148,7 @@ class TensorSpace:
             raise ValueError("kinds must be a permutation of the factors")
         self.kinds = tuple(kinds)
         self.dims = tuple(6 if k == "w" else 4 for k in self.kinds)
-        basis = lie_basis()
-        self._lie4 = {name: x for name, x in basis}
-        self._lie6 = {name: wedge_lie_matrix(x) for name, x in basis}
-        self.lie_names = [name for name, _ in basis]
+        self.lie_names = list(_LIE_COLUMNS)
 
     def indices(self):
         return itertools.product(*(range(d) for d in self.dims))
@@ -155,76 +165,63 @@ class TensorSpace:
         n1, n2, m = self.gweight(idx)
         return n1 + n2 + m
 
-    def _factor_matrices(self, mats4, mats6):
-        return tuple(mats6 if k == "w" else mats4 for k in self.kinds)
+    def _act_factor(self, pos: int, cols4, cols6, vec: dict, out: dict):
+        """Add to out the image of vec under one matrix acting on tensor
+        factor pos; cols4 and cols6 are the sparse columns (see _columns)
+        of its action on the standard and on the wedge representation."""
+        cols = cols6 if self.kinds[pos] == "w" else cols4
+        for idx, c in vec.items():
+            for r, x in cols[idx[pos]]:
+                nidx = idx[:pos] + (r,) + idx[pos + 1:]
+                out[nidx] = out.get(nidx, 0) + c * x
+        return out
 
     def apply_lie(self, name: str, vec: dict) -> dict:
-        facs = self._factor_matrices(self._lie4[name], self._lie6[name])
+        """Lie action: the sum over factors of the action on one factor."""
         out: dict = {}
-        for idx, c in vec.items():
-            for pos in range(len(idx)):
-                mcol = facs[pos]
-                i = idx[pos]
-                for r in range(len(mcol)):
-                    coeff = mcol[r][i]
-                    if coeff:
-                        nidx = idx[:pos] + (r,) + idx[pos + 1:]
-                        out[nidx] = out.get(nidx, Q(0)) + c * coeff
+        for pos in range(len(self.kinds)):
+            self._act_factor(pos, *_LIE_COLUMNS[name], vec, out)
         return {k: v for k, v in out.items() if v != 0}
 
     def apply_group(self, g, vec: dict) -> dict:
+        """Group action: the composite over factors of the action on one
+        factor."""
         g4 = mat(g)
-        g6 = wedge_group_matrix(g4)
-        out = dict(vec)
-        for pos, kind in enumerate(self.kinds):
-            m = g6 if kind == "w" else g4
-            nxt: dict = {}
-            for idx, c in out.items():
-                i = idx[pos]
-                for r in range(len(m)):
-                    coeff = Q(m[r][i])
-                    if coeff:
-                        nidx = idx[:pos] + (r,) + idx[pos + 1:]
-                        nxt[nidx] = nxt.get(nidx, Q(0)) + c * coeff
-            out = {k: v for k, v in nxt.items() if v != 0}
-        return out
+        cols = (_columns(g4), _columns(wedge_group_matrix(g4)))
+        for pos in range(len(self.kinds)):
+            vec = self._act_factor(pos, *cols, vec, {})
+            vec = {k: v for k, v in vec.items() if v != 0}
+        return vec
 
     def top_tensor(self) -> dict:
         """w^(tensor a) tensor v^(tensor b): the generating vector."""
         return {tuple([0] * (self.a + self.b)): Q(1)}
 
 
-def _casimir_pairs():
+def _casimir_terms():
+    """The non-zero terms (x, y, g) of the Casimir sum g x y, where g runs
+    over the inverse Gram matrix of the trace form tr(x y) on the basis."""
     basis = lie_basis()
-    n = len(basis)
-    gram = [[_trace(mat_mul(basis[i][1], basis[j][1])) for j in range(n)]
-            for i in range(n)]
-    ginv = mat_inv(gram)
-    return basis, ginv
+    gram = [[sum(x[i][j] * y[j][i] for i in range(4) for j in range(4)
+                 if x[i][j])
+             for _, y in basis] for _, x in basis]
+    return tuple((x, y, g)
+                 for (x, _), row in zip(basis, mat_inv(gram))
+                 for (y, _), g in zip(basis, row) if g)
 
 
-def _trace(m):
-    return sum(Q(m[i][i]) for i in range(len(m)))
-
-
-_CAS_BASIS, _CAS_GINV = None, None
+#: the Casimir of the trace form: 11 terms, one per basis element y, since
+#: the form is diagonal on the Cartan part and pairs each root vector
+#: with its negative
+_CASIMIR_TERMS = _casimir_terms()
 
 
 def casimir_apply(space: TensorSpace, vec: dict) -> dict:
     """Apply the Casimir operator of the trace form."""
-    global _CAS_BASIS, _CAS_GINV
-    if _CAS_BASIS is None:
-        _CAS_BASIS, _CAS_GINV = _casimir_pairs()
-    names = [name for name, _ in _CAS_BASIS]
-    partial = {name: space.apply_lie(name, vec) for name in names}
     out: dict = {}
-    for i, ni in enumerate(names):
-        for j, nj in enumerate(names):
-            g = _CAS_GINV[i][j]
-            if g == 0:
-                continue
-            for idx, c in space.apply_lie(ni, partial[nj]).items():
-                out[idx] = out.get(idx, Q(0)) + g * c
+    for x, y, g in _CASIMIR_TERMS:
+        for idx, c in space.apply_lie(x, space.apply_lie(y, vec)).items():
+            out[idx] = out.get(idx, 0) + g * c
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -242,6 +239,32 @@ def casimir_eigenvalue(weight) -> Fraction:
     lam = coords(weight)
     lam2 = coords(tuple(x + y for x, y in zip(weight, two_rho)))
     return lam[0] * lam2[0] / 2 + lam[1] * lam2[1] / 2 + lam[2] * lam2[2] / 4
+
+
+# -- sparse echelon form ---------------------------------------------------------
+
+def _reduce(rows, vec: dict):
+    """Reduce vec against echelon rows [(pivot, row)], each row equal to 1
+    at its pivot and 0 at the pivots before it.  Returns the residual and
+    the coefficient of each row."""
+    vec = dict(vec)
+    coeffs = []
+    for pivot, row in rows:
+        c = vec.get(pivot, 0)
+        coeffs.append(c)
+        if c:
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) - c * x
+    return {k: x for k, x in vec.items() if x != 0}, coeffs
+
+
+def _push(rows, vec: dict):
+    """Append the non-zero residual vec as a row normalised at its least
+    key, and return the normalising scale."""
+    pivot = min(vec)
+    d = vec[pivot]
+    rows.append((pivot, {k: x / d for k, x in vec.items()}))
+    return d
 
 
 # -- cyclic construction of the irreducibles ------------------------------------
@@ -271,19 +294,10 @@ class RepSpace:
         """Reduce against the same-weight echelon basis; insert if new."""
         w = self.space.gweight(next(iter(vec)))
         rows = self._by_weight.setdefault(w, [])
-        vec = dict(vec)
-        for pivot, row in rows:
-            c = vec.get(pivot)
-            if c:
-                for k, x in row.items():
-                    vec[k] = vec.get(k, Q(0)) - c * x
-                vec = {k: x for k, x in vec.items() if x != 0}
-        if not vec:
-            return False
-        pivot = min(vec)
-        d = vec[pivot]
-        rows.append((pivot, {k: x / d for k, x in vec.items()}))
-        return True
+        red, _ = _reduce(rows, vec)
+        if red:
+            _push(rows, red)
+        return bool(red)
 
     @property
     def dimension(self) -> int:
@@ -295,7 +309,8 @@ class RepSpace:
 
 def rep_dimension_formula(a: int, b: int) -> int:
     n = (a + 1) * (b + 1) * (a + b + 2) * (2 * a + b + 3)
-    assert n % 6 == 0
+    if n % 6:
+        raise ArithmeticError("Weyl dimension formula is not integral")
     return n // 6
 
 
@@ -323,60 +338,25 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
     if not vec:
         return {}
     c0 = casimir_eigenvalue(target_weight)
-    krylov = [dict(vec)]
-    # echelon data over the flattened support
+    # reduce the Krylov vectors vec, C vec, C^2 vec, ... once each; the
+    # i-th has coordinates (reduce coefficients, its own scale) over the
+    # echelon rows, so they form an upper triangular system
     rows: list = []
-    coords: list = []
-
-    def reduce(v):
-        v = dict(v)
-        combo = [Q(0)] * len(rows)
-        for i, (pivot, row) in enumerate(rows):
-            c = v.get(pivot)
-            if c:
-                combo[i] = c
-                for k, x in row.items():
-                    v[k] = v.get(k, Q(0)) - c * x
-        return {k: x for k, x in v.items() if x != 0}, combo
-
-    cur = dict(vec)
-    exprs = []  # expression of each krylov vector over the echelon rows
+    cols: list = []
+    cur = vec
     while True:
-        red, combo = reduce(cur)
+        red, coeffs = _reduce(rows, cur)
         if not red:
-            # dependency found: minimal polynomial coefficients
             break
-        pivot = min(red)
-        d = red[pivot]
-        rows.append((pivot, {k: x / d for k, x in red.items()}))
-        coords.append(d)
-        exprs.append(combo)
+        cols.append(coeffs + [_push(rows, red)])
         cur = casimir_apply(space, cur)
-        krylov.append(dict(cur))
-    # solve for the dependency of the last krylov vector on the previous
+    # C^n vec = sum_{i<n} t_i C^i vec
     n = len(rows)
-    # express each krylov vector in the echelon basis by re-reducing
-    mat_rows = []
-    for kv in krylov:
-        v = dict(kv)
-        combo = [Q(0)] * n
-        for i, (pivot, row) in enumerate(rows):
-            c = v.get(pivot)
-            if c:
-                combo[i] = c
-                for k, x in row.items():
-                    v[k] = v.get(k, Q(0)) - c * x
-        mat_rows.append(combo)
-    # krylov[n] = sum_{i<n} t_i krylov[i]: solve the n x n system
-    a_t = [[mat_rows[j][i] for j in range(n)] for i in range(n)]
-    rhs = [mat_rows[n][i] for i in range(n)]
-    sol = solve(a_t, rhs)
+    sol = solve([[col[i] if i < len(col) else 0 for col in cols]
+                 for i in range(n)], coeffs)
     # minimal polynomial: x^n - sum t_i x^i
-    x = sympy.Symbol("x")
-    poly = x ** n - sum(sympy.Rational(sol[i].numerator,
-                                       sol[i].denominator) * x ** i
-                        for i in range(n))
-    roots = sympy.roots(sympy.Poly(poly, x))
+    roots = sympy.roots(sympy.Poly([1] + [-t for t in reversed(sol)],
+                                   sympy.Symbol("x")))
     if any(mult > 1 for mult in roots.values()):
         raise ProjectorError("projector not separating")
     rts = []
@@ -384,22 +364,17 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
         if not r.is_rational:
             raise ProjectorError("projector not separating")
         rts.append(Q(int(sympy.numer(r)), int(sympy.denom(r))))
-    c0q = Q(c0)
-    if c0q not in rts:
+    if c0 not in rts:
         return {}
-    if require_max and any(r > c0q for r in rts):
+    if require_max and any(r > c0 for r in rts):
         raise ProjectorError("target eigenvalue is not maximal")
     out = dict(vec)
     for r in rts:
-        if r == c0q:
-            continue
-        nxt = casimir_apply(space, out)
-        out = {k: (nxt.get(k, Q(0)) - r * v) / (c0q - r)
-               for k, v in out.items()}
-        for k, v in nxt.items():
-            if k not in out:
-                out[k] = v / (c0q - r)
-        out = {k: v for k, v in out.items() if v != 0}
+        if r != c0:
+            img = casimir_apply(space, out)
+            out = {k: (img.get(k, 0) - r * out.get(k, 0)) / (c0 - r)
+                   for k in {**out, **img}}
+            out = {k: v for k, v in out.items() if v != 0}
     return out
 
 

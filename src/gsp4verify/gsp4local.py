@@ -145,7 +145,8 @@ class InducedVectorG:
         one = as_ratfunc(1, sigma.p)
         zero = as_ratfunc(0, sigma.p)
         cells = sorted(cell_of(r, sigma.p) for r in parahoric_cell_reps())
-        assert len(set(cells)) == 4
+        if len(set(cells)) != 4:
+            raise ArithmeticError("parahoric cells are not distinct")
         out = []
         for c0 in cells:
             out.append(InducedVectorG(

@@ -144,7 +144,9 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
         phi = (SchwartzFn.depth_pair(p, 2), SchwartzFn.depth_pair(p, 2))
         gens = [h for h in _w_group_generators(p, 1, 2)]
     elif role == "wild":
-        m, n = params.pop("m"), params.pop("n")
+        m, n = params.pop("m", None), params.pop("n", None)
+        if m is None or n is None:
+            raise ValueError("invalid wild parameters")
         t = params.pop("t", n + 2 * m)
         if params or n < max(m, 1) or t < 1:
             raise ValueError("invalid wild parameters")

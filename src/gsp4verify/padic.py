@@ -27,11 +27,10 @@ INF = float("inf")
 
 def val(x: Union[int, Fraction], p: int):
     """p-adic valuation; val(0) = +inf."""
-    x = Fraction(x)
-    if x == 0:
+    n = x.numerator
+    if n == 0:
         return INF
     v = 0
-    n = x.numerator
     while n % p == 0:
         n //= p
         v += 1
@@ -43,7 +42,7 @@ def val(x: Union[int, Fraction], p: int):
 
 
 def is_p_integral(x, p: int) -> bool:
-    return Fraction(x).denominator % p != 0 or val(x, p) >= 0
+    return val(x, p) >= 0
 
 
 def is_p_unit(x, p: int) -> bool:

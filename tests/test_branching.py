@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+import sympy
 
 from gsp4verify import branching as br
 from gsp4verify.padic import identity, mat_add, mat_mul, mat_scalar
@@ -222,6 +223,37 @@ def test_cartan_project_idempotent_and_equivariant():
         for name in lie_names:
             lhs = br.cartan_project(sp, sp.apply_lie(name, vec), target)
             assert lhs == sp.apply_lie(name, p)
+
+
+@pytest.mark.parametrize("ab", [(1, 0), (1, 1), (2, 1), (1, 2)])
+def test_cartan_project_matches_dense_spectral_projector(ab):
+    # oracle: the Casimir as a dense sympy matrix on the weight space of
+    # the plain tensor, and the spectral projector prod (C - r)/(c0 - r)
+    # over its other eigenvalues
+    a, b = ab
+    sp = br.TensorSpace(a, b)
+    c0 = sympy.Rational(br.casimir_eigenvalue((a + b, a, 0)))
+    for q in range(a + 1):
+        for r in range(b + 1):
+            vec = br.hw_tensor(a, b, q, r)
+            weight = sp.gweight(next(iter(vec)))
+            basis = [idx for idx in sp.indices()
+                     if sp.gweight(idx) == weight]
+            ident = sympy.eye(len(basis))
+            cas = sympy.zeros(len(basis))
+            for j, idx in enumerate(basis):
+                for k, c in br.casimir_apply(sp, {idx: Q(1)}).items():
+                    cas[basis.index(k), j] = sympy.Rational(c)
+            eigenvalues = cas.eigenvals()
+            assert c0 in eigenvalues
+            proj = ident
+            for ev in eigenvalues:
+                if ev != c0:
+                    proj = proj * (cas - ev * ident) / (c0 - ev)
+            col = proj * sympy.Matrix([vec.get(idx, 0) for idx in basis])
+            want = {idx: Q(int(x.p), int(x.q))
+                    for idx, x in zip(basis, col) if x != 0}
+            assert br.cartan_project(sp, vec, (a + b, a, 0)) == want
 
 
 # ------------------------------------------------------------ twist lemma

@@ -44,6 +44,10 @@ def test_invalid_roles_and_params():
     with pytest.raises(ValueError):
         nr.make_local_data("wild", 2, m=2, n=1)   # n < max(m, 1)
     with pytest.raises(ValueError):
+        nr.make_local_data("wild", 2, m=1)        # n missing
+    with pytest.raises(ValueError):
+        nr.make_local_data("wild", 2, n=1)        # m missing
+    with pytest.raises(ValueError):
         nr.make_local_data("good", 2, m=1)
 
 

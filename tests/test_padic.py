@@ -24,6 +24,9 @@ def test_val():
     assert val(Q(4), 2) == 2
     assert val(Q(3, 8), 2) == -3
     assert val(0, 2) == pa.INF
+    assert val(-12, 2) == 2
+    assert val(Q(-5, 27), 3) == -3
+    assert val(Q(-5, 27), 5) == 1
 
 
 def test_symplectic_form_and_weyl():
