@@ -19,8 +19,9 @@ from fractions import Fraction
 from .besselzeta import tame_pairing
 from .gsp4local import hecke_eigenvalue
 from .padic import (HElt, LevelSpec, SchwartzFn, act_schwartz, coset_block,
-                    identity, in_level, mat, mat_add, mat_inv, mat_mul,
-                    mat_scalar, mat_t, root_unipotent, siegel_parahoric_reps)
+                    identity, in_level, is_p_integral, is_p_unit, mat,
+                    mat_add, mat_det, mat_inv, mat_mul, mat_scalar, mat_t,
+                    root_unipotent, siegel_parahoric_reps, val)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
 Q = Fraction
@@ -204,7 +205,6 @@ def sufficiency_check(p: int, m: int, n: int) -> int:
 def _in_kh1(h: HElt, p: int, t: int) -> bool:
     """Pairs integral at p with unit equal determinants whose lower
     rows are (0, 1) mod p^t."""
-    from .padic import is_p_integral, is_p_unit, mat_det, val
     for g in (h.g1, h.g2):
         if not all(is_p_integral(x, p) for row in g for x in row):
             return False
@@ -255,8 +255,9 @@ def indept_identity(p: int, T: int, t: int):
                 raise AssertionError("representative not principal")
     # pairwise inequivalent modulo the deeper group
     for i, h in enumerate(reps):
+        h_inv = h.inv()
         for h2 in reps[i + 1:]:
-            if _in_kh1(h.inv() * h2, p, t):
+            if _in_kh1(h_inv * h2, p, t):
                 return False, len(reps)
     phi_t = SchwartzFn.depth_pair(p, t)
     total: dict = {}
@@ -389,7 +390,6 @@ def _intersect_first_factor(f: SchwartzFn, p: int, depth: int) -> SchwartzFn:
     """Restrict a test function to points whose first coordinate lies
     in p^depth Z."""
     g = f.refined(f.s, max(f.n, depth))
-    M = p ** (g.s + g.n)
     step = p ** (g.s + depth)
     table = {(a, b): c for (a, b), c in g.table.items() if a % step == 0}
     return SchwartzFn(p, g.s, g.n, table)

@@ -1,14 +1,19 @@
 """p-adic machinery over exact rationals.
 
-Everything here works with Fraction matrices, viewed inside Q_p for a fixed
-prime p.  Matrix products run on integers: each factor is scaled to integer
-rows over one common denominator, and each entry of the product becomes
-one reduced Fraction.  Provides the 4x4 symplectic similitude group
-(antidiagonal form), the GL2 x GL2 subgroup glued along the determinant,
-Iwasawa decompositions with respect to the upper-triangular Borel,
-open-compact membership tests, Schwartz functions on Q_p^2 with an exact
-Fourier transform (values in a cyclotomic model), and left-coset
-enumeration for the standard Hecke operators.
+Group elements are Fraction matrices, viewed inside Q_p for a fixed prime
+p.  Matrix products run on integers: each factor is scaled to integer rows
+over one common denominator, and each entry of the product becomes one
+reduced Fraction.  Schwartz tables are acted on through integer residues:
+each grid point is mapped by the integer rows of g and keyed modulo a
+power of p, with no Fraction built per point.  Hermite keys of coset
+lattices are computed over Z modulo a power p^N that the caller knows.
+
+Provides the 4x4 symplectic similitude group (antidiagonal form), the
+GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
+with respect to the upper-triangular Borel, open-compact membership
+tests, Schwartz functions on Q_p^2 with an exact Fourier transform
+(values in a cyclotomic model), and left-coset enumeration for the
+standard Hecke operators.
 """
 
 from __future__ import annotations
@@ -650,7 +655,6 @@ class SchwartzFn:
         """ch(p^t1 Z_p x p^t2 Z_p); t may be negative."""
         n = max(t1, t2)
         s = max(0, -t1, -t2)
-        f = SchwartzFn.zero(p)
         M = p ** (s + n)
         table = {}
         for a in range(0, M, p ** (s + t1)):
@@ -730,16 +734,33 @@ class SchwartzFn:
                     table[((a0 + da) % M, (b0 + db) % M)] = c
         return SchwartzFn(p, s2, n2, table, canonical=True)
 
+    def _residue_key(self, d: int):
+        """How to read points (x, y) / d, with x and y integers, as table
+        keys: returns (q, w, M) such that the point lies in the support
+        lattice p^{-s} Z_p^2 iff q divides x and y, and its key is then
+        ((x / q) w mod M, (y / q) w mod M)."""
+        p = self.p
+        e, u = 0, d
+        while u % p == 0:
+            u //= p
+            e += 1
+        M = p ** (self.s + self.n)
+        w = pow(u, -1, M)
+        k = e - self.s              # the point times p^s is (x, y) / (p^k u)
+        if k >= 0:
+            return p ** k, w, M
+        return 1, w * p ** -k % M, M
+
     def value_at(self, x, y):
         """Evaluate at a rational point, viewed inside Q_p^2."""
-        p = self.p
         x, y = Fraction(x), Fraction(y)
-        xs, ys = x * p ** self.s, y * p ** self.s
-        if (xs != 0 and val(xs, p) < 0) or (ys != 0 and val(ys, p) < 0):
+        d = math.lcm(x.denominator, y.denominator)
+        q, w, M = self._residue_key(d)
+        xi = x.numerator * (d // x.denominator)
+        yi = y.numerator * (d // y.denominator)
+        if xi % q or yi % q:
             return Q(0)
-        M = p ** (self.s + self.n)
-        return self.table.get((_padic_residue(xs, p, M),
-                               _padic_residue(ys, p, M)), Q(0))
+        return self.table.get((xi // q * w % M, yi // q * w % M), Q(0))
 
     def __add__(self, other):
         if self.p != other.p:
@@ -802,13 +823,19 @@ def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
     s2 = phi.s + e_bwd
     n2 = phi.n + e_fwd
     M = p ** (s2 + n2)
-    den = Fraction(p) ** s2
+    # the grid point (a, b) / p^s2 maps to (a, b) G / (p^s2 d)
+    ((g00, g01), (g10, g11)), d = _integer_rows(g)
+    q, w, m = phi._residue_key(p ** s2 * d)
+    get = phi.table.get
     table = {}
     for a in range(M):
+        x0, y0 = a * g00, a * g01
         for b in range(M):
-            x, y = vec_mat((Q(a) / den, Q(b) / den), g)
-            c = phi.value_at(x, y)
-            if c != 0:
+            x, y = x0 + b * g10, y0 + b * g11
+            if x % q or y % q:
+                continue
+            c = get((x // q * w % m, y // q * w % m))
+            if c is not None:
                 table[(a, b)] = c
     return SchwartzFn(p, s2, n2, table)
 
@@ -885,16 +912,17 @@ def coset_block(p: int, u, v, w) -> tuple:
     return mat([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def hnf_key(m, p: int) -> tuple:
+def hnf_key(m, p: int, N: int) -> tuple:
     """Canonical invariant of the Z_p-lattice spanned by the columns of an
     integer matrix with nonzero determinant; identifies left cosets g K.
-    The Z_p-span is captured over Z by adjoining p^N Z^n, where p^N clears
-    every elementary divisor."""
+    The Z_p-span is captured over Z by adjoining p^N Z^n; the caller
+    passes an N that clears every elementary divisor, such as the
+    valuation of the determinant."""
     n = len(m)
-    N = p ** val(mat_det(mat(m)), p)
+    pN = p ** N
     # column vectors, including the p^N-scaled standard basis
     cols = [[int(m[r][c]) for r in range(n)] for c in range(n)]
-    cols += [[N * (r == i) for r in range(n)] for i in range(n)]
+    cols += [[pN * (r == i) for r in range(n)] for i in range(n)]
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         # Euclid on row i across the remaining pool of columns
@@ -960,8 +988,11 @@ def enumerate_double_coset(exps, p: int):
     integral similitude.  We therefore take the orbit of a Z_p^4 under
     generators of K (root unipotents and similitude units; the lattice
     only depends on a generator mod p^max(exps)), keyed by the Hermite
-    normal form of a basis matrix."""
+    normal form of a basis matrix.  Every orbit element is k a with k
+    in K, so its determinant has valuation sum(exps), the Hermite
+    modulus."""
     dm = _diag_p(exps, p)
+    N = sum(exps)
     e = max(exps)
     gens = []
     for i in range(4):
@@ -972,14 +1003,14 @@ def enumerate_double_coset(exps, p: int):
         if lam % p:
             gens.append(mat([[1, 0, 0, 0], [0, 1, 0, 0],
                              [0, 0, lam, 0], [0, 0, 0, lam]]))
-    reps = {hnf_key(dm, p): dm}
+    reps = {hnf_key(dm, p, N): dm}
     frontier = [dm]
     while frontier:
         new = []
         for b in frontier:
             for g in gens:
                 c = mat_mul(g, b)
-                k = hnf_key(c, p)
+                k = hnf_key(c, p, N)
                 if k not in reps:
                     reps[k] = c
                     new.append(c)

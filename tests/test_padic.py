@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from gsp4verify import padic as pa
@@ -14,8 +14,8 @@ from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
     gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
     in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
-    nullspace, rref_modp, siegel_parahoric_reps, siegel_u_reps, smith_vals,
-    solve, val, vec_mat, weyl_s1, weyl_s2,
+    min_val, nullspace, rref_modp, siegel_parahoric_reps, siegel_u_reps,
+    smith_vals, solve, val, vec_mat, weyl_s1, weyl_s2,
 )
 from gsp4verify.symcore import ell
 
@@ -315,6 +315,113 @@ def test_schwartz_action_is_right_action():
         assert lhs == rhs
 
 
+def _value_at_reference(phi, x, y):
+    """SchwartzFn.value_at on Fractions: scale by p^s, test the valuations,
+    reduce each coordinate mod p^(s+n)."""
+    p = phi.p
+    xs, ys = Q(x) * p ** phi.s, Q(y) * p ** phi.s
+    if (xs != 0 and val(xs, p) < 0) or (ys != 0 and val(ys, p) < 0):
+        return Q(0)
+    M = p ** (phi.s + phi.n)
+    key = tuple(z.numerator * pow(z.denominator, -1, M) % M for z in (xs, ys))
+    return phi.table.get(key, Q(0))
+
+
+def _act_schwartz_reference(g, phi):
+    """act_schwartz on Fractions: map every grid point (a, b) / p^s2 by g
+    and evaluate phi there."""
+    p = phi.p
+    g = mat(g)
+    gi = mat_inv(g)
+    e_fwd = max(0, -int(min_val(g, p)))
+    e_bwd = max(0, -int(min_val(gi, p)))
+    s2 = phi.s + e_bwd
+    n2 = phi.n + e_fwd
+    M = p ** (s2 + n2)
+    den = Q(p) ** s2
+    table = {}
+    for a in range(M):
+        for b in range(M):
+            x, y = vec_mat((Q(a) / den, Q(b) / den), g)
+            c = _value_at_reference(phi, x, y)
+            if c != 0:
+                table[(a, b)] = c
+    return SchwartzFn(p, s2, n2, table)
+
+
+def _grid_size(g, phi):
+    p = phi.p
+    e_fwd = max(0, -int(min_val(g, p)))
+    e_bwd = max(0, -int(min_val(mat_inv(g), p)))
+    return p ** (phi.s + e_bwd + phi.n + e_fwd)
+
+
+@st.composite
+def _schwartz_action_inputs(draw):
+    """A prime p in {2, 3, 5}, an invertible 2x2 g whose denominators are
+    prime to p, divisible by p or divisible by p^2, a test function from
+    one of the four constructors (cosets include points of negative
+    valuation, so scale s > 0), optionally plus a coset term so that the
+    table is not invariant under scaling by units, and a rational
+    point."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(0, 2))
+
+    def rational(top):
+        return Q(draw(st.integers(-2 * p, 2 * p)),
+                 p ** draw(st.integers(0, top))
+                 * draw(st.sampled_from([1, 7, 11, 13])))
+
+    def coset():
+        return SchwartzFn.coset(p, rational(1), rational(1),
+                                draw(st.integers(-1, 2)),
+                                draw(st.sampled_from([Q(1), Q(-3, 2)])))
+    g = mat([[rational(k), rational(k)], [rational(k), rational(k)]])
+    assume(mat_det(g) != 0)
+    kind = draw(st.sampled_from(["coset", "lattice_product", "unit_column",
+                                 "depth_pair"]))
+    if kind == "coset":
+        phi = coset()
+    elif kind == "lattice_product":
+        phi = SchwartzFn.lattice_product(p, draw(st.integers(-1, 1)),
+                                         draw(st.integers(-1, 1)))
+    elif kind == "unit_column":
+        phi = SchwartzFn.unit_column(p, draw(st.integers(0, 2)))
+    else:
+        phi = SchwartzFn.depth_pair(p, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        phi = phi + coset()
+    assume(_grid_size(g, phi) <= 64)
+    return g, phi, (rational(2), rational(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schwartz_action_inputs())
+@example((mat([[Q(1, 25), 1], [0, 1]]), SchwartzFn.lattice_product(5, 0, 0),
+          (Q(3, 25), Q(2, 7))))
+@example((mat([[Q(1, 9), Q(2, 3)], [0, 1]]), SchwartzFn.coset(3, Q(1, 3), 1, 0),
+          (Q(1), Q(1, 3))))
+def test_act_schwartz_matches_fraction_reference(inputs):
+    g, phi, (x, y) = inputs
+    assert act_schwartz(g, phi) == _act_schwartz_reference(g, phi)
+    assert phi.value_at(x, y) == _value_at_reference(phi, x, y)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_act_schwartz_reference_edge_cases(p):
+    scalar = mat([[p, 0], [0, p]])
+    for phi in (SchwartzFn.lattice_product(p, 0, 0),     # s + n = 0
+                SchwartzFn.lattice_product(p, -1, -1),   # s + n = 0, s = 1
+                SchwartzFn.coset(p, Q(1, p), 1, 1),
+                SchwartzFn.unit_column(p, 1)):
+        assert act_schwartz(scalar, phi) == _act_schwartz_reference(scalar,
+                                                                    phi)
+        # integral points on a function of positive scale, where the
+        # point times p^s has a denominator of negative p-valuation
+        for x, y in ((0, 0), (1, p), (p, -1), (Q(1, p), 2), (Q(2, 7), 3)):
+            assert phi.value_at(x, y) == _value_at_reference(phi, x, y)
+
+
 def test_fourier_basic():
     for p in (2, 3):
         f0 = SchwartzFn.lattice_product(p, 0, 0)
@@ -438,6 +545,19 @@ def test_hecke_t1_reps_count(p):
     for g in reps:
         assert smith_vals(g, p) == [0, 1, 1, 2]
         assert val(gsp4_multiplier(g), p) == 2
+
+
+@pytest.mark.parametrize("exps,p,count", [
+    ((0, 0, 1, 1), 2, 15), ((0, 0, 1, 1), 3, 40),
+    ((0, 1, 1, 2), 2, 30), ((0, 1, 1, 2), 3, 120)])
+def test_hnf_key_does_not_depend_on_the_modulus(exps, p, count):
+    reps = pa.enumerate_double_coset(exps, p)
+    assert len(reps) == count
+    N = sum(exps)
+    for r in reps:
+        key = pa.hnf_key(r, p, N)
+        assert key == pa.hnf_key(r, p, N + 1)
+        assert key == pa.hnf_key(r, p, val(mat_det(r), p))
 
 
 def test_r_and_u_reps():
