@@ -399,8 +399,10 @@ def _schwartz_action_inputs(draw):
 @given(_schwartz_action_inputs())
 @example((mat([[Q(1, 25), 1], [0, 1]]), SchwartzFn.lattice_product(5, 0, 0),
           (Q(3, 25), Q(2, 7))))
-@example((mat([[Q(1, 9), Q(2, 3)], [0, 1]]), SchwartzFn.coset(3, Q(1, 3), 1, 0),
-          (Q(1), Q(1, 3))))
+@example((mat([[Q(1, 9), Q(2, 3)], [0, 1]]),
+          SchwartzFn.coset(3, Q(1, 3), 1, 0), (Q(1), Q(1, 3))))
+@example((mat([[Q(1, 7), 0], [0, Q(1, 7)]]), SchwartzFn.depth_pair(5, 1),
+          (Q(0), Q(2, 7))))
 def test_act_schwartz_matches_fraction_reference(inputs):
     g, phi, (x, y) = inputs
     assert act_schwartz(g, phi) == _act_schwartz_reference(g, phi)
@@ -409,15 +411,17 @@ def test_act_schwartz_matches_fraction_reference(inputs):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_act_schwartz_reference_edge_cases(p):
+    """g = p I, and functions with s + n = 0.  In act_schwartz the
+    divisor exponent is e_bwd + val(den g) >= 0; a negative one arises in
+    value_at, at points whose denominator has p-valuation below the
+    scale s (here the integral points on functions with s = 1)."""
     scalar = mat([[p, 0], [0, p]])
     for phi in (SchwartzFn.lattice_product(p, 0, 0),     # s + n = 0
                 SchwartzFn.lattice_product(p, -1, -1),   # s + n = 0, s = 1
-                SchwartzFn.coset(p, Q(1, p), 1, 1),
+                SchwartzFn.coset(p, Q(1, p), 1, 1),      # s = 1
                 SchwartzFn.unit_column(p, 1)):
         assert act_schwartz(scalar, phi) == _act_schwartz_reference(scalar,
                                                                     phi)
-        # integral points on a function of positive scale, where the
-        # point times p^s has a denominator of negative p-valuation
         for x, y in ((0, 0), (1, p), (p, -1), (Q(1, p), 2), (Q(2, 7), 3)):
             assert phi.value_at(x, y) == _value_at_reference(phi, x, y)
 
