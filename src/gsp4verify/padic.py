@@ -736,9 +736,9 @@ class SchwartzFn:
 
     def _residue_key(self, d: int):
         """How to read points (x, y) / d, with x and y integers, as table
-        keys: returns (q, w, M) such that the point lies in the support
-        lattice p^{-s} Z_p^2 iff q divides x and y, and its key is then
-        ((x / q) w mod M, (y / q) w mod M)."""
+        keys: returns (q, w, M) such that the point lies in p^{-s} Z_p^2,
+        the lattice that holds the support, iff q divides x and y, and its
+        key is then ((x / q) w mod M, (y / q) w mod M)."""
         p = self.p
         e, u = 0, d
         while u % p == 0:
