@@ -4,12 +4,13 @@ Implements, in exact arithmetic:
 
 * local L-factors of unramified characters,
 * principal-series sections attached to Schwartz functions on Q_l^2 via a
-  Tate-type zeta integral ("Siegel sections"), evaluated as rational
-  functions of the character values,
+  Tate-type zeta integral ("Siegel sections"); once normalised by
+  L(chi/psi, 1)^{-1}, each value is a finite Laurent sum in
+  q = (chi/psi)(l) l^{-1},
 * the normalised standard intertwining operator, both as a direct shell
   integral and in closed form via the Fourier transform,
 * the duality pairing of a principal series against its inverse-character
-  dual, computed as a finite average over GL2(Z/l^t),
+  dual, computed as a finite average over P^1(Z/l^t),
 * tensor-product sections for the fibre product of two GL2's with equal
   determinant.
 
@@ -32,8 +33,12 @@ from .padic import Cyc, SchwartzFn, fourier, mat_mul, val
 Q = Fraction
 
 
+# moduli tried by a stabilising average, and shells summed before the tail
+SHELL_BOUND = 24
+
+
 class ShellBoundExceeded(ExactArithmeticError):
-    """A shell integral failed to stabilise within the given bound."""
+    """A shell integral failed to stabilise within SHELL_BOUND steps."""
 
 
 def _rat(x) -> Fraction:
@@ -88,9 +93,11 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
         chi(det g) |det g|^{1/2} / L(chi/psi, 1)
             * integral over x in Q_l^x of phi((0,x) g) (chi/psi)(x)|x| d*x.
 
-    The integral is decomposed into valuation shells; each shell is a
-    finite exact average and the tail is a geometric series, so the result
-    is a rational function of the character values."""
+    The integral is decomposed into valuation shells j, each a finite exact
+    average c_j; past the top shell every shell averages to phi(0, 0).
+    With q = (chi/psi)(l) |l|, the factor (1 - q) = L(chi/psi, 1)^{-1}
+    telescopes the geometric tail, so the value is the finite sum
+    sum_j (c_j - c_{j-1}) q^j with c_{j_min - 1} = 0 and c_top = phi(0, 0)."""
     p = phi.p
     a_chi = as_ratfunc(a_chi, p)
     a_psi = as_ratfunc(a_psi, p)
@@ -100,29 +107,24 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
         raise ZeroDivisionError("g must be invertible")
     r = (g[1][0], g[1][1])
     m = min(val(c, p) for c in r if c != 0)
-    one = as_ratfunc(1, p)
-    # q = (chi/psi)(l) |l| : the per-shell ratio
     q = (a_chi / a_psi) * ell_pow(-2, p)
-    d = val(det, p)
-    prefactor = a_chi ** d * ell_pow(-d, p) * (one - q)
     j_min = -phi.s - m
     j_top = max(phi.n - m, j_min)
+    shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
+    shells.append(_rat(phi.value_at(0, 0)))
     total = as_ratfunc(0, p)
-    for j in range(j_min, j_top):
-        c = _unit_average(phi, j, r)
-        if c:
-            total = total + as_ratfunc(c, p) * q ** j
-    c_inf = _rat(phi.value_at(0, 0))
-    if c_inf:
-        total = total + as_ratfunc(c_inf, p) * q ** j_top / (one - q)
-    return prefactor * total
+    for j, c, c_prev in zip(range(j_min, j_top + 1), shells, [0] + shells):
+        if c != c_prev:
+            total = total + as_ratfunc(c - c_prev, p) * q ** j
+    d = val(det, p)
+    return a_chi ** d * ell_pow(-d, p) * total
 
 
 WEYL = ((0, 1), (-1, 0))
 
 
-def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
-               bound: int = 24) -> RatFunc:
+def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
+               mode: str = "closed") -> RatFunc:
     """The normalised intertwining operator applied to the section of
     (phi, chi, psi), evaluated at g.
 
@@ -148,50 +150,36 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
 
     n0 = phi.n + phi.s + 1
 
-    # integral over u in Z_l, by stabilising averages at finer moduli:
-    # three consecutive agreeing refinements are required
-    def zl_part():
+    # average of f over points(l^nn) for nn = n0, n0 + 1, ...: exact once
+    # three consecutive moduli agree
+    def stable_average(points):
         history = []
-        for nn in range(n0, n0 + bound):
-            mod = p ** nn
+        for nn in range(n0, n0 + SHELL_BOUND):
+            hs = points(p ** nn)
             tot = as_ratfunc(0, p)
-            for u in range(mod):
-                h = mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
+            for h in hs:
                 tot = tot + f_at(h)
-            tot = tot * as_ratfunc(Q(1, mod), p)
-            history.append(tot)
+            history.append(tot * as_ratfunc(Q(1, len(hs)), p))
             if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                return tot
-        raise ShellBoundExceeded("Z_l part did not stabilise")
+                return history[-1]
+        raise ShellBoundExceeded("average did not stabilise")
 
     # shell val(u) = -j, rewritten via u -> 1/u as an integral over the
     # opposite unipotent:  S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g)
+    def shell_avg(j):
+        return stable_average(lambda mod: [
+            mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
+            for e in range(1, mod) if e % p])
+
+    # integral over u in Z_l
+    total = stable_average(lambda mod: [
+        mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g) for u in range(mod)])
     a_r = a_chi / a_psi
     unit_vol = one - as_ratfunc(Q(1, p), p)
-
-    def shell_avg(j):
-        history = []
-        for nn in range(max(n0, 1), max(n0, 1) + bound):
-            mod = p ** nn
-            tot = as_ratfunc(0, p)
-            cnt = 0
-            for e in range(1, mod):
-                if e % p == 0:
-                    continue
-                h = mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
-                tot = tot + f_at(h)
-                cnt += 1
-            tot = tot * as_ratfunc(Q(1, cnt), p)
-            history.append(tot)
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                return tot
-        raise ShellBoundExceeded("shell average did not stabilise")
-
-    total = zl_part()
     fg = f_at(g)
     j = 1
     while True:
-        if j > bound:
+        if j > SHELL_BOUND:
             raise ShellBoundExceeded("shell bound exceeded")
         avg = shell_avg(j)
         if (avg == fg and shell_avg(j + 1) == fg
@@ -202,32 +190,6 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g, mode: str = "closed",
         total = total + a_r ** j * unit_vol * avg
         j += 1
     return (one - a_r) * total
-
-
-def _gl2_mod_reps(p: int, t: int):
-    """Representatives of GL2(Z/p^t), lifted to integer matrices."""
-    mod = p ** t
-    for a in range(mod):
-        for b in range(mod):
-            for c in range(mod):
-                for d in range(mod):
-                    if (a * d - b * c) % p:
-                        yield ((a, b), (c, d))
-
-
-def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
-    """<f1, f2> = integral over GL2(Z_l) of f1(g) f2(g) dg, where sec_i =
-    (phi_i, a_chi_i, a_psi_i) and both integrands are right-invariant at
-    level t.  Computed as the exact average over GL2(Z/l^t)."""
-    phi1, ac1, ap1 = sec1
-    phi2, ac2, ap2 = sec2
-    total = as_ratfunc(0, p)
-    count = 0
-    for g in _gl2_mod_reps(p, max(t, 1)):
-        total = total + (eval_siegel(phi1, ac1, ap1, g)
-                         * eval_siegel(phi2, ac2, ap2, g))
-        count += 1
-    return total * as_ratfunc(Q(1, count), p)
 
 
 def projective_line_reps(p: int, t: int):
@@ -243,6 +205,22 @@ def projective_line_reps(p: int, t: int):
         # bottom row (x, 1)
         reps.append(((1, 0), (x, 1)))
     return reps
+
+
+def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
+    """<f1, f2> = integral over GL2(Z_l) of f1(g) f2(g) dg, where sec_i =
+    (phi_i, a_chi_i, a_psi_i) and both integrands are right-invariant at
+    level t.  With unramified characters a section on GL2(Z_l) depends
+    only on the line of the bottom row, so the integral is the exact
+    average over P^1(Z/l^t)."""
+    phi1, ac1, ap1 = sec1
+    phi2, ac2, ap2 = sec2
+    reps = projective_line_reps(p, max(t, 1))
+    total = as_ratfunc(0, p)
+    for g in reps:
+        total = total + (eval_siegel(phi1, ac1, ap1, g)
+                         * eval_siegel(phi2, ac2, ap2, g))
+    return total * as_ratfunc(Q(1, len(reps)), p)
 
 
 def support_check(phi: SchwartzFn, a_chi, a_psi, t: int) -> bool:

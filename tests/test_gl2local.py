@@ -3,6 +3,7 @@ equation of the intertwining operator, adjointness, and the duality
 pairing."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -28,6 +29,52 @@ def phi_t(p, t):
 def mul2(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2))
                        for j in range(2)) for i in range(2))
+
+
+# -- references: the geometric-tail section and the GL2(Z/l^t) average --------
+
+def _eval_siegel_reference(phi, a_chi, a_psi, g):
+    """The section value with the shell tail summed as a geometric series
+    and the L(chi/psi, 1)^{-1} factor (1 - q) multiplied back in."""
+    p = phi.p
+    a_chi = as_ratfunc(a_chi, p)
+    a_psi = as_ratfunc(a_psi, p)
+    g = [[Q(x) for x in row] for row in g]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    r = (g[1][0], g[1][1])
+    m = min(val(c, p) for c in r if c != 0)
+    one = as_ratfunc(1, p)
+    q = (a_chi / a_psi) * ell_pow(-2, p)
+    d = val(det, p)
+    prefactor = a_chi ** d * ell_pow(-d, p) * (one - q)
+    j_min = -phi.s - m
+    j_top = max(phi.n - m, j_min)
+    total = as_ratfunc(0, p)
+    for j in range(j_min, j_top):
+        c = gl._unit_average(phi, j, r)
+        if c:
+            total = total + as_ratfunc(c, p) * q ** j
+    c_inf = gl._rat(phi.value_at(0, 0))
+    if c_inf:
+        total = total + as_ratfunc(c_inf, p) * q ** j_top / (one - q)
+    return prefactor * total
+
+
+def _dual_pairing_reference(sec1, sec2, t, p):
+    """The duality pairing as the average over all of GL2(Z/l^t)."""
+    mod = p ** max(t, 1)
+    total = as_ratfunc(0, p)
+    count = 0
+    for a in range(mod):
+        for b in range(mod):
+            for c in range(mod):
+                for d in range(mod):
+                    if (a * d - b * c) % p:
+                        g = ((a, b), (c, d))
+                        total = total + (gl.eval_siegel(*sec1, g)
+                                         * gl.eval_siegel(*sec2, g))
+                        count += 1
+    return total * as_ratfunc(Q(1, count), p)
 
 
 # -- L-factors ----------------------------------------------------------------
@@ -60,6 +107,37 @@ def test_section_value_at_identity(p):
     linv = one - (al / be) * X * X * ell_pow(-2, p)
     for t in (1, 2, 3):
         assert gl.eval_siegel(phi_t(p, t), ac, ap, I2) == linv
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_eval_siegel_matches_reference(p):
+    al, be, X = chars(p)
+    phis = [SchwartzFn.lattice_product(p, 0, 0),
+            SchwartzFn.lattice_product(p, -1, 1),
+            SchwartzFn.lattice_product(p, 2, -1),
+            SchwartzFn.unit_column(p, 1), SchwartzFn.unit_column(p, 2),
+            SchwartzFn.depth_pair(p, 1), SchwartzFn.depth_pair(p, 2),
+            SchwartzFn.coset(p, Q(1, p), 1, 1),
+            fourier(SchwartzFn.coset(p, 0, 1, 1))]
+    assert any(phi.s > 0 for phi in phis)
+    assert any(not isinstance(c, Q) for c in phis[-1].table.values())
+    points = [I2, W, ((p, 0), (0, 1)), ((1, 0), (Q(1, p), 1)),
+              ((1, 1), (1, 1 + p))]
+    characters = [(al * X, be / X), (al + 1, be)]
+    for phi in phis:
+        for g in points:
+            for ac, ap in characters:
+                assert (gl.eval_siegel(phi, ac, ap, g)
+                        == _eval_siegel_reference(phi, ac, ap, g))
+
+
+def test_section_value_where_q_is_one():
+    # chi(l) = l and psi(l) = 1 make q = (chi/psi)(l) l^{-1} = 1: the
+    # normalised section has no pole there
+    p = 3
+    one = as_ratfunc(1, p)
+    assert gl.eval_siegel(phi_t(p, 0), 3, 1, I2) == one
+    assert gl.eval_siegel(phi_t(p, 1), 3, 1, I2) == as_ratfunc(0, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -200,6 +278,41 @@ def test_pairing_spherical(p):
     f1 = (phi0, al * X, be / X)
     f2 = (phi0, (one / be) * X, (one / al) / X)
     assert gl.dual_pairing(f1, f2, 1, p) == one
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (2, 2)])
+def test_dual_pairing_matches_reference(p, t):
+    al, be, X = chars(p)
+    one = as_ratfunc(1, p)
+    ac, ap = al * X, be / X
+    if t == 1:
+        phis = phis_for(p) + [fourier(SchwartzFn.unit_column(p, 1))]
+    else:
+        phis = [SchwartzFn.unit_column(p, 2), SchwartzFn.depth_pair(p, 2)]
+    for phi1 in phis:
+        for phi2 in phis:
+            f1 = (phi1, ac, ap)
+            f2 = (phi2, one / ap, one / ac)
+            assert (gl.dual_pairing(f1, f2, t, p)
+                    == _dual_pairing_reference(f1, f2, t, p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_projective_line_reps(p, t):
+    mod = p ** t
+    reps = gl.projective_line_reps(p, t)
+    assert len(reps) == p ** t + p ** (t - 1)
+    for (a, b), (c, d) in reps:
+        assert a * d - b * c in (1, -1)
+    # every primitive bottom row mod p^t is a unit multiple of the bottom
+    # row of exactly one representative
+    hits = Counter((u * c % mod, u * d % mod)
+                   for _, (c, d) in reps for u in range(mod) if u % p)
+    primitive = {(c, d) for c in range(mod) for d in range(mod)
+                 if c % p or d % p}
+    assert set(hits) == primitive
+    assert set(hits.values()) == {1}
 
 
 def test_pairing_level_independence():
