@@ -27,7 +27,7 @@ from fractions import Fraction
 from .symcore import (ExactArithmeticError, PowerSeries, RatFunc, as_ratfunc,
                       ell, ell_pow, reconstruct_ratfunc, series_expand,
                       substitute, sym)
-from .gsp4local import PrincipalSeriesG
+from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
 Q = Fraction
 
@@ -87,9 +87,7 @@ def generating_function(datum: BesselDatum) -> RatFunc:
     p = datum.p
     u = sym(U_VAR, p)
     one = as_ratfunc(1, p)
-    g = one
-    for gam in datum.sigma.spin_params():
-        g = g / (one - gam * ell_pow(-3, p) * u)
+    g = one / spin_reciprocal(datum.sigma, ell_pow(-6, p) * u)
     for lam in (datum.lam1, datum.lam2):
         g = g * (one - lam * ell_pow(-4, p) * u)
     return g
@@ -146,11 +144,7 @@ def _series_to_ratfunc(series: BesselSeries, num_deg: int) -> RatFunc:
     reconstruct the (polynomial) zeta integral exactly."""
     d = series.datum
     p = d.p
-    u = sym(U_VAR, p)
-    one = as_ratfunc(1, p)
-    recip = one
-    for gam in d.sigma.spin_params():
-        recip = recip * (one - gam * ell_pow(-3, p) * u)
+    recip = spin_reciprocal(d.sigma, ell_pow(-6, p) * sym(U_VAR, p))
     ser = PowerSeries(U_VAR, series.values) * series_expand(
         recip, U_VAR, series.order)
     return reconstruct_ratfunc(ser, as_ratfunc(1, p), num_deg)
@@ -195,10 +189,7 @@ def zeta_ul_closed(datum: BesselDatum) -> RatFunc:
     factor."""
     p = datum.p
     u = sym(U_VAR, p)
-    one = as_ratfunc(1, p)
-    recip = one
-    for gam in datum.sigma.spin_params():
-        recip = recip * (one - gam * ell_pow(-3, p) * u)
+    recip = spin_reciprocal(datum.sigma, ell_pow(-6, p) * u)
     return ell(p) ** 3 / u * (zeta_spherical_closed(datum) - recip)
 
 
@@ -378,9 +369,7 @@ def tame_norm_ul_check(k1: int, k2: int, tau1=None, tau2=None, p=None):
     lp = ell(p)
     one = as_ratfunc(1, p)
     euler = ((one - lp ** k1 / tau1) * (one - lp ** k2 / tau2))
-    lsig_recip = one
-    for gam in sigma.spin_params():
-        lsig_recip = lsig_recip * (one - gam * ell_pow(1, p))
+    lsig_recip = spin_reciprocal(sigma, ell_pow(-2, p))
     rhs = lp / (lp + 1) ** 2 * (euler - lsig_recip) * base
     return lhs == rhs, lhs, rhs
 
@@ -402,11 +391,7 @@ def tame_norm_final_check(k1: int, k2: int, tau1=None, tau2=None, p=None,
     b1 = pairing("spherical", 1)
     b2 = pairing("ul", 1)
     lp = ell(p)
-    one = as_ratfunc(1, p)
     denom = lp if perturb else lp - 1
     lhs = (lp + 1) ** 2 * lp / denom * b1 - (lp + 1) ** 2 / denom * b2
-    lsig_recip = one
-    for gam in sigma.spin_params():
-        lsig_recip = lsig_recip * (one - gam * ell_pow(1, p))
-    rhs = lp / (lp - 1) * lsig_recip * b0
+    rhs = lp / (lp - 1) * spin_reciprocal(sigma, ell_pow(-2, p)) * b0
     return lhs == rhs, lhs, rhs

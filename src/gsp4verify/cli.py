@@ -8,6 +8,7 @@ configuration was invalid.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -520,16 +521,16 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         config = build_config(args)
+        # an unwritable report path is a configuration error, found
+        # before any case runs
+        out = (open(config.out, "w") if config.out
+               else contextlib.nullcontext(sys.stdout))
     except (ConfigError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
-    records = run(config)
-    text = emit(records, config.fmt)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        records = run(config)
+        fh.write(emit(records, config.fmt))
     return 0 if all(r["status"] == "pass" for r in records) else 1
 
 

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .besselzeta import tame_pairing
 from .gsp4local import hecke_eigenvalue
-from .padic import (HElt, LevelSpec, SchwartzFn, act_schwartz, coset_block,
-                    identity, in_level, is_p_integral, is_p_unit, mat,
-                    mat_add, mat_det, mat_inv, mat_mul, mat_scalar, mat_t,
-                    root_unipotent, siegel_parahoric_reps, val)
+from .padic import (HElt, LevelSpec, SchwartzFn, _padic_residue,
+                    act_schwartz, coset_block, identity, in_level, mat,
+                    mat_add, mat_inv, mat_mul, mat_scalar, mat_t,
+                    root_unipotent, siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
 Q = Fraction
@@ -202,17 +202,13 @@ def sufficiency_check(p: int, m: int, n: int) -> int:
 
 # -- depth-independence identity -------------------------------------------------
 
-def _in_kh1(h: HElt, p: int, t: int) -> bool:
-    """Pairs integral at p with unit equal determinants whose lower
-    rows are (0, 1) mod p^t."""
-    for g in (h.g1, h.g2):
-        if not all(is_p_integral(x, p) for row in g for x in row):
-            return False
-        if not is_p_unit(mat_det(g), p):
-            return False
-        if val(g[1][0], p) < t or val(g[1][1] - 1, p) < t:
-            return False
-    return True
+def _kh1_key(h: HElt, p: int, t: int) -> tuple:
+    """Residues mod p^t of the lower rows of both factors of h^-1.  For
+    integral h, h' with unit determinants, h^-1 h' has lower rows
+    (0, 1) mod p^t exactly when h and h' have the same key."""
+    hi = h.inv()
+    return tuple(_padic_residue(x, p, p ** t) for g in (hi.g1, hi.g2)
+                 for x in g[1])
 
 
 def _pair_table(f1: SchwartzFn, f2: SchwartzFn, t: int) -> dict:
@@ -254,11 +250,8 @@ def indept_identity(p: int, T: int, t: int):
             if any(x % p ** T for row in diff for x in row):
                 raise AssertionError("representative not principal")
     # pairwise inequivalent modulo the deeper group
-    for i, h in enumerate(reps):
-        h_inv = h.inv()
-        for h2 in reps[i + 1:]:
-            if _in_kh1(h_inv * h2, p, t):
-                return False, len(reps)
+    if len({_kh1_key(h, p, t) for h in reps}) != len(reps):
+        return False, len(reps)
     phi_t = SchwartzFn.depth_pair(p, t)
     total: dict = {}
     for h in reps:

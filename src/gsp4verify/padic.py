@@ -10,10 +10,13 @@ lattices are computed over Z modulo a power p^N that the caller knows.
 
 Provides the 4x4 symplectic similitude group (antidiagonal form), the
 GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
-with respect to the upper-triangular Borel, open-compact membership
-tests, Schwartz functions on Q_p^2 with an exact Fourier transform
-(values in a cyclotomic model), and left-coset enumeration for the
-standard Hecke operators.
+with respect to the upper-triangular Borel (for GSp4 by column
+elimination with Weyl elements and root unipotents, no null spaces),
+open-compact membership tests, Schwartz functions on Q_p^2 with an exact
+Fourier transform (values in a cyclotomic model), and left-coset
+enumeration as orbits of integral generators: the standard Hecke
+double cosets keyed by Hermite forms, GSp4(Z_p) / K0(p) keyed by a plane
+mod p.
 """
 
 from __future__ import annotations
@@ -173,23 +176,6 @@ def solve(a, rhs):
     return tuple(row[n] for row in m)
 
 
-def nullspace(rows):
-    """Basis of {x : rows . x = 0}, one vector per non-pivot column."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    pivots = _gauss_jordan(m, ncols)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        x = [Q(0)] * ncols
-        x[fc] = Q(1)
-        for i, pc in enumerate(pivots):
-            x[pc] = -m[i][fc]
-        basis.append(tuple(x))
-    return basis
-
-
 def rref_modp(rows, p: int):
     """The nonzero rows of the reduced row echelon form of rows over F_p."""
     m = [[x % p for x in row] for row in rows]
@@ -221,8 +207,6 @@ J4 = mat([[0, 0, 0, 1],
           [0, 0, 1, 0],
           [0, -1, 0, 0],
           [-1, 0, 0, 0]])
-
-JHAT = mat([[0, 1], [1, 0]])
 
 
 def gsp4_multiplier(m) -> Fraction:
@@ -281,11 +265,6 @@ class HElt:
                            [c, 0, 0, d]])
 
 
-def sympl_pair(x, y) -> Fraction:
-    """x^T J y for column 4-vectors."""
-    return sum(x[i] * sum(J4[i][j] * y[j] for j in range(4)) for i in range(4))
-
-
 # -- Iwasawa decompositions ---------------------------------------------------
 
 def iwasawa_gl2(g, p: int):
@@ -309,86 +288,41 @@ def iwasawa_gl2(g, p: int):
     return b, k
 
 
-def _primitive(v, p: int):
-    """Scale a nonzero rational vector into Z^n with p-valuation zero."""
-    den = math.lcm(*(Fraction(x).denominator for x in v))
-    w = [Fraction(x) * den for x in v]
-    mv = min(val(x, p) for x in w if x != 0)
-    scale = Fraction(p) ** (-mv)
-    return tuple(x * scale for x in w)
-
-
-def _solve_unit_system(rows, rhs, p: int):
-    """Find an integral solution x of rows*x = rhs, using a column subset
-    whose minor is a p-unit.  rows: list of 4-vectors."""
-    k = len(rows)
-    for cols in itertools.combinations(range(4), k):
-        sub = mat([[rows[i][j] for j in cols] for i in range(k)])
-        if val(mat_det(sub), p) == 0:
-            sol = solve(sub, rhs)
-            x = [Q(0)] * 4
-            for idx, j in enumerate(cols):
-                x[j] = sol[idx]
-            return tuple(x)
-    raise ValueError("no unit minor; vectors not saturated")
-
-
-def complete_isotropic_pair(w1, w2, p: int):
-    """Complete a saturated isotropic pair (w1, w2) in Z_p^4 to a basis
-    (w1, w2, w3, w4) whose Gram matrix for J is exactly J."""
-    if sympl_pair(w1, w2) != 0:
-        raise ValueError("the pair (w1, w2) is not isotropic")
-    r1 = vec_mat(w1, J4)
-    r2 = vec_mat(w2, J4)
-    w4 = _solve_unit_system([r1, r2], (Q(1), Q(0)), p)
-    r4 = vec_mat(w4, J4)
-    w3 = _solve_unit_system([r1, r2, r4], (Q(0), Q(1), Q(0)), p)
-    k = mat_t(mat([w1, w2, w3, w4]))  # columns w1..w4
-    if gsp4_multiplier(k) != 1 or min_val(k, p) < 0:
-        raise ArithmeticError("completed basis is not in Sp4(Z_p)")
-    return k
-
-
 def iwasawa_gsp4(g, p: int):
     """g = b k with b in the upper-triangular Borel of GSp4(Q_p) and
-    k in GSp4(Z_p).  Returns (b, k)."""
+    k in GSp4(Z_p).  Returns (b, k).
+
+    Column elimination over Sp4(Z): a Weyl word brings the entry of
+    least valuation in the last row to the last column, and transposed
+    root unipotents clear the rest of that row; each parameter is an
+    entry over the pivot, so it is p-integral.  The same two steps on
+    the middle block leave the lower triangle empty, since the
+    symplectic form forces the first column to (mu / b[3][3], 0, 0, 0).
+    No null space and no completion of an isotropic basis is needed."""
     if isinstance(g, GSp4Elt):
         g = g.m
-    g = mat(g)
-    mu = gsp4_multiplier(g)
+    b = mat(g)
+    mu = gsp4_multiplier(b)
+    k1 = identity(4)
 
-    # kernel of the bottom two rows is a 2-dim isotropic subspace
-    r3, r4 = g[2], g[3]
-    basis = nullspace([r3, r4])
-    if len(basis) != 2:
-        raise ValueError("bottom rows of a similitude must be independent")
-    w1 = _primitive(basis[0], p)
-    i = next(i for i in range(4) if val(w1[i], p) == 0)
-    w2 = _primitive(basis[1], p)
-    alpha = w2[i] / w1[i]
-    w2 = tuple(x - alpha * y for x, y in zip(w2, w1))
-    w2 = _primitive(w2, p)
-    # the kernel of the bottom rows of a similitude is isotropic
-    if sympl_pair(w1, w2) != 0:
-        raise ArithmeticError("kernel of the bottom rows is not isotropic")
+    def right(m):
+        nonlocal b, k1
+        b, k1 = mat_mul(b, m), mat_mul(k1, m)
 
-    k1 = complete_isotropic_pair(w1, w2, p)
-    g1 = mat_mul(g, k1)
-    if any(g1[i][j] != 0 for i in (2, 3) for j in (0, 1)):
-        raise ArithmeticError("lower-left block did not vanish")
+    # s1 moves column j to j + 1 for even j, s2 for odd j
+    for j in range(min(range(4), key=lambda c: val(b[3][c], p)), 3):
+        right(weyl_s1() if j % 2 == 0 else weyl_s2())
+    for i, j, sign in ((0, 2, 1), (2, 1, -1), (3, 0, -1)):
+        if b[3][j]:
+            right(mat_t(root_unipotent(i, sign * b[3][j] / b[3][3])))
+    if val(b[2][1], p) < val(b[2][2], p):
+        right(weyl_s2())
+    if b[2][1]:
+        right(mat_t(root_unipotent(1, -b[2][1] / b[2][2])))
 
-    a_blk = mat([g1[0][:2], g1[1][:2]])
-    b_a, k_a = iwasawa_gl2(a_blk, p)
-    k_a_inv = mat_inv(k_a)
-    n_blk = mat_mul(JHAT, mat_mul(mat_t(k_a), JHAT))
-    k2 = mat([[k_a_inv[0][0], k_a_inv[0][1], 0, 0],
-              [k_a_inv[1][0], k_a_inv[1][1], 0, 0],
-              [0, 0, n_blk[0][0], n_blk[0][1]],
-              [0, 0, n_blk[1][0], n_blk[1][1]]])
-    b = mat_mul(g1, k2)
     if any(b[i][j] != 0 for i in range(4) for j in range(i)):
         raise ArithmeticError("Iwasawa failed to triangularize")
-    k = mat_inv(mat_mul(k1, k2))
+    k = mat_inv(k1)
     if min_val(k, p) < 0 or val(gsp4_multiplier(k), p) != 0:
         raise ArithmeticError("Iwasawa factor k is not in GSp4(Z_p)")
     if b[0][0] * b[3][3] != mu or b[1][1] * b[2][2] != mu:
@@ -903,9 +837,6 @@ def root_unipotent(i: int, t) -> tuple:
     return mat(m)
 
 
-ROOT_POSITIONS = [(0, 1), (1, 2), (0, 2), (0, 3)]
-
-
 def coset_block(p: int, u, v, w) -> tuple:
     """[[p,0,u,v],[0,p,w,u],[0,0,1,0],[0,0,0,1]]: the standard coset
     matrices of the level-raising double coset and of U(p)."""
@@ -915,13 +846,16 @@ def coset_block(p: int, u, v, w) -> tuple:
 def hnf_key(m, p: int, N: int) -> tuple:
     """Canonical invariant of the Z_p-lattice spanned by the columns of an
     integer matrix with nonzero determinant; identifies left cosets g K.
-    The Z_p-span is captured over Z by adjoining p^N Z^n; the caller
-    passes an N that clears every elementary divisor, such as the
-    valuation of the determinant."""
+    Entries are ints or Fractions with denominator 1; a non-integral
+    entry raises ValueError.  The Z_p-span is captured over Z by
+    adjoining p^N Z^n; the caller passes an N that clears every
+    elementary divisor, such as the valuation of the determinant."""
     n = len(m)
     pN = p ** N
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError("hnf_key needs an integer matrix")
     # column vectors, including the p^N-scaled standard basis
-    cols = [[int(m[r][c]) for r in range(n)] for c in range(n)]
+    cols = [[m[r][c].numerator for r in range(n)] for c in range(n)]
     cols += [[pN * (r == i) for r in range(n)] for i in range(n)]
     a = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -981,6 +915,35 @@ def _diag_p(exps, p: int):
                 for i in range(4)])
 
 
+def _unipotent_generators():
+    """The root unipotents with parameter 1 and their transposes; they
+    generate Sp4(F_p) for every p."""
+    gens = []
+    for i in range(4):
+        u = root_unipotent(i, 1)
+        gens += [u, mat_t(u)]
+    return gens
+
+
+def _orbit(start, gens, key):
+    """One representative per key value of the orbit of start under left
+    multiplication by gens, found breadth first; the key must be constant
+    on the cosets that the orbit is taken modulo."""
+    reps = {key(start): start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for b in frontier:
+            for g in gens:
+                c = mat_mul(g, b)
+                k = key(c)
+                if k not in reps:
+                    reps[k] = c
+                    new.append(c)
+        frontier = new
+    return list(reps.values())
+
+
 def enumerate_double_coset(exps, p: int):
     """Left coset representatives of K a K / K for a = diag(p^exps),
     K = GSp4(Z_p).  Cosets g K correspond to the lattices g Z_p^4: two
@@ -994,28 +957,12 @@ def enumerate_double_coset(exps, p: int):
     dm = _diag_p(exps, p)
     N = sum(exps)
     e = max(exps)
-    gens = []
-    for i in range(4):
-        u = root_unipotent(i, 1)
-        gens.append(u)
-        gens.append(mat_t(u))
+    gens = _unipotent_generators()
     for lam in range(2, p ** e):
         if lam % p:
             gens.append(mat([[1, 0, 0, 0], [0, 1, 0, 0],
                              [0, 0, lam, 0], [0, 0, 0, lam]]))
-    reps = {hnf_key(dm, p, N): dm}
-    frontier = [dm]
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in gens:
-                c = mat_mul(g, b)
-                k = hnf_key(c, p, N)
-                if k not in reps:
-                    reps[k] = c
-                    new.append(c)
-        frontier = new
-    return list(reps.values())
+    return _orbit(dm, gens, lambda m: hnf_key(m, p, N))
 
 
 def hecke_t_reps(p: int):
@@ -1039,52 +986,11 @@ def siegel_u_reps(p: int):
             for u in range(p) for v in range(p) for w in range(p)]
 
 
-# -- Lagrangian coset representatives ------------------------------------------
-
-def lagrangian_subspaces(p: int):
-    """All 2-dim isotropic subspaces of F_p^4, each as a canonical reduced
-    row-echelon basis pair."""
-    seen = set()
-    out = []
-    vecs = [v for v in itertools.product(range(p), repeat=4)
-            if any(x for x in v)]
-
-    def pairing(x, y):
-        return (x[0] * y[3] + x[1] * y[2] - x[2] * y[1] - x[3] * y[0]) % p
-
-    for v1 in vecs:
-        for v2 in vecs:
-            rows = rref_modp([v1, v2], p)
-            if len(rows) < 2:
-                continue
-            key = tuple(map(tuple, rows))
-            if key in seen:
-                continue
-            seen.add(key)
-            if pairing(*key) == 0:
-                out.append(key)
-    return out
-
-
 def siegel_parahoric_reps(p: int):
-    """Representatives of GSp4(Z_p) / K0(p), one per Lagrangian mod p,
-    realized as exact integral symplectic matrices."""
-    out = []
-    for rows in lagrangian_subspaces(p):
-        w1 = tuple(Q(x) for x in rows[0])
-        w2 = tuple(Q(x) for x in rows[1])
-        pr = sympl_pair(w1, w2)
-        if pr != 0 and val(pr, p) < 1:
-            raise ArithmeticError("Lagrangian basis is not isotropic mod p")
-        if pr != 0:
-            # adjust w2 by a multiple of p to make the pair exactly isotropic
-            m = pr / p
-            r1 = vec_mat(w1, J4)
-            # solve <w1, x> = -m integrally, set w2 += p x
-            x = _solve_unit_system([r1], (Q(-m),), p)
-            w2 = tuple(a + p * b for a, b in zip(w2, x))
-            if sympl_pair(w1, w2) != 0:
-                raise ArithmeticError("isotropic adjustment failed")
-        k = complete_isotropic_pair(w1, w2, p)
-        out.append(k)
-    return out
+    """Representatives k of GSp4(Z_p) / K0(p), as an orbit of integral
+    symplectic matrices: k K0(p) is determined by the plane spanned by
+    the first two columns of k mod p, keyed by its echelon form."""
+    def plane(k):
+        cols = [[int(k[r][c]) for r in range(4)] for c in (0, 1)]
+        return tuple(map(tuple, rref_modp(cols, p)))
+    return _orbit(identity(4), _unipotent_generators(), plane)

@@ -43,6 +43,18 @@ def test_missing_config_file_is_config_error(capsys):
     assert cli.main(["--config", "/no/such/file"]) == 2
 
 
+def test_unwritable_out_is_config_error_before_any_case(tmp_path, capsys,
+                                                       monkeypatch):
+    def run(config):
+        raise AssertionError("a case ran")
+    monkeypatch.setattr(cli, "run", run)
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["--suite", "bessel", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nsuite = hecke, bessel\nell = 2\n"

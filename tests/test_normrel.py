@@ -1,12 +1,14 @@
 """Tests for the local norm-relation plumbing."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from gsp4verify import normrel as nr
 from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
-                              identity, in_level, mat, mat_inv, mat_mul)
+                              identity, in_level, is_p_integral, is_p_unit,
+                              mat, mat_det, mat_inv, mat_mul, val)
 
 # ------------------------------------------------------------- local data
 
@@ -124,6 +126,48 @@ def test_indept_index_against_brute_count():
     pairs_small = sum(v * v for v in small.values())
     assert pairs_big % pairs_small == 0
     assert pairs_big // pairs_small == p ** (4 * (t - T))
+
+
+def _in_kh1(h: HElt, p: int, t: int) -> bool:
+    """Pairs integral at p with unit equal determinants whose lower
+    rows are (0, 1) mod p^t: the membership test behind the key."""
+    for g in (h.g1, h.g2):
+        if not all(is_p_integral(x, p) for row in g for x in row):
+            return False
+        if not is_p_unit(mat_det(g), p):
+            return False
+        if val(g[1][0], p) < t or val(g[1][1] - 1, p) < t:
+            return False
+    return True
+
+
+def _rand_unit_pair(rng, p, lower=1):
+    """A random pair of integral 2x2 matrices with equal unit
+    determinants; lower = p^t makes both lower rows (0, 1) mod p^t."""
+    while True:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        c = lower * rng.randint(-9, 9)
+        d = 1 + lower * rng.randint(-9, 9) if lower > 1 else rng.randint(-9, 9)
+        if (a * d - b * c) % p:
+            break
+    g1 = mat([[a, b], [c, d]])
+    x, y = rng.randint(-9, 9), lower * rng.randint(-9, 9)
+    shear = mat_mul(mat([[1, x], [0, 1]]), mat([[1, 0], [y, 1]]))
+    return HElt.of(g1, mat_mul(g1, shear))
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_kh1_key_agrees_with_membership(p, t):
+    rng = random.Random(100 * p + t)
+    same = 0
+    for _ in range(60):
+        h = _rand_unit_pair(rng, p)
+        for h2 in (h * _rand_unit_pair(rng, p, p ** t),
+                   _rand_unit_pair(rng, p)):
+            equal = nr._kh1_key(h, p, t) == nr._kh1_key(h2, p, t)
+            assert equal == _in_kh1(h.inv() * h2, p, t)
+            same += equal
+    assert 60 <= same < 120
 
 
 def test_indept_rejects_bad_range():

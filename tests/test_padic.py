@@ -14,7 +14,7 @@ from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
     gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
     in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
-    min_val, nullspace, rref_modp, siegel_parahoric_reps, siegel_u_reps,
+    min_val, rref_modp, siegel_parahoric_reps, siegel_u_reps,
     smith_vals, solve, val, vec_mat, weyl_s1, weyl_s2,
 )
 from gsp4verify.symcore import ell
@@ -100,6 +100,43 @@ def test_iwasawa_gsp4_random():
             mu = gsp4_multiplier(g)
             assert b[0][0] * b[3][3] == mu
             assert b[1][1] * b[2][2] == mu
+
+def _iwasawa_invariants(g, p):
+    """Valuations fixed on g GSp4(Z_p): the least valuation of the last
+    row, and the least valuation of the 2x2 minors of the last two rows
+    (the Pluecker vector moves by the second exterior power of k)."""
+    row4 = min(val(x, p) for x in g[3])
+    minors = min(val(g[2][i] * g[3][j] - g[2][j] * g[3][i], p)
+                 for i, j in itertools.combinations(range(4), 2))
+    return row4, minors
+
+
+def _iwasawa_oracle_inputs():
+    rng = random.Random(11)
+    for p in (2, 3):
+        for _ in range(80):
+            yield rand_gsp4(rng, p), p
+        for g in hecke_t_reps(p) + hecke_t1_reps(p):
+            yield g, p
+
+
+def test_iwasawa_gsp4_borel_diagonal_against_invariants():
+    count = 0
+    for g, p in _iwasawa_oracle_inputs():
+        b, k = iwasawa_gsp4(g, p)
+        assert mat_mul(b, k) == g
+        assert _iwasawa_invariants(g, p) == (
+            val(b[3][3], p), val(b[2][2] * b[3][3], p))
+        count += 1
+    assert count == 2 * 80 + (15 + 30) + (40 + 120)
+
+
+def test_iwasawa_gsp4_accepts_elements_and_rejects_non_similitudes():
+    g = mat_mul(weyl_s1(), pa.root_unipotent(2, Q(1, 4)))
+    assert iwasawa_gsp4(GSp4Elt.of(g), 2) == iwasawa_gsp4(g, 2)
+    with pytest.raises(ValueError):
+        iwasawa_gsp4(mat([[1, 1, 0, 0], [0, 1, 0, 0],
+                          [0, 0, 1, 0], [0, 0, 0, 1]]), 2)
 
 
 def test_membership_catalog():
@@ -495,21 +532,6 @@ def test_mat_inv_and_solve_match_sympy(rows, rhs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rect_matrices)
-def test_nullspace_spans_sympy_nullspace(rows):
-    basis = nullspace(mat(rows))
-    theirs = sympy.Matrix(rows).nullspace()
-    assert len(basis) == len(theirs)
-    for x in basis:
-        assert all(sum(r[j] * x[j] for j in range(len(x))) == 0
-                   for r in rows)
-    if basis:
-        ours = sympy.Matrix([list(x) for x in basis])
-        both = ours.col_join(sympy.Matrix.hstack(*theirs).T)
-        assert ours.rank() == both.rank() == len(basis)
-
-
-@settings(max_examples=150, deadline=None)
 @given(rect_matrices, st.sampled_from([2, 3, 5, 7]))
 def test_rref_modp_matches_sympy_over_gf_p(rows, p):
     gf = sympy.GF(p)
@@ -564,6 +586,16 @@ def test_hnf_key_does_not_depend_on_the_modulus(exps, p, count):
         assert key == pa.hnf_key(r, p, val(mat_det(r), p))
 
 
+def test_hnf_key_rejects_non_integral_entries():
+    p, N = 2, 2
+    assert pa.hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0],
+                           [0, 0, 0, 2]]), p, N)
+    for x in (Q(5, 2), Q(1, 3)):
+        with pytest.raises(ValueError):
+            pa.hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, x, 0],
+                            [0, 0, 0, 2]]), p, N)
+
+
 def test_r_and_u_reps():
     assert hecke_r_reps(3)[0] == mat_scalar_3()
     assert len(siegel_u_reps(2)) == 8
@@ -571,6 +603,41 @@ def test_r_and_u_reps():
 
 def mat_scalar_3():
     return pa.mat_scalar(identity(4), 3)
+
+
+def lagrangian_subspaces(p: int):
+    """All 2-dim isotropic subspaces of F_p^4, each as a canonical reduced
+    row-echelon basis pair, by brute force over pairs of vectors."""
+    seen = set()
+    out = []
+    vecs = [v for v in itertools.product(range(p), repeat=4)
+            if any(x for x in v)]
+
+    def pairing(x, y):
+        return (x[0] * y[3] + x[1] * y[2] - x[2] * y[1] - x[3] * y[0]) % p
+
+    for v1 in vecs:
+        for v2 in vecs:
+            rows = rref_modp([v1, v2], p)
+            if len(rows) < 2:
+                continue
+            key = tuple(map(tuple, rows))
+            if key in seen:
+                continue
+            seen.add(key)
+            if pairing(*key) == 0:
+                out.append(key)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_siegel_parahoric_reps_are_the_isotropic_planes(p):
+    planes = []
+    for k in siegel_parahoric_reps(p):
+        cols = [[int(k[r][c]) for r in range(4)] for c in (0, 1)]
+        planes.append(tuple(map(tuple, rref_modp(cols, p))))
+    assert len(set(planes)) == len(planes)
+    assert sorted(planes) == sorted(lagrangian_subspaces(p))
 
 
 @pytest.mark.parametrize("p", [2, 3])
