@@ -208,9 +208,10 @@ def spin_reciprocal(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:
     reciprocal of the spin L-factor at a 3/2-shift."""
     p = sigma.p
     one = as_ratfunc(1, p)
+    y = ell_pow(3, p) * x
     out = one
     for gamma in sigma.spin_params():
-        out = out * (one - gamma * ell_pow(3, p) * x)
+        out = out * (one - gamma * y)
     return out
 
 

@@ -249,7 +249,8 @@ def indept_identity(p: int, T: int, t: int):
             diff = mat_add(g, mat_scalar(identity(2), -1))
             if any(x % p ** T for row in diff for x in row):
                 raise AssertionError("representative not principal")
-    # pairwise inequivalent modulo the deeper group
+    # pairwise inequivalent modulo the deeper group; the check above makes
+    # every element integral with unit determinant, as the key needs
     if len({_kh1_key(h, p, t) for h in reps}) != len(reps):
         return False, len(reps)
     phi_t = SchwartzFn.depth_pair(p, t)

@@ -147,7 +147,7 @@ def _rand_unit_pair(rng, p, lower=1):
     while True:
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         c = lower * rng.randint(-9, 9)
-        d = 1 + lower * rng.randint(-9, 9) if lower > 1 else rng.randint(-9, 9)
+        d = 1 + lower * rng.randint(-9, 9)
         if (a * d - b * c) % p:
             break
     g1 = mat([[a, b], [c, d]])

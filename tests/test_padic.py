@@ -101,6 +101,7 @@ def test_iwasawa_gsp4_random():
             assert b[0][0] * b[3][3] == mu
             assert b[1][1] * b[2][2] == mu
 
+
 def _iwasawa_invariants(g, p):
     """Valuations fixed on g GSp4(Z_p): the least valuation of the last
     row, and the least valuation of the 2x2 minors of the last two rows
