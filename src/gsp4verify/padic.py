@@ -297,8 +297,7 @@ def iwasawa_gsp4(g, p: int):
     root unipotents clear the rest of that row; each parameter is an
     entry over the pivot, so it is p-integral.  The same two steps on
     the middle block leave the lower triangle empty, since the
-    symplectic form forces the first column to (mu / b[3][3], 0, 0, 0).
-    No null space and no completion of an isotropic basis is needed."""
+    symplectic form forces the first column to (mu / b[3][3], 0, 0, 0)."""
     if isinstance(g, GSp4Elt):
         g = g.m
     b = mat(g)
@@ -312,6 +311,9 @@ def iwasawa_gsp4(g, p: int):
     # s1 moves column j to j + 1 for even j, s2 for odd j
     for j in range(min(range(4), key=lambda c: val(b[3][c], p)), 3):
         right(weyl_s1() if j % 2 == 0 else weyl_s2())
+    # the transpose of root_unipotent(i, t) adds -sign * t times the last
+    # column to column j; for i = 0, 2 it also changes column 0, which is
+    # cleared last
     for i, j, sign in ((0, 2, 1), (2, 1, -1), (3, 0, -1)):
         if b[3][j]:
             right(mat_t(root_unipotent(i, sign * b[3][j] / b[3][3])))
