@@ -7,8 +7,10 @@ Exact-arithmetic implementation of:
 * evaluation of vectors in an unramified principal series, either
   spherical or invariant under the Siegel parahoric, via the Iwasawa
   decomposition and the Borel transformation law,
-* spherical Hecke eigenvalues for the three standard double cosets and
-  the degree-4 Hecke polynomial identity,
+* spherical Hecke eigenvalues for the three standard double cosets, as
+  sums of the Borel transformation factor over upper triangular coset
+  representatives (no Iwasawa step), and the degree-4 Hecke polynomial
+  identity,
 * the 4x4 matrix of the parahoric U-operator on the Siegel-parahoric
   invariants and its characteristic polynomial,
 * a small Hecke-module action used by the reciprocity checks.
@@ -181,12 +183,14 @@ _COSET_FNS = {
 
 def hecke_eigenvalue(op: str, sigma: PrincipalSeriesG) -> RatFunc:
     """Eigenvalue of the spherical Hecke operator on the spherical
-    vector: the sum of its values over the left coset representatives."""
-    reps = _COSET_FNS[op](sigma.p)
-    sph = InducedVectorG.spherical(sigma)
+    vector: the sum of its values over the left coset representatives.
+    The representatives are upper triangular and the spherical vector is
+    1 on GSp4(Z_p), so each value is the Borel factor."""
     total = as_ratfunc(0, sigma.p)
-    for r in reps:
-        total = total + eval_induced(sph, r)
+    for r in _COSET_FNS[op](sigma.p):
+        if any(r[i][j] for i in range(4) for j in range(i)):
+            raise ArithmeticError("Hecke representative is not in the Borel")
+        total = total + borel_factor(sigma, r)
     return total
 
 

@@ -5,8 +5,7 @@ p.  Matrix products run on integers: each factor is scaled to integer rows
 over one common denominator, and each entry of the product becomes one
 reduced Fraction.  Schwartz tables are acted on through integer residues:
 each grid point is mapped by the integer rows of g and keyed modulo a
-power of p, with no Fraction built per point.  Hermite keys of coset
-lattices are computed over Z modulo a power p^N that the caller knows.
+power of p, with no Fraction built per point.
 
 Provides the 4x4 symplectic similitude group (antidiagonal form), the
 GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
@@ -14,9 +13,10 @@ with respect to the upper-triangular Borel (for GSp4 by column
 elimination with Weyl elements and root unipotents, no null spaces),
 open-compact membership tests, Schwartz functions on Q_p^2 with an exact
 Fourier transform (values in a cyclotomic model), and left-coset
-enumeration as orbits of integral generators: the standard Hecke
-double cosets keyed by Hermite forms, GSp4(Z_p) / K0(p) keyed by a plane
-mod p.
+representatives: the two standard Hecke double cosets as explicit upper
+triangular matrices n t (a torus element t times root unipotents over
+ranges read off t), GSp4(Z_p) / K0(p) as an orbit of integral generators
+keyed by a plane mod p.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def val(x: Union[int, Fraction], p: int):
         d //= p
         v -= 1
     return v
-
-
-def is_p_integral(x, p: int) -> bool:
-    return val(x, p) >= 0
 
 
 def is_p_unit(x, p: int) -> bool:
@@ -85,15 +81,6 @@ def mat_mul(a, b):
     cols = list(zip(*rb))
     return tuple(tuple(Fraction(sum(map(operator.mul, r, c)), d)
                        for c in cols) for r in ra)
-
-
-def vec_mat(v, a):
-    """The row vector v times the matrix a, by the same integer kernel."""
-    (rv,), dv = _integer_rows((v,))
-    ra, da = _integer_rows(a)
-    d = dv * da
-    return tuple(Fraction(sum(map(operator.mul, rv, c)), d)
-                 for c in zip(*ra))
 
 
 def mat_t(a):
@@ -324,7 +311,11 @@ def iwasawa_gsp4(g, p: int):
 
     if any(b[i][j] != 0 for i in range(4) for j in range(i)):
         raise ArithmeticError("Iwasawa failed to triangularize")
-    k = mat_inv(k1)
+    # every factor of k1 has multiplier 1, so k1^-1 = J^-1 k1^T J, whose
+    # entry (i, j) is s_i s_j k1[3 - j][3 - i] with s = (1, 1, -1, -1)
+    s = (1, 1, -1, -1)
+    k = tuple(tuple(s[i] * s[j] * k1[3 - j][3 - i] for j in range(4))
+              for i in range(4))
     if min_val(k, p) < 0 or val(gsp4_multiplier(k), p) != 0:
         raise ArithmeticError("Iwasawa factor k is not in GSp4(Z_p)")
     if b[0][0] * b[3][3] != mu or b[1][1] * b[2][2] != mu:
@@ -845,78 +836,6 @@ def coset_block(p: int, u, v, w) -> tuple:
     return mat([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
-def hnf_key(m, p: int, N: int) -> tuple:
-    """Canonical invariant of the Z_p-lattice spanned by the columns of an
-    integer matrix with nonzero determinant; identifies left cosets g K.
-    Entries are ints or Fractions with denominator 1; a non-integral
-    entry raises ValueError.  The Z_p-span is captured over Z by
-    adjoining p^N Z^n; the caller passes an N that clears every
-    elementary divisor, such as the valuation of the determinant."""
-    n = len(m)
-    pN = p ** N
-    if any(x.denominator != 1 for row in m for x in row):
-        raise ValueError("hnf_key needs an integer matrix")
-    # column vectors, including the p^N-scaled standard basis
-    cols = [[m[r][c].numerator for r in range(n)] for c in range(n)]
-    cols += [[pN * (r == i) for r in range(n)] for i in range(n)]
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        # Euclid on row i across the remaining pool of columns
-        while True:
-            nz = [c for c in cols if c[i] != 0]
-            if not nz:
-                raise ValueError("singular")
-            c0 = min(nz, key=lambda c: abs(c[i]))
-            done = True
-            for c in nz:
-                if c is not c0:
-                    q = c[i] // c0[i]
-                    for r in range(n):
-                        c[r] -= q * c0[r]
-                    if c[i] != 0:
-                        done = False
-            if done:
-                break
-        cols.remove(c0)
-        if c0[i] < 0:
-            c0 = [-x for x in c0]
-        for r in range(n):
-            a[r][i] = c0[r]
-    # reduce sub-diagonal entries for uniqueness (lower-triangular HNF)
-    for j in range(n - 1, -1, -1):
-        for i in range(j + 1, n):
-            q = a[i][j] // a[i][i]
-            if q:
-                for r in range(n):
-                    a[r][j] -= q * a[r][i]
-    return tuple(tuple(row) for row in a)
-
-
-def smith_vals(m, p: int):
-    """p-adic elementary divisor exponents (d1 <= d2 <= ...), via minor
-    valuations."""
-    n = len(m)
-    vs = []
-    for k in range(1, n + 1):
-        best = INF
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                sub = mat([[m[i][j] for j in cols] for i in rows])
-                d = mat_det(sub)
-                if d:
-                    best = min(best, val(d, p))
-        vs.append(best)
-    out = [vs[0]]
-    for k in range(1, n):
-        out.append(vs[k] - vs[k - 1])
-    return out
-
-
-def _diag_p(exps, p: int):
-    return mat([[Q(p) ** exps[i] if i == j else Q(0) for j in range(4)]
-                for i in range(4)])
-
-
 def _unipotent_generators():
     """The root unipotents with parameter 1 and their transposes; they
     generate Sp4(F_p) for every p."""
@@ -946,25 +865,56 @@ def _orbit(start, gens, key):
     return list(reps.values())
 
 
+# the entries (row, column) of root_unipotent(i, t) above the diagonal
+_ROOT_ENTRIES = (((0, 1), (2, 3)), ((1, 2),), ((0, 2), (1, 3)), ((0, 3),))
+
+
 def enumerate_double_coset(exps, p: int):
     """Left coset representatives of K a K / K for a = diag(p^exps),
-    K = GSp4(Z_p).  Cosets g K correspond to the lattices g Z_p^4: two
-    similitude elements with the same column lattice differ by an
-    integral similitude.  We therefore take the orbit of a Z_p^4 under
-    generators of K (root unipotents and similitude units; the lattice
-    only depends on a generator mod p^max(exps)), keyed by the Hermite
-    normal form of a basis matrix.  Every orbit element is k a with k
-    in K, so its determinant has valuation sum(exps), the Hermite
-    modulus."""
-    dm = _diag_p(exps, p)
-    N = sum(exps)
-    e = max(exps)
-    gens = _unipotent_generators()
-    for lam in range(2, p ** e):
-        if lam % p:
-            gens.append(mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                             [0, 0, lam, 0], [0, 0, 0, lam]]))
-    return _orbit(dm, gens, lambda m: hnf_key(m, p, N))
+    K = GSp4(Z_p), as upper triangular matrices, for the Hecke types
+    exps = (0, 0, 1, 1) of T and (0, 1, 1, 2) of T1.
+
+    Every coset g K holds some b = n t with t = diag(p^d), d = (d0, d1,
+    k - d1, k - d0), k = exps[0] + exps[3], and n the product over i of
+    root_unipotent(i, u_i); b and b' = n' t lie in one coset iff
+    n^-1 n' lies in t N(Z_p) t^-1, so the u_i of root i, with entries
+    (r, j), are read modulo p^(d_r - d_j).  The torus types d are the
+    Weyl orbit of exps, plus d = (1, 1, 1, 1) for T1.  Each u_i lies in
+    p^-a Z, with a the least d_j over the columns of its entries, which
+    makes its own terms of b integral; on a Weyl-orbit type this range
+    gives exactly the cosets of K a K, except that a long root with
+    d_r = d_j needs a = 0 (a unit entry there gives the elementary
+    divisors of diag(1, 1, p^2, p^2)).  On the central type b = p n is
+    kept iff it is integral and of rank 1 mod p.  Counts per type: 1, p,
+    p^2, p^3 for T, and 1, p, p^2 - 1, p^3, p^4 for T1 (Roberts &
+    Schmidt, Local Newforms for GSp(4), section 6.1)."""
+    exps = tuple(exps)
+    if exps not in ((0, 0, 1, 1), (0, 1, 1, 2)):
+        raise ValueError(f"no coset representatives for exponents {exps}")
+    k = exps[0] + exps[3]
+    reps = []
+    for d0, d1 in itertools.product(range(k + 1), repeat=2):
+        d = (d0, d1, k - d1, k - d0)
+        in_orbit = sorted(d) == list(exps)
+        if not in_orbit and d != (1, 1, 1, 1):
+            continue
+        # n t for every choice of the u_i, built from the right
+        bs = [mat([[p ** d[r] if r == j else 0 for j in range(4)]
+                   for r in range(4)])]
+        for i in (3, 2, 1, 0):
+            entries = _ROOT_ENTRIES[i]
+            r, j = entries[0]
+            a = min(d[c] for _, c in entries)
+            if in_orbit and len(entries) == 1 and d[r] == d[j]:
+                a = 0
+            us = [root_unipotent(i, Q(m, p ** a))
+                  for m in range(p ** (a + d[r] - d[j]))]
+            bs = [mat_mul(x, b) for x in us for b in bs]
+        if not in_orbit:
+            bs = [b for b in bs if min_val(b, p) >= 0 and len(rref_modp(
+                [[int(x) for x in row] for row in b], p)) == 1]
+        reps += bs
+    return reps
 
 
 def hecke_t_reps(p: int):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gsp4verify import gsp4local, padic
 from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   borel_factor, cell_of, eval_induced,
                                   hecke_eigenvalue, hecke_poly_check,
@@ -130,6 +131,19 @@ def test_hecke_polynomial_identity(p):
 def test_hecke_polynomial_perturbed_fails():
     ok, _, _ = hecke_poly_check(sigma_for(2), perturb=1)
     assert not ok
+
+
+def test_hecke_path_makes_no_iwasawa_call(monkeypatch):
+    """The spherical eigenvalues sum Borel factors over upper triangular
+    coset representatives: no decomposition and no lattice keys."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Hecke path called an Iwasawa step")
+    for module in (gsp4local, padic):
+        monkeypatch.setattr(module, "iwasawa_gsp4", forbidden)
+    monkeypatch.setattr(gsp4local, "eval_induced", forbidden)
+    assert not hasattr(padic, "hnf_key")
+    assert hecke_poly_check(sigma_for(2))[0]
+    assert not hecke_poly_check(sigma_for(2), perturb=1)[0]
 
 
 def test_eigenvalues_weyl_invariant():

@@ -7,8 +7,8 @@ import pytest
 
 from gsp4verify import normrel as nr
 from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
-                              identity, in_level, is_p_integral, is_p_unit,
-                              mat, mat_det, mat_inv, mat_mul, val)
+                              identity, in_level, is_p_unit, mat, mat_det,
+                              mat_inv, mat_mul, min_val, val)
 
 # ------------------------------------------------------------- local data
 
@@ -132,7 +132,7 @@ def _in_kh1(h: HElt, p: int, t: int) -> bool:
     """Pairs integral at p with unit equal determinants whose lower
     rows are (0, 1) mod p^t: the membership test behind the key."""
     for g in (h.g1, h.g2):
-        if not all(is_p_integral(x, p) for row in g for x in row):
+        if min_val(g, p) < 0:
             return False
         if not is_p_unit(mat_det(g), p):
             return False

@@ -10,14 +10,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from gsp4verify import padic as pa
+from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
+                                  eval_induced, hecke_eigenvalue)
 from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
     gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
     in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
     min_val, rref_modp, siegel_parahoric_reps, siegel_u_reps,
-    smith_vals, solve, val, vec_mat, weyl_s1, weyl_s2,
+    solve, val, weyl_s1, weyl_s2,
 )
-from gsp4verify.symcore import ell
+from gsp4verify.symcore import as_ratfunc, ell
 
 
 def test_val():
@@ -117,8 +119,9 @@ def _iwasawa_oracle_inputs():
     for p in (2, 3):
         for _ in range(80):
             yield rand_gsp4(rng, p), p
-        for g in hecke_t_reps(p) + hecke_t1_reps(p):
-            yield g, p
+        for exps in ((0, 0, 1, 1), (0, 1, 1, 2)):
+            for g in orbit_double_coset(exps, p):
+                yield g, p
 
 
 def test_iwasawa_gsp4_borel_diagonal_against_invariants():
@@ -156,6 +159,11 @@ def test_membership_catalog():
     d = mat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
     assert not in_level(d, LevelSpec("K1det"), 5)  # det = 4 != 1 mod 5
     assert in_level(d, LevelSpec("G"), 5)
+
+
+def vec_mat(v, a):
+    """The row vector v times the matrix a."""
+    return mat_mul((v,), a)[0]
 
 
 def _product_oracle(a, b):
@@ -546,6 +554,94 @@ def test_rref_modp_matches_sympy_over_gf_p(rows, p):
 
 # -- coset enumeration ------------------------------------------------------
 
+def is_p_integral(x, p):
+    return val(x, p) >= 0
+
+
+def smith_vals(m, p: int):
+    """p-adic elementary divisor exponents (d1 <= d2 <= ...), via minor
+    valuations."""
+    n = len(m)
+    vs = []
+    for k in range(1, n + 1):
+        best = pa.INF
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                sub = mat([[m[i][j] for j in cols] for i in rows])
+                d = mat_det(sub)
+                if d:
+                    best = min(best, val(d, p))
+        vs.append(best)
+    out = [vs[0]]
+    for k in range(1, n):
+        out.append(vs[k] - vs[k - 1])
+    return out
+
+
+def hnf_key(m, p: int, N: int) -> tuple:
+    """Canonical invariant of the Z_p-lattice spanned by the columns of an
+    integer matrix with nonzero determinant; identifies left cosets g K.
+    Entries are ints or Fractions with denominator 1; a non-integral
+    entry raises ValueError.  The Z_p-span is captured over Z by
+    adjoining p^N Z^n; the caller passes an N that clears every
+    elementary divisor, such as the valuation of the determinant."""
+    n = len(m)
+    pN = p ** N
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError("hnf_key needs an integer matrix")
+    # column vectors, including the p^N-scaled standard basis
+    cols = [[m[r][c].numerator for r in range(n)] for c in range(n)]
+    cols += [[pN * (r == i) for r in range(n)] for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        # Euclid on row i across the remaining pool of columns
+        while True:
+            nz = [c for c in cols if c[i] != 0]
+            if not nz:
+                raise ValueError("singular")
+            c0 = min(nz, key=lambda c: abs(c[i]))
+            done = True
+            for c in nz:
+                if c is not c0:
+                    q = c[i] // c0[i]
+                    for r in range(n):
+                        c[r] -= q * c0[r]
+                    if c[i] != 0:
+                        done = False
+            if done:
+                break
+        cols.remove(c0)
+        if c0[i] < 0:
+            c0 = [-x for x in c0]
+        for r in range(n):
+            a[r][i] = c0[r]
+    # reduce sub-diagonal entries for uniqueness (lower-triangular HNF)
+    for j in range(n - 1, -1, -1):
+        for i in range(j + 1, n):
+            q = a[i][j] // a[i][i]
+            if q:
+                for r in range(n):
+                    a[r][j] -= q * a[r][i]
+    return tuple(tuple(row) for row in a)
+
+
+def orbit_double_coset(exps, p):
+    """Left coset representatives of K diag(p^exps) K / K found by
+    search: cosets g K correspond to the lattices g Z_p^4, so take the
+    orbit of diag(p^exps) under generators of K (root unipotents, their
+    transposes and the similitudes diag(1, 1, lam, lam), lam a unit mod
+    p^max(exps)), keyed by the Hermite form modulo p^sum(exps)."""
+    a = mat([[p ** exps[i] if i == j else 0 for j in range(4)]
+             for i in range(4)])
+    gens = pa._unipotent_generators() + [
+        mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]])
+        for lam in range(2, p ** max(exps)) if lam % p]
+    return pa._orbit(a, gens, lambda m: hnf_key(m, p, sum(exps)))
+
+
+HECKE_TYPES = [(0, 0, 1, 1), (0, 1, 1, 2)]
+
+
 def test_smith_vals():
     p = 2
     m = mat([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 4]])
@@ -574,27 +670,76 @@ def test_hecke_t1_reps_count(p):
         assert val(gsp4_multiplier(g), p) == 2
 
 
+@pytest.mark.parametrize("exps", HECKE_TYPES)
+@pytest.mark.parametrize("p", [2, 3])
+def test_double_coset_reps_have_the_orbit_lattices(exps, p):
+    """The explicit representatives span exactly the lattices of the
+    orbit search, one representative per lattice."""
+    N = sum(exps)
+    keys = [hnf_key(r, p, N) for r in pa.enumerate_double_coset(exps, p)]
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == {hnf_key(r, p, N)
+                         for r in orbit_double_coset(exps, p)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_double_coset_reps_are_integral_borel_elements(p):
+    """Degrees (1 + p)(1 + p^2) and p(1 + p)(1 + p^2), split over the
+    torus types as 1, p, p^2, p^3 and 1, p, p^2 - 1, p^3, p^4."""
+    for exps, per_type in (((0, 0, 1, 1), [1, p, p ** 2, p ** 3]),
+                           ((0, 1, 1, 2), [1, p, p ** 2 - 1, p ** 3,
+                                           p ** 4])):
+        reps = pa.enumerate_double_coset(exps, p)
+        assert len(reps) == sum(per_type)
+        types = {}
+        for b in reps:
+            assert all(b[i][j] == 0 for i in range(4) for j in range(i))
+            assert all(is_p_integral(x, p) for row in b for x in row)
+            assert val(gsp4_multiplier(b), p) == exps[0] + exps[3]
+            d = tuple(val(b[i][i], p) for i in range(4))
+            types[d] = types.get(d, 0) + 1
+        assert sorted(types.values()) == sorted(per_type)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hecke_eigenvalues_match_the_orbit_sum_of_eval_induced(p):
+    sigma = PrincipalSeriesG.formal(p)
+    sph = InducedVectorG.spherical(sigma)
+    for op, exps in zip(("T", "T1"), HECKE_TYPES):
+        total = as_ratfunc(0, p)
+        for g in orbit_double_coset(exps, p):
+            total = total + eval_induced(sph, g)
+        assert hecke_eigenvalue(op, sigma) == total
+
+
+def test_enumerate_double_coset_rejects_other_exponents():
+    for exps in ((0, 0, 0, 0), (0, 0, 2, 2), (1, 1, 2, 2), (0, 1, 2, 3),
+                 (1, 1, 0, 0)):
+        with pytest.raises(ValueError):
+            pa.enumerate_double_coset(exps, 3)
+
+
 @pytest.mark.parametrize("exps,p,count", [
     ((0, 0, 1, 1), 2, 15), ((0, 0, 1, 1), 3, 40),
     ((0, 1, 1, 2), 2, 30), ((0, 1, 1, 2), 3, 120)])
 def test_hnf_key_does_not_depend_on_the_modulus(exps, p, count):
-    reps = pa.enumerate_double_coset(exps, p)
+    reps = orbit_double_coset(exps, p)
     assert len(reps) == count
     N = sum(exps)
     for r in reps:
-        key = pa.hnf_key(r, p, N)
-        assert key == pa.hnf_key(r, p, N + 1)
-        assert key == pa.hnf_key(r, p, val(mat_det(r), p))
+        key = hnf_key(r, p, N)
+        assert key == hnf_key(r, p, N + 1)
+        assert key == hnf_key(r, p, val(mat_det(r), p))
 
 
 def test_hnf_key_rejects_non_integral_entries():
     p, N = 2, 2
-    assert pa.hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0],
-                           [0, 0, 0, 2]]), p, N)
+    assert hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0],
+                        [0, 0, 0, 2]]), p, N)
     for x in (Q(5, 2), Q(1, 3)):
         with pytest.raises(ValueError):
-            pa.hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, x, 0],
-                            [0, 0, 0, 2]]), p, N)
+            hnf_key(mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, x, 0],
+                         [0, 0, 0, 2]]), p, N)
 
 
 def test_r_and_u_reps():
