@@ -865,10 +865,6 @@ def _orbit(start, gens, key):
     return list(reps.values())
 
 
-# the entries (row, column) of root_unipotent(i, t) above the diagonal
-_ROOT_ENTRIES = (((0, 1), (2, 3)), ((1, 2),), ((0, 2), (1, 3)), ((0, 3),))
-
-
 def enumerate_double_coset(exps, p: int):
     """Left coset representatives of K a K / K for a = diag(p^exps),
     K = GSp4(Z_p), as upper triangular matrices, for the Hecke types
@@ -902,14 +898,16 @@ def enumerate_double_coset(exps, p: int):
         bs = [mat([[p ** d[r] if r == j else 0 for j in range(4)]
                    for r in range(4)])]
         for i in (3, 2, 1, 0):
-            entries = _ROOT_ENTRIES[i]
+            shape = root_unipotent(i, 1)
+            entries = [(r, j) for r in range(4) for j in range(r + 1, 4)
+                       if shape[r][j]]
             r, j = entries[0]
             a = min(d[c] for _, c in entries)
             if in_orbit and len(entries) == 1 and d[r] == d[j]:
                 a = 0
             us = [root_unipotent(i, Q(m, p ** a))
                   for m in range(p ** (a + d[r] - d[j]))]
-            bs = [mat_mul(x, b) for x in us for b in bs]
+            bs = [mat_mul(u, b) for u in us for b in bs]
         if not in_orbit:
             bs = [b for b in bs if min_val(b, p) >= 0 and len(rref_modp(
                 [[int(x) for x in row] for row in b], p)) == 1]
