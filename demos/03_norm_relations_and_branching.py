@@ -9,22 +9,25 @@ highest-weight vectors and a twist identity for a one-parameter
 unipotent.
 """
 
-from gsp4verify.besselzeta import tame_norm_final_check
+from gsp4verify.besselzeta import tame_norm_final_check, tame_pairing
 from gsp4verify.normrel import (frobrecip_pairing_check, indept_identity,
                                 sufficiency_check, wild_coset_identity)
-from gsp4verify.branching import (branch_decompose, rep_dimension_formula,
-                                  twist_lemma_check)
+from gsp4verify.branching import (branch_decompose, build_rep,
+                                  rep_dimension_formula, twist_lemma_check)
 
 print("== tame norm relation (combined form, formal prime) ==")
-ok, lhs, rhs = tame_norm_final_check(1, 1)
+# the weight-(1, 1) tame datum: its pairings are computed once and read
+# by both forms of the identity below
+datum = tame_pairing(1, 1)
+ok, lhs, rhs = tame_norm_final_check(datum)
 print("identity holds:", ok)
 print("both sides:", lhs)
 
 print()
 print("== frobenius-reciprocity pairing form of the same identity ==")
-ok, lhs, rhs = frobrecip_pairing_check(1, 1)
+ok, lhs, rhs = frobrecip_pairing_check(datum)
 print("pairing identity (formal):", ok)
-ok, _, _ = frobrecip_pairing_check(1, 1, p=2)
+ok, _, _ = frobrecip_pairing_check(tame_pairing(1, 1, p=2))
 print("pairing identity (concrete p=2, enumerated cosets):", ok)
 
 print()
@@ -42,7 +45,7 @@ print("== branching law ==")
 a, b = 2, 1
 print("dim V(%d,%d) =" % (a, b), rep_dimension_formula(a, b))
 print("restriction decomposes as (c, d, twist q):")
-for c, d, q in branch_decompose(a, b):
+for c, d, q in branch_decompose(build_rep(a, b)):
     print("   W(%d,%d) tensor det^%d" % (c, d, q))
 ok, lhs, rhs = twist_lemma_check(a, b, 1, 0, 2)
 print("unipotent twist identity at (q,r,h)=(1,0,2):", ok)

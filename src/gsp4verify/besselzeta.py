@@ -299,86 +299,81 @@ def bilinear_form(t: int, label: str, sigma: PrincipalSeriesG,
     return dfac * norm * _limit_at_one(reg * zval)
 
 
-#: depth-free pairings bilinear_form(0, ...) of the tame datum with the
-#: default formal tau symbols, keyed by (vector label, k1, k2, prime);
-#: the depth enters only through depth_factor
-_FORMAL_CACHE: dict = {}
+@dataclass(frozen=True)
+class TameDatum:
+    """The weight-(k1, k2) tame datum at the prime p and its pairings.
+
+    ``base`` maps each vector label to its depth-free pairing
+    bilinear_form(0, label, sigma, psi, chi); the depth enters only
+    through depth_factor, so pairing(label, t) is the depth-t pairing.
+    ``euler`` is prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the
+    reciprocal spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}):
+    the two factors on the right sides of the tame identities."""
+    k1: int
+    k2: int
+    p: int | None
+    tau1: RatFunc
+    tau2: RatFunc
+    sigma: PrincipalSeriesG
+    psi: tuple
+    chi: tuple
+    base: dict
+    euler: RatFunc
+    spin_recip: RatFunc
+
+    def pairing(self, label: str, t: int) -> RatFunc:
+        return depth_factor(t, self.psi, self.chi, self.p) * self.base[label]
 
 
-def _depth_free_pairings(sigma, psi, chi, order: int = 9):
-    """bilinear_form(0, label, ...) for every label, all read off one
-    expansion of the Bessel series of the z-datum."""
-    series = bessel_series(z_datum(sigma, psi, chi), order)
-    return {label: bilinear_form(0, label, sigma, psi, chi, series=series)
-            for label in ZETA_LABELS}
-
-
-def tame_pairing(k1: int, k2: int, tau1=None, tau2=None, p=None):
-    """The weight-(k1, k2) tame datum and its pairings.
-
-    Returns (tau1, tau2, sigma, pairing), with tau_i defaulting to the
-    formal symbols and pairing(label, t) equal to
-    bilinear_form(t, label, sigma, psi, chi) for the tame characters
-    psi, chi.  The depth-free part is computed once for both labels;
-    with the default formal tau symbols it is shared by all checks of
-    the process through _FORMAL_CACHE."""
-    formal = tau1 is None and tau2 is None
+def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
+                 p=None) -> TameDatum:
+    """The weight-(k1, k2) tame datum, with tau_i defaulting to the
+    formal symbols.  Its depth-free pairings are read off one expansion
+    of the Bessel series of the z-datum, computed on every call; a
+    caller that checks several identities of one datum builds it once
+    and hands it to each check."""
     tau1 = sym("tau1", p) if tau1 is None else as_ratfunc(tau1, p)
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
     sigma = tame_sigma(k1, k2, tau1, tau2, p)
     psi, chi = tame_characters(k1, k2, tau1, tau2, p)
-    if not formal:
-        base = _depth_free_pairings(sigma, psi, chi)
-    else:
-        if ("spherical", k1, k2, p) not in _FORMAL_CACHE:
-            for label, value in _depth_free_pairings(sigma, psi,
-                                                     chi).items():
-                _FORMAL_CACHE[(label, k1, k2, p)] = value
-        base = {label: _FORMAL_CACHE[(label, k1, k2, p)]
-                for label in ZETA_LABELS}
-
-    def pairing(label: str, t: int) -> RatFunc:
-        return depth_factor(t, psi, chi, p) * base[label]
-    return tau1, tau2, sigma, pairing
+    series = bessel_series(z_datum(sigma, psi, chi), 9)
+    base = {label: bilinear_form(0, label, sigma, psi, chi, series=series)
+            for label in ZETA_LABELS}
+    lp, one = ell(p), as_ratfunc(1, p)
+    euler = (one - lp ** k1 / tau1) * (one - lp ** k2 / tau2)
+    return TameDatum(k1, k2, p, tau1, tau2, sigma, psi, chi, base, euler,
+                     spin_reciprocal(sigma, ell_pow(-2, p)))
 
 
-def tame_norm_check(t: int, k1: int, k2: int, tau1=None, tau2=None,
-                    p=None):
+def tame_norm_check(t: int, datum: TameDatum):
     """Check the depth-t norm-relation identity for the spherical
-    vector: the pairing at depth t equals
+    vector of the tame datum: the pairing at depth t equals
     1/(prime^{2t-2} (prime+1)^2) * prod_i (1 - prime^{k_i}/tau_i)
     times the depth-0 pairing.  Returns (ok, lhs, rhs)."""
-    tau1, tau2, sigma, pairing = tame_pairing(k1, k2, tau1, tau2, p)
-    lhs = pairing("spherical", t)
-    base = pairing("spherical", 0)
-    lp = ell(p)
-    one = as_ratfunc(1, p)
-    euler = ((one - lp ** k1 / tau1) * (one - lp ** k2 / tau2))
-    rhs = one / (lp ** (2 * t - 2) * (lp + 1) ** 2) * euler * base
+    lhs = datum.pairing("spherical", t)
+    base = datum.pairing("spherical", 0)
+    lp = ell(datum.p)
+    one = as_ratfunc(1, datum.p)
+    rhs = one / (lp ** (2 * t - 2) * (lp + 1) ** 2) * datum.euler * base
     return lhs == rhs, lhs, rhs
 
 
-def tame_norm_ul_check(k1: int, k2: int, tau1=None, tau2=None, p=None):
+def tame_norm_ul_check(datum: TameDatum):
     """Check the depth-1 norm-relation identity for the U-translated
-    vector: the pairing equals prime/(prime+1)^2 times
+    vector of the tame datum: the pairing equals prime/(prime+1)^2 times
     [prod_i (1 - prime^{k_i}/tau_i) - reciprocal spin factor at -1/2]
     times the depth-0 spherical pairing.  Returns (ok, lhs, rhs)."""
-    tau1, tau2, sigma, pairing = tame_pairing(k1, k2, tau1, tau2, p)
-    lhs = pairing("ul", 1)
-    base = pairing("spherical", 0)
-    lp = ell(p)
-    one = as_ratfunc(1, p)
-    euler = ((one - lp ** k1 / tau1) * (one - lp ** k2 / tau2))
-    lsig_recip = spin_reciprocal(sigma, ell_pow(-2, p))
-    rhs = lp / (lp + 1) ** 2 * (euler - lsig_recip) * base
+    lhs = datum.pairing("ul", 1)
+    base = datum.pairing("spherical", 0)
+    lp = ell(datum.p)
+    rhs = lp / (lp + 1) ** 2 * (datum.euler - datum.spin_recip) * base
     return lhs == rhs, lhs, rhs
 
 
-def tame_norm_final_check(k1: int, k2: int, tau1=None, tau2=None, p=None,
-                          perturb: bool = False):
-    """Check the combined corollary: with B1 the depth-1 spherical
-    pairing, B2 the depth-1 pairing of the U-translated vector and B0
-    the depth-0 pairing,
+def tame_norm_final_check(datum: TameDatum, perturb: bool = False):
+    """Check the combined corollary for the tame datum: with B1 the
+    depth-1 spherical pairing, B2 the depth-1 pairing of the
+    U-translated vector and B0 the depth-0 pairing,
 
         (l+1)^2 l/(l-1) B1 - (l+1)^2/(l-1) B2
             = l/(l-1) * (reciprocal spin factor at -1/2) * B0.
@@ -386,12 +381,11 @@ def tame_norm_final_check(k1: int, k2: int, tau1=None, tau2=None, p=None,
     With perturb=True the combinatorial factor l-1 is replaced by l on
     the left side, which must break the identity.  Returns
     (ok, lhs, rhs)."""
-    tau1, tau2, sigma, pairing = tame_pairing(k1, k2, tau1, tau2, p)
-    b0 = pairing("spherical", 0)
-    b1 = pairing("spherical", 1)
-    b2 = pairing("ul", 1)
-    lp = ell(p)
+    b0 = datum.pairing("spherical", 0)
+    b1 = datum.pairing("spherical", 1)
+    b2 = datum.pairing("ul", 1)
+    lp = ell(datum.p)
     denom = lp if perturb else lp - 1
     lhs = (lp + 1) ** 2 * lp / denom * b1 - (lp + 1) ** 2 / denom * b2
-    rhs = lp / (lp - 1) * spin_reciprocal(sigma, ell_pow(-2, p)) * b0
+    rhs = lp / (lp - 1) * datum.spin_recip * b0
     return lhs == rhs, lhs, rhs

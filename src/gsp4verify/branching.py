@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import sympy
 
-from .padic import (J4, mat, mat_add, mat_inv, mat_mul, mat_scalar,
-                    mat_t, root_unipotent, solve)
+from .padic import (mat, mat_add, mat_inv, mat_mul, mat_t, root_unipotent,
+                    solve)
 
 Q = Fraction
 
@@ -61,20 +61,6 @@ def lie_basis():
             + [(f"n{i}", x) for i, x in enumerate(pos)]
             + [(f"m{i}", tuple(tuple(Q(v) for v in r) for r in x))
                for i, x in enumerate(neg)])
-
-
-def lie_bracket(x, y):
-    return mat_add(mat_mul(x, y), mat_scalar(mat_mul(y, x), -1))
-
-
-def similitude_derivative(x):
-    """The scalar s with x^T J + J x = s J, or None if x is not in the
-    Lie algebra of the similitude group."""
-    lhs = mat_add(mat_mul(mat_t(mat(x)), J4), mat_mul(J4, mat(x)))
-    s = lhs[0][3]
-    if lhs != mat_scalar(J4, s):
-        return None
-    return s
 
 
 # weights of the standard basis vectors in the (chi1, chi2, mu) basis
@@ -397,10 +383,11 @@ def _w_cd_weights(c: int, d: int, q: int):
     return out
 
 
-def branch_decompose(a: int, b: int):
-    """Verify the restriction law and return the index list
-    [(c, d, q)] with c = a+b-q-r, d = a-q+r over 0<=q<=a, 0<=r<=b."""
-    rep = build_rep(a, b)
+def branch_decompose(rep: RepSpace):
+    """Verify the restriction law of the built irreducible and return
+    the index list [(c, d, q)] with c = a+b-q-r, d = a-q+r over
+    0<=q<=a, 0<=r<=b."""
+    a, b = rep.a, rep.b
     actual: dict = {}
     for w, mult in rep.weight_multiplicities().items():
         hw = _h_weight(w)
@@ -454,14 +441,11 @@ def hw_tensor(a: int, b: int, q: int, r: int) -> dict:
     return vec
 
 
-def hw_vector(a: int, b: int, q: int, r: int,
-              space: TensorSpace = None) -> dict:
+def hw_vector(a: int, b: int, q: int, r: int, space: TensorSpace) -> dict:
     """The highest-weight vector of the (q, r) summand of the
-    restriction: the isotypic projection of the plain tensor.  Asserts
-    that it is non-zero and annihilated by the positive unipotents of
-    the restricted group."""
-    if space is None:
-        space = TensorSpace(a, b)
+    restriction, in the tensor space of (a, b): the isotypic projection
+    of the plain tensor.  Asserts that it is non-zero and annihilated by
+    the positive unipotents of the restricted group."""
     vec = cartan_project(space, hw_tensor(a, b, q, r), (a + b, a, 0))
     if not vec:
         raise AssertionError("projected highest-weight vector vanished")
@@ -500,24 +484,20 @@ def twist_lemma_check(a: int, b: int, q: int, r: int, h: int):
     return lhs == rhs, lhs, rhs
 
 
-def dual_character_check(a: int, b: int, rep: RepSpace = None) -> bool:
-    """The weight multiset negated equals the multiset shifted by
-    -(2a+b) in the similitude direction."""
-    if rep is None:
-        rep = build_rep(a, b)
+def dual_character_check(rep: RepSpace) -> bool:
+    """The weight multiset of the built irreducible, negated, equals the
+    multiset shifted by -(2a+b) in the similitude direction."""
+    shift = 2 * rep.a + rep.b
     mult = rep.weight_multiplicities()
     negated = {tuple(-x for x in w): m for w, m in mult.items()}
-    shifted = {(w[0], w[1], w[2] - (2 * a + b)): m
-               for w, m in mult.items()}
+    shifted = {(w[0], w[1], w[2] - shift): m for w, m in mult.items()}
     return negated == shifted
 
 
-def central_character_check(a: int, b: int, rep: RepSpace = None) -> bool:
-    """Every weight (n1, n2, m) satisfies n1 + n2 + 2m = 2a + b: the
-    centre acts by the (2a+b)-th power."""
-    if rep is None:
-        rep = build_rep(a, b)
-    return all(w[0] + w[1] + 2 * w[2] == 2 * a + b
+def central_character_check(rep: RepSpace) -> bool:
+    """Every weight (n1, n2, m) of the built irreducible satisfies
+    n1 + n2 + 2m = 2a + b: the centre acts by the (2a+b)-th power."""
+    return all(w[0] + w[1] + 2 * w[2] == 2 * rep.a + rep.b
                for w in rep.weight_multiplicities())
 
 

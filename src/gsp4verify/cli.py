@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,8 +79,46 @@ def _canon(x):
 
 
 # ---------------------------------------------------------------------------
-# suite case builders: each yields (case_id, params, fn) where fn() returns
-# (ok, lhs, rhs) with lhs/rhs optional.
+# values shared between the cases of one run
+# ---------------------------------------------------------------------------
+
+class SharedValues:
+    """The values that several cases of one run read, keyed by data:
+    ``("pairing", k1, k2, p)`` is the weight-(k1, k2) tame datum at the
+    prime p (formal if None), and ``("rep", a, b)`` the irreducible with
+    highest weight (a+b, a, 0).  Calling the store with a key returns
+    the value, computed on first use and kept for the run.  One lock
+    serialises the computations, because the pool runs cases on
+    threads.  A computation that raises stores nothing, so every case
+    that needs the value records the same error."""
+
+    def __init__(self):
+        self._values = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, key):
+        with self._lock:
+            if key not in self._values:
+                self._values[key] = _compute_shared(key)
+            return self._values[key]
+
+
+def _compute_shared(key):
+    kind, *args = key
+    if kind == "pairing":
+        from .besselzeta import tame_pairing
+        k1, k2, p = args
+        return tame_pairing(k1, k2, p=p)
+    if kind == "rep":
+        from .branching import build_rep
+        return build_rep(*args)
+    raise KeyError(key)
+
+
+# ---------------------------------------------------------------------------
+# suite case builders: each takes the config and the run's SharedValues
+# and yields (case_id, params, fn) where fn() returns (ok, lhs, rhs) with
+# lhs/rhs optional.
 # ---------------------------------------------------------------------------
 
 def _boolcase(fn):
@@ -104,7 +143,7 @@ def _primes(config, default):
     return default
 
 
-def _cases_gl2(config):
+def _cases_gl2(config, shared):
     from .padic import SchwartzFn, fourier
     from . import gl2local as gl
 
@@ -157,14 +196,14 @@ def _cases_gl2(config):
                        {"ell": p, "phi1": i, "phi2": j}, adj)
 
 
-def _cases_hecke(config):
+def _cases_hecke(config, shared):
     from .gsp4local import PrincipalSeriesG, hecke_poly_check
     for p in _primes(config, (2, 3, 5)):
         yield ("polynomial-l%d" % p, {"ell": p},
                lambda p=p: hecke_poly_check(PrincipalSeriesG.formal(p)))
 
 
-def _cases_parahoric(config):
+def _cases_parahoric(config, shared):
     from .gsp4local import (PrincipalSeriesG, spin_reciprocal,
                             u_matrix_char_poly)
     for p in _primes(config, (2, 3)):
@@ -175,7 +214,7 @@ def _cases_parahoric(config):
                        lambda sigma=sigma, x=x: spin_reciprocal(sigma, x)))
 
 
-def _cases_bessel(config):
+def _cases_bessel(config, shared):
     from .besselzeta import (BesselDatum, zeta, zeta_spherical_closed,
                              zeta_ul_closed)
     datum = BesselDatum.formal(None)
@@ -188,7 +227,7 @@ def _cases_bessel(config):
                    lambda: zeta_ul_closed(datum)))
 
 
-def _cases_tame_norm(config):
+def _cases_tame_norm(config, shared):
     from .besselzeta import (tame_norm_check, tame_norm_final_check,
                              tame_norm_ul_check)
     kmax = min(config.k_max, 2)
@@ -197,19 +236,21 @@ def _cases_tame_norm(config):
             for k2 in range(kmax + 1):
                 yield ("depth-t%d-k%d%d" % (t, k1, k2),
                        {"t": t, "k1": k1, "k2": k2},
-                       lambda t=t, k1=k1, k2=k2:
-                       tame_norm_check(t, k1, k2))
+                       lambda t=t, key=("pairing", k1, k2, None):
+                       tame_norm_check(t, shared(key)))
     for k1 in range(kmax + 1):
         for k2 in range(kmax + 1):
             yield ("ul-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda k1=k1, k2=k2: tame_norm_ul_check(k1, k2))
+                   lambda key=("pairing", k1, k2, None):
+                   tame_norm_ul_check(shared(key)))
     for k1 in range(1, kmax + 1):
         for k2 in range(1, kmax + 1):
             yield ("final-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda k1=k1, k2=k2: tame_norm_final_check(k1, k2))
+                   lambda key=("pairing", k1, k2, None):
+                   tame_norm_final_check(shared(key)))
 
 
-def _cases_wild_norm(config):
+def _cases_wild_norm(config, shared):
     from .normrel import indept_identity, wild_coset_identity
     for p in _primes(config, (2, 3)):
         for m in range(min(config.m_max, 2) + 1):
@@ -236,33 +277,35 @@ def _cases_wild_norm(config):
                    {"ell": p, "T": 1, "t": big_t}, indep)
 
 
-def _cases_branching(config):
-    from .branching import (build_rep, branch_decompose,
+def _cases_branching(config, shared):
+    from .branching import (TensorSpace, branch_decompose,
                             central_character_check, dual_character_check,
                             grid, hw_vector, rep_dimension_formula,
                             twist_lemma_check)
     pairs = [(a, b) for (a, b) in grid()
              if a <= config.a_max and b <= config.b_max]
     for a, b in pairs:
+        key = ("rep", a, b)
         yield ("dimension-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _eqcase(lambda a=a, b=b: build_rep(a, b).dimension,
+               _eqcase(lambda key=key: shared(key).dimension,
                        lambda a=a, b=b: rep_dimension_formula(a, b)))
         yield ("decompose-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda a=a, b=b:
-                         sum((c + 1) * (d + 1)
-                             for c, d, q in branch_decompose(a, b))
+               _boolcase(lambda key=key, a=a, b=b:
+                         sum((c + 1) * (d + 1) for c, d, q
+                             in branch_decompose(shared(key)))
                          == rep_dimension_formula(a, b)))
         yield ("dual-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda a=a, b=b: dual_character_check(a, b)))
+               _boolcase(lambda key=key: dual_character_check(shared(key))))
         yield ("central-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda a=a, b=b: central_character_check(a, b)))
+               _boolcase(lambda key=key:
+                         central_character_check(shared(key))))
     for a, b in pairs:
         if 6 ** a * 4 ** b > 200:
             continue
         for q in range(a + 1):
             for r in range(b + 1):
                 def hw(a=a, b=b, q=q, r=r):
-                    vec = hw_vector(a, b, q, r)
+                    vec = hw_vector(a, b, q, r, TensorSpace(a, b))
                     return bool(vec), None, None
                 yield ("hw-a%d-b%d-q%d-r%d" % (a, b, q, r),
                        {"a": a, "b": b, "q": q, "r": r}, hw)
@@ -273,7 +316,7 @@ def _cases_branching(config):
                            twist_lemma_check(a, b, q, r, h))
 
 
-def _cases_local_data(config):
+def _cases_local_data(config, shared):
     from .normrel import make_local_data, sufficiency_check
     for p in _primes(config, (2, 3)):
         yield ("good-l%d" % p, {"ell": p},
@@ -299,17 +342,19 @@ def _cases_local_data(config):
                        {"ell": p, "m": m, "n": n}, suff)
 
 
-def _cases_frobrecip(config):
+def _cases_frobrecip(config, shared):
     from .normrel import frobrecip_pairing_check
     kmax = max(min(config.k_max, 2), 1)
     for k1 in range(1, kmax + 1):
         for k2 in range(1, kmax + 1):
             yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda k1=k1, k2=k2: frobrecip_pairing_check(k1, k2))
+                   lambda key=("pairing", k1, k2, None):
+                   frobrecip_pairing_check(shared(key)))
     yield ("pairing-concrete-l2", {"ell": 2, "k1": 1, "k2": 1},
-           lambda: frobrecip_pairing_check(1, 1, p=2))
+           lambda: frobrecip_pairing_check(shared(("pairing", 1, 1, 2))))
     yield ("pairing-scalar", {"k1": 1, "k2": 1},
-           lambda: frobrecip_pairing_check(1, 1, scalar=1))
+           lambda: frobrecip_pairing_check(shared(("pairing", 1, 1, None)),
+                                           scalar=1))
 
 
 _BUILDERS = {
@@ -330,9 +375,13 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 
 def build_cases(config):
+    """The run's cases as (suite, case_id, params, fn) with fn() taking
+    no argument.  Nothing is computed here: the cases share one
+    SharedValues store, which computes each value on first use."""
+    shared = SharedValues()
     cases = []
     for suite in config.suites:
-        for case_id, params, fn in _BUILDERS[suite](config):
+        for case_id, params, fn in _BUILDERS[suite](config, shared):
             cases.append((suite, case_id, params, fn))
     return cases
 

@@ -10,9 +10,7 @@ Implements, in exact arithmetic:
 * the normalised standard intertwining operator, both as a direct shell
   integral and in closed form via the Fourier transform,
 * the duality pairing of a principal series against its inverse-character
-  dual, computed as a finite average over P^1(Z/l^t),
-* tensor-product sections for the fibre product of two GL2's with equal
-  determinant.
+  dual, computed as a finite average over P^1(Z/l^t).
 
 Conventions.  An unramified character chi is described by its value
 a = chi(l), a rational function in formal symbols; chi(x) = a^{val(x)}.
@@ -98,26 +96,35 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     With q = (chi/psi)(l) |l|, the factor (1 - q) = L(chi/psi, 1)^{-1}
     telescopes the geometric tail, so the value is the finite sum
     sum_j (c_j - c_{j-1}) q^j with c_{j_min - 1} = 0 and c_top = phi(0, 0)."""
+    return _section(phi, a_chi, a_psi)(g)
+
+
+def _section(phi: SchwartzFn, a_chi, a_psi):
+    """The section of (phi, chi, psi) as a function g -> eval_siegel(phi,
+    a_chi, a_psi, g), with q computed once for all the points."""
     p = phi.p
     a_chi = as_ratfunc(a_chi, p)
-    a_psi = as_ratfunc(a_psi, p)
-    g = [[Fraction(x) for x in row] for row in g]
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if det == 0:
-        raise ZeroDivisionError("g must be invertible")
-    r = (g[1][0], g[1][1])
-    m = min(val(c, p) for c in r if c != 0)
-    q = (a_chi / a_psi) * ell_pow(-2, p)
-    j_min = -phi.s - m
-    j_top = max(phi.n - m, j_min)
-    shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
-    shells.append(_rat(phi.value_at(0, 0)))
-    total = as_ratfunc(0, p)
-    for j, c, c_prev in zip(range(j_min, j_top + 1), shells, [0] + shells):
-        if c != c_prev:
-            total = total + as_ratfunc(c - c_prev, p) * q ** j
-    d = val(det, p)
-    return a_chi ** d * ell_pow(-d, p) * total
+    q = (a_chi / as_ratfunc(a_psi, p)) * ell_pow(-2, p)
+
+    def value(g) -> RatFunc:
+        g = [[Fraction(x) for x in row] for row in g]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        if det == 0:
+            raise ZeroDivisionError("g must be invertible")
+        r = (g[1][0], g[1][1])
+        m = min(val(c, p) for c in r if c != 0)
+        j_min = -phi.s - m
+        j_top = max(phi.n - m, j_min)
+        shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
+        shells.append(_rat(phi.value_at(0, 0)))
+        total = as_ratfunc(0, p)
+        for j, c, c_prev in zip(range(j_min, j_top + 1), shells,
+                                [0] + shells):
+            if c != c_prev:
+                total = total + as_ratfunc(c - c_prev, p) * q ** j
+        d = val(det, p)
+        return a_chi ** d * ell_pow(-d, p) * total
+    return value
 
 
 WEYL = ((0, 1), (-1, 0))
@@ -144,10 +151,7 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
         raise ValueError("mode must be 'closed' or 'direct'")
 
     g = [[Fraction(x) for x in row] for row in g]
-
-    def f_at(h):
-        return eval_siegel(phi, a_chi, a_psi, h)
-
+    f_at = _section(phi, a_chi, a_psi)
     n0 = phi.n + phi.s + 1
 
     # average of f over points(l^nn) for nn = n0, n0 + 1, ...: exact once
@@ -213,13 +217,11 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
     level t.  With unramified characters a section on GL2(Z_l) depends
     only on the line of the bottom row, so the integral is the exact
     average over P^1(Z/l^t)."""
-    phi1, ac1, ap1 = sec1
-    phi2, ac2, ap2 = sec2
+    f1, f2 = _section(*sec1), _section(*sec2)
     reps = projective_line_reps(p, max(t, 1))
     total = as_ratfunc(0, p)
     for g in reps:
-        total = total + (eval_siegel(phi1, ac1, ap1, g)
-                         * eval_siegel(phi2, ac2, ap2, g))
+        total = total + f1(g) * f2(g)
     return total * as_ratfunc(Q(1, len(reps)), p)
 
 
@@ -231,22 +233,11 @@ def support_check(phi: SchwartzFn, a_chi, a_psi, t: int) -> bool:
     if t == 0:
         return True
     mod = p ** t
+    f = _section(phi, a_chi, a_psi)
     for rep in projective_line_reps(p, t):
         c, d = rep[1]
         in_k0 = (c % mod == 0)
-        value = eval_siegel(phi, a_chi, a_psi, rep)
+        value = f(rep)
         if not in_k0 and value != as_ratfunc(0, p):
             return False
     return True
-
-
-def h_section_value(phi_pair, chi_pair, psi_pair, point) -> RatFunc:
-    """Value of the tensor-product section on the subgroup of pairs of
-    GL2 elements with equal determinant: the product of the two GL2
-    section values at the two components of the point."""
-    (phi1, phi2) = phi_pair
-    (ac1, ac2) = chi_pair
-    (ap1, ap2) = psi_pair
-    (g1, g2) = point
-    return (eval_siegel(phi1, ac1, ap1, g1)
-            * eval_siegel(phi2, ac2, ap2, g2))

@@ -12,8 +12,7 @@ Exact-arithmetic implementation of:
   representatives (no Iwasawa step), and the degree-4 Hecke polynomial
   identity,
 * the 4x4 matrix of the parahoric U-operator on the Siegel-parahoric
-  invariants and its characteristic polynomial,
-* a small Hecke-module action used by the reciprocity checks.
+  invariants and its characteristic polynomial.
 
 Satake parameters are carried as formal symbols pinned to a concrete
 prime; the reserved symbol v is the formal square root of the prime,
@@ -185,12 +184,19 @@ def hecke_eigenvalue(op: str, sigma: PrincipalSeriesG) -> RatFunc:
     """Eigenvalue of the spherical Hecke operator on the spherical
     vector: the sum of its values over the left coset representatives.
     The representatives are upper triangular and the spherical vector is
-    1 on GSp4(Z_p), so each value is the Borel factor."""
-    total = as_ratfunc(0, sigma.p)
-    for r in _COSET_FNS[op](sigma.p):
+    1 on GSp4(Z_p), so each value is the Borel factor, which depends only
+    on the valuations of the diagonal: the sum is taken over those, each
+    Borel factor times the number of representatives that share it."""
+    p = sigma.p
+    groups = {}     # diagonal valuations -> [a representative, count]
+    for r in _COSET_FNS[op](p):
         if any(r[i][j] for i in range(4) for j in range(i)):
             raise ArithmeticError("Hecke representative is not in the Borel")
-        total = total + borel_factor(sigma, r)
+        groups.setdefault(tuple(val(r[i][i], p) for i in range(4)),
+                          [r, 0])[1] += 1
+    total = as_ratfunc(0, p)
+    for r, count in groups.values():
+        total = total + count * borel_factor(sigma, r)
     return total
 
 
@@ -261,27 +267,3 @@ def u_matrix_char_poly(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:
     m = [[(one if i == j else as_ratfunc(0, p)) - u[i][j] * x
           for j in range(4)] for i in range(4)]
     return mat_det(m)
-
-
-# -- Hecke-module action ---------------------------------------------------------
-
-def hecke_module_action(xi, f: InducedVectorG) -> InducedVectorG:
-    """Act by xi = sum of (g, coeff) pairs, interpreted as the compactly
-    supported function sum coeff * ch(g K') where K' is f's invariance
-    group with volume normalised to that of the hyperspecial subgroup:
-    (xi . f)(h) = sum coeff * f(h g)."""
-    sigma = f.sigma
-    reps = parahoric_cell_reps()
-    new_values = []
-    for r in reps:
-        c = cell_of(r, sigma.p)
-        total = as_ratfunc(0, sigma.p)
-        for g, coeff in xi:
-            total = total + as_ratfunc(coeff, sigma.p) * eval_induced(
-                f, mat_mul(mat(r), mat(g)))
-        new_values.append((c, total))
-    new_values = tuple(sorted(set(new_values)))
-    cells = [c for c, _ in new_values]
-    if len(cells) != len(set(cells)):
-        raise ValueError("action left the invariant space")
-    return InducedVectorG(sigma, new_values)

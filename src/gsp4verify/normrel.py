@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .besselzeta import tame_pairing
+from .besselzeta import TameDatum
 from .gsp4local import hecke_eigenvalue
 from .padic import (HElt, LevelSpec, SchwartzFn, _padic_residue,
                     act_schwartz, coset_block, identity, in_level, mat,
@@ -420,19 +420,20 @@ def euler_element_eigenvalue(sigma):
     return one - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
 
 
-def frobrecip_pairing_check(k1: int, k2: int, p=None, scalar=None,
+def frobrecip_pairing_check(datum: TameDatum, scalar=None,
                             perturb: bool = False):
     """Verify the pairing identity that converts the tame computation
-    into an Euler-factor statement: the full-level/parahoric coset sum
-    of the depth-1 functional equals the transposed Euler element
-    applied to the depth-0 functional, checked as a single rational
-    identity after pairing with the spherical vector.
+    into an Euler-factor statement for the tame datum: the
+    full-level/parahoric coset sum of the depth-1 functional equals the
+    transposed Euler element applied to the depth-0 functional, checked
+    as a single rational identity after pairing with the spherical
+    vector.
 
     With scalar=c the trivially-true scaling configuration is checked
     instead; perturb=True damages the Euler element and must fail.
     Returns (ok, lhs, rhs)."""
-    _, _, sigma, pairing = tame_pairing(k1, k2, p=p)
-    b0 = pairing("spherical", 0)
+    p = datum.p
+    b0 = datum.pairing("spherical", 0)
     if scalar is not None:
         # R = c * ch(U0) with identical data on both sides
         lhs = as_ratfunc(scalar, p) * b0
@@ -442,10 +443,10 @@ def frobrecip_pairing_check(k1: int, k2: int, p=None, scalar=None,
     # parahoric index verified by explicit enumeration
     index_ok = (p is None or
                 len(siegel_parahoric_reps(p)) == (p + 1) * (p ** 2 + 1))
-    b1 = pairing("spherical", 1)
-    b2 = pairing("ul", 1)
+    b1 = datum.pairing("spherical", 1)
+    b2 = datum.pairing("ul", 1)
     lp = ell(p)
-    e = euler_element_eigenvalue(sigma)
+    e = euler_element_eigenvalue(datum.sigma)
     if perturb:
         e = e * lp
     lhs = (lp + 1) ** 2 * (lp / (lp - 1) * b1 - 1 / (lp - 1) * b2)

@@ -19,7 +19,7 @@ from gsp4verify.gsp4local import (PrincipalSeriesG, hecke_poly_check,
                                   spin_reciprocal, u_matrix_char_poly)
 from gsp4verify.besselzeta import (BesselDatum, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
-                                   zeta, zeta_spherical_closed,
+                                   tame_pairing, zeta, zeta_spherical_closed,
                                    zeta_ul_closed)
 from gsp4verify.branching import (TensorSpace, W_INDEX, W_PRIME,
                                   branch_decompose, build_rep,
@@ -131,14 +131,13 @@ def test_criterion_05_bessel_zeta_identities():
 def test_criterion_06_tame_norm_identities():
     start = time.monotonic()
     ok = True
-    for t in (1, 2, 3):
-        for k1 in (0, 1, 2):
-            for k2 in (0, 1, 2):
-                good, _, _ = tame_norm_check(t, k1, k2)
-                ok &= good
     for k1 in (0, 1, 2):
         for k2 in (0, 1, 2):
-            good, _, _ = tame_norm_ul_check(k1, k2)
+            datum = tame_pairing(k1, k2)
+            for t in (1, 2, 3):
+                good, _, _ = tame_norm_check(t, datum)
+                ok &= good
+            good, _, _ = tame_norm_ul_check(datum)
             ok &= good
     _gate(6, "tame norm relation (both identities)", ok,
           time.monotonic() - start, 30)
@@ -149,9 +148,9 @@ def test_criterion_07_tame_norm_corollary():
     ok = True
     for k1 in (1, 2):
         for k2 in (1, 2):
-            good, _, _ = tame_norm_final_check(k1, k2)
+            good, _, _ = tame_norm_final_check(tame_pairing(k1, k2))
             ok &= good
-    bad, _, _ = tame_norm_final_check(1, 1, perturb=True)
+    bad, _, _ = tame_norm_final_check(tame_pairing(1, 1), perturb=True)
     ok &= not bad
     _gate(7, "combined tame norm corollary", ok,
           time.monotonic() - start, 30)
@@ -198,9 +197,9 @@ def test_criterion_10_branching_laws():
     for a, b in pairs:
         rep = build_rep(a, b)
         ok &= rep.dimension == rep_dimension_formula(a, b)
-        summands = branch_decompose(a, b)
+        summands = branch_decompose(rep)
         ok &= sum((c + 1) * (d + 1) for c, d, q in summands) == rep.dimension
-        ok &= dual_character_check(a, b, rep)
+        ok &= dual_character_check(rep)
         space = TensorSpace(a, b)
         for q in range(a + 1):
             for r in range(b + 1):

@@ -182,21 +182,29 @@ def test_bilinear_form_depth_zero_reference():
     assert b0 == expect
 
 
+@pytest.fixture(scope="module")
+def tame_data():
+    """The formal tame data that the tests below check, each built once
+    for the module."""
+    return {w: tame_pairing(*w)
+            for w in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2))}
+
+
 @pytest.mark.parametrize("label", ["spherical", "ul"])
-def test_shared_pairing_matches_direct_bilinear_form(label):
+def test_shared_pairing_matches_direct_bilinear_form(label, tame_data):
     # the shared path multiplies a depth-free pairing, computed once, by
     # depth_factor(t); check it against the pairing written out without
     # that split: volume of the depth-t subgroup, times the section value
     # at 1, times the first normalising product, times the value at Y = 1
     # of the second normalising product times the z-value
-    tau1, tau2, sigma, pairing = tame_pairing(1, 2)
-    psi, chi = tame_characters(1, 2, tau1, tau2)
+    datum = tame_data[1, 2]
+    psi, chi = tame_characters(1, 2, datum.tau1, datum.tau2)
     one, lp, y = as_ratfunc(1), ell(), sym("Y")
     norm, reg = one, one
     for a, b in zip(psi, chi):
         norm = norm * (one - (b / a) * ell_pow(-2))
         reg = reg / (one - (a / b) * ell_pow(-2) * y)
-    zval = z_section_value(label, sigma, psi, chi)
+    zval = z_section_value(label, datum.sigma, psi, chi)
     limit = substitute(reg * zval, {"Y": one})
     for t in (0, 1, 2):
         vol = one if t == 0 else one / (lp ** (t - 1) * (lp + 1)) ** 2
@@ -205,8 +213,8 @@ def test_shared_pairing_matches_direct_bilinear_form(label):
             for a, b in zip(psi, chi):
                 fval = fval * (one - (a / b) * ell_pow(-2))
         expect = vol * fval * norm * limit
-        shared = pairing(label, t)
-        direct = bilinear_form(t, label, sigma, psi, chi)
+        shared = datum.pairing(label, t)
+        direct = bilinear_form(t, label, datum.sigma, psi, chi)
         assert shared.num == expect.num and shared.den == expect.den, t
         assert direct.num == expect.num and direct.den == expect.den, t
 
@@ -224,14 +232,14 @@ def test_zeta_rejects_series_of_another_datum():
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
-def test_tame_norm_relation(t):
+def test_tame_norm_relation(t, tame_data):
     for k1, k2 in ((0, 0), (1, 2), (2, 2)):
-        ok, lhs, rhs = tame_norm_check(t, k1, k2)
+        ok, lhs, rhs = tame_norm_check(t, tame_data[k1, k2])
         assert ok, (t, k1, k2, lhs, rhs)
 
 
-def test_tame_norm_t0_is_reference():
-    ok, lhs, rhs = tame_norm_check(0, 1, 1)
+def test_tame_norm_t0_is_reference(tame_data):
+    ok, lhs, rhs = tame_norm_check(0, tame_data[1, 1])
     # at depth 0 the displayed right side still carries the Euler
     # factors, so it does NOT reproduce the reference value: guards
     # against an off-by-one in the volume factors
@@ -239,24 +247,24 @@ def test_tame_norm_t0_is_reference():
 
 
 @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 2)])
-def test_tame_norm_ul_relation(k1, k2):
-    ok, lhs, rhs = tame_norm_ul_check(k1, k2)
+def test_tame_norm_ul_relation(k1, k2, tame_data):
+    ok, lhs, rhs = tame_norm_ul_check(tame_data[k1, k2])
     assert ok, (k1, k2, lhs, rhs)
 
 
 @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (2, 2)])
-def test_tame_norm_final(k1, k2):
-    ok, lhs, rhs = tame_norm_final_check(k1, k2)
+def test_tame_norm_final(k1, k2, tame_data):
+    ok, lhs, rhs = tame_norm_final_check(tame_data[k1, k2])
     assert ok, (k1, k2, lhs, rhs)
 
 
-def test_tame_norm_final_perturbed_fails():
-    ok, _, _ = tame_norm_final_check(1, 1, perturb=True)
+def test_tame_norm_final_perturbed_fails(tame_data):
+    ok, _, _ = tame_norm_final_check(tame_data[1, 1], perturb=True)
     assert not ok
 
 
 def test_concrete_prime_consistency():
     # the whole chain also runs with the prime pinned to 2
-    ok, lhs, rhs = tame_norm_check(1, 1, 1, sym("tau1", 2), sym("tau2", 2),
-                                   p=2)
+    datum = tame_pairing(1, 1, sym("tau1", 2), sym("tau2", 2), p=2)
+    ok, lhs, rhs = tame_norm_check(1, datum)
     assert lhs == rhs

@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from gsp4verify import branching as br
-from gsp4verify.padic import identity, mat_add, mat_mul, mat_scalar
+from gsp4verify.padic import (J4, identity, mat, mat_add, mat_mul,
+                              mat_scalar, mat_t)
 
 # ---------------------------------------------------------------- Lie algebra
 
@@ -34,12 +35,26 @@ def _rank(rows):
     return r0
 
 
+def lie_bracket(x, y):
+    return mat_add(mat_mul(x, y), mat_scalar(mat_mul(y, x), -1))
+
+
+def similitude_derivative(x):
+    """Oracle for the Lie basis: the scalar s with x^T J + J x = s J, or
+    None if x is not in the Lie algebra of the similitude group."""
+    lhs = mat_add(mat_mul(mat_t(mat(x)), J4), mat_mul(J4, mat(x)))
+    s = lhs[0][3]
+    if lhs != mat_scalar(J4, s):
+        return None
+    return s
+
+
 def test_lie_basis_shape():
     basis = br.lie_basis()
     assert len(basis) == 11
     assert _rank([_flat(x) for _, x in basis]) == 11
     for name, x in basis:
-        s = br.similitude_derivative(x)
+        s = similitude_derivative(x)
         assert s == (2 if name == "id" else 0)
 
 
@@ -49,13 +64,13 @@ def test_bracket_closure():
     base_rank = _rank(span)
     for _, x in basis:
         for _, y in basis:
-            b = br.lie_bracket(x, y)
+            b = lie_bracket(x, y)
             assert _rank(span + [_flat(b)]) == base_rank
 
 
 def test_not_in_lie_algebra():
     bad = br._e(2, 0)  # lower-left entry without its symplectic companion
-    assert br.similitude_derivative(bad) is None
+    assert similitude_derivative(bad) is None
 
 
 # ------------------------------------------------------------------- Casimir
@@ -87,9 +102,14 @@ def test_casimir_commutes_with_lie_action():
 # -------------------------------------------------- cyclic modules and sizes
 
 
-def test_dimension_formula_across_grid():
-    for a, b in br.grid():
-        rep = br.build_rep(a, b)
+@pytest.fixture(scope="module")
+def reps():
+    """The irreducibles of the grid, each built once for the module."""
+    return {(a, b): br.build_rep(a, b) for a, b in br.grid()}
+
+
+def test_dimension_formula_across_grid(reps):
+    for (a, b), rep in reps.items():
         assert rep.dimension == br.rep_dimension_formula(a, b)
 
 
@@ -111,19 +131,18 @@ def test_wedge_factor_is_five_dimensional_with_companion_vector():
     assert img == {(i,): c for i, c in br.W_PRIME}
 
 
-def test_central_and_dual_characters():
-    for a, b in br.grid():
-        rep = br.build_rep(a, b)
-        assert br.central_character_check(a, b, rep)
-        assert br.dual_character_check(a, b, rep)
+def test_central_and_dual_characters(reps):
+    for rep in reps.values():
+        assert br.central_character_check(rep)
+        assert br.dual_character_check(rep)
 
 
 # ------------------------------------------------------ restriction law
 
 
-def test_branch_decompose_across_grid():
-    for a, b in br.grid():
-        index = br.branch_decompose(a, b)
+def test_branch_decompose_across_grid(reps):
+    for (a, b), rep in reps.items():
+        index = br.branch_decompose(rep)
         assert len(index) == (a + 1) * (b + 1)
         assert sorted(index) == sorted(
             (a + b - q - r, a - q + r, q)

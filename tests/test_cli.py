@@ -4,6 +4,9 @@ determinism, and exit codes."""
 import csv
 import io
 import json
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -175,7 +178,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
-    def bad_builder(config):
+    def bad_builder(config, shared):
         yield ("always-bad", {}, lambda: (False, "1", "2"))
         yield ("boom", {}, lambda: 1 / 0)
         yield ("fine", {}, lambda: True)
@@ -203,3 +206,88 @@ def test_case_ids_unique_across_default_config():
     cases = cli.build_cases(config)
     ids = [(s, c) for s, c, _, _ in cases]
     assert len(ids) == len(set(ids))
+
+
+# -- values shared between the cases of one run -----------------------------------
+
+def test_tame_data_built_once_per_run(monkeypatch):
+    # tame-norm and frobrecip share each tame datum within a run, and a
+    # second run in the same process builds them afresh
+    from gsp4verify import besselzeta
+    expand = besselzeta.bessel_series
+    calls = []
+
+    def counting(datum, n):
+        calls.append(datum)
+        return expand(datum, n)
+    monkeypatch.setattr(besselzeta, "bessel_series", counting)
+    config = cli.SuiteConfig(suites=("tame-norm", "frobrecip"), k_max=0,
+                             t_max=1)
+    for _ in range(2):
+        calls.clear()
+        records = cli.run(config)
+        assert {r["status"] for r in records} == {"pass"}
+        # weights (0, 0) and (1, 1) with the prime formal, (1, 1) at 2
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_branching_builds_each_irreducible_once(monkeypatch, jobs):
+    from gsp4verify import branching
+    rep_space = branching.RepSpace
+    built = []
+
+    def counting(a, b):
+        built.append((a, b))
+        return rep_space(a, b)
+    monkeypatch.setattr(branching, "RepSpace", counting)
+    config = cli.SuiteConfig(suites=("branching",), parallelism=jobs)
+    records = cli.run(config)
+    assert {r["status"] for r in records} == {"pass"}
+    pairs = [(a, b) for a, b in branching.grid()
+             if a <= config.a_max and b <= config.b_max]
+    assert sorted(built) == sorted(pairs)
+
+
+def test_shared_values_compute_each_key_once_across_threads(monkeypatch):
+    # more threads than cores, a short switch interval and a computation
+    # that gives up the interpreter: a check-then-act on the store that
+    # is not atomic would compute some key twice
+    computed = []
+
+    def compute(key):
+        computed.append(key)
+        time.sleep(0.001)
+        return object()
+    monkeypatch.setattr(cli, "_compute_shared", compute)
+    shared = cli.SharedValues()
+    keys = [("rep", i % 7, 0) for i in range(400)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            values = list(pool.map(shared, keys, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(computed) == sorted(set(keys))
+    assert all(v is values[i % 7] for i, v in enumerate(values))
+
+
+def test_failed_shared_value_is_an_error_of_each_case(monkeypatch):
+    # a value whose computation raises is not kept: every case that
+    # needs it computes it again and records the same error
+    from gsp4verify import branching
+    attempts = []
+
+    def broken(a, b):
+        attempts.append((a, b))
+        raise ArithmeticError("no irreducible (%d, %d)" % (a, b))
+    monkeypatch.setattr(branching, "build_rep", broken)
+    records = cli.run(cli.SuiteConfig(suites=("branching",), a_max=1,
+                                      b_max=0))
+    errors = {r["case"]: r["lhs"] for r in records if r["status"] == "error"}
+    assert errors == {
+        "%s-a%d-b0" % (check, a): "ArithmeticError: no irreducible (%d, 0)"
+        % a for check in ("dimension", "decompose", "dual", "central")
+        for a in (0, 1)}
+    assert sorted(attempts) == [(0, 0)] * 4 + [(1, 0)] * 4

@@ -328,6 +328,18 @@ def test_pairing_level_independence():
 
 # -- tensor-product sections ---------------------------------------------------
 
+def h_section_value(phi_pair, chi_pair, psi_pair, point):
+    """Value of the tensor-product section on the subgroup of pairs of
+    GL2 elements with equal determinant: the product of the two GL2
+    section values at the two components of the point."""
+    (phi1, phi2) = phi_pair
+    (ac1, ac2) = chi_pair
+    (ap1, ap2) = psi_pair
+    (g1, g2) = point
+    return (gl.eval_siegel(phi1, ac1, ap1, g1)
+            * gl.eval_siegel(phi2, ac2, ap2, g2))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_h_section_values(p):
     a1, b1 = sym("alpha1", p), sym("beta1", p)
@@ -335,10 +347,10 @@ def test_h_section_values(p):
     one = as_ratfunc(1, p)
     expect = ((one - (a1 / b1) * Q(1, p)) * (one - (a2 / b2) * Q(1, p)))
     for t in (0, 1, 2):
-        value = gl.h_section_value(
+        value = h_section_value(
             (phi_t(p, t), phi_t(p, t)), (a1, a2), (b1, b2), (I2, I2))
         assert value == (one if t == 0 else expect)
     # support: one long Weyl component kills the value for t >= 1
-    value = gl.h_section_value(
+    value = h_section_value(
         (phi_t(p, 1), phi_t(p, 1)), (a1, a2), (b1, b2), (W, I2))
     assert value == as_ratfunc(0, p)

@@ -8,7 +8,7 @@ from gsp4verify import gsp4local, padic
 from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   borel_factor, cell_of, eval_induced,
                                   hecke_eigenvalue, hecke_poly_check,
-                                  hecke_module_action, parahoric_cell_reps,
+                                  parahoric_cell_reps,
                                   parahoric_u_matrix, spin_l_factor,
                                   spin_reciprocal, u_matrix_char_poly)
 from gsp4verify.padic import (LevelSpec, identity, in_level, mat, mat_mul,
@@ -133,6 +133,29 @@ def test_hecke_polynomial_perturbed_fails():
     assert not ok
 
 
+@pytest.mark.parametrize("op,reps", [("T", padic.hecke_t_reps),
+                                     ("T1", padic.hecke_t1_reps),
+                                     ("R", padic.hecke_r_reps)])
+def test_hecke_eigenvalue_is_sum_over_representatives(monkeypatch, op, reps):
+    # one Borel factor per diagonal, times the number of representatives
+    # that share it, equals the sum over every representative
+    p = 3
+    s = sigma_for(p)
+    plain = as_ratfunc(0, p)
+    for r in reps(p):
+        plain = plain + borel_factor(s, r)
+    diagonals = {tuple(padic.val(r[i][i], p) for i in range(4))
+                 for r in reps(p)}
+    calls = []
+
+    def counting(sigma, b):
+        calls.append(b)
+        return borel_factor(sigma, b)
+    monkeypatch.setattr(gsp4local, "borel_factor", counting)
+    assert hecke_eigenvalue(op, s) == plain
+    assert len(calls) == len(diagonals)
+
+
 def test_hecke_path_makes_no_iwasawa_call(monkeypatch):
     """The spherical eigenvalues sum Borel factors over upper triangular
     coset representatives: no decomposition and no lattice keys."""
@@ -177,6 +200,27 @@ def test_u_matrix_trace():
     for g in s.spin_params():
         expect = expect + g * ell_pow(3, p)
     assert tr == expect
+
+
+def hecke_module_action(xi, f: InducedVectorG) -> InducedVectorG:
+    """Act by xi = sum of (g, coeff) pairs, interpreted as the compactly
+    supported function sum coeff * ch(g K') where K' is f's invariance
+    group with volume normalised to that of the hyperspecial subgroup:
+    (xi . f)(h) = sum coeff * f(h g).  An oracle for eval_induced: the
+    tests below compose and combine its values."""
+    sigma = f.sigma
+    new_values = []
+    for r in parahoric_cell_reps():
+        total = as_ratfunc(0, sigma.p)
+        for g, coeff in xi:
+            total = total + as_ratfunc(coeff, sigma.p) * eval_induced(
+                f, mat_mul(mat(r), mat(g)))
+        new_values.append((cell_of(r, sigma.p), total))
+    new_values = tuple(sorted(set(new_values)))
+    cells = [c for c, _ in new_values]
+    if len(cells) != len(set(cells)):
+        raise ValueError("action left the invariant space")
+    return InducedVectorG(sigma, new_values)
 
 
 def test_module_action_identity_and_composition():

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from gsp4verify import normrel as nr
+from gsp4verify.besselzeta import tame_pairing
 from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
                               identity, in_level, is_p_unit, mat, mat_det,
                               mat_inv, mat_mul, min_val, val)
@@ -229,32 +230,42 @@ def test_wild_rejects_bad_params():
 # ------------------------------------------- Frobenius reciprocity pairing
 
 
-def test_frobrecip_scalar_case():
-    ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, scalar=Q(5, 7))
+@pytest.fixture(scope="module")
+def tame_data():
+    """The tame data that the tests below check, each built once for the
+    module; the key is (k1, k2, prime)."""
+    return {w: tame_pairing(w[0], w[1], p=w[2])
+            for w in ((1, 1, None), (2, 1, None), (1, 1, 2))}
+
+
+def test_frobrecip_scalar_case(tame_data):
+    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, None],
+                                              scalar=Q(5, 7))
     assert ok and lhs == rhs
 
 
-def test_frobrecip_formal():
+def test_frobrecip_formal(tame_data):
     for k1, k2 in [(1, 1), (2, 1)]:
-        ok, lhs, rhs = nr.frobrecip_pairing_check(k1, k2)
+        ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[k1, k2, None])
         assert ok, (k1, k2)
 
 
-def test_frobrecip_concrete_prime():
-    ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, p=2)
+def test_frobrecip_concrete_prime(tame_data):
+    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, 2])
     assert ok
 
 
-def test_frobrecip_wrong_parahoric_index_fails(monkeypatch):
+def test_frobrecip_wrong_parahoric_index_fails(monkeypatch, tame_data):
     from gsp4verify import padic
     monkeypatch.setattr(nr, "siegel_parahoric_reps",
                         lambda p: padic.siegel_parahoric_reps(p)[:-1])
-    ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, p=2)
+    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, 2])
     assert ok is False
 
 
-def test_frobrecip_perturbed_fails():
-    ok, lhs, rhs = nr.frobrecip_pairing_check(1, 1, perturb=True)
+def test_frobrecip_perturbed_fails(tame_data):
+    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, None],
+                                              perturb=True)
     assert not ok
 
 

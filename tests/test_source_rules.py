@@ -1,7 +1,8 @@
 """Source rules of the library: invariants raise real exceptions (an
 `assert` statement vanishes under `python -O`), no module keeps a
-hidden global cache rebound through a `global` statement, and no
-private module-level name is left without a reader."""
+hidden global cache, whether rebound through a `global` statement or
+filled in place, and no private module-level name is left without a
+reader."""
 
 import ast
 import collections
@@ -68,3 +69,89 @@ def test_private_module_names_are_read_elsewhere(path):
             for name, stmt in _private_definitions(TREES[path])
             if READS[name] == _references(stmt)[name]]
     assert dead == []
+
+
+#: methods that change a dict, list or set in place
+MUTATORS = frozenset({"append", "setdefault", "update", "add", "pop",
+                      "clear"})
+
+
+def _module_names(tree):
+    """Names the module binds at its top level by assignment."""
+    names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _functions(tree):
+    """The module's functions and the methods of its classes; a nested
+    function is part of the function that encloses it."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body
+                        if isinstance(n, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node
+
+
+def _local_names(fn):
+    """Names a function binds anywhere in its body, arguments included."""
+    names = {a.arg for n in ast.walk(fn) if isinstance(n, ast.arguments)
+             for a in n.posonlyargs + n.args + n.kwonlyargs
+             + [n.vararg, n.kwarg] if a is not None}
+    names.update(n.id for n in ast.walk(fn)
+                 if isinstance(n, ast.Name) and not isinstance(n.ctx,
+                                                               ast.Load))
+    return names
+
+
+def _writes_to_module_state(tree):
+    """(line, name) of each store into, or mutating method call on, a
+    module-level name inside a function: `X[k] = ...`, `del X[k]` and
+    `X.append(...)`-style calls."""
+    module = _module_names(tree)
+    for fn in _functions(tree):
+        shared = module - _local_names(fn)
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript)
+                    and not isinstance(node.ctx, ast.Load)):
+                target = node.value
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in shared:
+                yield node.lineno, target.id
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_leave_module_containers_alone(path):
+    """A function that fills a module-level container is a hidden
+    global cache: what one check costs would depend on which checks ran
+    before it.  Values shared between checks are handed to them."""
+    bad = [f"{path.name}:{line}: {name}"
+           for line, name in _writes_to_module_state(TREES[path])]
+    assert bad == []
+
+
+def test_module_state_rule_flags_a_cache():
+    tree = ast.parse(
+        "_CACHE = {}\n"
+        "_SEEN = []\n"
+        "def f(k):\n"
+        "    _CACHE[k] = 1\n"
+        "    _SEEN.append(k)\n"
+        "    seen = []\n"
+        "    seen.append(k)\n"
+        "class C:\n"
+        "    def g(self, k):\n"
+        "        _CACHE.setdefault(k, 2)\n"
+        "def h(_CACHE):\n"
+        "    _CACHE[0] = 1\n")
+    assert sorted(_writes_to_module_state(tree)) == [
+        (4, "_CACHE"), (5, "_SEEN"), (10, "_CACHE")]
