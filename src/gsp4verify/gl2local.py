@@ -2,13 +2,16 @@
 
 Implements, in exact arithmetic:
 
-* local L-factors of unramified characters,
 * principal-series sections attached to Schwartz functions on Q_l^2 via a
   Tate-type zeta integral ("Siegel sections"); once normalised by
   L(chi/psi, 1)^{-1}, each value is a finite Laurent sum in
   q = (chi/psi)(l) l^{-1},
-* the normalised standard intertwining operator, both as a direct shell
-  integral and in closed form via the Fourier transform,
+* the normalised standard intertwining operator, both as a direct
+  integral and in closed form via the Fourier transform.  The direct
+  integral is a finite sum: a section of phi (scale s, level n) is
+  right-invariant under the principal congruence subgroup K(l^L),
+  L = max(0, s + n), so each of its averages is taken at one modulus
+  computed from L and the valuations of g,
 * the duality pairing of a principal series against its inverse-character
   dual, computed as a finite average over P^1(Z/l^t).
 
@@ -25,18 +28,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcore import ExactArithmeticError, RatFunc, as_ratfunc, ell_pow
-from .padic import Cyc, SchwartzFn, fourier, mat_mul, val
+from .symcore import RatFunc, as_ratfunc, ell_pow
+from .padic import Cyc, SchwartzFn, fourier, mat_mul, min_val, val
 
 Q = Fraction
-
-
-# moduli tried by a stabilising average, and shells summed before the tail
-SHELL_BOUND = 24
-
-
-class ShellBoundExceeded(ExactArithmeticError):
-    """A shell integral failed to stabilise within SHELL_BOUND steps."""
 
 
 def _rat(x) -> Fraction:
@@ -44,21 +39,6 @@ def _rat(x) -> Fraction:
     if isinstance(x, Cyc):
         return x.as_rational()
     return Fraction(x)
-
-
-def l_factor(a, shift, prime=None) -> RatFunc:
-    """L(chi, shift) = 1/(1 - chi(l) l^{-shift}) for unramified chi with
-    chi(l) = a.  `shift` may be a half-integer (Fraction with denominator
-    2); l^{-shift} is expressed through the formal square root v."""
-    a = as_ratfunc(a, prime)
-    two_shift = Fraction(shift) * 2
-    if two_shift.denominator != 1:
-        raise ValueError("shift must be a half-integer")
-    one = as_ratfunc(1, a.prime)
-    den = one - a * ell_pow(-int(two_shift), a.prime)
-    if den == as_ratfunc(0, a.prime):
-        raise ZeroDivisionError("L-factor has a pole at this shift")
-    return one / den
 
 
 def _unit_average(phi: SchwartzFn, j: int, r) -> Fraction:
@@ -137,9 +117,13 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
 
     closed mode: (1 - (a_chi/a_psi) l^{-1}) * section of (phi^, psi, chi),
     valid for unramified characters.  direct mode: the unipotent integral
-    L(chi/psi, 0)^{-1} * int f(w n(u) g) du computed shell by shell, with
-    the tail summed as a geometric series once the shell values
-    stabilise."""
+    L(chi/psi, 0)^{-1} * int f(w n(u) g) du over u in Z_l and the shells
+    val(u) = -j.  The section f is right-invariant under K(l^L),
+    L = max(0, s + n), and g^{-1} n(x) g, g^{-1} nbar(x) g lie in K(l^L)
+    once val(x) >= top = L - min_val(g) - min_val(g^{-1}).  So the Z_l
+    part is one average over u mod l^top, shell j < top is one average
+    over units mod l^(top - j), and every shell from max(1, top) on equals
+    f(g), which sums to a geometric tail."""
     p = phi.p
     a_chi = as_ratfunc(a_chi, p)
     a_psi = as_ratfunc(a_psi, p)
@@ -152,47 +136,31 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
 
     g = [[Fraction(x) for x in row] for row in g]
     f_at = _section(phi, a_chi, a_psi)
-    n0 = phi.n + phi.s + 1
+    fg = f_at(g)                      # raises unless g is invertible
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    # g^{-1} = adj(g) / det g, so min_val(g^{-1}) = min_val(g) - val(det g)
+    top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
 
-    # average of f over points(l^nn) for nn = n0, n0 + 1, ...: exact once
-    # three consecutive moduli agree
-    def stable_average(points):
-        history = []
-        for nn in range(n0, n0 + SHELL_BOUND):
-            hs = points(p ** nn)
-            tot = as_ratfunc(0, p)
-            for h in hs:
-                tot = tot + f_at(h)
-            history.append(tot * as_ratfunc(Q(1, len(hs)), p))
-            if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-                return history[-1]
-        raise ShellBoundExceeded("average did not stabilise")
-
-    # shell val(u) = -j, rewritten via u -> 1/u as an integral over the
-    # opposite unipotent:  S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g)
-    def shell_avg(j):
-        return stable_average(lambda mod: [
-            mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
-            for e in range(1, mod) if e % p])
+    def average(points):
+        total = as_ratfunc(0, p)
+        for h in points:
+            total = total + f_at(h)
+        return total * as_ratfunc(Q(1, len(points)), p)
 
     # integral over u in Z_l
-    total = stable_average(lambda mod: [
-        mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g) for u in range(mod)])
+    total = average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
+                     for u in range(p ** top)])
+    # shell val(u) = -j, rewritten via u -> 1/u as an integral over the
+    # opposite unipotent:  S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g)
     a_r = a_chi / a_psi
     unit_vol = one - as_ratfunc(Q(1, p), p)
-    fg = f_at(g)
-    j = 1
-    while True:
-        if j > SHELL_BOUND:
-            raise ShellBoundExceeded("shell bound exceeded")
-        avg = shell_avg(j)
-        if (avg == fg and shell_avg(j + 1) == fg
-                and shell_avg(j + 2) == fg):
-            # stabilised: geometric tail sum_{i >= j} a_r^i (1-1/l) fg
-            total = total + a_r ** j / (one - a_r) * unit_vol * fg
-            break
-        total = total + a_r ** j * unit_vol * avg
-        j += 1
+    tail = max(1, top)
+    for j in range(1, tail):
+        total = total + a_r ** j * unit_vol * average([
+            mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
+            for e in range(1, p ** (top - j)) if e % p])
+    # geometric tail sum_{j >= tail} a_r^j (1 - 1/l) f(g)
+    total = total + a_r ** tail / (one - a_r) * unit_vol * fg
     return (one - a_r) * total
 
 

@@ -321,8 +321,14 @@ def wild_coset_identity(p: int, m: int, n: int):
     for g in _kmn_generators(p, m, n):
         for b in blocks:
             moved = mat_mul(g, mats[b])
-            if not any(in_level(mat_mul(inverses[b2], moved), spec, p)
-                       for b2 in blocks):
+            # coset_block(b2)^{-1} moved has the lower rows of moved and
+            # the upper-right block (B - X2 D) / p, where B, D are the
+            # right-hand blocks of moved and X2 = [[u, v], [w, u]]; the
+            # level group needs D = 1 mod p, so the only candidate is
+            # X2 = B mod p, and b2 = (u, v, w) is read off B
+            b2 = tuple(_padic_residue(moved[i][j], p, p)
+                       for i, j in ((0, 2), (0, 3), (1, 2)))
+            if not in_level(mat_mul(inverses[b2], moved), spec, p):
                 return False, {"failed": "coset stability", "at": b}
     report["cosets"] = len(blocks)
 

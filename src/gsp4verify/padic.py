@@ -334,20 +334,10 @@ class LevelSpec:
       "K0"    : Siegel parahoric, C = 0 mod p
       "K1det" : det = 1 mod p inside GSp4(Z_p)
       "Kmn"   : C = 0, D = 1 mod p^n and mu = 1 mod p^m
-      "Kmn2"  : additionally A = 0 (off-diag), B = 1 mod p^m; C, D as above
-      "princ" : g = 1 mod p^n
     """
     kind: str
     m: int = 0
     n: int = 0
-
-
-def _blocks(g):
-    A = (g[0][:2], g[1][:2])
-    B = (g[0][2:], g[1][2:])
-    C = (g[2][:2], g[3][:2])
-    D = (g[2][2:], g[3][2:])
-    return A, B, C, D
 
 
 def _cong(mat2, target, p, k):
@@ -371,7 +361,8 @@ def in_level(g, spec: LevelSpec, p: int) -> bool:
         return False
     if val(mu, p) != 0:
         return False
-    A, B, C, D = _blocks(g)
+    C = (g[2][:2], g[3][:2])
+    D = (g[2][2:], g[3][2:])
     Z2 = ((Q(0), Q(0)), (Q(0), Q(0)))
     I2 = ((Q(1), Q(0)), (Q(0), Q(1)))
     k = spec.kind
@@ -384,12 +375,6 @@ def in_level(g, spec: LevelSpec, p: int) -> bool:
     if k == "Kmn":
         return (_cong(C, Z2, p, spec.n) and _cong(D, I2, p, spec.n)
                 and val(mu - 1, p) >= spec.m)
-    if k == "Kmn2":
-        return (_cong(C, Z2, p, spec.n) and _cong(D, I2, p, spec.n)
-                and _cong(A, I2, p, spec.m) and _cong(B, Z2, p, spec.m)
-                and val(mu - 1, p) >= spec.m)
-    if k == "princ":
-        return _cong(g, identity(4), p, spec.n)
     raise ValueError(f"unknown level spec {spec!r}")
 
 

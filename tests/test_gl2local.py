@@ -77,23 +77,38 @@ def _dual_pairing_reference(sec1, sec2, t, p):
     return total * as_ratfunc(Q(1, count), p)
 
 
-# -- L-factors ----------------------------------------------------------------
+# -- L-factors: the oracle for the normalising factors ------------------------
+
+def l_factor(a, shift, prime=None):
+    """L(chi, shift) = 1/(1 - chi(l) l^{-shift}) for unramified chi with
+    chi(l) = a.  `shift` may be a half-integer (Fraction with denominator
+    2); l^{-shift} is expressed through the formal square root v."""
+    a = as_ratfunc(a, prime)
+    two_shift = Q(shift) * 2
+    if two_shift.denominator != 1:
+        raise ValueError("shift must be a half-integer")
+    one = as_ratfunc(1, a.prime)
+    den = one - a * ell_pow(-int(two_shift), a.prime)
+    if den == as_ratfunc(0, a.prime):
+        raise ZeroDivisionError("L-factor has a pole at this shift")
+    return one / den
+
 
 def test_l_factor_basic():
     p = 3
     X = sym("X", p)
     one = as_ratfunc(1, p)
-    assert gl.l_factor(X, 0, p) == one / (one - X)
+    assert l_factor(X, 0, p) == one / (one - X)
     al, be = sym("alpha", p), sym("beta", p)
-    assert gl.l_factor(al / be, 1, p) == one / (one - (al / be) * Q(1, p))
+    assert l_factor(al / be, 1, p) == one / (one - (al / be) * Q(1, p))
     # half-integer shift goes through the formal square root of the prime
-    assert gl.l_factor(al, Q(1, 2), p) == one / (one - al * ell_pow(-1, p))
+    assert l_factor(al, Q(1, 2), p) == one / (one - al * ell_pow(-1, p))
 
 
 def test_l_factor_pole():
     p = 2
     with pytest.raises(ZeroDivisionError):
-        gl.l_factor(as_ratfunc(Q(1, 2), p), -1, p)
+        l_factor(as_ratfunc(Q(1, 2), p), -1, p)
 
 
 # -- section values (criterion 1 material) ------------------------------------
@@ -104,7 +119,7 @@ def test_section_value_at_identity(p):
     ac, ap = al * X, be / X
     one = as_ratfunc(1, p)
     assert gl.eval_siegel(phi_t(p, 0), ac, ap, I2) == one
-    linv = one - (al / be) * X * X * ell_pow(-2, p)
+    linv = one / l_factor(ac / ap, 1, p)
     for t in (1, 2, 3):
         assert gl.eval_siegel(phi_t(p, t), ac, ap, I2) == linv
 
@@ -236,6 +251,23 @@ def test_intertwining_functional_equation(p):
             closed = gl.intertwine(phi, ac, ap, g, "closed")
             direct = gl.intertwine(phi, ac, ap, g, "direct")
             assert closed == direct
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_intertwining_direct_at_deep_modulus(p):
+    # sections of scale s > 0 or level 2 at points with 1/l^2 entries: the
+    # direct mode averages modulo l^top with top = 5 or 6 here, beyond the
+    # top <= 3 of the default CLI grid
+    al, be, X = chars(p)
+    ac, ap = al * X, be / X
+    phis = [SchwartzFn.coset(p, Q(1, p), 1, 1),
+            SchwartzFn.lattice_product(p, -1, 1),
+            SchwartzFn.unit_column(p, 2), SchwartzFn.depth_pair(p, 2)]
+    assert all(phi.s > 0 or phi.n == 2 for phi in phis)
+    for phi in phis:
+        for g in [((Q(1, p), 2), (3, p * p)), ((1, Q(1, p * p)), (0, 1))]:
+            assert (gl.intertwine(phi, ac, ap, g, "direct")
+                    == gl.intertwine(phi, ac, ap, g, "closed"))
 
 
 def test_intertwining_special_reducible_point():

@@ -9,7 +9,8 @@ from gsp4verify import normrel as nr
 from gsp4verify.besselzeta import tame_pairing
 from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
                               identity, in_level, is_p_unit, mat, mat_det,
-                              mat_inv, mat_mul, min_val, val)
+                              mat_inv, mat_mul, mat_t, min_val, root_unipotent,
+                              val)
 
 # ------------------------------------------------------------- local data
 
@@ -57,7 +58,6 @@ def test_invalid_roles_and_params():
 def test_xi_equality_is_coset_aware():
     p = 3
     spec = LevelSpec("G")
-    from gsp4verify.padic import root_unipotent
     g = root_unipotent(0, 1)
     a = nr.XiElt(p, spec, ((identity(4), Q(1)),))
     b = nr.XiElt(p, spec, ((g, Q(1)),))          # same coset of GSp4(Z_3)
@@ -194,6 +194,23 @@ def test_wild_coset_identity(pmn):
     else:
         assert report["special_case"] is None
         assert report["conjugate_terms"] == p
+
+
+@pytest.mark.parametrize("pmn,at", [((2, 0, 1), (0, 0, 1)),
+                                    ((3, 1, 1), (0, 0, 1)),
+                                    ((2, 1, 2), (0, 0, 0))])
+def test_wild_coset_stability_rejects_a_generator_outside_the_level(
+        pmn, at, monkeypatch):
+    # the transposed shear adds row 1 of the coset matrix (u, v, w) to
+    # row 2, putting p into its C block and w, u into its D block: at n = 1
+    # the first coset it moves off the family is (0, 0, 1), at n = 2 it is
+    # (0, 0, 0)
+    p, m, n = pmn
+    generators = nr._kmn_generators
+    monkeypatch.setattr(nr, "_kmn_generators", lambda *a: (
+        generators(*a) + [mat_t(root_unipotent(1, 1))]))
+    ok, report = nr.wild_coset_identity(p, m, n)
+    assert (ok, report) == (False, {"failed": "coset stability", "at": at})
 
 
 def test_wild_witnesses_are_exact_factorisations():

@@ -240,16 +240,10 @@ def _in_level_reference(g, spec, p):
         return cong(bottom, top, zero, 1)
     if spec.kind == "K1det":
         return val(mat_det(g) - 1, p) >= 1
-    kmn = (cong(bottom, top, zero, spec.n)
-           and cong(bottom, bottom, one, spec.n)
-           and val(mu - 1, p) >= spec.m)
-    if spec.kind == "Kmn":
-        return kmn
-    if spec.kind == "Kmn2":
-        return (kmn and cong(top, top, one, spec.m)
-                and cong(top, bottom, zero, spec.m))
-    assert spec.kind == "princ"
-    return cong(range(4), range(4), one, spec.n)
+    assert spec.kind == "Kmn"
+    return (cong(bottom, top, zero, spec.n)
+            and cong(bottom, bottom, one, spec.n)
+            and val(mu - 1, p) >= spec.m)
 
 
 @st.composite
@@ -282,8 +276,7 @@ def _level_inputs(draw):
 def test_in_level_matches_reference_conjunction(inputs, m, n):
     g, p = inputs
     for spec in (LevelSpec("G"), LevelSpec("K0"), LevelSpec("K1det"),
-                 LevelSpec("Kmn", m, n), LevelSpec("Kmn2", m, n),
-                 LevelSpec("princ", 0, n)):
+                 LevelSpec("Kmn", m, n)):
         assert in_level(g, spec, p) == _in_level_reference(g, spec, p), spec
 
 
