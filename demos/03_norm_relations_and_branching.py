@@ -12,8 +12,9 @@ unipotent.
 from gsp4verify.besselzeta import tame_norm_final_check, tame_pairing
 from gsp4verify.normrel import (frobrecip_pairing_check, indept_identity,
                                 sufficiency_check, wild_coset_identity)
-from gsp4verify.branching import (branch_decompose, build_rep,
-                                  rep_dimension_formula, twist_lemma_check)
+from gsp4verify.branching import (TensorSpace, branch_decompose, build_rep,
+                                  hw_vector, rep_dimension_formula,
+                                  twist_lemma_check)
 
 print("== tame norm relation (combined form, formal prime) ==")
 # the weight-(1, 1) tame datum: its pairings are computed once and read
@@ -47,5 +48,7 @@ print("dim V(%d,%d) =" % (a, b), rep_dimension_formula(a, b))
 print("restriction decomposes as (c, d, twist q):")
 for c, d, q in branch_decompose(build_rep(a, b)):
     print("   W(%d,%d) tensor det^%d" % (c, d, q))
-ok, lhs, rhs = twist_lemma_check(a, b, 1, 0, 2)
+space = TensorSpace(a, b)
+ok, lhs, rhs = twist_lemma_check(space, hw_vector(a, b, 1, 0, space),
+                                 hw_vector(a, b, 0, 0, space), 1, 2)
 print("unipotent twist identity at (q,r,h)=(1,0,2):", ok)

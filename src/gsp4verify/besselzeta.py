@@ -22,14 +22,12 @@ in the denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .symcore import (ExactArithmeticError, PowerSeries, RatFunc, as_ratfunc,
                       ell, ell_pow, reconstruct_ratfunc, series_expand,
                       substitute, sym)
 from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
-Q = Fraction
 
 #: variable of the Bessel generating function / zeta integral
 U_VAR = "u"
@@ -124,19 +122,6 @@ def ul_bessel_transform(series: BesselSeries, k: int = 1) -> BesselSeries:
     vals = tuple(factor * series.value(n + k)
                  for n in range(series.order - k + 1))
     return BesselSeries(series.datum, vals)
-
-
-def torus_translate(series: BesselSeries, ja: int, jb: int,
-                    jt: int) -> BesselSeries:
-    """Bessel values of the vector translated by the torus element
-    diag(t a, t b, a, b) with valuations (ja, jb, jt): the (a, b)-part
-    acts through the functional's character, the central t-part shifts
-    the argument."""
-    d = series.datum
-    factor = d.lam1 ** ja * d.lam2 ** jb
-    vals = tuple(factor * series.value(n + jt)
-                 for n in range(series.order - max(jt, 0) + 1))
-    return BesselSeries(d, vals)
 
 
 def _series_to_ratfunc(series: BesselSeries, num_deg: int) -> RatFunc:

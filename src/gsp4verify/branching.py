@@ -468,19 +468,17 @@ def s_weight_projection(space: TensorSpace, vec: dict, weight: int) -> dict:
             if space.sweight(idx) == weight}
 
 
-def twist_lemma_check(a: int, b: int, q: int, r: int, h: int):
+def twist_lemma_check(space: TensorSpace, v: dict, v0: dict, q: int,
+                      h: int):
     """Check that the projection of the h-th twist of the (q, r)
-    highest-weight vector to the top weight space of the rank-1 torus
-    diag(x,x,1,1) equals (2h)^q times the (0, r) vector.  Returns
-    (ok, lhs, rhs)."""
+    highest-weight vector v to the top weight space of the rank-1 torus
+    diag(x,x,1,1) equals (2h)^q times the (0, r) vector v0, both built
+    by hw_vector in space.  Returns (ok, lhs, rhs)."""
     if h == 0:
         raise ValueError("h must be non-zero")
-    space = TensorSpace(a, b)
-    v = hw_vector(a, b, q, r, space)
     twisted = space.apply_group(twist_element(h), v)
-    lhs = s_weight_projection(space, twisted, 2 * a + b)
-    rhs = {k: Q(2 * h) ** q * c
-           for k, c in hw_vector(a, b, 0, r, space).items()}
+    lhs = s_weight_projection(space, twisted, 2 * space.a + space.b)
+    rhs = {k: Q(2 * h) ** q * c for k, c in v0.items()}
     return lhs == rhs, lhs, rhs
 
 

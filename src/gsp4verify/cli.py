@@ -85,12 +85,14 @@ def _canon(x):
 class SharedValues:
     """The values that several cases of one run read, keyed by data:
     ``("pairing", k1, k2, p)`` is the weight-(k1, k2) tame datum at the
-    prime p (formal if None), and ``("rep", a, b)`` the irreducible with
-    highest weight (a+b, a, 0).  Calling the store with a key returns
-    the value, computed on first use and kept for the run.  One lock
-    serialises the computations, because the pool runs cases on
-    threads.  A computation that raises stores nothing, so every case
-    that needs the value records the same error."""
+    prime p (formal if None), ``("rep", a, b)`` the irreducible with
+    highest weight (a+b, a, 0), and ``("hw", a, b, q, r)`` the
+    highest-weight vector of its (q, r) summand in TensorSpace(a, b).
+    Calling the store with a key returns the value, computed on first
+    use and kept for the run.  One lock serialises the computations,
+    because the pool runs cases on threads.  A computation that raises
+    stores nothing, so every case that needs the value records the same
+    error."""
 
     def __init__(self):
         self._values = {}
@@ -112,6 +114,9 @@ def _compute_shared(key):
     if kind == "rep":
         from .branching import build_rep
         return build_rep(*args)
+    if kind == "hw":
+        from .branching import TensorSpace, hw_vector
+        return hw_vector(*args, TensorSpace(*args[:2]))
     raise KeyError(key)
 
 
@@ -280,8 +285,7 @@ def _cases_wild_norm(config, shared):
 def _cases_branching(config, shared):
     from .branching import (TensorSpace, branch_decompose,
                             central_character_check, dual_character_check,
-                            grid, hw_vector, rep_dimension_formula,
-                            twist_lemma_check)
+                            grid, rep_dimension_formula, twist_lemma_check)
     pairs = [(a, b) for (a, b) in grid()
              if a <= config.a_max and b <= config.b_max]
     for a, b in pairs:
@@ -304,16 +308,16 @@ def _cases_branching(config, shared):
             continue
         for q in range(a + 1):
             for r in range(b + 1):
-                def hw(a=a, b=b, q=q, r=r):
-                    vec = hw_vector(a, b, q, r, TensorSpace(a, b))
-                    return bool(vec), None, None
+                key, key0 = ("hw", a, b, q, r), ("hw", a, b, 0, r)
                 yield ("hw-a%d-b%d-q%d-r%d" % (a, b, q, r),
-                       {"a": a, "b": b, "q": q, "r": r}, hw)
+                       {"a": a, "b": b, "q": q, "r": r},
+                       lambda key=key: (bool(shared(key)), None, None))
                 for h in (1, -1):
                     yield ("twist-a%d-b%d-q%d-r%d-h%d" % (a, b, q, r, h),
                            {"a": a, "b": b, "q": q, "r": r, "h": h},
-                           lambda a=a, b=b, q=q, r=r, h=h:
-                           twist_lemma_check(a, b, q, r, h))
+                           lambda a=a, b=b, q=q, h=h, key=key, key0=key0:
+                           twist_lemma_check(TensorSpace(a, b), shared(key),
+                                             shared(key0), q, h))
 
 
 def _cases_local_data(config, shared):

@@ -22,15 +22,12 @@ carrying the half-integer modulus exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .symcore import RatFunc, as_ratfunc, ell_pow, sym
 from .padic import (GSp4Elt, _padic_residue, gsp4_multiplier, hecke_r_reps,
                     hecke_t1_reps, hecke_t_reps, identity, iwasawa_gsp4, mat,
                     mat_det, mat_mul, rref_modp, siegel_u_reps, val, weyl_s1,
                     weyl_s2)
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
@@ -67,22 +64,6 @@ class PrincipalSeriesG:
         """Twist by an unramified character of the similitude factor."""
         return PrincipalSeriesG(self.p, self.alpha, self.beta,
                                 self.c * as_ratfunc(eta_value, self.p))
-
-
-def spin_l_factor(sigma: PrincipalSeriesG, shift, twist=1) -> RatFunc:
-    """L(sigma x twist, shift): the product of the four degree-1 factors
-    with parameters {c, c a, c b, c a b} times the twist value; `shift`
-    may be a half-integer."""
-    p = sigma.p
-    two_shift = Fraction(shift) * 2
-    if two_shift.denominator != 1:
-        raise ValueError("shift must be a half-integer")
-    tw = as_ratfunc(twist, p)
-    one = as_ratfunc(1, p)
-    out = one
-    for gamma in sigma.spin_params():
-        out = out / (one - gamma * tw * ell_pow(-int(two_shift), p))
-    return out
 
 
 def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:

@@ -309,26 +309,34 @@ def wild_coset_identity(p: int, m: int, n: int):
               "factor": ("1/p * U" if m >= 1 else "1/(p-1) * (U - 1)")}
 
     # step 0: the p^3 coset matrices are pairwise inequivalent and the
-    # family is stable under left translation by level-group generators
+    # family is stable under left translation by level-group generators.
+    # For X, X2 = [[u, v], [w, u]] of two coset matrices,
+    # coset_block(X)^{-1} coset_block(X2) has the upper-right block
+    # (X2 - X) / p and is in the level group exactly when X2 = X mod p,
+    # so each block is keyed by the residues of (u, v, w), read off its
+    # upper-right block, and two blocks are equivalent exactly when their
+    # keys agree
+    def key(g):
+        return tuple(_padic_residue(g[i][j], p, p)
+                     for i, j in ((0, 2), (0, 3), (1, 2)))
+
     blocks = [(u, v, w) for u in range(p) for v in range(p)
               for w in range(p)]
     mats = {b: coset_block(p, *b) for b in blocks}
-    inverses = {b: mat_inv(mats[b]) for b in blocks}
-    for i, b in enumerate(blocks):
-        for b2 in blocks[i + 1:]:
-            if in_level(mat_mul(inverses[b], mats[b2]), spec, p):
-                return False, {"failed": "coset disjointness", "at": (b, b2)}
+    keyed = {}
+    for b in blocks:
+        first = keyed.setdefault(key(mats[b]), b)
+        if first != b:
+            return False, {"failed": "coset disjointness", "at": (first, b)}
+    inverses = {k: mat_inv(mats[b]) for k, b in keyed.items()}
     for g in _kmn_generators(p, m, n):
         for b in blocks:
             moved = mat_mul(g, mats[b])
-            # coset_block(b2)^{-1} moved has the lower rows of moved and
+            # coset_block(X2)^{-1} moved has the lower rows of moved and
             # the upper-right block (B - X2 D) / p, where B, D are the
-            # right-hand blocks of moved and X2 = [[u, v], [w, u]]; the
-            # level group needs D = 1 mod p, so the only candidate is
-            # X2 = B mod p, and b2 = (u, v, w) is read off B
-            b2 = tuple(_padic_residue(moved[i][j], p, p)
-                       for i, j in ((0, 2), (0, 3), (1, 2)))
-            if not in_level(mat_mul(inverses[b2], moved), spec, p):
+            # right-hand blocks of moved; the level group needs D = 1 mod
+            # p, so the only candidate is X2 = B mod p, keyed by B
+            if not in_level(mat_mul(inverses[key(moved)], moved), spec, p):
                 return False, {"failed": "coset stability", "at": b}
     report["cosets"] = len(blocks)
 

@@ -1,21 +1,28 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
 
-Polynomials live in Q[x1^.., x2^.., ...] with integer (possibly negative)
-exponents.  Two symbol names are reserved: ``l`` and ``v``, tied by the
-rewrite v*v -> l, so v behaves as a formal square root of l.  A polynomial
-may instead be pinned to a concrete prime p; then l is folded into the
-rational coefficients as p and the rewrite becomes v*v -> p.
+A LaurentPoly is a sorted tuple of symbol names and a dict from exponent
+vectors (one int per name, possibly negative) to nonzero coefficients in
+QQ, sympy's rationals and the domain of the gcd.  Two names are reserved,
+``l`` and ``v``, tied by v*v = l: v is a formal square root of l.  With
+the prime formal, l is eliminated as v^2 when a value is built, so a
+product is plain addition of exponent vectors.  A polynomial may instead
+be pinned to a concrete prime p: then l is the rational p, v keeps
+exponent 0 or 1, and a product's v^2 folds to p.  The ``terms`` view
+shows sorted (name, exp) keys with v^2 as l and Fraction coefficients;
+``repr`` and the denominator normalisation read its lexicographic order.
 
-RatFunc is a reduced fraction of two LaurentPolys.  Reduction divides out
-the polynomial gcd (computed after eliminating l via l = v^2, so the gcd is
-taken in an honest polynomial ring) and normalizes the denominator so its
-lexicographically smallest term has coefficient 1.  Equality of RatFuncs is
-always decided by cross-multiplication, never by evaluation.
+RatFunc is a reduced fraction of two LaurentPolys.  Reduction shifts both
+sides to polynomials in Q[v, ...], divides out their sympy gcd (with the
+prime pinned, the gcd does not see v^2 = p) and normalizes the
+denominator so its lexicographically smallest term has coefficient 1.
+Equality of RatFuncs is always decided by cross-multiplication, never by
+evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Union
 
 import sympy
@@ -23,6 +30,7 @@ from sympy import QQ
 
 Q = Fraction
 Scalar = Union[int, Fraction]
+MPQ = QQ.dtype
 
 L_NAME = "l"
 V_NAME = "v"
@@ -56,108 +64,142 @@ def _merge_prime(p1: Optional[int], p2: Optional[int]) -> Optional[int]:
     raise PrimeMismatch(f"cannot mix primes {p1} and {p2}")
 
 
-def _canon_term(mono: dict, coeff: Fraction, prime: Optional[int]):
-    """Fold the reserved symbols in one monomial.  Returns (key, coeff)."""
-    e_l = mono.pop(L_NAME, 0)
-    e_v = mono.pop(V_NAME, 0)
-    if prime is None:
-        e_l += e_v // 2
-        e_v = e_v % 2
-        if e_l:
-            mono[L_NAME] = e_l
-        if e_v:
-            mono[V_NAME] = e_v
-    else:
-        p = Fraction(prime)
-        if e_l:
-            coeff *= p ** e_l
-        if e_v // 2:
-            coeff *= p ** (e_v // 2)
-        if e_v % 2:
-            mono[V_NAME] = 1
-    key = tuple(sorted((s, e) for s, e in mono.items() if e))
-    return key, coeff
+def _fold_v(names: tuple, vecs: dict, prime: Optional[int]) -> dict:
+    """With the prime pinned, bring every exponent of v into {0, 1} by
+    folding v^2 into the coefficient as the prime."""
+    if prime is None or V_NAME not in names:
+        return vecs
+    i = names.index(V_NAME)
+    if all(0 <= e[i] <= 1 for e in vecs):
+        return vecs
+    p, out = MPQ(prime), {}
+    for e, c in vecs.items():
+        q, r = divmod(e[i], 2)
+        e, c = e[:i] + (r,) + e[i + 1:], c * p ** q
+        out[e] = out[e] + c if e in out else c
+    return out
+
+
+def _canon(names: tuple, vecs: dict):
+    """names and vecs without the zero terms and the names no term uses."""
+    vecs = {e: c for e, c in vecs.items() if c}
+    used = [any(col) for col in zip(*vecs)]
+    if all(used):
+        return (names if vecs else ()), vecs
+    return (tuple(s for s, u in zip(names, used) if u),
+            {tuple(x for x, u in zip(e, used) if u): c
+             for e, c in vecs.items()})
+
+
+def _align(a: "LaurentPoly", b: "LaurentPoly"):
+    """The union of the names of a and b, and both exponent dicts over it."""
+    if a.names == b.names:
+        return a.names, a.vecs, b.vecs
+    names = tuple(sorted(set(a.names) | set(b.names)))
+    out = [names]
+    for f in (a, b):
+        pos = [f.names.index(s) if s in f.names else -1 for s in names]
+        out.append({tuple(e[i] if i >= 0 else 0 for i in pos): c
+                    for e, c in f.vecs.items()})
+    return out
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with Fraction coefficients."""
+    """Sparse Laurent polynomial with QQ coefficients on exponent vectors."""
 
-    __slots__ = ("terms", "prime")
+    __slots__ = ("names", "vecs", "prime")
 
-    def __init__(self, terms: Mapping[tuple, Fraction], prime: Optional[int] = None,
-                 _canonical: bool = False):
-        if _canonical:
-            self.terms = dict(terms)
-        else:
-            acc: dict = {}
-            for mono, c in terms.items():
-                key, c2 = _canon_term(dict(mono), Fraction(c), prime)
-                acc[key] = acc.get(key, Q(0)) + c2
-            self.terms = {k: c for k, c in acc.items() if c != 0}
+    def __init__(self, terms: Mapping[tuple, Scalar], prime=None):
+        """Build from {((name, exp), ...): coeff}; l and v may both occur."""
+        acc: dict = {}
+        for mono, c in terms.items():
+            d = dict(mono)
+            e_v = d.pop(V_NAME, 0) + 2 * d.pop(L_NAME, 0)
+            if e_v:
+                d[V_NAME] = e_v
+            key = tuple(sorted((s, e) for s, e in d.items() if e))
+            acc[key] = acc.get(key, 0) + MPQ(c)
+        names = tuple(sorted({s for key in acc for s, _ in key}))
+        vecs = {tuple(dict(key).get(s, 0) for s in names): c
+                for key, c in acc.items()}
+        self.names, self.vecs = _canon(names, _fold_v(names, vecs, prime))
         self.prime = prime
+
+    @classmethod
+    def _of(cls, names: tuple, vecs: dict, prime) -> "LaurentPoly":
+        out = cls.__new__(cls)
+        out.names, out.vecs = _canon(names, vecs)
+        out.prime = prime
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c: Scalar, prime: Optional[int] = None) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly({}, prime, _canonical=True)
-        return LaurentPoly({(): c}, prime, _canonical=True)
+        return LaurentPoly._of((), {(): MPQ(c)}, prime)
 
     @staticmethod
     def symbol(name: str, exp: int = 1, prime: Optional[int] = None) -> "LaurentPoly":
-        return LaurentPoly({((name, exp),): Q(1)}, prime)
+        return LaurentPoly({((name, exp),): 1}, prime)
+
+    # -- the historical view -------------------------------------------------
+
+    def _key(self, e: tuple) -> tuple:
+        """The sorted (name, exp) key of exponent vector e, v^2 shown as l."""
+        pairs = []
+        for s, x in zip(self.names, e):
+            if s == V_NAME and self.prime is None:
+                pairs += [(L_NAME, x // 2), (V_NAME, x % 2)]
+            else:
+                pairs.append((s, x))
+        return tuple(sorted(pair for pair in pairs if pair[1]))
+
+    @property
+    def terms(self) -> dict:
+        return {self._key(e): Fraction(c.numerator, c.denominator)
+                for e, c in self.vecs.items()}
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vecs
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.vecs) == 1
 
     def is_const(self) -> bool:
-        return not self.terms or self.terms.keys() == {()}
+        return not self.names
 
     def const_value(self) -> Fraction:
-        if not self.terms:
-            return Q(0)
-        if self.terms.keys() == {()}:
-            return self.terms[()]
-        raise ExactArithmeticError("not a constant")
+        if self.names:
+            raise ExactArithmeticError("not a constant")
+        return self.terms.get((), Q(0))
 
     def symbols(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for s, _ in mono:
-                out.add(s)
-        return out
+        return {s for mono in self.terms for s, _ in mono}
 
     def with_prime(self, p: Optional[int]) -> "LaurentPoly":
-        if p == self.prime:
-            return self
         p2 = _merge_prime(self.prime, p)
-        return LaurentPoly(self.terms, p2)
+        if p2 == self.prime:
+            return self
+        vecs = _fold_v(self.names, self.vecs, p2)
+        return LaurentPoly._of(self.names, vecs, p2)
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()}, self.prime,
-                           _canonical=True)
+        return LaurentPoly._of(self.names,
+                               {e: -c for e, c in self.vecs.items()},
+                               self.prime)
 
     def __add__(self, other):
         other = _as_poly(other, self.prime)
         p = _merge_prime(self.prime, other.prime)
-        a, b = self.with_prime(p), other.with_prime(p)
-        acc = dict(a.terms)
-        for m, c in b.terms.items():
-            s = acc.get(m, Q(0)) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return LaurentPoly(acc, p, _canonical=True)
+        names, x, y = _align(self.with_prime(p), other.with_prime(p))
+        acc = dict(x)
+        for e, c in y.items():
+            acc[e] = acc[e] + c if e in acc else c
+        return LaurentPoly._of(names, acc, p)
 
     __radd__ = __add__
 
@@ -170,32 +212,24 @@ class LaurentPoly:
     def __mul__(self, other):
         other = _as_poly(other, self.prime)
         p = _merge_prime(self.prime, other.prime)
-        a, b = self.with_prime(p), other.with_prime(p)
+        names, x, y = _align(self.with_prime(p), other.with_prime(p))
         acc: dict = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                d = dict(m1)
-                for s, e in m2:
-                    d[s] = d.get(s, 0) + e
-                key, c = _canon_term(d, c1 * c2, p)
-                prev = acc.get(key, Q(0)) + c
-                if prev == 0:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = prev
-        return LaurentPoly(acc, p, _canonical=True)
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+        return LaurentPoly._of(names, _fold_v(names, acc, p), p)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n == 0:
-            return LaurentPoly.const(1, self.prime)
+        if self.is_monomial():
+            ((e, c),) = self.vecs.items()
+            power = {tuple(x * n for x in e): c ** n}
+            return LaurentPoly._of(
+                self.names, _fold_v(self.names, power, self.prime), self.prime)
         if n < 0:
-            if not self.is_monomial():
-                raise ExactArithmeticError("negative power of a non-monomial")
-            ((mono, c),) = self.terms.items()
-            inv = LaurentPoly({tuple((s, -e) for s, e in mono): 1 / c}, self.prime)
-            return inv ** (-n)
+            raise ExactArithmeticError("negative power of a non-monomial")
         r = LaurentPoly.const(1, self.prime)
         b = self
         while n:
@@ -205,12 +239,6 @@ class LaurentPoly:
             n >>= 1
         return r
 
-    def monomial_div(self, mono: tuple, coeff: Fraction) -> "LaurentPoly":
-        """Divide by the single term coeff*mono (always exact for Laurent)."""
-        neg = tuple((s, -e) for s, e in mono)
-        unit = LaurentPoly({neg: 1 / coeff}, self.prime)
-        return self * unit
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             other = _as_poly(other, self.prime)
@@ -218,33 +246,24 @@ class LaurentPoly:
             p = _merge_prime(self.prime, other.prime)
         except PrimeMismatch:
             return False
-        return self.with_prime(p).terms == other.with_prime(p).terms
+        a, b = self.with_prime(p), other.with_prime(p)
+        return a.names == b.names and a.vecs == b.vecs
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.names, frozenset(self.vecs.items())))
 
     # -- var-degree helpers (used by series expansion) ----------------------
 
     def degrees_in(self, var: str):
-        degs = set()
-        for mono in self.terms:
-            d = 0
-            for s, e in mono:
-                if s == var:
-                    d = e
-            degs.add(d)
-        return degs
+        return {dict(mono).get(var, 0) for mono in self.terms}
 
     def coeff_of(self, var: str, deg: int) -> "LaurentPoly":
-        acc = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            if d.pop(var, 0) == deg:
-                acc[tuple(sorted(d.items()))] = c
-        return LaurentPoly(acc, self.prime, _canonical=True)
+        return LaurentPoly({tuple(m for m in mono if m[0] != var): c
+                            for mono, c in self.terms.items()
+                            if dict(mono).get(var, 0) == deg}, self.prime)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.vecs:
             return "0"
         parts = []
         for mono, c in sorted(self.terms.items()):
@@ -268,31 +287,19 @@ def _as_poly(x, prime=None) -> LaurentPoly:
     raise TypeError(f"cannot coerce {x!r} to LaurentPoly")
 
 
-# -- gcd machinery (delegated to sympy on an l-eliminated lift) -------------
-
-
-def _lift_v(poly: LaurentPoly) -> list:
-    """Terms as (exponent dict, coeff) pairs in the plain polynomial ring:
-    l is replaced by v^2."""
-    out = []
-    for mono, c in poly.terms.items():
-        d = dict(mono)
-        e = d.pop(L_NAME, 0)
-        if e:
-            d[V_NAME] = d.get(V_NAME, 0) + 2 * e
-        out.append((d, c))
-    return out
+# -- gcd machinery (delegated to sympy on the shifted exponent vectors) -----
 
 
 def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
     """Reduce a fraction of LaurentPolys to canonical form.
 
     A single-term denominator c*m is a unit of the Laurent ring, so its
-    canonical form is (num / (c*m), 1) without a gcd.  Otherwise both
-    sides are lifted to exponent vectors in Q[v, ...] and every symbol is
-    shifted by its least exponent over both sides.  That removes the
-    common monomial content, so a single-term numerator is already
-    coprime to the denominator; any other pair is divided by its gcd."""
+    canonical form is (num / (c*m), 1) without a gcd.  Otherwise every
+    symbol is shifted by its least exponent over both sides, which makes
+    them polynomials in Q[v, ...] with no common monomial content, so a
+    single-term numerator is already coprime to the denominator; any
+    other pair is divided by its gcd.  With the prime pinned the gcd does
+    not see v^2 = p."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
@@ -300,44 +307,33 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
     if num.is_zero():
         return LaurentPoly.const(0, prime), LaurentPoly.const(1, prime)
     if den.is_monomial():
-        ((mono, c),) = den.terms.items()
-        if mono or c != 1:
-            num = num.monomial_div(mono, c)
+        if den.names or den.vecs[()] != 1:
+            num = num * den ** -1
         return num, LaurentPoly.const(1, prime)
 
-    lifted = _lift_v(num), _lift_v(den)
-    names = sorted({s for side in lifted for d, _ in side for s in d})
-    sides = [[([d.get(s, 0) for s in names], c) for d, c in side]
-             for side in lifted]
-    low = [min(col) for col in zip(*(e for side in sides for e, _ in side))]
-    sides = [{tuple(x - m for x, m in zip(e, low)): c for e, c in side}
-             for side in sides]
-
+    names, x, y = _align(num, den)
+    low = [min(col) for col in zip(*x, *y)]
+    sides = [{tuple(map(sub, e, low)): c for e, c in side.items()}
+             for side in (x, y)]
     if len(sides[0]) > 1:
         gens = [sympy.Symbol(s) for s in names]
-        fn, fd = (sympy.Poly.from_dict(
-            {e: QQ(c.numerator, c.denominator) for e, c in side.items()},
-            *gens, domain=QQ) for side in sides)
+        fn, fd = (sympy.Poly.from_dict(side, *gens, domain=QQ)
+                  for side in sides)
         g = sympy.gcd(fn, fd)
         if g != 1:
             fn, rn = sympy.div(fn, g)
             fd, rd = sympy.div(fd, g)
             if not (rn.is_zero and rd.is_zero):
                 raise ExactArithmeticError("gcd does not divide the pair")
-        sides = [{e: Q(c.numerator, c.denominator)
-                  for e, c in f.as_dict(native=True).items()}
-                 for f in (fn, fd)]
+            sides = [f.as_dict(native=True) for f in (fn, fd)]
+    num2, den2 = (LaurentPoly._of(names, side, prime) for side in sides)
 
-    num2, den2 = (LaurentPoly({tuple(zip(names, e)): c
-                               for e, c in side.items()}, prime)
-                  for side in sides)
-
-    # unit normalization: lex-least denominator term gets coefficient 1
-    lead = min(den2.terms)
-    c = den2.terms[lead]
-    if lead or c != 1:
-        num2 = num2.monomial_div(lead, c)
-        den2 = den2.monomial_div(lead, c)
+    # unit normalization: the denominator term with the lex-least key
+    # gets coefficient 1
+    lead = min(den2.vecs, key=den2._key)
+    if any(lead) or den2.vecs[lead] != 1:
+        unit = LaurentPoly._of(den2.names, {lead: den2.vecs[lead]}, prime)
+        num2, den2 = num2 * unit ** -1, den2 * unit ** -1
     return num2, den2
 
 

@@ -206,10 +206,12 @@ def test_criterion_10_branching_laws():
                 ok &= bool(hw_vector(a, b, q, r, space))
     # twist lemma on representative pairs covering every (q, r) shape
     for a, b in [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (0, 2)]:
+        space = TensorSpace(a, b)
         for q in range(a + 1):
             for r in range(b + 1):
+                v, v0 = (hw_vector(a, b, j, r, space) for j in (q, 0))
                 for h in (-2, -1, 1, 2):
-                    good, _, _ = twist_lemma_check(a, b, q, r, h)
+                    good, _, _ = twist_lemma_check(space, v, v0, q, h)
                     ok &= good
     # micro-identity: the unipotent twist sends w' to w' + 2h w
     for h in (-2, -1, 1, 2):

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gsp4verify.besselzeta import (BesselDatum, bessel_series, bilinear_form,
-                                   char_sum, depth_factor, generating_function,
+from gsp4verify.besselzeta import (ZETA_LABELS, BesselDatum, BesselSeries,
+                                   bessel_series, bilinear_form, char_sum,
+                                   depth_factor, generating_function,
                                    tame_characters, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
-                                   tame_pairing, tame_sigma, torus_translate,
+                                   tame_pairing, tame_sigma,
                                    ul_bessel_transform, z_datum,
                                    z_section_value, zeta, zeta_spherical_closed,
                                    zeta_ul_closed)
@@ -95,6 +96,18 @@ def test_ul_transform_values():
     twice = ul_bessel_transform(tr, 1)
     assert tr2.values[:len(twice.values)] == twice.values[:len(tr2.values)]
     assert tr2.value(0) == ell() ** 6 * ser.value(2)
+
+
+def torus_translate(series, ja, jb, jt):
+    """Oracle: Bessel values of the vector translated by the torus element
+    diag(t a, t b, a, b) with valuations (ja, jb, jt): the (a, b)-part
+    acts through the functional's character, the central t-part shifts
+    the argument."""
+    d = series.datum
+    factor = d.lam1 ** ja * d.lam2 ** jb
+    vals = tuple(factor * series.value(n + jt)
+                 for n in range(series.order - max(jt, 0) + 1))
+    return BesselSeries(d, vals)
 
 
 def test_torus_translate_scaling():
@@ -261,6 +274,19 @@ def test_tame_norm_final(k1, k2, tame_data):
 def test_tame_norm_final_perturbed_fails(tame_data):
     ok, _, _ = tame_norm_final_check(tame_data[1, 1], perturb=True)
     assert not ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k1,k2", [(0, 0), (1, 1)])
+def test_formal_pairings_specialise_to_pinned_prime(k1, k2, p, tame_data):
+    # an independent guard on the v^2 = l elimination: the formal datum
+    # taken to the prime p equals the datum computed with p pinned from
+    # the start, where v^2 folds to p instead.  A pole of the
+    # specialisation (DivisionByZero) is a failure here, not a skip
+    formal, pinned = tame_data[k1, k2], tame_pairing(k1, k2, p=p)
+    for label in ZETA_LABELS:
+        assert formal.base[label].with_prime(p) == pinned.base[label], label
+    assert formal.euler.with_prime(p) == pinned.euler
 
 
 def test_concrete_prime_consistency():

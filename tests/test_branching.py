@@ -307,13 +307,17 @@ def test_twist_micro_identity(h):
 @pytest.mark.parametrize("ab", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_twist_lemma_grid(ab):
     a, b = ab
+    sp = br.TensorSpace(a, b)
     for q in range(a + 1):
         for r in range(b + 1):
+            v, v0 = (br.hw_vector(a, b, j, r, sp) for j in (q, 0))
             for h in (-2, -1, 1, 2):
-                ok, lhs, rhs = br.twist_lemma_check(a, b, q, r, h)
+                ok, lhs, rhs = br.twist_lemma_check(sp, v, v0, q, h)
                 assert ok, (a, b, q, r, h)
 
 
 def test_twist_lemma_rejects_zero_twist():
+    sp = br.TensorSpace(1, 1)
+    v = br.hw_vector(1, 1, 1, 0, sp)
     with pytest.raises(ValueError):
-        br.twist_lemma_check(1, 1, 1, 0, 0)
+        br.twist_lemma_check(sp, v, br.hw_vector(1, 1, 0, 0, sp), 1, 0)

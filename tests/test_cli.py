@@ -249,6 +249,28 @@ def test_branching_builds_each_irreducible_once(monkeypatch, jobs):
     assert sorted(built) == sorted(pairs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_branching_builds_each_hw_vector_once(monkeypatch, jobs):
+    # the hw case and the two twist cases of each (a, b, q, r) read one
+    # shared vector; the twist cases also read the (0, r) vector
+    from gsp4verify import branching
+    hw_vector = branching.hw_vector
+    built = []
+
+    def counting(a, b, q, r, space):
+        built.append((a, b, q, r))
+        return hw_vector(a, b, q, r, space)
+    monkeypatch.setattr(branching, "hw_vector", counting)
+    records = cli.run(cli.SuiteConfig(suites=("branching",),
+                                      parallelism=jobs))
+    assert {r["status"] for r in records} == {"pass"}
+    wanted = {(p["a"], p["b"], p["q"], p["r"])
+              for p in (r["params"] for r in records
+                        if r["case"].startswith("hw-"))}
+    assert len(wanted) == 31
+    assert sorted(built) == sorted(wanted)
+
+
 def test_shared_values_compute_each_key_once_across_threads(monkeypatch):
     # more threads than cores, a short switch interval and a computation
     # that gives up the interpreter: a check-then-act on the store that

@@ -9,8 +9,8 @@ from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   borel_factor, cell_of, eval_induced,
                                   hecke_eigenvalue, hecke_poly_check,
                                   parahoric_cell_reps,
-                                  parahoric_u_matrix, spin_l_factor,
-                                  spin_reciprocal, u_matrix_char_poly)
+                                  parahoric_u_matrix, spin_reciprocal,
+                                  u_matrix_char_poly)
 from gsp4verify.padic import (LevelSpec, identity, in_level, mat, mat_mul,
                               mat_t, root_unipotent, siegel_u_reps, weyl_s2)
 from gsp4verify.symcore import as_ratfunc, ell_pow, ratfunc_eq, substitute, sym
@@ -20,6 +20,22 @@ Q = Fraction
 
 def sigma_for(p):
     return PrincipalSeriesG.formal(p)
+
+
+def spin_l_factor(sigma: PrincipalSeriesG, shift, twist=1):
+    """Oracle: L(sigma x twist, shift), the product of the four degree-1
+    factors with parameters {c, c a, c b, c a b} times the twist value;
+    `shift` may be a half-integer."""
+    p = sigma.p
+    two_shift = Fraction(shift) * 2
+    if two_shift.denominator != 1:
+        raise ValueError("shift must be a half-integer")
+    tw = as_ratfunc(twist, p)
+    one = as_ratfunc(1, p)
+    out = one
+    for gamma in sigma.spin_params():
+        out = out / (one - gamma * tw * ell_pow(-int(two_shift), p))
+    return out
 
 
 def test_spin_l_factor_shape():
@@ -42,6 +58,16 @@ def test_spin_l_factor_half_shift():
     assert lf * prod == one
     with pytest.raises(ValueError):
         spin_l_factor(s, Q(1, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spin_reciprocal_inverts_spin_l_factor(p):
+    # spin_reciprocal(sigma, x) is the reciprocal of L(sigma, shift) at
+    # x = prime^{-(shift + 3/2)}
+    s = sigma_for(p)
+    for two_shift in (-1, 0, 3):
+        lf = spin_l_factor(s, Q(two_shift, 2))
+        assert lf * spin_reciprocal(s, ell_pow(-3 - two_shift, p)) == 1
 
 
 def test_irreducibility_condition():

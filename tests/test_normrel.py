@@ -213,6 +213,44 @@ def test_wild_coset_stability_rejects_a_generator_outside_the_level(
     assert (ok, report) == (False, {"failed": "coset stability", "at": at})
 
 
+def _first_equivalent_blocks(p, m, n):
+    """The pairwise disjointness oracle: the first pair of coset blocks
+    (in the order of wild_coset_identity) whose matrices lie in one left
+    coset of the level group, or None."""
+    spec = LevelSpec("Kmn", m, n)
+    blocks = [(u, v, w) for u in range(p) for v in range(p)
+              for w in range(p)]
+    mats = {b: nr.coset_block(p, *b) for b in blocks}
+    for i, b in enumerate(blocks):
+        for b2 in blocks[i + 1:]:
+            if in_level(mat_mul(mat_inv(mats[b]), mats[b2]), spec, p):
+                return b, b2
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("mn", [(0, 1), (1, 1)])
+@pytest.mark.parametrize("dup", [None, ((0, 0, 0), (0, 0, 1)),
+                                 ((0, 1, 0), (1, 1, 1))])
+def test_wild_coset_disjointness_matches_pairwise_oracle(p, mn, dup,
+                                                         monkeypatch):
+    # dup = (first, later): the coset matrix of `later` is replaced by the
+    # one of `first` with p added to u, which lies in the same left coset
+    m, n = mn
+    if dup is not None:
+        coset_block = nr.coset_block
+        first, later = dup
+        monkeypatch.setattr(nr, "coset_block", lambda q, *b: coset_block(
+            q, first[0] + q, *first[1:]) if b == later else coset_block(q, *b))
+    assert _first_equivalent_blocks(p, m, n) == dup
+    ok, report = nr.wild_coset_identity(p, m, n)
+    if dup is None:
+        assert ok, report
+    else:
+        assert (ok, report) == (False, {"failed": "coset disjointness",
+                                        "at": dup})
+
+
 def test_wild_witnesses_are_exact_factorisations():
     p, m, n = 2, 1, 1
     ok, report = nr.wild_coset_identity(p, m, n)

@@ -314,3 +314,59 @@ def test_ratfunc_reduction_against_sympy(a, b, c, prime):
     assert not g.free_symbols
     # the denominator is unit-normalised
     assert min(f.den.terms) == () and f.den.terms[()] == 1
+
+
+# -- the exponent-vector kernel against independent oracles ------------------
+
+
+def _value(poly, prime):
+    """poly as a sympy expression: l -> v^2, and v -> sqrt(p) when the
+    prime is pinned."""
+    v = sympy.Symbol("v") if prime is None else sympy.sqrt(prime)
+    return _expr(_lifted_exponents(poly), v=v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xylv, xylv, st.sampled_from([None, 2, 3]))
+def test_kernel_against_sympy_expand(a, b, prime):
+    a, b = a.with_prime(prime), b.with_prime(prime)
+    for got, want in ((a * b, _value(a, prime) * _value(b, prime)),
+                      (a + b, _value(a, prime) + _value(b, prime))):
+        assert sympy.expand(_value(got, prime) - want) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(xylv, st.sampled_from([None, 2, 3]))
+def test_terms_view_round_trips(f, prime):
+    f = f.with_prime(prime)
+    assert LaurentPoly(f.terms, f.prime) == f
+    assert all(isinstance(c, Q) for c in f.terms.values())
+
+
+def _repr_cases():
+    x, y, v, l = (LaurentPoly.symbol(s) for s in "xyvl")
+    a = 3 * x * x * y ** -1 - v + Q(1, 2)
+    X, Y, X3 = sym("x"), sym("y"), sym("x", 3)
+    return [
+        (LaurentPoly.const(0), "0"),
+        (LaurentPoly.const(Q(-2, 3)), "-2/3"),
+        (v ** 5 * l ** -2, "v"),
+        (v ** -3 * x, "l^-2*v*x"),
+        (a, "1/2 - v + 3*x^2*y^-1"),
+        (a.with_prime(3), "1/2 - v + 3*x^2*y^-1"),
+        ((v ** -1 + l * x).with_prime(2), "1/2*v + 2*x"),
+        (-(x - l) * (x + v), "l*v + l*x - v*x - x^2"),
+        ((X + 1) / (X * Y - vee()),
+         "(-l^-1*v - l^-1*v*x) / (1 - l^-1*v*x*y)"),
+        ((X3 + 1) / (X3 * sym("y", 3) - vee(3)),
+         "(-1/3*v - 1/3*v*x) / (1 - 1/3*v*x*y)"),
+        ((1 - ell() * X) / (ell() ** 2 - X * sc.ell_pow(-3)),
+         "(l^-2 - l^-1*x) / (1 - l^-4*v*x)"),
+        (sc.ell_pow(-3, 2) * sym("x", 2) / 7, "1/28*v*x"),
+    ]
+
+
+def test_repr_table():
+    # recorded from the name-tuple engine that the exponent vectors replaced
+    for value, text in _repr_cases():
+        assert repr(value) == text
