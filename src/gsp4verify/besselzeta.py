@@ -21,7 +21,7 @@ in the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .symcore import (ExactArithmeticError, PowerSeries, RatFunc, as_ratfunc,
                       ell, ell_pow, reconstruct_ratfunc, series_expand,
@@ -293,7 +293,9 @@ class TameDatum:
     through depth_factor, so pairing(label, t) is the depth-t pairing.
     ``euler`` is prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the
     reciprocal spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}):
-    the two factors on the right sides of the tame identities."""
+    the two factors on the right sides of the tame identities.  Each
+    pairing is computed once per datum and kept in ``_pairings``, which
+    equality and repr ignore."""
     k1: int
     k2: int
     p: int | None
@@ -305,9 +307,15 @@ class TameDatum:
     base: dict
     euler: RatFunc
     spin_recip: RatFunc
+    _pairings: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
 
     def pairing(self, label: str, t: int) -> RatFunc:
-        return depth_factor(t, self.psi, self.chi, self.p) * self.base[label]
+        key = (label, t)
+        if key not in self._pairings:
+            self._pairings[key] = (depth_factor(t, self.psi, self.chi, self.p)
+                                   * self.base[label])
+        return self._pairings[key]
 
 
 def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,

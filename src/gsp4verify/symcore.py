@@ -15,8 +15,16 @@ RatFunc is a reduced fraction of two LaurentPolys.  Reduction shifts both
 sides to polynomials in Q[v, ...], divides out their sympy gcd (with the
 prime pinned, the gcd does not see v^2 = p) and normalizes the
 denominator so its lexicographically smallest term has coefficient 1.
-Equality of RatFuncs is always decided by cross-multiplication, never by
-evaluation.
+The gcd is taken only where a common factor can exist.  A fraction with
+denominator 1 is a Laurent polynomial and already canonical, so sums and
+products of two of them are not reduced.  A product cross-reduces each
+numerator against the other denominator; with the prime formal the
+product of those two reduced fractions is then reduced already
+(Henrici's rule: the ring is a UFD and the cross-reduced factors are
+coprime), so it gets the shift and the unit normalization only.  With
+the prime pinned, folding v^2 into p can create a common factor, so
+that product keeps its gcd.  Equality of RatFuncs is always decided by
+cross-multiplication, never by evaluation.
 """
 
 from __future__ import annotations
@@ -290,7 +298,8 @@ def _as_poly(x, prime=None) -> LaurentPoly:
 # -- gcd machinery (delegated to sympy on the shifted exponent vectors) -----
 
 
-def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
+def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
+                    coprime: bool = False):
     """Reduce a fraction of LaurentPolys to canonical form.
 
     A single-term denominator c*m is a unit of the Laurent ring, so its
@@ -298,8 +307,10 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
     symbol is shifted by its least exponent over both sides, which makes
     them polynomials in Q[v, ...] with no common monomial content, so a
     single-term numerator is already coprime to the denominator; any
-    other pair is divided by its gcd.  With the prime pinned the gcd does
-    not see v^2 = p."""
+    other pair is divided by its gcd, unless the caller knows the pair
+    is ``coprime`` (a formal-prime product of reduced fractions, see the
+    module docstring).  With the prime pinned the gcd does not see
+    v^2 = p."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
@@ -315,7 +326,7 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly):
     low = [min(col) for col in zip(*x, *y)]
     sides = [{tuple(map(sub, e, low)): c for e, c in side.items()}
              for side in (x, y)]
-    if len(sides[0]) > 1:
+    if len(sides[0]) > 1 and not coprime:
         gens = [sympy.Symbol(s) for s in names]
         fn, fd = (sympy.Poly.from_dict(side, *gens, domain=QQ)
                   for side in sides)
@@ -390,8 +401,13 @@ class RatFunc:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _is_laurent(self) -> bool:
+        return self.den.vecs == {(): 1}
+
     def __add__(self, other):
         other = as_ratfunc(other, self.prime)
+        if self._is_laurent() and other._is_laurent():
+            return RatFunc(self.num + other.num, _canonical=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den,
@@ -410,10 +426,15 @@ class RatFunc:
 
     def __mul__(self, other):
         other = as_ratfunc(other, self.prime)
-        # cross-reduce first to keep intermediate degrees small
+        if self._is_laurent() and other._is_laurent():
+            return RatFunc(self.num * other.num, _canonical=True)
+        # cross-reduce first to keep intermediate degrees small; with the
+        # prime formal the product of the reduced factors is reduced
         a = RatFunc(self.num, other.den)
         b = RatFunc(other.num, self.den)
-        return RatFunc(a.num * b.num, a.den * b.den)
+        return RatFunc(*_normalize_pair(a.num * b.num, a.den * b.den,
+                                        coprime=a.prime is None),
+                       _canonical=True)
 
     __rmul__ = __mul__
 
@@ -482,11 +503,6 @@ def ell(prime: Optional[int] = None) -> RatFunc:
     if prime is None:
         return sym(L_NAME)
     return RatFunc.const(prime, prime)
-
-
-def vee(prime: Optional[int] = None) -> RatFunc:
-    """Formal square root of the prime."""
-    return sym(V_NAME, prime)
 
 
 def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
@@ -578,7 +594,8 @@ class PowerSeries:
             if self.coeffs[i].is_zero():
                 continue
             for j in range(n - i):
-                out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
+                if not other.coeffs[j].is_zero():
+                    out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
         return PowerSeries(self.var, out)
 
     __rmul__ = __mul__

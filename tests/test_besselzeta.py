@@ -276,17 +276,32 @@ def test_tame_norm_final_perturbed_fails(tame_data):
     assert not ok
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 1)])
 def test_formal_pairings_specialise_to_pinned_prime(k1, k2, p, tame_data):
     # an independent guard on the v^2 = l elimination: the formal datum
     # taken to the prime p equals the datum computed with p pinned from
-    # the start, where v^2 folds to p instead.  A pole of the
-    # specialisation (DivisionByZero) is a failure here, not a skip
+    # the start, where v^2 folds to p instead.  The depth-1 pairings
+    # bring in depth_factor.  A pole of the specialisation
+    # (DivisionByZero) is a failure here, not a skip
     formal, pinned = tame_data[k1, k2], tame_pairing(k1, k2, p=p)
     for label in ZETA_LABELS:
         assert formal.base[label].with_prime(p) == pinned.base[label], label
+        assert (formal.pairing(label, 1).with_prime(p)
+                == pinned.pairing(label, 1)), label
     assert formal.euler.with_prime(p) == pinned.euler
+
+
+def test_pairing_kept_per_datum():
+    # a datum computes each (label, t) pairing once and hands back the
+    # same object; what it has kept does not enter equality
+    first, second = tame_pairing(0, 0, p=2), tame_pairing(0, 0, p=2)
+    got = first.pairing("ul", 1)
+    assert first.pairing("ul", 1) is got
+    assert got == depth_factor(1, first.psi, first.chi, 2) * first.base["ul"]
+    assert first == second and repr(first) == repr(second)
+    assert second.pairing("spherical", 2) is second.pairing("spherical", 2)
+    assert first == second
 
 
 def test_concrete_prime_consistency():

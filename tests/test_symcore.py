@@ -10,8 +10,13 @@ from gsp4verify import symcore as sc
 from gsp4verify.symcore import (
     DivisionByZero, LaurentPoly, PoleAtOrigin, PowerSeries, RatFunc,
     SpecializationPole, ell, ratfunc_eq, reconstruct_ratfunc, series_expand,
-    substitute, sym, symbols, vee,
+    substitute, sym, symbols,
 )
+
+
+def vee(prime=None):
+    """The formal square root of the prime, as a RatFunc."""
+    return sym("v", prime)
 
 
 def test_v_squared_folds_to_l():
@@ -187,6 +192,75 @@ def test_reduction_calls_sympy_gcd_and_div(monkeypatch):
     assert len(f.num.terms) == len(f.den.terms) == 2
 
 
+def test_pinned_prime_product_keeps_its_gcd():
+    # at a pinned prime, v^2 folds to p only in the product, so the common
+    # factor x^2 - 3 of (x + v)(x - v) and (x^2 - 3)(y + 1) appears there
+    # and only the product's gcd cancels it
+    x, y, v = sym("x", 3), sym("y", 3), vee(3)
+    f = ((x + v) / (x ** 2 - 3)) * ((x - v) / (y + 1))
+    assert f.num == LaurentPoly.const(1, 3)
+    assert f.den == LaurentPoly({(): 1, (("y", 1),): 1}, 3)
+    assert f.num.prime == f.den.prime == 3
+
+
+def _formal_fractions():
+    """Formal-prime fractions with non-monomial numerator and
+    denominator, l and v among their symbols."""
+    x, y, l, v = (LaurentPoly.symbol(s) for s in "xylv")
+    return [
+        RatFunc(x + v, x * x - l),
+        RatFunc(x - v, y + 1),
+        RatFunc(l * x - v * y + 2, v * x ** -1 + y),
+        RatFunc(1 - v ** 3 * x, l ** -1 + x * y - Q(1, 2)),
+        RatFunc((x + y) * (v - 1), (x - l) * (y + v)),
+        RatFunc(v * y ** 2 + x, 1 - v ** -1 * x),
+    ]
+
+
+@pytest.mark.parametrize("i,j", [(i, j) for i in range(6) for j in range(6)])
+def test_formal_product_matches_full_reduction(i, j, monkeypatch):
+    # with the prime formal a product of reduced fractions skips the gcd:
+    # it must give the num/den of the full reduction of the plain
+    # product, the value sympy's cancel gives, and call sympy.gcd at most
+    # twice, for the two cross-reductions
+    a, b = _formal_fractions()[i], _formal_fractions()[j]
+    num, den = sc._normalize_pair(a.num * b.num, a.den * b.den)
+    calls = []
+
+    def counting(*args, _fn=sympy.gcd, **kw):
+        calls.append(args)
+        return _fn(*args, **kw)
+    monkeypatch.setattr(sympy, "gcd", counting)
+    f = a * b
+    assert len(calls) <= 2
+    assert f.num == num and f.den == den
+    assert repr(f.num) == repr(num) and repr(f.den) == repr(den)
+    n, d, an, ad, bn, bd = (_value(q, None) for q in (
+        f.num, f.den, a.num, a.den, b.num, b.den))
+    assert sympy.cancel(n / d - (an * bn) / (ad * bd)) == 0
+    assert not _shifted_gcd(f).free_symbols
+
+
+def test_laurent_operands_skip_reduction(monkeypatch):
+    # sums and products of two fractions with denominator 1 are Laurent
+    # polynomials, canonical as they stand: no reduction at all
+    x, v = sym("x"), vee()
+    a, b = x + v * x ** -1, 3 - x * v
+    want = [sc._normalize_pair(a.num * b.num, a.den),
+            sc._normalize_pair(a.num + b.num, a.den),
+            sc._normalize_pair(a.num - b.num, a.den)]
+    calls = []
+
+    def counting(*args, _fn=sc._normalize_pair, **kw):
+        calls.append(args)
+        return _fn(*args, **kw)
+    monkeypatch.setattr(sc, "_normalize_pair", counting)
+    got = [a * b, a + b, a - b]
+    assert calls == []
+    assert [(f.num, f.den) for f in got] == want
+    assert all(f.den == LaurentPoly.const(1) for f in got)
+
+
 def test_ell_helpers():
     assert ell(2) == RatFunc.const(2, 2)
     assert vee(2) ** 2 == RatFunc.const(2, 2)
@@ -281,6 +355,16 @@ def _expr(terms, shift=None, v=sympy.Symbol("v")):
     return total
 
 
+def _shifted_gcd(f):
+    """The sympy gcd of f.num and f.den, with l -> v^2, after shifting
+    both by the least exponent of each symbol to polynomials."""
+    nt, dt = _lifted_exponents(f.num), _lifted_exponents(f.den)
+    monos = list(nt) + list(dt)
+    shift = {s: min(dict(m).get(s, 0) for m in monos)
+             for m0 in monos for s, _ in m0}
+    return sympy.gcd(_expr(nt, shift), _expr(dt, shift))
+
+
 xylv = laurent_polys(st.sampled_from(["x", "y", "l", "v"]))
 
 
@@ -306,12 +390,7 @@ def test_ratfunc_reduction_against_sympy(a, b, c, prime):
                     for q in (f.num, f.den, a, b))
     assert sympy.expand(n * b_ - a_ * d) == 0
     # num and den are coprime in Q[v, x, y] once shifted to polynomials
-    nt, dt = _lifted_exponents(f.num), _lifted_exponents(f.den)
-    monos = list(nt) + list(dt)
-    shift = {s: min(dict(m).get(s, 0) for m in monos)
-             for m0 in monos for s, _ in m0}
-    g = sympy.gcd(_expr(nt, shift), _expr(dt, shift))
-    assert not g.free_symbols
+    assert not _shifted_gcd(f).free_symbols
     # the denominator is unit-normalised
     assert min(f.den.terms) == () and f.den.terms[()] == 1
 
