@@ -394,6 +394,8 @@ def _run_case(suite, case_id, params, fn, timings):
     start = time.monotonic()
     try:
         result = fn()
+    except AssertionError as exc:  # raised by a check whose identity fails
+        result = False, str(exc), None
     except Exception as exc:  # a case never aborts the run
         elapsed = (time.monotonic() - start) * 1000.0
         return {"suite": suite, "case": case_id, "params": params,

@@ -12,7 +12,8 @@ Exact-arithmetic implementation of:
   representatives (no Iwasawa step), and the degree-4 Hecke polynomial
   identity,
 * the 4x4 matrix of the parahoric U-operator on the Siegel-parahoric
-  invariants and its characteristic polynomial.
+  invariants, by one Iwasawa step per (cell, coset), and its
+  characteristic polynomial.
 
 Satake parameters are carried as formal symbols pinned to a concrete
 prime; the reserved symbol v is the formal square root of the prime,
@@ -81,7 +82,7 @@ def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:
 
 # -- cells of the Siegel-parahoric quotient -------------------------------------
 
-def _lagrangian_invariant(k, p: int):
+def cell_of(k, p: int):
     """Invariant of the Borel orbit of the reduction mod p of the plane
     spanned by the first two columns of k: the intersection dimensions
     with the standard partial flag."""
@@ -101,10 +102,6 @@ def parahoric_cell_reps():
     e = identity(4)
     s1, s2 = weyl_s1(), weyl_s2()
     return [e, s2, mat_mul(s1, s2), mat_mul(s2, mat_mul(s1, s2))]
-
-
-def cell_of(k, p: int):
-    return _lagrangian_invariant(k, p)
 
 
 @dataclass(frozen=True)
@@ -221,22 +218,17 @@ def hecke_poly_check(sigma: PrincipalSeriesG, perturb=0):
 def parahoric_u_matrix(sigma: PrincipalSeriesG):
     """Matrix of the U-operator x -> sum_{u,v,w mod l} n(u,v,w) d x on
     the 4-dimensional Siegel-parahoric invariants, in the cell-indicator
-    basis (rows index output cells)."""
+    basis (rows index output cells): entry (r, c) sums the Borel factor
+    of b over the cosets with r n(u,v,w) d = b k and k in cell c."""
     p = sigma.p
-    basis = InducedVectorG.parahoric_basis(sigma)
-    reps = parahoric_cell_reps()
-    cosets = siegel_u_reps(p)
+    reps = sorted(parahoric_cell_reps(), key=lambda r: cell_of(r, p))
     cells = [cell_of(r, p) for r in reps]
-    order = sorted(range(4), key=lambda i: cells[i])
-    mat_out = []
-    for oi in order:
-        row = []
-        for fb in basis:
-            total = as_ratfunc(0, p)
-            for cs in cosets:
-                total = total + eval_induced(fb, mat_mul(mat(reps[oi]), cs))
-            row.append(total)
-        mat_out.append(row)
+    mat_out = [[as_ratfunc(0, p)] * 4 for _ in reps]
+    for row, r in zip(mat_out, reps):
+        for cs in siegel_u_reps(p):
+            b, k = iwasawa_gsp4(mat_mul(r, cs), p)
+            c = cells.index(cell_of(k, p))
+            row[c] = row[c] + borel_factor(sigma, b)
     return mat_out
 
 

@@ -19,8 +19,8 @@ from fractions import Fraction
 from .besselzeta import TameDatum
 from .gsp4local import hecke_eigenvalue
 from .padic import (HElt, LevelSpec, SchwartzFn, _padic_residue,
-                    act_schwartz, coset_block, identity, in_level, mat,
-                    mat_add, mat_inv, mat_mul, mat_scalar, mat_t,
+                    act_schwartz, coset_block, gl2_inv, gsp4_inv, identity,
+                    in_level, mat, mat_add, mat_mul, mat_scalar, mat_t,
                     root_unipotent, siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
@@ -70,7 +70,7 @@ class XiElt:
                     out[i] = (g0, g0_inv, c0 + c)
                     break
             else:
-                out.append((g, mat_inv(g), c))
+                out.append((g, gsp4_inv(g), c))
         return [(g, c) for g, _, c in out if c != 0]
 
     def __eq__(self, other):
@@ -81,7 +81,7 @@ class XiElt:
         a, b = self._collapse(), other._collapse()
         if len(a) != len(b):
             return False
-        b_inv = [(mat_inv(g2), c2) for g2, c2 in b]
+        b_inv = [(gsp4_inv(g2), c2) for g2, c2 in b]
         for g, c in a:
             if not any(c == c2 and in_level(mat_mul(g2_inv, g),
                                             self.level, self.p)
@@ -177,8 +177,7 @@ def _validate_entry(entry: LocalDataEntry):
 # -- sufficiency of the depth bound ---------------------------------------------
 
 def _w_contained(p: int, m: int, n: int, t: int) -> bool:
-    e = eta(p, m)
-    ei = mat_inv(e)
+    e, ei = eta(p, m), eta(p, m, -1)
     spec = LevelSpec("Kmn", m, n)
     return all(in_level(mat_mul(mat_mul(ei, h.embed().m), e), spec, p)
                for h in _w_group_generators(p, m, t))
@@ -328,7 +327,7 @@ def wild_coset_identity(p: int, m: int, n: int):
         first = keyed.setdefault(key(mats[b]), b)
         if first != b:
             return False, {"failed": "coset disjointness", "at": (first, b)}
-    inverses = {k: mat_inv(mats[b]) for k, b in keyed.items()}
+    inverses = {k: gsp4_inv(mats[b]) for k, b in keyed.items()}
     for g in _kmn_generators(p, m, n):
         for b in blocks:
             moved = mat_mul(g, mats[b])
@@ -346,7 +345,7 @@ def wild_coset_identity(p: int, m: int, n: int):
         h = HElt.of(mat([[p, v], [0, 1]]), mat([[p, w], [0, 1]]))
         lhs = mat_mul(eta(p, m), coset_block(p, u, v, w))
         target = eta(p, m + 1, a)
-        k = mat_mul(mat_inv(mat_mul(h.embed().m, target)), lhs)
+        k = mat_mul(gsp4_inv(mat_mul(h.embed().m, target)), lhs)
         if not in_level(k, spec, p):
             return False, {"failed": "factorisation", "at": (u, v, w)}
         report["witnesses"].append(((u, v, w), h, k))
@@ -357,7 +356,7 @@ def wild_coset_identity(p: int, m: int, n: int):
     phi = SchwartzFn.depth_pair(p, n)
     acc = SchwartzFn.zero(p)
     for v in range(p):
-        g = mat_inv(mat([[p, v], [0, 1]]))
+        g = gl2_inv(mat([[p, v], [0, 1]]))
         acc = acc + act_schwartz(g, phi)
     deeper = SchwartzFn.coset(p, 0, 1, n)  # ch(p^{n+1} Z x (1 + p^n Z))
     deeper = _intersect_first_factor(deeper, p, n + 1)
@@ -371,7 +370,7 @@ def wild_coset_identity(p: int, m: int, n: int):
         d = mat([[a, 0, 0, 0], [0, a, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         if not in_level(d, spec, p):
             return False, {"failed": "conjugator membership", "at": u}
-        conj = mat_mul(mat_mul(d, eta(p, m + 1)), mat_inv(d))
+        conj = mat_mul(mat_mul(d, eta(p, m + 1)), gsp4_inv(d))
         if conj != eta(p, m + 1, a):
             return False, {"failed": "conjugation identity", "at": u}
         hd = diag2(a, 1)
@@ -384,7 +383,7 @@ def wild_coset_identity(p: int, m: int, n: int):
         u = p - 1
         hv = HElt.of(mat([[p, 0], [0, 1]]), mat([[p, 0], [0, 1]]))
         lhs = mat_mul(eta(p, 0), coset_block(p, u, 0, 0))
-        k = mat_mul(mat_inv(hv.embed().m), lhs)
+        k = mat_mul(gsp4_inv(hv.embed().m), lhs)
         if not in_level(k, spec, p):
             return False, {"failed": "degenerate term", "at": u}
         report["special_case"] = u

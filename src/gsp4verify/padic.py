@@ -3,9 +3,12 @@
 Group elements are Fraction matrices, viewed inside Q_p for a fixed prime
 p.  Matrix products run on integers: each factor is scaled to integer rows
 over one common denominator, and each entry of the product becomes one
-reduced Fraction.  Schwartz tables are acted on through integer residues:
-each grid point is mapped by the integer rows of g and keyed modulo a
-power of p, with no Fraction built per point.
+reduced Fraction.  On such rows the symplectic form gives a similitude's
+multiplier and its inverse mu^-1 J^-1 g^T J; 2x2 inverses are adjugates,
+and one Gauss-Jordan loop, over Q or F_p, does the rest.  Schwartz tables
+are acted on through integer residues: each grid point is mapped by the
+integer rows of g and keyed modulo a power of p, with no Fraction built
+per point.
 
 Provides the 4x4 symplectic similitude group (antidiagonal form), the
 GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
@@ -102,6 +105,8 @@ def mat_add(a, b):
 
 
 def mat_det(a):
+    # its own forward pass: on u_matrix_char_poly's upper triangular 4x4
+    # RatFunc matrix it took 1.4-2.5 ms, a Jordan pass 79-88 ms (2-core VM)
     n = len(a)
     m = [list(row) for row in a]
     det = Q(1)
@@ -122,9 +127,10 @@ def mat_det(a):
     return det
 
 
-def _gauss_jordan(m, ncols):
-    """Reduce the rows m (lists over Q) in place to reduced row echelon
-    form on their first ncols columns; return the pivot columns."""
+def _gauss_jordan(m, ncols, p=None):
+    """Reduce the rows m in place to reduced row echelon form on their
+    first ncols columns; return the pivot columns.  The field is Q, or
+    F_p when p is given, with m then integers reduced mod p."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -132,12 +138,14 @@ def _gauss_jordan(m, ncols):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
+        inv = 1 / m[r][c] if p is None else pow(m[r][c], -1, p)
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if p is not None:
+            m[:] = [[x % p for x in row] for row in m]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -147,11 +155,20 @@ def _gauss_jordan(m, ncols):
 
 def mat_inv(a):
     n = len(a)
-    m = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)]
-         for i, row in enumerate(a)]
+    m = [list(row) + list(e) for row, e in zip(a, identity(n))]
     if len(_gauss_jordan(m, n)) < n:
         raise ZeroDivisionError("singular matrix")
     return tuple(tuple(row[n:]) for row in m)
+
+
+def gl2_inv(g):
+    """Inverse of a 2x2 int/Fraction matrix by its adjugate."""
+    ((a, b), (c, d)), e = _integer_rows(g)
+    det = a * d - b * c
+    if det == 0:
+        raise ZeroDivisionError("singular matrix")
+    return ((Fraction(d * e, det), Fraction(-b * e, det)),
+            (Fraction(-c * e, det), Fraction(a * e, det)))
 
 
 def solve(a, rhs):
@@ -166,22 +183,7 @@ def solve(a, rhs):
 def rref_modp(rows, p: int):
     """The nonzero rows of the reduced row echelon form of rows over F_p."""
     m = [[x % p for x in row] for row in rows]
-    r = 0
-    for c in range(len(m[0])):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return m[:r]
+    return m[:len(_gauss_jordan(m, len(m[0]), p))]
 
 
 def min_val(a, p: int):
@@ -196,15 +198,34 @@ J4 = mat([[0, 0, 0, 1],
           [-1, 0, 0, 0]])
 
 
+def _symplectic_rows(m):
+    """Integer rows r and a denominator d with m = r / d, and the integer
+    mu_r != 0 with r^T J r = mu_r J; raise if m is not a similitude."""
+    r, d = _integer_rows(m)
+    # entries i < j of the alternating r^T J r; J r reverses r with signs
+    pairs = itertools.combinations(range(4), 2)
+    form = [r[0][i] * r[3][j] + r[1][i] * r[2][j]
+            - r[2][i] * r[1][j] - r[3][i] * r[0][j] for i, j in pairs]
+    mu_r = form[2]      # (0, 3); (1, 2) must match it, the rest vanish
+    if mu_r == 0 or form != [0, 0, mu_r, mu_r, 0, 0]:
+        raise ValueError("matrix does not preserve the symplectic form")
+    return r, d, mu_r
+
+
 def gsp4_multiplier(m) -> Fraction:
     """Return mu with m^T J m = mu J, or raise if m is not symplectic-up-to-
     scalar for the antidiagonal form."""
-    jm = (m[3], m[2], tuple(-x for x in m[1]), tuple(-x for x in m[0]))
-    g = mat_mul(mat_t(m), jm)  # J4 m is a signed reversal of the rows
-    mu = g[0][3]
-    if g != mat_scalar(J4, mu) or mu == 0:
-        raise ValueError("matrix does not preserve the symplectic form")
-    return mu
+    _, d, mu_r = _symplectic_rows(m)
+    return Fraction(mu_r, d * d)
+
+
+def gsp4_inv(g):
+    """Inverse of a similitude, mu^-1 J^-1 g^T J: entry (i, j) is
+    s_i s_j g[3 - j][3 - i] / mu with s = (1, 1, -1, -1)."""
+    r, d, mu_r = _symplectic_rows(g)
+    s = (1, 1, -1, -1)
+    return tuple(tuple(Fraction(s[i] * s[j] * r[3 - j][3 - i] * d, mu_r)
+                       for j in range(4)) for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -221,7 +242,7 @@ class GSp4Elt:
         return GSp4Elt(mat_mul(self.m, other.m), self.mu * other.mu)
 
     def inv(self) -> "GSp4Elt":
-        return GSp4Elt(mat_inv(self.m), 1 / self.mu)
+        return GSp4Elt(gsp4_inv(self.m), 1 / self.mu)
 
 
 @dataclass(frozen=True)
@@ -241,7 +262,7 @@ class HElt:
         return HElt(mat_mul(self.g1, other.g1), mat_mul(self.g2, other.g2))
 
     def inv(self) -> "HElt":
-        return HElt(mat_inv(self.g1), mat_inv(self.g2))
+        return HElt(gl2_inv(self.g1), gl2_inv(self.g2))
 
     def embed(self) -> GSp4Elt:
         (a, b), (c, d) = self.g1
@@ -269,7 +290,7 @@ def iwasawa_gl2(g, p: int):
     b = mat_mul(g, k1)
     if b[1][0] != 0:
         raise ArithmeticError("GL2 Iwasawa factor is not upper triangular")
-    k = mat_inv(k1)
+    k = gl2_inv(k1)
     if min_val(k, p) < 0 or not is_p_unit(mat_det(k), p):
         raise ArithmeticError("GL2 Iwasawa factor is not in GL2(Z_p)")
     return b, k
@@ -311,11 +332,7 @@ def iwasawa_gsp4(g, p: int):
 
     if any(b[i][j] != 0 for i in range(4) for j in range(i)):
         raise ArithmeticError("Iwasawa failed to triangularize")
-    # every factor of k1 has multiplier 1, so k1^-1 = J^-1 k1^T J, whose
-    # entry (i, j) is s_i s_j k1[3 - j][3 - i] with s = (1, 1, -1, -1)
-    s = (1, 1, -1, -1)
-    k = tuple(tuple(s[i] * s[j] * k1[3 - j][3 - i] for j in range(4))
-              for i in range(4))
+    k = gsp4_inv(k1)
     if min_val(k, p) < 0 or val(gsp4_multiplier(k), p) != 0:
         raise ArithmeticError("Iwasawa factor k is not in GSp4(Z_p)")
     if b[0][0] * b[3][3] != mu or b[1][1] * b[2][2] != mu:
@@ -340,16 +357,6 @@ class LevelSpec:
     n: int = 0
 
 
-def _cong(mat2, target, p, k):
-    if k <= 0:
-        return True
-    for i in range(len(mat2)):
-        for j in range(len(mat2[0])):
-            if val(mat2[i][j] - target[i][j], p) < k:
-                return False
-    return True
-
-
 def in_level(g, spec: LevelSpec, p: int) -> bool:
     if isinstance(g, GSp4Elt):
         g = g.m
@@ -361,20 +368,19 @@ def in_level(g, spec: LevelSpec, p: int) -> bool:
         return False
     if val(mu, p) != 0:
         return False
-    C = (g[2][:2], g[3][:2])
-    D = (g[2][2:], g[3][2:])
-    Z2 = ((Q(0), Q(0)), (Q(0), Q(0)))
-    I2 = ((Q(1), Q(0)), (Q(0), Q(1)))
+
+    def cong(cols, e):      # rows 2, 3 of g are those of 1 mod p^e on cols
+        return all(val(g[i][j] - (i == j), p) >= e for i in (2, 3)
+                   for j in cols)
     k = spec.kind
     if k == "G":
         return True
     if k == "K0":
-        return _cong(C, Z2, p, 1)
+        return cong((0, 1), 1)
     if k == "K1det":
-        return val(mat_det(g) - 1, p) >= 1
+        return val(mu * mu - 1, p) >= 1      # det = mu^2 on GSp4
     if k == "Kmn":
-        return (_cong(C, Z2, p, spec.n) and _cong(D, I2, p, spec.n)
-                and val(mu - 1, p) >= spec.m)
+        return cong(range(4), spec.n) and val(mu - 1, p) >= spec.m
     raise ValueError(f"unknown level spec {spec!r}")
 
 
@@ -729,7 +735,7 @@ def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
     """(g . phi)(x) = phi(x g) for row vectors x in Q_p^2."""
     p = phi.p
     g = mat(g)
-    gi = mat_inv(g)
+    gi = gl2_inv(g)
     e_fwd = max(0, -int(min_val(g, p)))
     e_bwd = max(0, -int(min_val(gi, p)))
     s2 = phi.s + e_bwd

@@ -194,6 +194,22 @@ def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
     assert records["fine"]["status"] == "pass"
 
 
+def test_assertion_error_is_a_fail_and_other_exceptions_errors(monkeypatch):
+    def builder(config, shared):
+        def false_identity():
+            raise AssertionError("identity does not hold")
+
+        def crash():
+            raise ArithmeticError("no such value")
+        yield "false", {}, false_identity
+        yield "crash", {}, crash
+    monkeypatch.setitem(cli._BUILDERS, "bessel", builder)
+    records = cli.run(cli.SuiteConfig(suites=("bessel",)))
+    assert [(r["case"], r["status"], r["lhs"], r["rhs"]) for r in records] == [
+        ("crash", "error", "ArithmeticError: no such value", None),
+        ("false", "fail", "identity does not hold", None)]
+
+
 def test_human_format_summary_line(capsys):
     code, out = run_cli(["--suite", "bessel", "--format", "human"], capsys)
     assert code == 0
@@ -313,3 +329,45 @@ def test_failed_shared_value_is_an_error_of_each_case(monkeypatch):
         % a for check in ("dimension", "decompose", "dual", "central")
         for a in (0, 1)}
     assert sorted(attempts) == [(0, 0)] * 4 + [(1, 0)] * 4
+
+
+# -- negative controls: a damaged layer makes its suite fail ------------------
+
+def _borel_factor_off_by_v(monkeypatch):
+    from gsp4verify import gsp4local
+    from gsp4verify.symcore import ell_pow
+    good = gsp4local.borel_factor
+    monkeypatch.setattr(gsp4local, "borel_factor",
+                        lambda sigma, b: good(sigma, b) * ell_pow(1, sigma.p))
+
+
+def _gsp4_inv_transposed(monkeypatch):
+    from gsp4verify import normrel, padic
+    good = padic.gsp4_inv
+    for module in (padic, normrel):
+        monkeypatch.setattr(module, "gsp4_inv",
+                            lambda g: padic.mat_t(good(g)))
+
+
+def _act_schwartz_transposed(monkeypatch):
+    from gsp4verify import normrel, padic
+    good = padic.act_schwartz
+    for module in (padic, normrel):
+        monkeypatch.setattr(module, "act_schwartz",
+                            lambda g, phi: good(padic.mat_t(g), phi))
+
+
+@pytest.mark.parametrize("suite,damage", [
+    ("hecke", _borel_factor_off_by_v),
+    ("parahoric", _borel_factor_off_by_v),
+    ("wild-norm", _gsp4_inv_transposed),
+    ("wild-norm", _act_schwartz_transposed),
+    ("local-data", _gsp4_inv_transposed),
+    ("local-data", _act_schwartz_transposed),
+], ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"))
+def test_damaged_layer_fails_its_suite(monkeypatch, suite, damage):
+    # an error record is not a failed check: at least one case must
+    # decide its identity and find it false
+    damage(monkeypatch)
+    records = cli.run(cli.SuiteConfig(suites=(suite,)))
+    assert any(r["status"] == "fail" for r in records)

@@ -216,6 +216,22 @@ def test_u_matrix_char_poly(p):
     assert u_matrix_char_poly(s, x) == spin_reciprocal(s, x)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_u_matrix_matches_the_eval_induced_sum(p):
+    # the reference evaluates each basis vector at each r n(u,v,w) d; the
+    # matrix decomposes each r n(u,v,w) d once
+    s = sigma_for(p)
+    basis = InducedVectorG.parahoric_basis(s)
+    reps = sorted(parahoric_cell_reps(), key=lambda r: cell_of(r, p))
+    u = parahoric_u_matrix(s)
+    for i, r in enumerate(reps):
+        for j, f in enumerate(basis):
+            want = as_ratfunc(0, p)
+            for cs in siegel_u_reps(p):
+                want = want + eval_induced(f, mat_mul(r, cs))
+            assert (u[i][j].num, u[i][j].den) == (want.num, want.den)
+
+
 def test_u_matrix_trace():
     # trace of U = sum of the four parameters times v^3
     p = 2

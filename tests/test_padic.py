@@ -14,10 +14,10 @@ from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   eval_induced, hecke_eigenvalue)
 from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
-    gsp4_multiplier, hecke_r_reps, hecke_t1_reps, hecke_t_reps, identity,
-    in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul,
-    min_val, rref_modp, siegel_parahoric_reps, siegel_u_reps,
-    solve, val, weyl_s1, weyl_s2,
+    gl2_inv, gsp4_inv, gsp4_multiplier, hecke_r_reps, hecke_t1_reps,
+    hecke_t_reps, identity, in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det,
+    mat_inv, mat_mul, min_val, rref_modp, siegel_parahoric_reps,
+    siegel_u_reps, solve, val, weyl_s1, weyl_s2,
 )
 from gsp4verify.symcore import as_ratfunc, ell
 
@@ -522,6 +522,7 @@ def test_mat_inv_and_solve_match_sympy(rows, rhs):
     a = mat(rows)
     b = [Q(x) for x in rhs[:len(rows)]]
     sm = sympy.Matrix(rows)
+    assert mat_det(a) == _q(sm.det())
     if sm.det() == 0:
         with pytest.raises(ZeroDivisionError):
             mat_inv(a)
@@ -531,6 +532,59 @@ def test_mat_inv_and_solve_match_sympy(rows, rhs):
     assert mat_inv(a) == tuple(tuple(_q(x) for x in sm.inv().row(i))
                                for i in range(len(rows)))
     assert solve(a, b) == tuple(_q(x) for x in sm.LUsolve(sympy.Matrix(b)))
+
+
+_rationals = st.builds(Q, st.integers(-12, 12), st.integers(1, 12))
+_nonzero = _rationals.filter(bool)
+
+
+@st.composite
+def _similitudes(draw):
+    """A word in the Weyl elements, root unipotents with rational
+    parameters and torus elements diag(a, b, c/b, c/a)."""
+    g = identity(4)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["weyl", "root", "torus"]))
+        if kind == "weyl":
+            h = draw(st.sampled_from([weyl_s1(), weyl_s2()]))
+        elif kind == "root":
+            h = pa.root_unipotent(draw(st.integers(0, 3)), draw(_rationals))
+        else:
+            a, b, c = draw(_nonzero), draw(_nonzero), draw(_nonzero)
+            h = mat([[a, 0, 0, 0], [0, b, 0, 0],
+                     [0, 0, c / b, 0], [0, 0, 0, c / a]])
+        g = mat_mul(g, h)
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_similitudes())
+def test_gsp4_inv_matches_mat_inv(g):
+    gi = gsp4_inv(g)
+    assert gi == mat_inv(g)
+    assert all(type(x) is Q for row in gi for x in row)
+    assert GSp4Elt.of(g).inv() == GSp4Elt(gi, 1 / gsp4_multiplier(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rationals, min_size=4, max_size=4))
+def test_gl2_inv_matches_mat_inv(entries):
+    g = mat([entries[:2], entries[2:]])
+    assume(mat_det(g) != 0)
+    assert gl2_inv(g) == mat_inv(g)
+    assert HElt(g, g).inv() == HElt(mat_inv(g), mat_inv(g))
+
+
+def test_closed_form_inverses_reject_their_bad_inputs():
+    shear = mat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError):      # invertible, not a similitude
+        gsp4_inv(shear)
+    with pytest.raises(ValueError):      # r^T J r = 0 J: mu must be nonzero
+        gsp4_inv(mat([[0] * 4] * 4))
+    with pytest.raises(ZeroDivisionError):
+        gl2_inv(mat([[1, 2], [2, 4]]))
+    with pytest.raises(ZeroDivisionError):
+        gl2_inv(mat([[0, 0], [0, 0]]))
 
 
 @settings(max_examples=150, deadline=None)
