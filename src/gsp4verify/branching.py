@@ -5,7 +5,10 @@ The irreducible representation with highest weight (a+b, a, 0) — in the
 basis (chi1, chi2, mu) of the diagonal-torus character lattice — is
 realised as the cyclic module generated by the top tensor inside
 (wedge^2 of the standard representation)^(tensor a) tensor (standard
-representation)^(tensor b).  All linear algebra is exact over Q.
+representation)^(tensor b).  The Lie action, four times the Casimir and
+the echelon form (fraction-free, on primitive rows) run on Python ints;
+the isotypic projection clears the denominators of its input and makes
+one exact division over Q at the end.
 
 Provided here:
 
@@ -24,6 +27,7 @@ Provided here:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
@@ -105,10 +109,16 @@ def _wedge_add(out, col, i, j, coeff):
         out[_WEDGE_INDEX[(j, i)]][col] -= coeff
 
 
+def _integral(x):
+    """x as an int when its denominator is 1, else x unchanged."""
+    return int(x) if x.denominator == 1 else x
+
+
 def _columns(m):
     """Sparse columns of a square matrix: entry j lists the pairs
-    (i, m[i][j]) with m[i][j] non-zero."""
-    return tuple(tuple((i, row[j]) for i, row in enumerate(m) if row[j])
+    (i, m[i][j]) with m[i][j] non-zero, as an int if it is integral."""
+    return tuple(tuple((i, _integral(row[j])) for i, row in enumerate(m)
+                       if row[j])
                  for j in range(len(m)))
 
 
@@ -181,34 +191,39 @@ class TensorSpace:
 
     def top_tensor(self) -> dict:
         """w^(tensor a) tensor v^(tensor b): the generating vector."""
-        return {tuple([0] * (self.a + self.b)): Q(1)}
+        return {tuple([0] * (self.a + self.b)): 1}
 
 
 def _casimir_terms():
-    """The non-zero terms (x, y, g) of the Casimir sum g x y, where g runs
-    over the inverse Gram matrix of the trace form tr(x y) on the basis."""
+    """The non-zero terms (x, y, 4g) of four times the Casimir sum g x y,
+    g running over the inverse Gram matrix of the trace form tr(x y)."""
     basis = lie_basis()
     gram = [[sum(x[i][j] * y[j][i] for i in range(4) for j in range(4)
                  if x[i][j])
              for _, y in basis] for _, x in basis]
-    return tuple((x, y, g)
+    return tuple((x, y, _integral(4 * g))
                  for (x, _), row in zip(basis, mat_inv(gram))
                  for (y, _), g in zip(basis, row) if g)
 
 
-#: the Casimir of the trace form: 11 terms, one per basis element y, since
-#: the form is diagonal on the Cartan part and pairs each root vector
-#: with its negative
+#: four times the Casimir of the trace form: 11 terms with coefficients
+#: 1, 2 and 4, one per basis element y, since the form is diagonal on the
+#: Cartan part and pairs each root vector with its negative
 _CASIMIR_TERMS = _casimir_terms()
 
 
-def casimir_apply(space: TensorSpace, vec: dict) -> dict:
-    """Apply the Casimir operator of the trace form."""
+def _casimir4(space: TensorSpace, vec: dict) -> dict:
+    """Apply four times the Casimir operator: integral on integral vec."""
     out: dict = {}
     for x, y, g in _CASIMIR_TERMS:
         for idx, c in space.apply_lie(x, space.apply_lie(y, vec)).items():
             out[idx] = out.get(idx, 0) + g * c
     return {k: v for k, v in out.items() if v != 0}
+
+
+def casimir_apply(space: TensorSpace, vec: dict) -> dict:
+    """Apply the Casimir operator of the trace form."""
+    return {k: Q(v, 4) for k, v in _casimir4(space, vec).items()}
 
 
 def casimir_eigenvalue(weight) -> Fraction:
@@ -229,28 +244,25 @@ def casimir_eigenvalue(weight) -> Fraction:
 
 # -- sparse echelon form ---------------------------------------------------------
 
-def _reduce(rows, vec: dict):
-    """Reduce vec against echelon rows [(pivot, row)], each row equal to 1
-    at its pivot and 0 at the pivots before it.  Returns the residual and
-    the coefficient of each row."""
+def _reduce(rows, vec: dict) -> dict:
+    """Reduce the integer vector vec against echelon rows [(pivot, row)],
+    each primitive, with its least key as pivot and 0 at the pivots
+    before it.  Returns the residual divided by its content: {} or a row
+    to append at its least key."""
     vec = dict(vec)
-    coeffs = []
     for pivot, row in rows:
         c = vec.get(pivot, 0)
-        coeffs.append(c)
         if c:
+            pv = row[pivot]
+            g = math.gcd(c, pv)
+            s, t = pv // g, c // g
+            if s != 1:
+                vec = {k: s * x for k, x in vec.items()}
             for k, x in row.items():
-                vec[k] = vec.get(k, 0) - c * x
-    return {k: x for k, x in vec.items() if x != 0}, coeffs
-
-
-def _push(rows, vec: dict):
-    """Append the non-zero residual vec as a row normalised at its least
-    key, and return the normalising scale."""
-    pivot = min(vec)
-    d = vec[pivot]
-    rows.append((pivot, {k: x / d for k, x in vec.items()}))
-    return d
+                vec[k] = vec.get(k, 0) - t * x
+    vec = {k: x for k, x in vec.items() if x != 0}
+    g = math.gcd(*vec.values())
+    return {k: x // g for k, x in vec.items()} if g > 1 else vec
 
 
 # -- cyclic construction of the irreducibles ------------------------------------
@@ -280,9 +292,9 @@ class RepSpace:
         """Reduce against the same-weight echelon basis; insert if new."""
         w = self.space.gweight(next(iter(vec)))
         rows = self._by_weight.setdefault(w, [])
-        red, _ = _reduce(rows, vec)
+        red = _reduce(rows, vec)
         if red:
-            _push(rows, red)
+            rows.append((min(red), red))
         return bool(red)
 
     @property
@@ -323,45 +335,45 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
     Casimir on the cyclic span of vec."""
     if not vec:
         return {}
-    c0 = casimir_eigenvalue(target_weight)
-    # reduce the Krylov vectors vec, C vec, C^2 vec, ... once each; the
-    # i-th has coordinates (reduce coefficients, its own scale) over the
-    # echelon rows, so they form an upper triangular system
+    e0 = int(4 * casimir_eigenvalue(target_weight))
+    # the Krylov vectors vec, 4C vec, (4C)^2 vec, ... over the integers,
+    # until one lies in the span of those before; the echelon rows span
+    # the same space and are triangular on their pivots
+    scale = math.lcm(*(x.denominator for x in vec.values()))
+    cur = {k: int(x * scale) for k, x in vec.items()}
     rows: list = []
-    cols: list = []
-    cur = vec
+    krylov: list = []
     while True:
-        red, coeffs = _reduce(rows, cur)
+        red = _reduce(rows, cur)
         if not red:
             break
-        cols.append(coeffs + [_push(rows, red)])
-        cur = casimir_apply(space, cur)
-    # C^n vec = sum_{i<n} t_i C^i vec
-    n = len(rows)
-    sol = solve([[col[i] if i < len(col) else 0 for col in cols]
-                 for i in range(n)], coeffs)
-    # minimal polynomial: x^n - sum t_i x^i
+        rows.append((min(red), red))
+        krylov.append(cur)
+        cur = _casimir4(space, cur)
+    # (4C)^n vec = sum_{i<n} t_i (4C)^i vec, read off the pivots
+    pivots = [pivot for pivot, _ in rows]
+    sol = solve([[Q(k.get(p, 0)) for k in krylov] for p in pivots],
+                [Q(cur.get(p, 0)) for p in pivots])
+    # minimal polynomial: x^n - sum t_i x^i, monic and integral, so its
+    # rational roots are integers
     roots = sympy.roots(sympy.Poly([1] + [-t for t in reversed(sol)],
                                    sympy.Symbol("x")))
-    if any(mult > 1 for mult in roots.values()):
+    if any(mult > 1 or not r.is_integer for r, mult in roots.items()):
         raise ProjectorError("projector not separating")
-    rts = []
-    for r in roots:
-        if not r.is_rational:
-            raise ProjectorError("projector not separating")
-        rts.append(Q(int(sympy.numer(r)), int(sympy.denom(r))))
-    if c0 not in rts:
+    rts = [int(r) for r in roots]
+    if e0 not in rts:
         return {}
-    if require_max and any(r > c0 for r in rts):
+    if require_max and any(r > e0 for r in rts):
         raise ProjectorError("target eigenvalue is not maximal")
-    out = dict(vec)
+    out, den = krylov[0], scale
     for r in rts:
-        if r != c0:
-            img = casimir_apply(space, out)
-            out = {k: (img.get(k, 0) - r * out.get(k, 0)) / (c0 - r)
+        if r != e0:
+            img = _casimir4(space, out)
+            out = {k: img.get(k, 0) - r * out.get(k, 0)
                    for k in {**out, **img}}
             out = {k: v for k, v in out.items() if v != 0}
-    return out
+            den *= e0 - r
+    return {k: Q(v, den) for k, v in out.items()}
 
 
 # -- restriction to the fibre product --------------------------------------------
@@ -415,7 +427,7 @@ def branch_decompose(rep: RepSpace):
 #: highest-weight vector of the wedge factor: e1 ^ e2
 W_INDEX = _WEDGE_INDEX[(0, 1)]
 #: its torus-weight-mu companion: e1 ^ e4 - e2 ^ e3
-W_PRIME = ((_WEDGE_INDEX[(0, 3)], Q(1)), (_WEDGE_INDEX[(1, 2)], Q(-1)))
+W_PRIME = ((_WEDGE_INDEX[(0, 3)], 1), (_WEDGE_INDEX[(1, 2)], -1))
 
 
 def hw_tensor(a: int, b: int, q: int, r: int) -> dict:
@@ -423,17 +435,17 @@ def hw_tensor(a: int, b: int, q: int, r: int) -> dict:
     factor order (wedge factors first)."""
     if not (0 <= q <= a and 0 <= r <= b):
         raise ValueError("parameters out of range")
-    vec = {(): Q(1)}
+    vec = {(): 1}
     for pos in range(a + b):
         nxt = {}
         if pos < a - q:
-            choices = ((W_INDEX, Q(1)),)
+            choices = ((W_INDEX, 1),)
         elif pos < a:
             choices = W_PRIME
         elif pos < a + (b - r):
-            choices = ((0, Q(1)),)
+            choices = ((0, 1),)
         else:
-            choices = ((1, Q(1)),)
+            choices = ((1, 1),)
         for idx, c in vec.items():
             for i, x in choices:
                 nxt[idx + (i,)] = c * x

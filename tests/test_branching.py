@@ -1,10 +1,12 @@
 """Tests for the algebraic representation theory module."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from gsp4verify import branching as br
 from gsp4verify.padic import (J4, identity, mat, mat_add, mat_mul,
@@ -137,6 +139,87 @@ def test_central_and_dual_characters(reps):
         assert br.dual_character_check(rep)
 
 
+# ---------------------------------------------- fraction-free echelon form
+
+#: sparse integer vectors on the keys 0..7
+_SPARSE = st.dictionaries(st.integers(0, 7),
+                          st.integers(-4, 4).filter(bool), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SPARSE, max_size=8), st.lists(st.integers(-3, 3),
+                                               min_size=8, max_size=8))
+def test_reduce_keeps_a_primitive_echelon_basis(vecs, weights):
+    rows = []
+    for vec in vecs:
+        red = br._reduce(rows, vec)
+        if red:
+            rows.append((min(red), red))
+    dense = sympy.Matrix(len(vecs), 8, lambda i, j: vecs[i].get(j, 0))
+    assert len(rows) == dense.rank()
+    earlier = []
+    for pivot, row in rows:
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert min(row) == pivot
+        assert not any(p in row for p in earlier)
+        earlier.append(pivot)
+    combo = {}
+    for c, vec in zip(weights, vecs):
+        for k, x in vec.items():
+            combo[k] = combo.get(k, 0) + c * x
+    assert br._reduce(rows, {k: x for k, x in combo.items() if x}) == {}
+
+
+def _reduce_reference(rows, vec: dict):
+    """Reduce vec against echelon rows [(pivot, row)], each row equal to 1
+    at its pivot and 0 at the pivots before it, over Q."""
+    vec = dict(vec)
+    for pivot, row in rows:
+        c = vec.get(pivot, 0)
+        if c:
+            for k, x in row.items():
+                vec[k] = vec.get(k, 0) - c * x
+    return {k: x for k, x in vec.items() if x != 0}
+
+
+def _push_reference(rows, vec: dict):
+    """Append the non-zero residual vec as a row normalised at its least
+    key."""
+    pivot = min(vec)
+    d = vec[pivot]
+    rows.append((pivot, {k: x / d for k, x in vec.items()}))
+
+
+def _reference_multiplicities(a, b):
+    """The cyclic construction of RepSpace with Fraction vectors and the
+    normalising elimination: the weight multiplicities."""
+    space = br.TensorSpace(a, b)
+    by_weight = {}
+
+    def insert(vec):
+        rows = by_weight.setdefault(space.gweight(next(iter(vec))), [])
+        red = _reduce_reference(rows, vec)
+        if red:
+            _push_reference(rows, red)
+        return bool(red)
+
+    seed = {k: Q(c) for k, c in space.top_tensor().items()}
+    insert(seed)
+    frontier = [seed]
+    while frontier:
+        frontier = [img for v in frontier for name in space.lie_names
+                    if (img := space.apply_lie(name, v)) and insert(img)]
+    return {w: len(rows) for w, rows in by_weight.items() if rows}
+
+
+def test_integer_construction_matches_fraction_reference(reps):
+    for (a, b), rep in reps.items():
+        assert rep.weight_multiplicities() == _reference_multiplicities(a, b)
+        assert all(type(x) is int for rows in rep._by_weight.values()
+                   for _, row in rows for x in row.values())
+
+
 # ------------------------------------------------------ restriction law
 
 
@@ -242,6 +325,20 @@ def test_cartan_project_idempotent_and_equivariant():
         for name in lie_names:
             lhs = br.cartan_project(sp, sp.apply_lie(name, vec), target)
             assert lhs == sp.apply_lie(name, p)
+
+
+@pytest.mark.parametrize("ab", [(1, 1), (2, 1)])
+def test_cartan_project_clears_denominators(ab):
+    a, b = ab
+    sp = br.TensorSpace(a, b)
+    target = (a + b, a, 0)
+    for q in range(a + 1):
+        for r in range(b + 1):
+            vec = br.hw_tensor(a, b, q, r)
+            third = {k: Q(1, 3) * c for k, c in vec.items()}
+            want = {k: Q(1, 3) * c
+                    for k, c in br.cartan_project(sp, vec, target).items()}
+            assert br.cartan_project(sp, third, target) == want
 
 
 @pytest.mark.parametrize("ab", [(1, 0), (1, 1), (2, 1), (1, 2)])

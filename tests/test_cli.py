@@ -357,7 +357,45 @@ def _act_schwartz_transposed(monkeypatch):
                             lambda g, phi: good(padic.mat_t(g), phi))
 
 
+def _lie_n0_wedge_negated(monkeypatch):
+    # the first entry of each wedge column of the root vector n0 negated
+    from gsp4verify import branching
+    cols4, cols6 = branching._LIE_COLUMNS["n0"]
+    damaged = tuple(((col[0][0], -col[0][1]),) + col[1:] if col else col
+                    for col in cols6)
+    monkeypatch.setitem(branching._LIE_COLUMNS, "n0", (cols4, damaged))
+
+
+def _fourier_negated(monkeypatch):
+    # -phi_hat.  Flipping the sign of the character instead, phi_hat(-x),
+    # leaves every gl2 case passing: with unramified characters the
+    # section of phi(-x) is the section of phi.
+    from gsp4verify import gl2local, padic
+    good = padic.fourier
+
+    def negated(phi):
+        f = good(phi)
+        return padic.SchwartzFn(f.p, f.s, f.n,
+                                {k: -c for k, c in f.table.items()})
+    for module in (padic, gl2local):
+        monkeypatch.setattr(module, "fourier", negated)
+
+
+def _depth_volume_off_by_ell(monkeypatch):
+    from gsp4verify import besselzeta
+    from gsp4verify.symcore import ell
+    good = besselzeta.depth_factor
+
+    def damaged(t, psi_pair, chi_pair, p=None):
+        out = good(t, psi_pair, chi_pair, p)
+        return out / ell(p) if t else out
+    monkeypatch.setattr(besselzeta, "depth_factor", damaged)
+
+
 @pytest.mark.parametrize("suite,damage", [
+    ("branching", _lie_n0_wedge_negated),
+    ("gl2", _fourier_negated),
+    ("tame-norm", _depth_volume_off_by_ell),
     ("hecke", _borel_factor_off_by_v),
     ("parahoric", _borel_factor_off_by_v),
     ("wild-norm", _gsp4_inv_transposed),
