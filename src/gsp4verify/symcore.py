@@ -1,40 +1,48 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
 
 A LaurentPoly is a sorted tuple of symbol names and a dict from exponent
-vectors (one int per name, possibly negative) to nonzero coefficients in
-QQ, sympy's rationals and the domain of the gcd.  Two names are reserved,
-``l`` and ``v``, tied by v*v = l: v is a formal square root of l.  With
-the prime formal, l is eliminated as v^2 when a value is built, so a
-product is plain addition of exponent vectors.  A polynomial may instead
-be pinned to a concrete prime p: then l is the rational p, v keeps
-exponent 0 or 1, and a product's v^2 folds to p.  The ``terms`` view
-shows sorted (name, exp) keys with v^2 as l and Fraction coefficients;
-``repr`` and the denominator normalisation read its lexicographic order.
+vectors (one int per name, possibly negative) to nonzero coefficients:
+an int where the coefficient is integral, so products of integer terms
+need no rational gcd, and otherwise an element of QQ, sympy's rationals
+and the domain of the gcd.  Two names are reserved, ``l`` and ``v``, tied
+by v*v = l: v is a formal square root of l.  With the prime formal, l is
+eliminated as v^2 when a value is built, so a product is plain addition
+of exponent vectors.  A polynomial may instead be pinned to a concrete
+prime p: then l is the rational p, v keeps exponent 0 or 1, and a
+product's v^2 folds to p.  The ``terms`` view shows sorted (name, exp)
+keys with v^2 as l and Fraction coefficients; ``repr`` and the
+denominator normalisation read its lexicographic order.
 
 RatFunc is a reduced fraction of two LaurentPolys.  Reduction shifts both
 sides to polynomials in Q[v, ...], divides out their sympy gcd (with the
 prime pinned, the gcd does not see v^2 = p) and normalizes the
 denominator so its lexicographically smallest term has coefficient 1.
-The gcd is taken only where a common factor can exist.  A fraction with
-denominator 1 is a Laurent polynomial and already canonical, so sums and
-products of two of them are not reduced.  A product cross-reduces each
-numerator against the other denominator; with the prime formal the
-product of those two reduced fractions is then reduced already
-(Henrici's rule: the ring is a UFD and the cross-reduced factors are
-coprime), so it gets the shift and the unit normalization only.  With
-the prime pinned, folding v^2 into p can create a common factor, so
-that product keeps its gcd.  Equality of RatFuncs is always decided by
-cross-multiplication, never by evaluation.
+The gcd is taken only where a common factor can exist, and not where
+images mod a large prime q prove the pair coprime: for each variable
+x_i, with the others at fixed integers, the gcd in F_q[x_i] is constant
+and a leading coefficient in x_i does not vanish (evaluation images, as
+in Brown, JACM 1971).  A fraction with denominator 1 is a Laurent
+polynomial and already canonical, so sums and products of two of them
+are not reduced.  A product cross-reduces each numerator against the
+other denominator; with the prime formal the product of those two
+reduced fractions is then reduced already (Henrici's rule: the ring is a
+UFD and the cross-reduced factors are coprime), so it gets the shift and
+the unit normalization only.  With the prime pinned, folding v^2 into p
+can create a common factor, so that product keeps its gcd.  Equality of
+RatFuncs is always decided by cross-multiplication, never by evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from math import prod
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Union
 
 import sympy
-from sympy import QQ
+from sympy import QQ, ZZ
+from sympy.polys.galoistools import gf_gcd, gf_strip
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -89,8 +97,10 @@ def _fold_v(names: tuple, vecs: dict, prime: Optional[int]) -> dict:
 
 
 def _canon(names: tuple, vecs: dict):
-    """names and vecs without the zero terms and the names no term uses."""
-    vecs = {e: c for e, c in vecs.items() if c}
+    """names and vecs without the zero terms and the names no term uses;
+    an integral coefficient is stored as an int."""
+    vecs = {e: c.numerator if c.denominator == 1 else c
+            for e, c in vecs.items() if c}
     used = [any(col) for col in zip(*vecs)]
     if all(used):
         return (names if vecs else ()), vecs
@@ -113,7 +123,8 @@ def _align(a: "LaurentPoly", b: "LaurentPoly"):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with QQ coefficients on exponent vectors."""
+    """Sparse Laurent polynomial with int or QQ coefficients on exponent
+    vectors."""
 
     __slots__ = ("names", "vecs", "prime")
 
@@ -233,7 +244,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if self.is_monomial():
             ((e, c),) = self.vecs.items()
-            power = {tuple(x * n for x in e): c ** n}
+            power = {tuple(x * n for x in e): MPQ(c) ** n}
             return LaurentPoly._of(
                 self.names, _fold_v(self.names, power, self.prime), self.prime)
         if n < 0:
@@ -297,6 +308,35 @@ def _as_poly(x, prime=None) -> LaurentPoly:
 
 # -- gcd machinery (delegated to sympy on the shifted exponent vectors) -----
 
+_IMAGE_PRIME = 2 ** 61 - 1  # q, the modulus of the coprimality images
+
+
+def _coprime_images(x: dict, y: dict) -> bool:
+    """True only if the polynomials x and y (exponent dicts over the same
+    names) are coprime over Q.  For each x_i of positive degree on both
+    sides, the other names are set to 11, 12, ... and the sides reduced
+    mod q.  A primitive common factor h divides both in Z[...], and
+    lc_i(h) divides an x_i-leading coefficient that does not vanish
+    there, so deg_i h is at most that of the gcd of the images in
+    F_q[x_i].  False means only that this proves nothing."""
+    q = _IMAGE_PRIME
+    if any(c.denominator % q == 0 for side in (x, y) for c in side.values()):
+        return False
+    point = range(11, len(next(iter(x))) + 11)
+    sides = [[(e, c.numerator * pow(c.denominator, -1, q)
+               * prod(map(pow, point, e, repeat(q))) % q)
+              for e, c in side.items()] for side in (x, y)]
+    for i, a in enumerate(point):
+        images = [[0] * (1 + max(e[i] for e, _ in side)) for side in sides]
+        for img, side in zip(images, sides):
+            for e, w in side:
+                img[-1 - e[i]] += w * pow(a, -e[i], q)
+        f, g = ([c % q for c in img] for img in images)
+        if len(f) > 1 and len(g) > 1 and (not (f[0] or g[0]) or len(
+                gf_gcd(gf_strip(f), gf_strip(g), q, ZZ)) > 1):
+            return False
+    return True
+
 
 def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
                     coprime: bool = False):
@@ -309,8 +349,8 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
     single-term numerator is already coprime to the denominator; any
     other pair is divided by its gcd, unless the caller knows the pair
     is ``coprime`` (a formal-prime product of reduced fractions, see the
-    module docstring).  With the prime pinned the gcd does not see
-    v^2 = p."""
+    module docstring) or ``_coprime_images`` proves it.  With the prime
+    pinned the gcd does not see v^2 = p."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
@@ -326,7 +366,7 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
     low = [min(col) for col in zip(*x, *y)]
     sides = [{tuple(map(sub, e, low)): c for e, c in side.items()}
              for side in (x, y)]
-    if len(sides[0]) > 1 and not coprime:
+    if len(sides[0]) > 1 and not coprime and not _coprime_images(*sides):
         gens = [sympy.Symbol(s) for s in names]
         fn, fd = (sympy.Poly.from_dict(side, *gens, domain=QQ)
                   for side in sides)

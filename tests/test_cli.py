@@ -392,7 +392,30 @@ def _depth_volume_off_by_ell(monkeypatch):
     monkeypatch.setattr(besselzeta, "depth_factor", damaged)
 
 
+def _ul_bessel_values_times_ell(monkeypatch):
+    from gsp4verify import besselzeta
+    from gsp4verify.symcore import ell
+    good = besselzeta.ul_bessel_transform
+
+    def damaged(series, k=1):
+        out = good(series, k)
+        factor = ell(series.datum.p)
+        return besselzeta.BesselSeries(
+            out.datum, tuple(factor * x for x in out.values))
+    monkeypatch.setattr(besselzeta, "ul_bessel_transform", damaged)
+
+
+def _euler_eigenvalue_times_ell(monkeypatch):
+    from gsp4verify import normrel
+    from gsp4verify.symcore import ell
+    good = normrel.euler_element_eigenvalue
+    monkeypatch.setattr(normrel, "euler_element_eigenvalue",
+                        lambda sigma: good(sigma) * ell(sigma.p))
+
+
 @pytest.mark.parametrize("suite,damage", [
+    ("bessel", _ul_bessel_values_times_ell),
+    ("frobrecip", _euler_eigenvalue_times_ell),
     ("branching", _lie_n0_wedge_negated),
     ("gl2", _fourier_negated),
     ("tame-norm", _depth_volume_off_by_ell),

@@ -500,6 +500,37 @@ def test_fourier_involution():
     assert fourier(neg) == act_schwartz(mat([[-1, 0], [0, -1]]), fourier(phi))
 
 
+def _fourier_by_definition(phi, x, y, N):
+    """int int e_p(x v - y u) phi(u, v) du dv as a sum over (u, v) mod p^N:
+    exact when phi is supported in Z_p^2 and constant mod p^N, and x and
+    y lie in p^-N Z_p, so that the character is constant mod p^N too."""
+    p = phi.p
+    tot = Q(0)
+    for u in range(p ** N):
+        for v in range(p ** N):
+            c = phi.value_at(u, v)
+            if c:
+                tot = tot + c * e_char(x * v - y * u, p) * Q(1, p ** (2 * N))
+    return tot
+
+
+def test_fourier_matches_its_defining_sum():
+    # phi = ch((0, 1) + 3 Z_3^2) is not even, so the sum sees the sign of
+    # the character: the transform reflected, phi_hat(-x), must fail
+    p, N = 3, 2
+    phi = SchwartzFn.coset(p, 0, 1, 1)
+    assert phi.s == 0 and phi.n <= N
+    got = fourier(phi)
+    M = p ** (got.s + got.n)
+    reflected = SchwartzFn(p, got.s, got.n, {(-a % M, -b % M): c
+                                             for (a, b), c in got.table.items()})
+    points = [(Q(a, p ** N), Q(b, p ** N))
+              for a in range(p ** N) for b in range(p ** N)]
+    want = [_fourier_by_definition(phi, x, y, N) for x, y in points]
+    assert [got.value_at(x, y) for x, y in points] == want
+    assert [reflected.value_at(x, y) for x, y in points] != want
+
+
 # -- exact linear algebra, against sympy ------------------------------------
 
 def int_matrices(rows, cols):

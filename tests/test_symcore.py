@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic core."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -449,3 +450,113 @@ def test_repr_table():
     # recorded from the name-tuple engine that the exponent vectors replaced
     for value, text in _repr_cases():
         assert repr(value) == text
+
+
+# -- the coprimality certificate and the coefficient types --------------------
+
+
+def _random_poly(rng, names, prime, nterms):
+    terms = {}
+    for _ in range(nterms):
+        mono = tuple((s, rng.randint(-1, 2)) for s in names
+                     if rng.random() < 0.6)
+        terms[mono] = Q(rng.choice((-3, -2, -1, 1, 2, 5)),
+                        rng.choice((1, 1, 2, 3)))
+    return LaurentPoly(terms, prime)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_coprimality_certificate_against_sympy(seed, monkeypatch):
+    # random pairs in 2-6 names, the prime formal or pinned to 3, with a
+    # planted common factor on every other pair of seeds
+    rng = random.Random(seed)
+    prime, planted = (None, 3)[seed % 2], seed % 4 >= 2
+    names = ("v",) + tuple(rng.sample("uwxyz", rng.randint(1, 5)))
+    a, b, c = (_random_poly(rng, names, prime, rng.randint(2, 5))
+               for _ in range(3))
+    if b.is_zero():
+        b = b + 1
+    if planted:
+        a, b = a * c, b * c
+    verdicts, gcds = [], []
+    certify = sc._coprime_images
+
+    def recording(x, y):
+        verdicts.append((x, y, certify(x, y)))
+        return verdicts[-1][2]
+
+    def counting(*args, _fn=sympy.gcd, **kw):
+        gcds.append(_fn(*args, **kw))
+        return gcds[-1]
+    monkeypatch.setattr(sc, "_coprime_images", recording)
+    monkeypatch.setattr(sympy, "gcd", counting)
+    num, den = sc._normalize_pair(a, b)
+    monkeypatch.undo()
+    for x, y, coprime in verdicts:
+        gens = sympy.symbols("x0:%d" % len(next(iter(x))))
+        fx, fy = (sympy.Poly.from_dict(side, *gens, domain=sympy.QQ)
+                  for side in (x, y))
+        # a certificate is a proof: sympy must agree, and is not asked
+        assert not coprime or sympy.gcd(fx, fy) == 1
+        assert len(gcds) == (0 if coprime else 1)
+        # with the prime formal a planted factor that is not a unit is
+        # a common factor in the shifted ring
+        assert not (coprime and planted and prime is None
+                    and not c.is_monomial())
+    n, d, a_, b_ = (_value(q, prime) for q in (num, den, a, b))
+    assert sympy.cancel(n / d - a_ / b_) == 0
+    assert not _shifted_gcd(RatFunc(num, den, _canonical=True)).free_symbols
+
+
+def test_certificate_falls_back_where_a_leading_coefficient_vanishes(
+        monkeypatch):
+    # the certificate sets the i-th name (sorted) to 11 + i, x = 11 and
+    # y = 12.  h = (x - 11)(y - 12) + 1 has image 1 in both directions,
+    # so the images of h (x + 2) and h (x + 3) are coprime: only the
+    # vanishing leading coefficients show that nothing is proven, and
+    # sympy.gcd must find h.  A coprime pair whose x-leading coefficient
+    # vanishes falls back too; moved off the root, it is certified
+    x, y = LaurentPoly.symbol("x"), LaurentPoly.symbol("y")
+    h = (x - 11) * (y - 12) + 1
+    calls = []
+
+    def counting(*args, _fn=sympy.gcd, **kw):
+        calls.append(_fn(*args, **kw))
+        return calls[-1]
+    monkeypatch.setattr(sympy, "gcd", counting)
+    f = RatFunc(h * (x + 2), h * (x + 3))
+    assert len(calls) == 1 and calls[0] != 1
+    g = RatFunc(x + 2, x + 3)
+    assert (f.num, f.den) == (g.num, g.den)
+    for root, gcds in ((12, [1]), (13, [])):
+        calls.clear()
+        a, b = (y - root) * x + 1, (y - root) * x + 2
+        f = RatFunc(a, b)
+        assert calls == gcds
+        assert f.num * b == a * f.den
+
+
+def _coefficient_types_ok(f):
+    return all(type(c) is int or (type(c) is sc.MPQ and c.denominator != 1)
+               for c in f.vecs.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(xylv, xylv, st.sampled_from([None, 2, 3]), st.integers(-3, 3))
+def test_integral_coefficients_are_ints(a, b, prime, n):
+    # an integral coefficient is an int, any other a QQ, never a float;
+    # the terms view, repr and hash do not see the difference
+    a2, b2 = a.with_prime(prime), b.with_prime(prime)
+    mono = LaurentPoly({(("x", 1), ("v", -1)): 2}, prime)
+    values = [a2, b2, a2 + b2, a2 - b2, a2 * b2, a2 ** 2, mono ** n,
+              (mono * Q(3, 2)) ** n, -a2, LaurentPoly.const(Q(4, 2), prime)]
+    if not b2.is_zero():
+        values += sc._normalize_pair(a2, b2)
+    assert all(_coefficient_types_ok(f) for f in values)
+    assert all(isinstance(c, Q) for f in values for c in f.terms.values())
+    for u, w in ((a2 * b2, b2 * a2), ((a2 + b2) - b2, a2),
+                 (LaurentPoly(a2.terms, prime), a2),
+                 (mono ** n * mono ** -n, LaurentPoly.const(1, prime)),
+                 ((a * b).with_prime(prime), a2 * b2)):
+        assert u == w and hash(u) == hash(w) and repr(u) == repr(w)
+        assert u.terms == w.terms
