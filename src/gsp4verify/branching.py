@@ -8,7 +8,8 @@ realised as the cyclic module generated by the top tensor inside
 representation)^(tensor b).  The Lie action, four times the Casimir and
 the echelon form (fraction-free, on primitive rows) run on Python ints;
 the isotypic projection clears the denominators of its input and makes
-one exact division over Q at the end.
+one exact division over Q at the end; its eigenvalues are the candidates
+4c(w), w a weight of the tensor space, where the Krylov polynomial vanishes.
 
 Provided here:
 
@@ -29,8 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-
-import sympy
 
 from .padic import (mat, mat_add, mat_inv, mat_mul, mat_t, root_unipotent,
                     solve)
@@ -91,13 +90,12 @@ def wedge_lie_matrix(x):
 
 
 def wedge_group_matrix(g):
-    """Induced action of a group element on the wedge square."""
-    out = [[Q(0)] * 6 for _ in range(6)]
-    for col, (i, j) in enumerate(WEDGE_PAIRS):
-        for r in range(4):
-            for s in range(4):
-                _wedge_add(out, col, r, s, Q(g[r][i]) * Q(g[s][j]))
-    return tuple(tuple(r) for r in out)
+    """Induced action of a group element on the wedge square: the matrix
+    of 2x2 minors, g e_i ^ g e_j = sum_{r<s} (g_ri g_sj - g_si g_rj)
+    e_r ^ e_s."""
+    return tuple(tuple(g[r][i] * g[s][j] - g[s][i] * g[r][j]
+                       for i, j in WEDGE_PAIRS)
+                 for r, s in WEDGE_PAIRS)
 
 
 def _wedge_add(out, col, i, j, coeff):
@@ -219,6 +217,18 @@ def _casimir4(space: TensorSpace, vec: dict) -> dict:
         for idx, c in space.apply_lie(x, space.apply_lie(y, vec)).items():
             out[idx] = out.get(idx, 0) + g * c
     return {k: v for k, v in out.items() if v != 0}
+
+
+def _casimir4_candidates(space: TensorSpace) -> set:
+    """4c(w) for every weight w of space: each eigenvalue of 4C there is
+    4c of a constituent's highest weight, a weight of space."""
+    weights = {(0, 0, 0)}
+    for kind in space.kinds:
+        pieces = (tuple(map(_wedge_weight, range(6))) if kind == "w"
+                  else _STD_WEIGHTS)
+        weights = {tuple(x + y for x, y in zip(w, piece))
+                   for w in weights for piece in pieces}
+    return {int(4 * casimir_eigenvalue(w)) for w in weights}
 
 
 def casimir_apply(space: TensorSpace, vec: dict) -> dict:
@@ -354,13 +364,13 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
     pivots = [pivot for pivot, _ in rows]
     sol = solve([[Q(k.get(p, 0)) for k in krylov] for p in pivots],
                 [Q(cur.get(p, 0)) for p in pivots])
-    # minimal polynomial: x^n - sum t_i x^i, monic and integral, so its
-    # rational roots are integers
-    roots = sympy.roots(sympy.Poly([1] + [-t for t in reversed(sol)],
-                                   sympy.Symbol("x")))
-    if any(mult > 1 or not r.is_integer for r, mult in roots.items()):
+    # the minimal polynomial x^n - sum t_i x^i of a diagonalisable 4C has
+    # n distinct roots among the candidates; fewer means a repeated root
+    # or one outside them
+    rts = [r for r in sorted(_casimir4_candidates(space))
+           if r ** len(sol) == sum(t * r ** i for i, t in enumerate(sol))]
+    if len(rts) != len(sol):
         raise ProjectorError("projector not separating")
-    rts = [int(r) for r in roots]
     if e0 not in rts:
         return {}
     if require_max and any(r > e0 for r in rts):

@@ -15,7 +15,8 @@ GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
 with respect to the upper-triangular Borel (for GSp4 by column
 elimination with Weyl elements and root unipotents, no null spaces),
 open-compact membership tests, Schwartz functions on Q_p^2 with an exact
-Fourier transform (values in a cyclotomic model), and left-coset
+Fourier transform (values in a cyclotomic model, one character sum per
+point in integer exponents of one root of unity), and left-coset
 representatives: the two standard Hecke double cosets as explicit upper
 triangular matrices n t (a torus element t times root unipotents over
 ranges read off t), GSp4(Z_p) / K0(p) as an orbit of integral generators
@@ -429,11 +430,6 @@ class Cyc:
         q = Fraction(q)
         return Cyc(p, 0, {0: q} if q else {}, reduce=False)
 
-    @staticmethod
-    def root(p: int, num: int, k: int) -> "Cyc":
-        """zeta_{p^k}^num."""
-        return Cyc(p, k, {num % (p ** k): Q(1)})
-
     def _lift(self, k: int) -> dict:
         step = self.p ** (k - self.k)
         return {e * step: q for e, q in self.c.items()}
@@ -502,22 +498,6 @@ def _as_cyc(x, p: int) -> Cyc:
             raise ValueError(f"cyclotomic scalars at primes {x.p} and {p}")
         return x
     return Cyc.rational(p, x)
-
-
-def e_char(x, p: int) -> Cyc:
-    """Additive character e_p(x) = exp(2 pi i {x}) for x in Q with p-power
-    denominator (the p-part of x mod Z is all that matters)."""
-    x = Fraction(x)
-    den = x.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if den != 1:
-        raise ValueError("denominator must be a p-power")
-    M = p ** k
-    num = (x.numerator * pow(x.denominator // M, -1, M)) % M if M > 1 else 0
-    return Cyc.root(p, num, k)
 
 
 # -- Schwartz functions on Q_p^2 -----------------------------------------------
@@ -759,33 +739,40 @@ def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
 
 
 def fourier(phi: SchwartzFn) -> SchwartzFn:
-    """phi_hat(x, y) = int int e_p(x v - y u) phi(u, v) du dv, exactly."""
-    p = phi.p
-    terms = []
-    for (u0, v0), c in phi.support_points():
-        pe = max(0,
-                 -int(val(u0, p)) if u0 else 0,
-                 -int(val(v0, p)) if v0 else 0)
-        terms.append((u0, v0, c, pe))
-    if not terms:
+    """phi_hat(x, y) = int int e_p(x v - y u) phi(u, v) du dv, exactly.
+
+    By Tate's thesis c ch((u, v) / p^s + p^n Z_p^2) has the transform
+    c p^{-2n} e_p(x v - y u) on p^{-n} Z_p^2; at the point (a, b) / p^s_out
+    that is c p^{-2n} zeta_{p^K}^{a v - b u}, K = s_out + s.  Each point adds
+    the exponents, lifted to one level L with those of c, into one Cyc."""
+    p, s, n = phi.p, phi.s, phi.n
+    if not phi.table:
         return SchwartzFn.zero(p)
-    n = phi.n
     s_out = max(0, n)
-    n_out = max(0, -n, max(t[3] for t in terms))
-    M = p ** (s_out + n_out)
-    den = Fraction(p) ** s_out
+    # fine enough for the support p^-n Z_p^2 and for the characters, which
+    # are constant mod the p-power that clears phi's denominators
+    n_out = max(0, -n, *(s - min(val(u, p), val(v, p)) for u, v in phi.table))
+    K = s_out + s
+    coeffs = [_as_cyc(c, p) for c in phi.table.values()]
+    L = max(K, *(c.k for c in coeffs))
+    ML, step = p ** L, p ** (L - K)
     w = Fraction(p) ** (-2 * n)
+    terms = [(u * step, v * step,
+              [(e * p ** (L - c.k), q * w) for e, q in c.c.items()])
+             for (u, v), c in zip(phi.table, coeffs)]
+    M = p ** (s_out + n_out)
+    stride = p ** max(0, -n)        # the points of p^{-n} Z_p^2
     table = {}
-    for a in range(M):
-        for b in range(M):
-            x, y = Q(a) / den, Q(b) / den
-            if val(x, p) < -n or val(y, p) < -n:
-                continue
-            tot = Q(0)
-            for (u0, v0, c, _) in terms:
-                ph = e_char(x * v0 - y * u0, p)
-                tot = tot + c * ph * w
-            if tot != 0:
+    for a in range(0, M, stride):
+        for b in range(0, M, stride):
+            buckets: dict = {}
+            for u, v, parts in terms:
+                e0 = a * v - b * u
+                for e, q in parts:
+                    e = (e0 + e) % ML
+                    buckets[e] = buckets.get(e, 0) + q
+            tot = Cyc(p, L, buckets)
+            if tot.c:
                 table[(a, b)] = tot
     return SchwartzFn(p, s_out, n_out, table)
 

@@ -14,10 +14,11 @@ from gsp4verify.besselzeta import (ZETA_LABELS, BesselDatum, BesselSeries,
                                    z_section_value, zeta, zeta_spherical_closed,
                                    zeta_ul_closed)
 from gsp4verify.gsp4local import PrincipalSeriesG
-from gsp4verify.padic import Cyc, e_char
+from gsp4verify.padic import Cyc
 from gsp4verify.symcore import (ExactArithmeticError, PowerSeries, as_ratfunc,
                                 ell, ell_pow, reconstruct_ratfunc,
                                 series_expand, substitute, sym)
+from test_padic import e_char
 
 Q = Fraction
 

@@ -341,6 +341,31 @@ def test_cartan_project_clears_denominators(ab):
             assert br.cartan_project(sp, third, target) == want
 
 
+def test_cartan_project_raises_without_a_true_eigenvalue(monkeypatch):
+    # negative control: with one eigenvalue of 4C on the Krylov span
+    # missing from the candidates, the minimal polynomial has fewer
+    # candidate roots than its degree, and no vector may come back
+    a, b = 2, 1
+    sp = br.TensorSpace(a, b)
+    vec = br.hw_tensor(a, b, 1, 1)
+    target = (a + b, a, 0)
+    want = br.cartan_project(sp, vec, target)
+    candidates = br._casimir4_candidates(sp)
+    raised = set()
+    for r in sorted(candidates):
+        monkeypatch.setattr(br, "_casimir4_candidates",
+                            lambda space, r=r: candidates - {r})
+        try:
+            got = br.cartan_project(sp, vec, target)
+        except br.ProjectorError as exc:
+            assert str(exc) == "projector not separating"
+            raised.add(r)
+        else:
+            assert got == want      # r is no eigenvalue on the span
+    assert int(4 * br.casimir_eigenvalue(target)) in raised
+    assert 2 <= len(raised) < len(candidates)
+
+
 @pytest.mark.parametrize("ab", [(1, 0), (1, 1), (2, 1), (1, 2)])
 def test_cartan_project_matches_dense_spectral_projector(ab):
     # oracle: the Casimir as a dense sympy matrix on the weight space of
@@ -387,6 +412,41 @@ def test_unipotent_is_exponential_of_nilpotent():
     assert mat_mul(big2, big) == zero6
     exp = mat_add(mat_add(identity(6), big), mat_scalar(big2, Q(1, 2)))
     assert exp == br.wedge_group_matrix(u)
+
+
+def _wedge_group_matrix_reference(g):
+    """g e_i ^ g e_j expanded over every pair (r, s), with e_s ^ e_r =
+    -e_r ^ e_s and e_r ^ e_r = 0."""
+    index = {pair: k for k, pair in enumerate(br.WEDGE_PAIRS)}
+    out = [[Q(0)] * 6 for _ in range(6)]
+    for col, (i, j) in enumerate(br.WEDGE_PAIRS):
+        for r in range(4):
+            for s in range(4):
+                coeff = Q(g[r][i]) * Q(g[s][j])
+                if r < s:
+                    out[index[(r, s)]][col] += coeff
+                elif r > s:
+                    out[index[(s, r)]][col] -= coeff
+    return tuple(tuple(row) for row in out)
+
+
+def test_wedge_matrices_are_minors():
+    rng = random.Random(19)
+
+    def rand4():
+        return mat([[Q(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+                     for _ in range(4)] for _ in range(4)])
+
+    for _ in range(100):
+        g, h = rand4(), rand4()
+        wg = br.wedge_group_matrix(g)
+        assert wg == _wedge_group_matrix_reference(g)
+        assert (br.wedge_group_matrix(mat_mul(g, h))
+                == mat_mul(wg, br.wedge_group_matrix(h)))
+        # the minors of 1 + g: constant, linear (the Lie action) and
+        # quadratic (the minors of g) parts
+        assert (br.wedge_group_matrix(mat_add(identity(4), g))
+                == mat_add(mat_add(identity(6), br.wedge_lie_matrix(g)), wg))
 
 
 @pytest.mark.parametrize("h", [-2, -1, 1, 2])

@@ -13,7 +13,7 @@ from gsp4verify import padic as pa
 from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   eval_induced, hecke_eigenvalue)
 from gsp4verify.padic import (
-    Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, e_char, fourier,
+    Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, fourier,
     gl2_inv, gsp4_inv, gsp4_multiplier, hecke_r_reps, hecke_t1_reps,
     hecke_t_reps, identity, in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det,
     mat_inv, mat_mul, min_val, rref_modp, siegel_parahoric_reps,
@@ -282,26 +282,47 @@ def test_in_level_matches_reference_conjunction(inputs, m, n):
 
 # -- cyclotomic scalars ---------------------------------------------------
 
+def cyc_root(p, num, k):
+    """zeta_{p^k}^num."""
+    return Cyc(p, k, {num % (p ** k): Q(1)})
+
+
+def e_char(x, p):
+    """Additive character e_p(x) = exp(2 pi i {x}) for x in Q with p-power
+    denominator (the p-part of x mod Z is all that matters)."""
+    x = Q(x)
+    den = x.denominator
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if den != 1:
+        raise ValueError("denominator must be a p-power")
+    M = p ** k
+    num = (x.numerator * pow(x.denominator // M, -1, M)) % M if M > 1 else 0
+    return cyc_root(p, num, k)
+
+
 def test_cyc_basics():
     p = 3
-    z = Cyc.root(p, 1, 1)
+    z = cyc_root(p, 1, 1)
     s = z + z * z  # zeta + zeta^2 = -1
     assert s.is_rational() and s.as_rational() == -1
-    full = sum((Cyc.root(p, j, 1) for j in range(1, 3)), Cyc.root(p, 0, 1))
+    full = sum((cyc_root(p, j, 1) for j in range(1, 3)), cyc_root(p, 0, 1))
     assert full.is_rational() and full.as_rational() == 0
     # zeta_9^3 is a primitive cube root
-    assert Cyc.root(3, 3, 2) == Cyc.root(3, 1, 1)
+    assert cyc_root(3, 3, 2) == cyc_root(3, 1, 1)
 
 
 def test_cyc_sum_across_primes_raises():
     with pytest.raises(ValueError):
-        Cyc.root(2, 1, 1) + Cyc.root(3, 1, 1)
+        cyc_root(2, 1, 1) + cyc_root(3, 1, 1)
 
 
 def test_e_char():
     assert e_char(Q(1, 2), 2) == Cyc.rational(2, -1)
     assert e_char(Q(1), 3) == Cyc.rational(3, 1)
-    assert e_char(Q(5, 3), 3) == Cyc.root(3, 2, 1)
+    assert e_char(Q(5, 3), 3) == cyc_root(3, 2, 1)
     # character sum over all residues vanishes
     s = Cyc.rational(3, 0)
     for u in range(9):
@@ -529,6 +550,82 @@ def test_fourier_matches_its_defining_sum():
     want = [_fourier_by_definition(phi, x, y, N) for x, y in points]
     assert [got.value_at(x, y) for x, y in points] == want
     assert [reflected.value_at(x, y) for x, y in points] != want
+
+
+def fourier_by_terms(phi):
+    """The transform built term by term: one e_char and one Cyc product
+    per support term per grid point of the output."""
+    p = phi.p
+    terms = []
+    for (u0, v0), c in phi.support_points():
+        pe = max(0,
+                 -int(val(u0, p)) if u0 else 0,
+                 -int(val(v0, p)) if v0 else 0)
+        terms.append((u0, v0, c, pe))
+    if not terms:
+        return SchwartzFn.zero(p)
+    n = phi.n
+    s_out = max(0, n)
+    n_out = max(0, -n, max(t[3] for t in terms))
+    M = p ** (s_out + n_out)
+    den = Q(p) ** s_out
+    w = Q(p) ** (-2 * n)
+    table = {}
+    for a in range(M):
+        for b in range(M):
+            x, y = Q(a) / den, Q(b) / den
+            if val(x, p) < -n or val(y, p) < -n:
+                continue
+            tot = Q(0)
+            for (u0, v0, c, _) in terms:
+                tot = tot + c * e_char(x * v0 - y * u0, p) * w
+            if tot != 0:
+                table[(a, b)] = tot
+    return SchwartzFn(p, s_out, n_out, table)
+
+
+def _random_schwartz(rng, p):
+    """A sum of one to three cosets with scale and level 0 or 1 and
+    positive coefficients, so never zero."""
+    phi = SchwartzFn.zero(p)
+    for _ in range(rng.randint(1, 3)):
+        x = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
+        y = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
+        phi = phi + SchwartzFn.coset(p, x, y, rng.randint(0, 1),
+                                     Q(rng.randint(1, 5)))
+    return phi
+
+
+def _same_table(f, g):
+    """Equal as functions, with equal scale and level, and every value
+    of both a Cyc."""
+    return f == g and all(isinstance(c, Cyc)
+                          for c in (*f.table.values(), *g.table.values()))
+
+
+def test_fourier_matches_term_by_term_oracle():
+    rng = random.Random(19)
+    phis = [_random_schwartz(rng, p) for p in (2, 3) for _ in range(16)]
+    assert {(phi.s, phi.n) for phi in phis} >= {(0, 0), (0, 1), (1, 0),
+                                                 (1, 1)}
+    # level -1: the transform lives on p Z_p^2 and is stepped over by p
+    phis += [SchwartzFn.coset(3, Q(1, 9), Q(2, 3), -1, Q(2)),
+             SchwartzFn.lattice_product(2, -1, -1)]
+    assert phis[-1].n < 0 and phis[-2].n < 0
+    cyc_valued = 0
+    for phi in phis:
+        got = fourier(phi)
+        assert _same_table(got, fourier_by_terms(phi)), phi
+        # Cyc-valued tables: the transform of a transform is phi again; the
+        # oracle on them only at p = 2, where it takes milliseconds, not
+        # half a second
+        cyc_valued += any(not c.is_rational() for c in got.table.values())
+        back = fourier(got)
+        assert back == phi
+        assert all(isinstance(c, Cyc) for c in back.table.values())
+        if phi.p == 2:
+            assert _same_table(back, fourier_by_terms(got)), got
+    assert cyc_valued >= 10
 
 
 # -- exact linear algebra, against sympy ------------------------------------

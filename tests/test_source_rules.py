@@ -1,8 +1,9 @@
 """Source rules of the library: invariants raise real exceptions (an
 `assert` statement vanishes under `python -O`), no module keeps a
 hidden global cache, whether rebound through a `global` statement or
-filled in place, and no private module-level name is left without a
-reader."""
+filled in place, no private module-level name is left without a
+reader, and only symcore, the one exact-arithmetic backend, imports
+sympy."""
 
 import ast
 import collections
@@ -155,3 +156,35 @@ def test_module_state_rule_flags_a_cache():
         "    _CACHE[0] = 1\n")
     assert sorted(_writes_to_module_state(tree)) == [
         (4, "_CACHE"), (5, "_SEEN"), (10, "_CACHE")]
+
+
+def _sympy_imports(tree):
+    """Line numbers of the statements that import sympy or a submodule."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_symcore_imports_sympy(path):
+    """symcore is the one exact-arithmetic backend; every other module
+    reaches sympy, if at all, through it."""
+    lines = list(_sympy_imports(TREES[path]))
+    assert path.name == "symcore.py" or lines == []
+
+
+def test_sympy_rule_flags_an_import():
+    tree = ast.parse(
+        "import sympy\n"
+        "from sympy.polys import ring\n"
+        "import sympyx\n"
+        "from .symcore import sympy_gcd\n"
+        "def f():\n"
+        "    import os, sympy.abc as abc\n")
+    assert sorted(_sympy_imports(tree)) == [1, 2, 6]
