@@ -179,8 +179,9 @@ class TensorSpace:
 
     def apply_group(self, g, vec: dict) -> dict:
         """Group action: the composite over factors of the action on one
-        factor."""
-        g4 = mat(g)
+        factor.  An integral entry of g is an int, so an integral g acts,
+        on the standard and the wedge factors alike, through ints."""
+        g4 = [[_integral(x) for x in row] for row in mat(g)]
         cols = (_columns(g4), _columns(wedge_group_matrix(g4)))
         for pos in range(len(self.kinds)):
             vec = self._act_factor(pos, *cols, vec, {})

@@ -586,8 +586,11 @@ class SchwartzFn:
     def _canonicalize(self):
         p = self.p
         self.table = {k: c for k, c in self.table.items() if c != 0}
+        if not self.table:      # the zero function has one form
+            self.s = self.n = 0
+            return
         # merge cosets upward while possible
-        while self.n > -self.s and self.table:
+        while self.n > -self.s:
             M = p ** (self.s + self.n)
             Mp = M // p
             parents: dict = {}
@@ -601,8 +604,6 @@ class SchwartzFn:
             if not ok:
                 break
             self.table = {k: v[0] for k, v in parents.items()}
-            self.n -= 1
-        while self.n > -self.s and not self.table:
             self.n -= 1
         # reduce the scale when the support allows it; keys only determine
         # residues mod p when the modulus p^(s+n) is at least p

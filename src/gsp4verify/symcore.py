@@ -1,35 +1,38 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
 
-A LaurentPoly is a sorted tuple of symbol names and a dict from exponent
-vectors (one int per name, possibly negative) to nonzero coefficients:
-an int where the coefficient is integral, so products of integer terms
-need no rational gcd, and otherwise an element of QQ, sympy's rationals
-and the domain of the gcd.  Two names are reserved, ``l`` and ``v``, tied
-by v*v = l: v is a formal square root of l.  With the prime formal, l is
-eliminated as v^2 when a value is built, so a product is plain addition
-of exponent vectors.  A polynomial may instead be pinned to a concrete
-prime p: then l is the rational p, v keeps exponent 0 or 1, and a
-product's v^2 folds to p.  The ``terms`` view shows sorted (name, exp)
-keys with v^2 as l and Fraction coefficients; ``repr`` and the
-denominator normalisation read its lexicographic order.
+A LaurentPoly is a sorted tuple of symbol names and a dict from packed
+monomials to nonzero coefficients: an int where the coefficient is
+integral, otherwise an element of QQ, sympy's rationals and the domain of
+the gcd.  A packed monomial is one int with a 32-bit field per name, in
+names order, holding the exponent plus a bias, so the key of a product
+is k1 + k2 - bias; an exponent outside [-2^30, 2^30) raises rather than
+carry into the next field.  Tuples are built only for the ``terms`` view,
+sympy's gcd and the coprimality images.  Two names are reserved, ``l``
+and ``v``, tied by v*v = l.  With the prime formal, l is stored as v^2.
+Pinned to a prime p, l is the rational p and v keeps exponent 0 or 1: a
+product's v^2 folds to p.  ``terms`` shows sorted (name, exp) keys with
+v^2 as l and Fraction coefficients; ``repr`` and the unit normalisation
+read its lexicographic order.  No canonical operand is rebuilt: only a
+side whose names differ from the union is re-keyed, a constant factor
+scales and a one-term factor shifts, and unused names are looked for
+only where one can vanish (a product adds the least and the greatest
+degrees in each name, so only a name of both sides can).
 
-RatFunc is a reduced fraction of two LaurentPolys.  Reduction shifts both
-sides to polynomials in Q[v, ...], divides out their sympy gcd (with the
-prime pinned, the gcd does not see v^2 = p) and normalizes the
-denominator so its lexicographically smallest term has coefficient 1.
-The gcd is taken only where a common factor can exist, and not where
-images mod a large prime q prove the pair coprime: for each variable
-x_i, with the others at fixed integers, the gcd in F_q[x_i] is constant
-and a leading coefficient in x_i does not vanish (evaluation images, as
-in Brown, JACM 1971).  A fraction with denominator 1 is a Laurent
-polynomial and already canonical, so sums and products of two of them
-are not reduced.  A product cross-reduces each numerator against the
-other denominator; with the prime formal the product of those two
-reduced fractions is then reduced already (Henrici's rule: the ring is a
-UFD and the cross-reduced factors are coprime), so it gets the shift and
-the unit normalization only.  With the prime pinned, folding v^2 into p
-can create a common factor, so that product keeps its gcd.  Equality of
-RatFuncs is always decided by cross-multiplication, never by evaluation.
+RatFunc is a reduced fraction of two LaurentPolys; a Laurent polynomial
+over 1 is canonical, so building one, or the sum or product of two, does
+not reduce.  Otherwise both sides are shifted to polynomials in Q[v, ...]
+and divided by their sympy gcd (with the prime pinned, the gcd does not
+see v^2 = p), and the denominator's lexicographically smallest term gets
+coefficient 1.  The gcd is skipped where images mod a large prime q
+prove the pair coprime: for each variable x_i, with the others at fixed
+integers, the gcd in F_q[x_i] is constant and a leading coefficient in
+x_i does not vanish (evaluation images, as in Brown, JACM 1971).  A
+product cross-reduces each numerator against the other denominator; with
+the prime formal the product of the two reduced fractions is reduced
+(Henrici's rule: the ring is a UFD and the cross-reduced factors are
+coprime).  With the prime pinned, folding v^2 into p can create a common
+factor, so that product keeps its gcd.  Equality of RatFuncs is always
+decided by cross-multiplication, never by evaluation.
 """
 
 from __future__ import annotations
@@ -80,82 +83,135 @@ def _merge_prime(p1: Optional[int], p2: Optional[int]) -> Optional[int]:
     raise PrimeMismatch(f"cannot mix primes {p1} and {p2}")
 
 
+# -- packed monomials: names[i] in the _W-bit field at bit _W * i ----------
+
+_W = 32
+_B = 1 << (_W - 1)      # a field holds its exponent plus _B
+_M = (1 << _W) - 1
+
+
+def _bias(n: int) -> int:
+    """The key of the monomial 1 over n names: _B in every field."""
+    return _B * (((1 << (_W * n)) - 1) // _M)
+
+
+def _pack(e) -> int:
+    k = 0
+    for x in reversed(e):
+        if not -_B // 2 <= x < _B // 2:
+            raise ExactArithmeticError(f"exponent {x} out of range")
+        k = (k << _W) + x + _B
+    return k
+
+
+def _unpack(k: int, n: int) -> tuple:
+    return tuple(((k >> (_W * i)) & _M) - _B for i in range(n))
+
+
 def _fold_v(names: tuple, vecs: dict, prime: Optional[int]) -> dict:
     """With the prime pinned, bring every exponent of v into {0, 1} by
     folding v^2 into the coefficient as the prime."""
     if prime is None or V_NAME not in names:
         return vecs
-    i = names.index(V_NAME)
-    if all(0 <= e[i] <= 1 for e in vecs):
-        return vecs
+    s = _W * names.index(V_NAME)
     p, out = MPQ(prime), {}
-    for e, c in vecs.items():
-        q, r = divmod(e[i], 2)
-        e, c = e[:i] + (r,) + e[i + 1:], c * p ** q
-        out[e] = out[e] + c if e in out else c
+    for k, c in vecs.items():
+        q = (((k >> s) & _M) - _B) // 2
+        if q:
+            k, c = k - (q << (s + 1)), c * p ** q
+        out[k] = out[k] + c if k in out else c
     return out
 
 
-def _canon(names: tuple, vecs: dict):
-    """names and vecs without the zero terms and the names no term uses;
-    an integral coefficient is stored as an int."""
-    vecs = {e: c.numerator if c.denominator == 1 else c
-            for e, c in vecs.items() if c}
-    used = [any(col) for col in zip(*vecs)]
-    if all(used):
-        return (names if vecs else ()), vecs
-    return (tuple(s for s, u in zip(names, used) if u),
-            {tuple(x for x, u in zip(e, used) if u): c
-             for e, c in vecs.items()})
+def _remap(vecs: dict, src: tuple, dst: tuple) -> dict:
+    """vecs re-keyed from the fields of the names src to those of dst (a
+    name only src has must have exponent 0, one only dst has gets 0); the
+    fields that move by one distance move under one mask and shift."""
+    moves, fill = {}, _bias(len(dst))
+    for i, j in ((i, dst.index(s)) for i, s in enumerate(src) if s in dst):
+        moves[j - i] = moves.get(j - i, 0) | _M << (_W * i)
+        fill -= _B << (_W * j)
+    if len(moves) == 1 and set(src) <= set(dst):    # src moves as a block
+        (d,) = moves
+        return {(k << (_W * d)) + fill: c for k, c in vecs.items()}
+    steps = [(m, _W * d) for d, m in moves.items()]
+    return {fill + sum((k & m) << d if d >= 0 else (k & m) >> -d
+                       for m, d in steps): c for k, c in vecs.items()}
+
+
+def _canon(names: tuple, vecs: dict, where=None):
+    """names and vecs without the zero terms and the unused names among
+    those at the indices ``where`` (all by default), an integral
+    coefficient stored as an int."""
+    vecs = {k: c.numerator if c.denominator == 1 else c
+            for k, c in vecs.items() if c}
+    if not vecs:
+        return (), vecs
+    k0 = next(iter(vecs))
+    unused = {names[i] for i in (range(len(names)) if where is None
+                                 else where)
+              if (k0 >> (_W * i)) & _M == _B
+              and all((k >> (_W * i)) & _M == _B for k in vecs)}
+    kept = tuple(s for s in names if s not in unused)
+    return (kept, _remap(vecs, names, kept)) if unused else (names, vecs)
 
 
 def _align(a: "LaurentPoly", b: "LaurentPoly"):
-    """The union of the names of a and b, and both exponent dicts over it."""
+    """The union of the names of a and b, both sides' vecs over it, and
+    the indices of the names they share."""
     if a.names == b.names:
-        return a.names, a.vecs, b.vecs
+        return a.names, a.vecs, b.vecs, range(len(a.names))
     names = tuple(sorted(set(a.names) | set(b.names)))
-    out = [names]
-    for f in (a, b):
-        pos = [f.names.index(s) if s in f.names else -1 for s in names]
-        out.append({tuple(e[i] if i >= 0 else 0 for i in pos): c
-                    for e, c in f.vecs.items()})
-    return out
+    return (names, *(f.vecs if f.names == names else
+                     _remap(f.vecs, f.names, names) for f in (a, b)),
+            [i for i, s in enumerate(names)
+             if s in a.names and s in b.names])
+
+
+def _power(b, n: int, r):
+    """r * b^n for n >= 0, by repeated squaring."""
+    while n:
+        if n & 1:
+            r = r * b
+        b = b * b
+        n >>= 1
+    return r
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with int or QQ coefficients on exponent
-    vectors."""
+    """Sparse Laurent polynomial with int or QQ coefficients on packed
+    monomials."""
 
     __slots__ = ("names", "vecs", "prime")
 
     def __init__(self, terms: Mapping[tuple, Scalar], prime=None):
         """Build from {((name, exp), ...): coeff}; l and v may both occur."""
-        acc: dict = {}
+        names = tuple(sorted({V_NAME if s == L_NAME else s
+                              for mono in terms for s, _ in mono}))
+        vecs: dict = {}
         for mono, c in terms.items():
-            d = dict(mono)
-            e_v = d.pop(V_NAME, 0) + 2 * d.pop(L_NAME, 0)
-            if e_v:
-                d[V_NAME] = e_v
-            key = tuple(sorted((s, e) for s, e in d.items() if e))
-            acc[key] = acc.get(key, 0) + MPQ(c)
-        names = tuple(sorted({s for key in acc for s, _ in key}))
-        vecs = {tuple(dict(key).get(s, 0) for s in names): c
-                for key, c in acc.items()}
+            e = dict.fromkeys(names, 0)
+            for s, x in mono:
+                e[V_NAME if s == L_NAME else s] += 2 * x if s == L_NAME else x
+            k = _pack(e.values())
+            vecs[k] = vecs.get(k, 0) + MPQ(c)
         self.names, self.vecs = _canon(names, _fold_v(names, vecs, prime))
         self.prime = prime
 
     @classmethod
     def _of(cls, names: tuple, vecs: dict, prime) -> "LaurentPoly":
+        """The polynomial with these canonical names and vecs."""
         out = cls.__new__(cls)
-        out.names, out.vecs = _canon(names, vecs)
-        out.prime = prime
+        out.names, out.vecs, out.prime = names, vecs, prime
         return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c: Scalar, prime: Optional[int] = None) -> "LaurentPoly":
-        return LaurentPoly._of((), {(): MPQ(c)}, prime)
+        c = MPQ(c)
+        vecs = {0: c.numerator if c.denominator == 1 else c} if c else {}
+        return LaurentPoly._of((), vecs, prime)
 
     @staticmethod
     def symbol(name: str, exp: int = 1, prime: Optional[int] = None) -> "LaurentPoly":
@@ -163,20 +219,18 @@ class LaurentPoly:
 
     # -- the historical view -------------------------------------------------
 
-    def _key(self, e: tuple) -> tuple:
-        """The sorted (name, exp) key of exponent vector e, v^2 shown as l."""
-        pairs = []
-        for s, x in zip(self.names, e):
-            if s == V_NAME and self.prime is None:
-                pairs += [(L_NAME, x // 2), (V_NAME, x % 2)]
-            else:
-                pairs.append((s, x))
+    def _key(self, k: int) -> tuple:
+        """The sorted (name, exp) key of packed monomial k, v^2 shown as l."""
+        pairs = list(zip(self.names, _unpack(k, len(self.names))))
+        if self.prime is None and V_NAME in self.names:
+            x = pairs.pop(self.names.index(V_NAME))[1]
+            pairs += [(L_NAME, x // 2), (V_NAME, x % 2)]
         return tuple(sorted(pair for pair in pairs if pair[1]))
 
     @property
     def terms(self) -> dict:
-        return {self._key(e): Fraction(c.numerator, c.denominator)
-                for e, c in self.vecs.items()}
+        return {self._key(k): Fraction(c.numerator, c.denominator)
+                for k, c in self.vecs.items()}
 
     # -- basic queries -----------------------------------------------------
 
@@ -186,8 +240,8 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.vecs) == 1
 
-    def is_const(self) -> bool:
-        return not self.names
+    def _is_one(self) -> bool:
+        return not self.names and self.vecs.get(0) == 1
 
     def const_value(self) -> Fraction:
         if self.names:
@@ -201,24 +255,28 @@ class LaurentPoly:
         p2 = _merge_prime(self.prime, p)
         if p2 == self.prime:
             return self
-        vecs = _fold_v(self.names, self.vecs, p2)
-        return LaurentPoly._of(self.names, vecs, p2)
+        return LaurentPoly._of(
+            *_canon(self.names, _fold_v(self.names, self.vecs, p2)), p2)
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
         return LaurentPoly._of(self.names,
-                               {e: -c for e, c in self.vecs.items()},
+                               {k: -c for k, c in self.vecs.items()},
                                self.prime)
 
     def __add__(self, other):
         other = _as_poly(other, self.prime)
         p = _merge_prime(self.prime, other.prime)
-        names, x, y = _align(self.with_prime(p), other.with_prime(p))
+        a, b = self.with_prime(p), other.with_prime(p)
+        if not a.vecs or not b.vecs:
+            return b if not a.vecs else a
+        names, x, y, shared = _align(a, b)
         acc = dict(x)
-        for e, c in y.items():
-            acc[e] = acc[e] + c if e in acc else c
-        return LaurentPoly._of(names, acc, p)
+        for k, c in y.items():
+            acc[k] = acc[k] + c if k in acc else c
+        # only a name of both sides can cancel
+        return LaurentPoly._of(*_canon(names, acc, shared), p)
 
     __radd__ = __add__
 
@@ -231,36 +289,50 @@ class LaurentPoly:
     def __mul__(self, other):
         other = _as_poly(other, self.prime)
         p = _merge_prime(self.prime, other.prime)
-        names, x, y = _align(self.with_prime(p), other.with_prime(p))
-        acc: dict = {}
-        for e1, c1 in x.items():
-            for e2, c2 in y.items():
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
-        return LaurentPoly._of(names, _fold_v(names, acc, p), p)
+        a, b = self.with_prime(p), other.with_prime(p)
+        if len(a.vecs) < len(b.vecs):
+            a, b = b, a
+        if not b.names:     # a constant: 0, or a scale of a's coefficients
+            c = b.vecs.get(0, 0)
+            return b if not c else a if c == 1 else LaurentPoly._of(
+                *_canon(a.names, {k: x * c for k, x in a.vecs.items()}, ()), p)
+        names, x, y, shared = _align(a, b)
+        bias = _bias(len(names))
+        if len(y) == 1:     # one term: a shift of a's exponents
+            ((kb, cb),) = y.items()
+            kb -= bias
+            acc = {k + kb: c * cb for k, c in x.items()}
+        else:
+            acc = {}
+            for k1, c1 in x.items():
+                k1 -= bias
+                for k2, c2 in y.items():
+                    k = k1 + k2
+                    acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
+        # fields of two keys in [-2^(W-2), 2^(W-2)) add with no carry; the
+        # sum stays there if the top two bits of each field differ
+        if any((k ^ (k << 1)) & bias != bias for k in acc):
+            raise ExactArithmeticError("exponent out of range")
+        if p is not None and V_NAME in a.names and V_NAME in b.names:
+            acc = _fold_v(names, acc, p)
+        # only a name of both sides can vanish (see the module docstring)
+        return LaurentPoly._of(*_canon(names, acc, shared), p)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if self.is_monomial():
-            ((e, c),) = self.vecs.items()
-            power = {tuple(x * n for x in e): MPQ(c) ** n}
-            return LaurentPoly._of(
-                self.names, _fold_v(self.names, power, self.prime), self.prime)
+            ((k, c),) = self.vecs.items()
+            e = _unpack(k, len(self.names))
+            power = {_pack([x * n for x in e]): MPQ(c) ** n}
+            power = _fold_v(self.names, power, self.prime)
+            return LaurentPoly._of(*_canon(self.names, power), self.prime)
         if n < 0:
             raise ExactArithmeticError("negative power of a non-monomial")
-        r = LaurentPoly.const(1, self.prime)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return _power(self, n, LaurentPoly.const(1, self.prime))
 
     def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = _as_poly(other, self.prime)
+        other = _as_poly(other, self.prime)
         try:
             p = _merge_prime(self.prime, other.prime)
         except PrimeMismatch:
@@ -282,20 +354,12 @@ class LaurentPoly:
                             if dict(mono).get(var, 0) == deg}, self.prime)
 
     def __repr__(self):
-        if not self.vecs:
-            return "0"
         parts = []
         for mono, c in sorted(self.terms.items()):
             body = "*".join(f"{s}^{e}" if e != 1 else s for s, e in mono)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append("-" + body)
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+            sign = "" if c == 1 else "-" if c == -1 else f"{c}*"
+            parts.append(sign + body if mono else str(c))
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _as_poly(x, prime=None) -> LaurentPoly:
@@ -340,29 +404,26 @@ def _coprime_images(x: dict, y: dict) -> bool:
 
 def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
                     coprime: bool = False):
-    """Reduce a fraction of LaurentPolys to canonical form.
-
-    A single-term denominator c*m is a unit of the Laurent ring, so its
-    canonical form is (num / (c*m), 1) without a gcd.  Otherwise every
-    symbol is shifted by its least exponent over both sides, which makes
-    them polynomials in Q[v, ...] with no common monomial content, so a
-    single-term numerator is already coprime to the denominator; any
-    other pair is divided by its gcd, unless the caller knows the pair
-    is ``coprime`` (a formal-prime product of reduced fractions, see the
-    module docstring) or ``_coprime_images`` proves it.  With the prime
-    pinned the gcd does not see v^2 = p."""
+    """Reduce a fraction of LaurentPolys to canonical form.  A one-term
+    denominator c*m is a unit of the Laurent ring, so the form is
+    (num / (c*m), 1) with no gcd.  Otherwise every symbol is shifted by
+    its least exponent over both sides, to polynomials in Q[v, ...] with
+    no common monomial content, so a one-term numerator is coprime to
+    the denominator; any other pair is divided by its gcd, unless the
+    caller knows the pair is ``coprime`` (a formal-prime product of
+    reduced fractions, see the module docstring) or ``_coprime_images``
+    proves it."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
         raise DivisionByZero("zero denominator")
-    if num.is_zero():
-        return LaurentPoly.const(0, prime), LaurentPoly.const(1, prime)
-    if den.is_monomial():
-        if den.names or den.vecs[()] != 1:
-            num = num * den ** -1
-        return num, LaurentPoly.const(1, prime)
+    if num.is_zero() or den.is_monomial():
+        return (num if num.is_zero() or den._is_one() else num * den ** -1,
+                LaurentPoly.const(1, prime))
 
-    names, x, y = _align(num, den)
+    names, x, y, _ = _align(num, den)
+    x, y = ({_unpack(k, len(names)): c for k, c in side.items()}
+            for side in (x, y))
     low = [min(col) for col in zip(*x, *y)]
     sides = [{tuple(map(sub, e, low)): c for e, c in side.items()}
              for side in (x, y)]
@@ -377,15 +438,15 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
             if not (rn.is_zero and rd.is_zero):
                 raise ExactArithmeticError("gcd does not divide the pair")
             sides = [f.as_dict(native=True) for f in (fn, fd)]
-    num2, den2 = (LaurentPoly._of(names, side, prime) for side in sides)
+    num2, den2 = (LaurentPoly._of(*_canon(names, {
+        _pack(e): c for e, c in side.items()}), prime) for side in sides)
 
     # unit normalization: the denominator term with the lex-least key
     # gets coefficient 1
     lead = min(den2.vecs, key=den2._key)
-    if any(lead) or den2.vecs[lead] != 1:
-        unit = LaurentPoly._of(den2.names, {lead: den2.vecs[lead]}, prime)
-        num2, den2 = num2 * unit ** -1, den2 * unit ** -1
-    return num2, den2
+    unit = LaurentPoly._of(*_canon(den2.names, {lead: den2.vecs[lead]}),
+                           prime) ** -1
+    return num2 * unit, den2 * unit
 
 
 class RatFunc:
@@ -394,12 +455,13 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _canonical: bool = False):
-        if den is None:
-            den = LaurentPoly.const(1, getattr(num, "prime", None))
         num = _as_poly(num)
-        den = _as_poly(den, num.prime)
+        den = _as_poly(1 if den is None else den, num.prime)
         if _canonical:
             self.num, self.den = num, den
+        elif den._is_one():     # a Laurent polynomial: canonical as it is
+            p = _merge_prime(num.prime, den.prime)
+            self.num, self.den = num.with_prime(p), den.with_prime(p)
         else:
             self.num, self.den = _normalize_pair(num, den)
 
@@ -425,9 +487,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def is_const(self) -> bool:
-        return self.num.is_const() and self.den.is_const()
-
     def const_value(self) -> Fraction:
         return self.num.const_value() / self.den.const_value()
 
@@ -441,12 +500,9 @@ class RatFunc:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _is_laurent(self) -> bool:
-        return self.den.vecs == {(): 1}
-
     def __add__(self, other):
         other = as_ratfunc(other, self.prime)
-        if self._is_laurent() and other._is_laurent():
+        if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num + other.num, _canonical=True)
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
@@ -466,7 +522,7 @@ class RatFunc:
 
     def __mul__(self, other):
         other = as_ratfunc(other, self.prime)
-        if self._is_laurent() and other._is_laurent():
+        if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num * other.num, _canonical=True)
         # cross-reduce first to keep intermediate degrees small; with the
         # prime formal the product of the reduced factors is reduced
@@ -488,16 +544,8 @@ class RatFunc:
         return as_ratfunc(other, self.prime) * self.inv()
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        r = RatFunc.const(1, self.prime)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        b = self.inv() if n < 0 else self
+        return _power(b, abs(n), RatFunc.const(1, self.prime))
 
     def __eq__(self, other):
         if not isinstance(other, (RatFunc, LaurentPoly, int, Fraction)):
@@ -512,19 +560,13 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den._is_one():
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
 
 
 def as_ratfunc(x, prime=None) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.const(x, prime)
-    raise TypeError(f"cannot coerce {x!r} to RatFunc")
+    return x if isinstance(x, RatFunc) else RatFunc(_as_poly(x, prime))
 
 
 # -- public convenience ------------------------------------------------------
@@ -581,10 +623,8 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
         for mono, c in p.terms.items():
             t = RatFunc.const(c, p.prime)
             for s, e in mono:
-                if s in binds:
-                    t = t * binds[s] ** e
-                else:
-                    t = t * RatFunc(LaurentPoly.symbol(s, e, p.prime))
+                t = t * (binds[s] ** e if s in binds else
+                         RatFunc(LaurentPoly.symbol(s, e, p.prime)))
             total = total + t
         return total
 
@@ -613,15 +653,11 @@ class PowerSeries:
 
     def __add__(self, other):
         self._check_var(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(self.var,
-                           [self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return PowerSeries(self.var, map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check_var(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(self.var,
-                           [self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return PowerSeries(self.var, map(sub, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
@@ -629,13 +665,11 @@ class PowerSeries:
             return PowerSeries(self.var, [x * c for x in self.coeffs])
         self._check_var(other)
         n = min(len(self.coeffs), len(other.coeffs))
-        out = [RatFunc.const(0) for _ in range(n)]
-        for i in range(n):
-            if self.coeffs[i].is_zero():
-                continue
-            for j in range(n - i):
-                if not other.coeffs[j].is_zero():
-                    out[i + j] = out[i + j] + self.coeffs[i] * other.coeffs[j]
+        out = [RatFunc.const(0)] * n
+        for i, a in enumerate(self.coeffs[:n]):
+            for j, b in enumerate(other.coeffs[:n - i]):
+                if a and b:
+                    out[i + j] = out[i + j] + a * b
         return PowerSeries(self.var, out)
 
     __rmul__ = __mul__
@@ -677,9 +711,8 @@ def series_expand(f: RatFunc, var: str, order: int) -> PowerSeries:
     for k in range(order + 1):
         acc = num_c.get(k, RatFunc.const(0, f.prime))
         for j in range(1, k + 1):
-            dj = den_c.get(j)
-            if dj is not None:
-                acc = acc - dj * out[k - j]
+            if j in den_c:
+                acc = acc - den_c[j] * out[k - j]
         out.append(acc / d0)
     return PowerSeries(var, out)
 
@@ -695,10 +728,9 @@ def reconstruct_ratfunc(series: PowerSeries, den: RatFunc,
     prod = series * dpoly
     if series.order < num_deg_bound + 2:
         raise ExactArithmeticError("truncation order too small to reconstruct")
-    for i in range(num_deg_bound + 1, series.order + 1):
-        if not prod.coeffs[i].is_zero():
-            raise ExactArithmeticError("series is not the expansion of "
-                                       "a rational function with this denominator")
+    if any(prod.coeffs[num_deg_bound + 1:]):
+        raise ExactArithmeticError("series is not the expansion of "
+                                   "a rational function with this denominator")
     x = RatFunc.symbol(series.var, prime=series.coeffs[0].prime
                        if series.coeffs else None)
     num = RatFunc.const(0)

@@ -461,6 +461,38 @@ def test_twist_micro_identity(h):
     assert out == want
 
 
+def _apply_group_over_fractions(space, g, vec):
+    """The group action with every entry of g and of its minors a
+    Fraction: the reference for TensorSpace.apply_group."""
+    g4 = mat(g)
+    cols = (br._columns(g4), br._columns(br.wedge_group_matrix(g4)))
+    for pos in range(len(space.kinds)):
+        vec = space._act_factor(pos, *cols, vec, {})
+        vec = {k: v for k, v in vec.items() if v != 0}
+    return vec
+
+
+def test_apply_group_matches_fraction_reference():
+    # the twists and 20 random g, half of them integral, on vectors of
+    # every factor order of (1, 1) and (2, 1); an integral g keeps
+    # integer coefficients ints
+    rng = random.Random(20)
+    gs = [br.twist_element(h) for h in (-2, -1, 1, 2)]
+    gs += [mat([[Q(rng.randint(-4, 4), rng.choice((1, 2, 3)) if i % 2
+                   else 1) for _ in range(4)] for _ in range(4)])
+           for i in range(20)]
+    spaces = [br.TensorSpace(1, 1, kinds) for kinds in ("wv", "vw")]
+    spaces += [br.TensorSpace(2, 1, kinds) for kinds in ("wwv", "wvw")]
+    for g in gs:
+        integral = all(x.denominator == 1 for row in g for x in row)
+        for sp in spaces:
+            vec = {idx: rng.randint(-3, 3) for idx in rng.sample(
+                sorted(sp.indices()), 5)}
+            got = sp.apply_group(g, vec)
+            assert got == _apply_group_over_fractions(sp, g, vec)
+            assert not integral or all(type(c) is int for c in got.values())
+
+
 @pytest.mark.parametrize("ab", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_twist_lemma_grid(ab):
     a, b = ab

@@ -342,6 +342,20 @@ def test_schwartz_canonical_merge():
     assert f.n == 0 and f.s == 0
 
 
+@pytest.mark.parametrize("h", [
+    SchwartzFn.coset(2, Q(1, 2), 0, 1),
+    SchwartzFn.coset(3, Q(1, 3), 0, 1),
+    SchwartzFn.coset(3, Q(1, 9), Q(2, 3), -1, Q(2)),
+], ids=["p2", "p3", "p3-level-1"])
+def test_schwartz_zero_is_unique(h):
+    # every cancelling sum is the one zero, at scale and level 0, and
+    # the transform maps it to itself
+    zero = h - h
+    assert zero == SchwartzFn.zero(h.p) and (zero.s, zero.n) == (0, 0)
+    assert fourier(fourier(zero)) == zero == fourier(zero)
+    assert zero + h == h and h + zero == h
+
+
 def test_schwartz_bad_scale_and_downward_refinement_raise():
     with pytest.raises(ValueError):
         SchwartzFn(3, -1, 2, {})
@@ -586,13 +600,18 @@ def fourier_by_terms(phi):
 
 def _random_schwartz(rng, p):
     """A sum of one to three cosets with scale and level 0 or 1 and
-    positive coefficients, so never zero."""
-    phi = SchwartzFn.zero(p)
+    coefficients of either sign; a term may cancel the one before it,
+    so the sum may be zero."""
+    phi, term = SchwartzFn.zero(p), None
     for _ in range(rng.randint(1, 3)):
-        x = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
-        y = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
-        phi = phi + SchwartzFn.coset(p, x, y, rng.randint(0, 1),
-                                     Q(rng.randint(1, 5)))
+        if term is not None and rng.random() < 0.3:
+            term = term * Q(-1)
+        else:
+            x = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
+            y = Q(rng.randint(-4, 4), p ** rng.randint(0, 1))
+            term = SchwartzFn.coset(p, x, y, rng.randint(0, 1),
+                                    Q(rng.choice((-3, -1, 1, 2, 5))))
+        phi = phi + term
     return phi
 
 
@@ -608,6 +627,7 @@ def test_fourier_matches_term_by_term_oracle():
     phis = [_random_schwartz(rng, p) for p in (2, 3) for _ in range(16)]
     assert {(phi.s, phi.n) for phi in phis} >= {(0, 0), (0, 1), (1, 0),
                                                  (1, 1)}
+    assert {phi.p for phi in phis if phi.is_zero()} == {2, 3}
     # level -1: the transform lives on p Z_p^2 and is stepped over by p
     phis += [SchwartzFn.coset(3, Q(1, 9), Q(2, 3), -1, Q(2)),
              SchwartzFn.lattice_product(2, -1, -1)]

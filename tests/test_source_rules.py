@@ -2,8 +2,8 @@
 `assert` statement vanishes under `python -O`), no module keeps a
 hidden global cache, whether rebound through a `global` statement or
 filled in place, no private module-level name is left without a
-reader, and only symcore, the one exact-arithmetic backend, imports
-sympy."""
+reader, only symcore, the one exact-arithmetic backend, imports sympy,
+and only symcore reads the packed form of a LaurentPoly."""
 
 import ast
 import collections
@@ -188,3 +188,32 @@ def test_sympy_rule_flags_an_import():
         "def f():\n"
         "    import os, sympy.abc as abc\n")
     assert sorted(_sympy_imports(tree)) == [1, 2, 6]
+
+
+#: the attributes that hold a LaurentPoly's packed monomials and the
+#: names that give their fields meaning
+PACKED = frozenset({"vecs", "names"})
+
+
+def _packed_reads(tree):
+    """Line numbers of the attribute accesses `.vecs` and `.names`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in PACKED]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_symcore_reads_packed_monomials(path):
+    """The packed-monomial format stays behind symcore: every other
+    module reads a LaurentPoly through `terms`, `repr` and arithmetic."""
+    lines = _packed_reads(TREES[path])
+    assert path.name == "symcore.py" or lines == []
+
+
+def test_packed_rule_flags_a_read():
+    tree = ast.parse(
+        "def f(r, terms):\n"
+        "    keys = list(r.num.vecs)\n"
+        "    n = len(r.den.names)\n"
+        "    names, vecs = r.num.terms, terms.values()\n"
+        "    return getattr(r, 'vecs'), keys, n, names, vecs\n")
+    assert _packed_reads(tree) == [2, 3]

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic core."""
 
+import operator
 import random
 from fractions import Fraction as Q
 
@@ -560,3 +561,138 @@ def test_integral_coefficients_are_ints(a, b, prime, n):
                  ((a * b).with_prime(prime), a2 * b2)):
         assert u == w and hash(u) == hash(w) and repr(u) == repr(w)
         assert u.terms == w.terms
+
+
+# -- the packed kernel against the tuple-keyed product it replaced -----------
+
+_EDGE = 1 << (sc._W - 2)    # a packed field holds exponents in [-_EDGE, _EDGE)
+
+
+def _tuple_key(names, e, prime):
+    """The terms-view key of exponent tuple e, v^2 shown as l."""
+    pairs = []
+    for s, x in zip(names, e):
+        if s == "v" and prime is None:
+            pairs += [("l", x // 2), ("v", x % 2)]
+        else:
+            pairs.append((s, x))
+    return tuple(sorted(pair for pair in pairs if pair[1]))
+
+
+def _tuple_product(a, b, prime):
+    """a * b as the tuple-keyed kernel computed it: exponent tuples over
+    the union of the names, added name by name, v^2 folded into the
+    pinned prime.  Returns the terms view and whether every exponent of
+    a term pair fits a packed field."""
+    sides = []
+    for f in (a, b):
+        monos = _lifted_exponents(f)
+        sides.append({tuple(sorted(m)): c for m, c in monos.items()})
+    names = tuple(sorted({s for side in sides for m in side for s, _ in m}))
+    x, y = ({tuple(dict(m).get(s, 0) for s in names): c
+             for m, c in side.items()} for side in sides)
+    acc = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            e = tuple(map(operator.add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    fits = all(-_EDGE <= t < _EDGE for e in acc for t in e)
+    if prime is not None and "v" in names:
+        i, folded = names.index("v"), {}
+        for e, c in acc.items():
+            q, r = divmod(e[i], 2)
+            e = e[:i] + (r,) + e[i + 1:]
+            folded[e] = folded.get(e, 0) + c * Q(prime) ** q
+        acc = folded
+    return {_tuple_key(names, e, prime): c for e, c in acc.items() if c}, fits
+
+
+_edge_exponents = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [-_EDGE, 1 - _EDGE, -_EDGE // 2, _EDGE // 2, _EDGE - 2, _EDGE - 1]))
+
+
+@st.composite
+def _packed_operands(draw, prime):
+    """Constants, one-term and general operands over differing name
+    sets, x, y and z with exponents up to the edge of a field (v and l,
+    whose powers fold into the prime, stay small)."""
+    names = draw(st.lists(st.sampled_from("lxyz"), unique=True, max_size=2))
+    names += ["v"] * draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        mono = tuple(sorted(
+            (s, draw(st.sampled_from([-1, 1, 1, 2, 3]) if s == "v" else
+                     st.integers(-2, 2) if s == "l" else _edge_exponents))
+            for s in names if draw(st.booleans())))
+        terms[mono] = Q(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+    return LaurentPoly(terms, prime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 3]))
+def test_packed_product_against_tuple_reference(data, prime):
+    # a chain of three products, so that an exponent past the edge of
+    # its field would carry into the next one if it were not caught
+    got = data.draw(_packed_operands(prime))
+    for _ in range(2):
+        f = data.draw(_packed_operands(prime))
+        want, fits = _tuple_product(got, f, prime)
+        if not fits:
+            with pytest.raises(sc.ExactArithmeticError):
+                got * f
+            return
+        got = got * f
+        rebuilt = LaurentPoly(want, prime)
+        assert got.terms == want
+        assert repr(got) == repr(rebuilt) and hash(got) == hash(rebuilt)
+        assert got.names == tuple(sorted(
+            {"v" if s == "l" else s for m in want for s, _ in m}))
+
+
+def test_exponent_past_the_edge_of_a_field_raises():
+    assert LaurentPoly.symbol("x", _EDGE - 1).terms == {
+        (("x", _EDGE - 1),): 1}
+    assert LaurentPoly.symbol("x", -_EDGE).terms == {(("x", -_EDGE),): 1}
+    for e in (_EDGE, -_EDGE - 1):
+        with pytest.raises(sc.ExactArithmeticError):
+            LaurentPoly.symbol("x", e)
+    x, y = LaurentPoly.symbol("x", _EDGE - 1), LaurentPoly.symbol("y")
+    with pytest.raises(sc.ExactArithmeticError):
+        (x + y) * (x - y)
+    with pytest.raises(sc.ExactArithmeticError):
+        x * y * x
+    with pytest.raises(sc.ExactArithmeticError):
+        x ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(xylv, st.sampled_from([None, 2, 3]), st.sampled_from([None, 2, 3]))
+def test_laurent_over_one_matches_the_reduction(f, prime, den_prime):
+    # a Laurent polynomial over 1 is stored as it is, with the unit
+    # denominator, whatever the form of the 1
+    f = f.with_prime(prime)
+    one = LaurentPoly.const(1, den_prime if prime is None else prime)
+    want = sc._normalize_pair(f, one)
+    for g in (RatFunc(f), RatFunc(f, 1), RatFunc(f, Q(1)), RatFunc(f, one)):
+        if g.prime != want[0].prime:
+            continue        # only RatFunc(f, one) sees den_prime
+        assert (g.num, g.den) == want
+        assert (hash(g.num), hash(g.den)) == tuple(map(hash, want))
+        assert (repr(g.num), repr(g.den)) == tuple(map(repr, want))
+
+
+def test_laurent_over_one_skips_the_reduction(monkeypatch):
+    calls = []
+
+    def counting(*args, _fn=sc._normalize_pair, **kw):
+        calls.append(args)
+        return _fn(*args, **kw)
+    monkeypatch.setattr(sc, "_normalize_pair", counting)
+    x, v = LaurentPoly.symbol("x", prime=3), LaurentPoly.symbol("v", prime=3)
+    for f in (x + v, LaurentPoly.const(0, 3), LaurentPoly.const(Q(2, 3))):
+        RatFunc(f), RatFunc(f, 1), RatFunc(f, LaurentPoly.const(1, 3))
+        RatFunc.const(5, 3), sc.as_ratfunc(f)
+    assert calls == []
+    zero = LaurentPoly.const(0, 3)
+    assert zero.is_zero() and zero.names == () and zero.vecs == {}
+    assert zero == LaurentPoly.const(0) * 1 == (x - x)
