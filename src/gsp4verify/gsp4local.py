@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .symcore import RatFunc, as_ratfunc, ell_pow, sym
-from .padic import (GSp4Elt, _padic_residue, gsp4_multiplier, hecke_r_reps,
-                    hecke_t1_reps, hecke_t_reps, identity, iwasawa_gsp4, mat,
-                    mat_det, mat_mul, rref_modp, siegel_u_reps, val, weyl_s1,
-                    weyl_s2)
+from .padic import (GSp4Elt, _as_fractions, _diag, _double_coset,
+                    _padic_residue, gsp4_multiplier, identity, iwasawa_gsp4,
+                    mat, mat_det, mat_mul, rref_modp, siegel_u_reps, val,
+                    weyl_s1, weyl_s2)
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,11 @@ def eval_induced(f: InducedVectorG, g) -> RatFunc:
 
 # -- spherical Hecke operators ---------------------------------------------------
 
-_COSET_FNS = {
-    "T": hecke_t_reps,
-    "T1": hecke_t1_reps,
-    "R": hecke_r_reps,
-}
+def _coset_reps(op: str, p: int):
+    """Left coset representatives of the double coset of op, as (r, d)."""
+    if op == "R":
+        return [_diag(p, p, p, p)]
+    return _double_coset({"T": (0, 0, 1, 1), "T1": (0, 1, 1, 2)}[op], p)
 
 
 def hecke_eigenvalue(op: str, sigma: PrincipalSeriesG) -> RatFunc:
@@ -163,18 +163,20 @@ def hecke_eigenvalue(op: str, sigma: PrincipalSeriesG) -> RatFunc:
     vector: the sum of its values over the left coset representatives.
     The representatives are upper triangular and the spherical vector is
     1 on GSp4(Z_p), so each value is the Borel factor, which depends only
-    on the valuations of the diagonal: the sum is taken over those, each
-    Borel factor times the number of representatives that share it."""
+    on the valuations of the diagonal, read off r / d as val(r_ii) -
+    val(d): the sum is taken over those, each Borel factor times the
+    number of representatives that share it."""
     p = sigma.p
     groups = {}     # diagonal valuations -> [a representative, count]
-    for r in _COSET_FNS[op](p):
+    for x in _coset_reps(op, p):
+        r, d = x
         if any(r[i][j] for i in range(4) for j in range(i)):
             raise ArithmeticError("Hecke representative is not in the Borel")
-        groups.setdefault(tuple(val(r[i][i], p) for i in range(4)),
-                          [r, 0])[1] += 1
+        groups.setdefault(tuple(val(r[i][i], p) - val(d, p)
+                                for i in range(4)), [x, 0])[1] += 1
     total = as_ratfunc(0, p)
-    for r, count in groups.values():
-        total = total + count * borel_factor(sigma, r)
+    for x, count in groups.values():
+        total = total + count * borel_factor(sigma, _as_fractions(x))
     return total
 
 

@@ -8,7 +8,10 @@ Euler-factor statement.
 
 All matrix identities are exact over Q; subgroup membership is decided
 by the exact congruence tests of the p-adic toolkit, so no floating
-point or truncation enters anywhere.
+point or truncation enters anywhere.  The coset loops carry group
+elements as the toolkit's integer rows over one denominator, (r, d);
+Fraction matrices enter only through the public pairs HElt and the
+witnesses of the wild report.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from fractions import Fraction
 
 from .besselzeta import TameDatum
 from .gsp4local import hecke_eigenvalue
-from .padic import (HElt, LevelSpec, SchwartzFn, _padic_residue,
-                    act_schwartz, coset_block, gl2_inv, gsp4_inv, identity,
-                    in_level, mat, mat_add, mat_mul, mat_scalar, mat_t,
-                    root_unipotent, siegel_parahoric_reps)
+from .padic import (HElt, LevelSpec, SchwartzFn, _act, _as_fractions,
+                    _coset_block, _diag, _embed_rows, _in_level, _int_rows,
+                    _inverse, _padic_residue, _product, _root_unipotent,
+                    _transpose, act_schwartz, identity, mat,
+                    siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
 Q = Fraction
@@ -29,9 +33,14 @@ Q = Fraction
 
 # -- basic elements -------------------------------------------------------------
 
+def _eta(p: int, r: int, a=1):
+    """(r, d) of the rational unipotent 1 + a p^{-r} (E13 + E24)."""
+    return _root_unipotent(2, Q(a, p ** r))
+
+
 def eta(p: int, r: int, a=1) -> tuple:
     """The rational unipotent 1 + a p^{-r} (E13 + E24)."""
-    return root_unipotent(2, Q(a) / Q(p) ** r)
+    return _as_fractions(_eta(p, r, a))
 
 
 def upper_shear(b) -> tuple:
@@ -51,26 +60,27 @@ def diag2(a, d) -> tuple:
 @dataclass(frozen=True)
 class XiElt:
     """A finite sum of indicator functions of left cosets g U, for a
-    fixed open subgroup U (given by a LevelSpec at a prime)."""
+    fixed open subgroup U (given by a LevelSpec at a prime); each g is
+    given as (r, d)."""
     p: int
     level: LevelSpec
-    terms: tuple  # of (matrix, coeff)
+    terms: tuple  # of ((r, d), coeff)
 
     def left_translate(self, g) -> "XiElt":
-        g = mat(g)
+        """The translate by g = (r, d): each coset h U becomes g h U."""
         return XiElt(self.p, self.level,
-                     tuple((mat_mul(g, h), c) for h, c in self.terms))
+                     tuple((_product(g, h), c) for h, c in self.terms))
 
     def _collapse(self):
         """Merge terms indexing the same coset."""
         out = []    # of (g0, inverse of g0, coefficient)
         for g, c in self.terms:
             for i, (g0, g0_inv, c0) in enumerate(out):
-                if in_level(mat_mul(g0_inv, g), self.level, self.p):
+                if _in_level(_product(g0_inv, g), self.level, self.p):
                     out[i] = (g0, g0_inv, c0 + c)
                     break
             else:
-                out.append((g, gsp4_inv(g), c))
+                out.append((g, _inverse(g), c))
         return [(g, c) for g, _, c in out if c != 0]
 
     def __eq__(self, other):
@@ -81,10 +91,10 @@ class XiElt:
         a, b = self._collapse(), other._collapse()
         if len(a) != len(b):
             return False
-        b_inv = [(gsp4_inv(g2), c2) for g2, c2 in b]
+        b_inv = [(_inverse(g2), c2) for g2, c2 in b]
         for g, c in a:
-            if not any(c == c2 and in_level(mat_mul(g2_inv, g),
-                                            self.level, self.p)
+            if not any(c == c2 and _in_level(_product(g2_inv, g),
+                                             self.level, self.p)
                        for g2_inv, c2 in b_inv):
                 return False
         return True
@@ -106,8 +116,8 @@ def _unit_gens(p: int, m: int):
     """Units a with a = 1 mod p^m; for m = 0 include generators of the
     full unit group."""
     if m == 0:
-        return [Q(-1), Q(3 if p == 2 else 2), Q(1 + p)]
-    return [Q(1 + p ** m)]
+        return [-1, 3 if p == 2 else 2, 1 + p]
+    return [1 + p ** m]
 
 
 def _w_group_generators(p: int, m: int, t: int):
@@ -133,7 +143,7 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
     if role == "good":
         if params:
             raise ValueError("good entries take no parameters")
-        xi = XiElt(p, LevelSpec("G"), ((identity(4), Q(1)),))
+        xi = XiElt(p, LevelSpec("G"), ((_diag(1, 1, 1, 1), Q(1)),))
         phi = (SchwartzFn.lattice_product(p, 0, 0),
                SchwartzFn.lattice_product(p, 0, 0))
         gens = _w_group_generators(p, 0, 0)
@@ -141,7 +151,7 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
         if params:
             raise ValueError("tame entries take no parameters")
         xi = XiElt(p, LevelSpec("K1det"),
-                   ((identity(4), Q(1)), (eta(p, 1), Q(-1))))
+                   ((_diag(1, 1, 1, 1), Q(1)), (_eta(p, 1), Q(-1))))
         phi = (SchwartzFn.depth_pair(p, 2), SchwartzFn.depth_pair(p, 2))
         gens = [h for h in _w_group_generators(p, 1, 2)]
     elif role == "wild":
@@ -151,7 +161,7 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
         t = params.pop("t", n + 2 * m)
         if params or n < max(m, 1) or t < 1:
             raise ValueError("invalid wild parameters")
-        xi = XiElt(p, LevelSpec("Kmn", m, n), ((eta(p, m), Q(1)),))
+        xi = XiElt(p, LevelSpec("Kmn", m, n), ((_eta(p, m), Q(1)),))
         phi = (SchwartzFn.depth_pair(p, t), SchwartzFn.depth_pair(p, t))
         gens = _w_group_generators(p, m, t)
         if phi[0].value_at(0, 0) != 0 or phi[1].value_at(0, 0) != 0:
@@ -170,16 +180,16 @@ def _validate_entry(entry: LocalDataEntry):
         if act_schwartz(h.g1, entry.phi[0]) != entry.phi[0] \
                 or act_schwartz(h.g2, entry.phi[1]) != entry.phi[1]:
             raise AssertionError("symmetry group does not fix phi")
-        if entry.xi.left_translate(h.embed().m) != entry.xi:
+        if entry.xi.left_translate(_embed_rows(h)) != entry.xi:
             raise AssertionError("symmetry group does not left-fix xi")
 
 
 # -- sufficiency of the depth bound ---------------------------------------------
 
 def _w_contained(p: int, m: int, n: int, t: int) -> bool:
-    e, ei = eta(p, m), eta(p, m, -1)
+    e, ei = _eta(p, m), _eta(p, m, -1)
     spec = LevelSpec("Kmn", m, n)
-    return all(in_level(mat_mul(mat_mul(ei, h.embed().m), e), spec, p)
+    return all(_in_level(_product(_product(ei, _embed_rows(h)), e), spec, p)
                for h in _w_group_generators(p, m, t))
 
 
@@ -245,8 +255,8 @@ def indept_identity(p: int, T: int, t: int):
     # transversal lies in the principal congruence subgroup of level p^T
     for h in reps:
         for g in (h.g1, h.g2):
-            diff = mat_add(g, mat_scalar(identity(2), -1))
-            if any(x % p ** T for row in diff for x in row):
+            if any((g[i][j] - (i == j)) % p ** T
+                   for i in range(2) for j in range(2)):
                 raise AssertionError("representative not principal")
     # pairwise inequivalent modulo the deeper group; the check above makes
     # every element integral with unit determinant, as the key needs
@@ -269,17 +279,16 @@ def indept_identity(p: int, T: int, t: int):
 
 def _kmn_generators(p: int, m: int, n: int):
     """Generating elements of the level group used for the coset-orbit
-    closure check."""
+    closure check, as (r, d)."""
     gens = []
     for i in (1, 2, 3):                      # upper-right block shears
-        gens.append(root_unipotent(i, 1))
-        gens.append(mat_t(root_unipotent(i, p ** n)))
-    gens.append(root_unipotent(0, p ** n))   # block-diagonal shears
-    gens.append(mat_t(root_unipotent(0, p ** n)))
+        gens.append(_root_unipotent(i, 1))
+        gens.append(_transpose(_root_unipotent(i, p ** n)))
+    gens.append(_root_unipotent(0, p ** n))  # block-diagonal shears
+    gens.append(_transpose(_root_unipotent(0, p ** n)))
     for a in _unit_gens(p, m):
-        gens.append(mat([[a, 0, 0, 0], [0, a, 0, 0],
-                         [0, 0, 1, 0], [0, 0, 0, 1]]))
-    gens.append(mat_scalar(identity(4), 1 + p ** n))
+        gens.append(_diag(a, a, 1, 1))
+    gens.append(_diag(*[1 + p ** n] * 4))
     return gens
 
 
@@ -315,40 +324,42 @@ def wild_coset_identity(p: int, m: int, n: int):
     # so each block is keyed by the residues of (u, v, w), read off its
     # upper-right block, and two blocks are equivalent exactly when their
     # keys agree
-    def key(g):
-        return tuple(_padic_residue(g[i][j], p, p)
-                     for i, j in ((0, 2), (0, 3), (1, 2)))
+    def key(x):         # x = (r, d), d prime to p
+        r, w = x[0], pow(x[1], -1, p)
+        return tuple(r[i][j] * w % p for i, j in ((0, 2), (0, 3), (1, 2)))
 
     blocks = [(u, v, w) for u in range(p) for v in range(p)
               for w in range(p)]
-    mats = {b: coset_block(p, *b) for b in blocks}
+    mats = {b: _coset_block(p, *b) for b in blocks}
     keyed = {}
     for b in blocks:
         first = keyed.setdefault(key(mats[b]), b)
         if first != b:
             return False, {"failed": "coset disjointness", "at": (first, b)}
-    inverses = {k: gsp4_inv(mats[b]) for k, b in keyed.items()}
+    inverses = {k: _inverse(mats[b]) for k, b in keyed.items()}
     for g in _kmn_generators(p, m, n):
         for b in blocks:
-            moved = mat_mul(g, mats[b])
+            moved = _product(g, mats[b])
             # coset_block(X2)^{-1} moved has the lower rows of moved and
             # the upper-right block (B - X2 D) / p, where B, D are the
             # right-hand blocks of moved; the level group needs D = 1 mod
             # p, so the only candidate is X2 = B mod p, keyed by B
-            if not in_level(mat_mul(inverses[key(moved)], moved), spec, p):
+            back = _product(inverses[key(moved)], moved)
+            if not _in_level(back, spec, p):
                 return False, {"failed": "coset stability", "at": b}
     report["cosets"] = len(blocks)
 
     # step (i): the factorisation witnesses
+    eta_m = _eta(p, m)
     for (u, v, w) in blocks:
         a = 1 + p ** m * u
         h = HElt.of(mat([[p, v], [0, 1]]), mat([[p, w], [0, 1]]))
-        lhs = mat_mul(eta(p, m), coset_block(p, u, v, w))
-        target = eta(p, m + 1, a)
-        k = mat_mul(gsp4_inv(mat_mul(h.embed().m, target)), lhs)
-        if not in_level(k, spec, p):
+        lhs = _product(eta_m, mats[(u, v, w)])
+        target = _eta(p, m + 1, a)
+        k = _product(_inverse(_product(_embed_rows(h), target)), lhs)
+        if not _in_level(k, spec, p):
             return False, {"failed": "factorisation", "at": (u, v, w)}
-        report["witnesses"].append(((u, v, w), h, k))
+        report["witnesses"].append(((u, v, w), h, _as_fractions(k)))
 
     # test-function identity, checked per factor:
     # sum over v of the inverse-shear translates of ch(p^n Z x (1+p^n Z))
@@ -356,8 +367,8 @@ def wild_coset_identity(p: int, m: int, n: int):
     phi = SchwartzFn.depth_pair(p, n)
     acc = SchwartzFn.zero(p)
     for v in range(p):
-        g = gl2_inv(mat([[p, v], [0, 1]]))
-        acc = acc + act_schwartz(g, phi)
+        g = _inverse(_int_rows([[p, v], [0, 1]]))
+        acc = acc + _act(g, phi)
     deeper = SchwartzFn.coset(p, 0, 1, n)  # ch(p^{n+1} Z x (1 + p^n Z))
     deeper = _intersect_first_factor(deeper, p, n + 1)
     if acc != p * deeper:
@@ -367,24 +378,23 @@ def wild_coset_identity(p: int, m: int, n: int):
     units = [u for u in range(p) if (1 + p ** m * u) % p != 0]
     for u in units:
         a = 1 + p ** m * u
-        d = mat([[a, 0, 0, 0], [0, a, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        if not in_level(d, spec, p):
+        d = _diag(a, a, 1, 1)
+        if not _in_level(d, spec, p):
             return False, {"failed": "conjugator membership", "at": u}
-        conj = mat_mul(mat_mul(d, eta(p, m + 1)), gsp4_inv(d))
-        if conj != eta(p, m + 1, a):
+        conj = _product(_product(d, _eta(p, m + 1)), _inverse(d))
+        if conj != _eta(p, m + 1, a):
             return False, {"failed": "conjugation identity", "at": u}
-        hd = diag2(a, 1)
-        if act_schwartz(hd, deeper) != deeper:
+        if _act(_diag(a, 1), deeper) != deeper:
             return False, {"failed": "conjugator acts on phi", "at": u}
     report["conjugate_terms"] = len(units)
 
     # step (iii): the degenerate term at m = 0
     if m == 0:
         u = p - 1
-        hv = HElt.of(mat([[p, 0], [0, 1]]), mat([[p, 0], [0, 1]]))
-        lhs = mat_mul(eta(p, 0), coset_block(p, u, 0, 0))
-        k = mat_mul(gsp4_inv(hv.embed().m), lhs)
-        if not in_level(k, spec, p):
+        hv = _diag(p, p, 1, 1)       # (diag(p, 1), diag(p, 1)) embedded
+        lhs = _product(_eta(p, 0), _coset_block(p, u, 0, 0))
+        k = _product(_inverse(hv), lhs)
+        if not _in_level(k, spec, p):
             return False, {"failed": "degenerate term", "at": u}
         report["special_case"] = u
     else:

@@ -1,14 +1,16 @@
 """p-adic machinery over exact rationals.
 
-Group elements are Fraction matrices, viewed inside Q_p for a fixed prime
-p.  Matrix products run on integers: each factor is scaled to integer rows
-over one common denominator, and each entry of the product becomes one
-reduced Fraction.  On such rows the symplectic form gives a similitude's
-multiplier and its inverse mu^-1 J^-1 g^T J; 2x2 inverses are adjugates,
-and one Gauss-Jordan loop, over Q or F_p, does the rest.  Schwartz tables
-are acted on through integer residues: each grid point is mapped by the
-integer rows of g and keyed modulo a power of p, with no Fraction built
-per point.
+Group elements are matrices over Q, viewed inside Q_p for a fixed prime
+p, and carried as integer rows over one denominator (Cohen, A Course in
+Computational Algebraic Number Theory, ch. 2): (r, d) with r a tuple of
+int rows, d > 0 and gcd(d, entries of r) = 1, so equal matrices have
+equal (r, d) and equal hashes.  One kernel each gives the product, the
+similitude inverse mu^-1 J^-1 g^T J (on 2x2 matrices the adjugate), the
+multiplier and the level tests, which read integrality off d and
+congruences off r - d.  The public functions take and return Fraction
+matrices and convert at that boundary; one Gauss-Jordan loop, over Q or
+F_p, does the rest.  A Schwartz table is acted on by pulling each coset
+of its support back through the integer rows of g^-1.
 
 Provides the 4x4 symplectic similitude group (antidiagonal form), the
 GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
@@ -53,38 +55,64 @@ def val(x: Union[int, Fraction], p: int):
     return v
 
 
-def is_p_unit(x, p: int) -> bool:
-    return val(x, p) == 0
-
-
-# -- small exact matrix toolkit ----------------------------------------------
+# -- small exact matrix toolkit: (r, d) is the matrix r / d ------------------
 
 def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def _integer_rows(a):
-    """Integer rows r and a common denominator d with a = r / d; the
-    entries of a must be int or Fraction."""
-    for row in a:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"matrix entry {x!r} is not int or Fraction")
+    """(r, d) of a matrix whose entries are int or Fraction; the least
+    common denominator leaves no prime common to d and every r_ij."""
+    if not all(isinstance(x, (int, Fraction)) for row in a for x in row):
+        raise TypeError(f"matrix entries {a!r} are not int or Fraction")
     d = math.lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row]
-            for row in a], d
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                 for row in a), d
+
+
+def _as_fractions(x):
+    r, d = x
+    return tuple(tuple(Fraction(v, d) for v in row) for row in r)
+
+
+def _lowest(r, d):
+    """(r, d) for the matrix r / d, r a tuple of int rows and d > 0, in
+    lowest terms."""
+    if d != 1:
+        g = math.gcd(d, *itertools.chain.from_iterable(r))
+        if g != 1:
+            return tuple(tuple(v // g for v in row) for row in r), d // g
+    return r, d
+
+
+def _int_rows(rows):
+    """(r, 1) of a matrix of ints."""
+    return tuple(map(tuple, rows)), 1
+
+
+def _diag(*entries):
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(n))
+                 for i in range(n)), 1
+
+
+def _transpose(x):
+    return tuple(zip(*x[0])), x[1]
+
+
+def _product(x, y):
+    """x y: integer row-by-column sums over the product of the two
+    denominators, reduced once."""
+    (ra, da), (rb, db) = x, y
+    cols = tuple(zip(*rb))
+    return _lowest(tuple([tuple([sum(map(operator.mul, row, c))
+                                 for c in cols]) for row in ra]), da * db)
 
 
 def mat_mul(a, b):
-    """Exact product of int/Fraction matrices: integer row-by-column sums
-    over the product of the two common denominators, reduced once per
-    entry."""
-    ra, da = _integer_rows(a)
-    rb, db = _integer_rows(b)
-    d = da * db
-    cols = list(zip(*rb))
-    return tuple(tuple(Fraction(sum(map(operator.mul, r, c)), d)
-                       for c in cols) for r in ra)
+    """Exact product of int/Fraction matrices."""
+    return _as_fractions(_product(_integer_rows(a), _integer_rows(b)))
 
 
 def mat_t(a):
@@ -92,8 +120,7 @@ def mat_t(a):
 
 
 def identity(n):
-    return tuple(tuple(Q(1) if i == j else Q(0) for j in range(n))
-                 for i in range(n))
+    return _as_fractions(_diag(*[1] * n))
 
 
 def mat_scalar(a, c):
@@ -162,16 +189,6 @@ def mat_inv(a):
     return tuple(tuple(row[n:]) for row in m)
 
 
-def gl2_inv(g):
-    """Inverse of a 2x2 int/Fraction matrix by its adjugate."""
-    ((a, b), (c, d)), e = _integer_rows(g)
-    det = a * d - b * c
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    return ((Fraction(d * e, det), Fraction(-b * e, det)),
-            (Fraction(-c * e, det), Fraction(a * e, det)))
-
-
 def solve(a, rhs):
     """The solution x of a x = rhs for a square nonsingular a."""
     n = len(a)
@@ -199,10 +216,11 @@ J4 = mat([[0, 0, 0, 1],
           [-1, 0, 0, 0]])
 
 
-def _symplectic_rows(m):
-    """Integer rows r and a denominator d with m = r / d, and the integer
-    mu_r != 0 with r^T J r = mu_r J; raise if m is not a similitude."""
-    r, d = _integer_rows(m)
+def _multiplier(r):
+    """The int mu_r with r^T J r = mu_r J: on 2x2 rows the determinant,
+    on 4x4 rows only for a similitude, else raise."""
+    if len(r) == 2:
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
     # entries i < j of the alternating r^T J r; J r reverses r with signs
     pairs = itertools.combinations(range(4), 2)
     form = [r[0][i] * r[3][j] + r[1][i] * r[2][j]
@@ -210,23 +228,40 @@ def _symplectic_rows(m):
     mu_r = form[2]      # (0, 3); (1, 2) must match it, the rest vanish
     if mu_r == 0 or form != [0, 0, mu_r, mu_r, 0, 0]:
         raise ValueError("matrix does not preserve the symplectic form")
-    return r, d, mu_r
+    return mu_r
+
+
+def _inverse(x):
+    """The similitude inverse mu^-1 J^-1 g^T J of g = r / d, the adjugate
+    over the determinant on 2x2 matrices: entry (i, j) is
+    s_i s_j r[n-1-j][n-1-i] d / mu_r, s_i = 1 on the top half of the
+    rows and -1 below."""
+    r, d = x
+    mu_r = _multiplier(r)
+    if mu_r == 0:
+        raise ZeroDivisionError("singular matrix")
+    n = len(r)
+    if mu_r < 0:
+        mu_r, d = -mu_r, -d
+    return _lowest(tuple(tuple((d if (i < n // 2) == (j < n // 2) else -d)
+                               * r[n - 1 - j][n - 1 - i] for j in range(n))
+                         for i in range(n)), mu_r)
 
 
 def gsp4_multiplier(m) -> Fraction:
     """Return mu with m^T J m = mu J, or raise if m is not symplectic-up-to-
     scalar for the antidiagonal form."""
-    _, d, mu_r = _symplectic_rows(m)
-    return Fraction(mu_r, d * d)
+    r, d = _integer_rows(m)
+    return Fraction(_multiplier(r), d * d)
 
 
 def gsp4_inv(g):
-    """Inverse of a similitude, mu^-1 J^-1 g^T J: entry (i, j) is
-    s_i s_j g[3 - j][3 - i] / mu with s = (1, 1, -1, -1)."""
-    r, d, mu_r = _symplectic_rows(g)
-    s = (1, 1, -1, -1)
-    return tuple(tuple(Fraction(s[i] * s[j] * r[3 - j][3 - i] * d, mu_r)
-                       for j in range(4)) for i in range(4))
+    """Inverse of a similitude, mu^-1 J^-1 g^T J; of a 2x2 matrix, its
+    adjugate over its determinant."""
+    return _as_fractions(_inverse(_integer_rows(g)))
+
+
+gl2_inv = gsp4_inv
 
 
 @dataclass(frozen=True)
@@ -238,9 +273,6 @@ class GSp4Elt:
     def of(rows) -> "GSp4Elt":
         m = mat(rows)
         return GSp4Elt(m, gsp4_multiplier(m))
-
-    def __mul__(self, other: "GSp4Elt") -> "GSp4Elt":
-        return GSp4Elt(mat_mul(self.m, other.m), self.mu * other.mu)
 
     def inv(self) -> "GSp4Elt":
         return GSp4Elt(gsp4_inv(self.m), 1 / self.mu)
@@ -254,10 +286,9 @@ class HElt:
 
     @staticmethod
     def of(g1, g2) -> "HElt":
-        g1, g2 = mat(g1), mat(g2)
-        if mat_det(g1) != mat_det(g2):
-            raise ValueError("determinants differ")
-        return HElt(g1, g2)
+        h = HElt(mat(g1), mat(g2))
+        _embed_rows(h)      # raises unless the determinants agree
+        return h
 
     def __mul__(self, other: "HElt") -> "HElt":
         return HElt(mat_mul(self.g1, other.g1), mat_mul(self.g2, other.g2))
@@ -266,12 +297,23 @@ class HElt:
         return HElt(gl2_inv(self.g1), gl2_inv(self.g2))
 
     def embed(self) -> GSp4Elt:
-        (a, b), (c, d) = self.g1
-        (a2, b2), (c2, d2) = self.g2
-        return GSp4Elt.of([[a, 0, 0, b],
-                           [0, a2, b2, 0],
-                           [0, c2, d2, 0],
-                           [c, 0, 0, d]])
+        """The block matrix, with the determinant of g1 as multiplier."""
+        r, d = x = _embed_rows(self)
+        return GSp4Elt(_as_fractions(x),
+                       Fraction(r[0][0] * r[3][3] - r[0][3] * r[3][0], d * d))
+
+
+def _embed_rows(h: HElt):
+    """(r, d) of the block matrix of h, the two blocks brought over one
+    denominator; its multiplier is the common determinant."""
+    (((a, b), (c, d)), e1), (((a2, b2), (c2, d2)), e2) = (
+        _integer_rows(h.g1), _integer_rows(h.g2))
+    e = math.lcm(e1, e2)
+    f1, f2 = e // e1, e // e2
+    if (a * d - b * c) * f1 * f1 != (a2 * d2 - b2 * c2) * f2 * f2:
+        raise ValueError("determinants differ")
+    return ((a * f1, 0, 0, b * f1), (0, a2 * f2, b2 * f2, 0),
+            (0, c2 * f2, d2 * f2, 0), (c * f1, 0, 0, d * f1)), e
 
 
 # -- Iwasawa decompositions ---------------------------------------------------
@@ -282,17 +324,13 @@ def iwasawa_gl2(g, p: int):
     if mat_det(g) == 0:
         raise ValueError("singular")
     c, d = g[1]
-    if val(d, p) <= val(c, p):
-        t = -c / d
-        k1 = mat([[1, 0], [t, 1]])
-    else:
-        t = -d / c
-        k1 = mat([[t, 1], [1, 0]])
+    k1 = (mat([[1, 0], [-c / d, 1]]) if val(d, p) <= val(c, p)
+          else mat([[-d / c, 1], [1, 0]]))
     b = mat_mul(g, k1)
     if b[1][0] != 0:
         raise ArithmeticError("GL2 Iwasawa factor is not upper triangular")
     k = gl2_inv(k1)
-    if min_val(k, p) < 0 or not is_p_unit(mat_det(k), p):
+    if not in_gl2_z(k, p):
         raise ArithmeticError("GL2 Iwasawa factor is not in GL2(Z_p)")
     return b, k
 
@@ -306,39 +344,42 @@ def iwasawa_gsp4(g, p: int):
     root unipotents clear the rest of that row; each parameter is an
     entry over the pivot, so it is p-integral.  The same two steps on
     the middle block leave the lower triangle empty, since the
-    symplectic form forces the first column to (mu / b[3][3], 0, 0, 0)."""
-    if isinstance(g, GSp4Elt):
-        g = g.m
-    b = mat(g)
-    mu = gsp4_multiplier(b)
-    k1 = identity(4)
+    symplectic form forces the first column to (mu / b[3][3], 0, 0, 0).
+    The entries of b are compared, and divided, on its integer rows."""
+    b = _integer_rows(mat(g.m if isinstance(g, GSp4Elt) else g))
+    mu = Fraction(_multiplier(b[0]), b[1] ** 2)
+    k1 = _diag(1, 1, 1, 1)
 
     def right(m):
         nonlocal b, k1
-        b, k1 = mat_mul(b, m), mat_mul(k1, m)
+        b, k1 = _product(b, m), _product(k1, m)
 
     # s1 moves column j to j + 1 for even j, s2 for odd j
-    for j in range(min(range(4), key=lambda c: val(b[3][c], p)), 3):
-        right(weyl_s1() if j % 2 == 0 else weyl_s2())
+    for j in range(min(range(4), key=lambda c: val(b[0][3][c], p)), 3):
+        right(_weyl(1 if j % 2 == 0 else 2))
     # the transpose of root_unipotent(i, t) adds -sign * t times the last
     # column to column j; for i = 0, 2 it also changes column 0, which is
     # cleared last
     for i, j, sign in ((0, 2, 1), (2, 1, -1), (3, 0, -1)):
-        if b[3][j]:
-            right(mat_t(root_unipotent(i, sign * b[3][j] / b[3][3])))
-    if val(b[2][1], p) < val(b[2][2], p):
-        right(weyl_s2())
-    if b[2][1]:
-        right(mat_t(root_unipotent(1, -b[2][1] / b[2][2])))
+        last = b[0][3]
+        if last[j]:
+            right(_transpose(_root_unipotent(
+                i, Fraction(sign * last[j], last[3]))))
+    if val(b[0][2][1], p) < val(b[0][2][2], p):
+        right(_weyl(2))
+    row = b[0][2]
+    if row[1]:
+        right(_transpose(_root_unipotent(1, Fraction(-row[1], row[2]))))
 
-    if any(b[i][j] != 0 for i in range(4) for j in range(i)):
+    (r, d), k = b, _inverse(k1)
+    if any(r[i][j] for i in range(4) for j in range(i)):
         raise ArithmeticError("Iwasawa failed to triangularize")
-    k = gsp4_inv(k1)
-    if min_val(k, p) < 0 or val(gsp4_multiplier(k), p) != 0:
+    if k[1] % p == 0 or _multiplier(k[0]) % p == 0:
         raise ArithmeticError("Iwasawa factor k is not in GSp4(Z_p)")
-    if b[0][0] * b[3][3] != mu or b[1][1] * b[2][2] != mu:
+    if mu != Fraction(r[0][0] * r[3][3], d * d) \
+            or mu != Fraction(r[1][1] * r[2][2], d * d):
         raise ArithmeticError("Borel factor has the wrong multiplier")
-    return b, k
+    return _as_fractions(b), _as_fractions(k)
 
 
 # -- open-compact membership ---------------------------------------------------
@@ -359,19 +400,25 @@ class LevelSpec:
 
 
 def in_level(g, spec: LevelSpec, p: int) -> bool:
-    if isinstance(g, GSp4Elt):
-        g = g.m
-    if min_val(g, p) < 0:
-        return False
+    g = g.m if isinstance(g, GSp4Elt) else g
+    return _in_level(_integer_rows(g), spec, p)
+
+
+def _in_level(x, spec: LevelSpec, p: int) -> bool:
+    """in_level on (r, d): g = r / d is integral iff p does not divide d,
+    its multiplier mu_r / d^2 is then a unit iff p does not divide mu_r,
+    and g = 1 mod p^e reads r = d mod p^e."""
+    r, d = x
     try:
-        mu = gsp4_multiplier(g)
+        mu = _multiplier(r)
     except ValueError:
         return False
-    if val(mu, p) != 0:
+    if d % p == 0 or mu % p == 0:
         return False
 
     def cong(cols, e):      # rows 2, 3 of g are those of 1 mod p^e on cols
-        return all(val(g[i][j] - (i == j), p) >= e for i in (2, 3)
+        q = p ** e
+        return all((r[i][j] - d * (i == j)) % q == 0 for i in (2, 3)
                    for j in cols)
     k = spec.kind
     if k == "G":
@@ -379,14 +426,15 @@ def in_level(g, spec: LevelSpec, p: int) -> bool:
     if k == "K0":
         return cong((0, 1), 1)
     if k == "K1det":
-        return val(mu * mu - 1, p) >= 1      # det = mu^2 on GSp4
+        return (mu * mu - d ** 4) % p == 0      # det = mu^2 on GSp4
     if k == "Kmn":
-        return cong(range(4), spec.n) and val(mu - 1, p) >= spec.m
+        return cong(range(4), spec.n) and (mu - d * d) % p ** spec.m == 0
     raise ValueError(f"unknown level spec {spec!r}")
 
 
 def in_gl2_z(g, p: int) -> bool:
-    return min_val(g, p) >= 0 and val(mat_det(g), p) == 0
+    r, d = _integer_rows(g)
+    return d % p != 0 and _multiplier(r) % p != 0
 
 
 # -- cyclotomic scalars --------------------------------------------------------
@@ -407,21 +455,17 @@ class Cyc:
                     e %= M
                     if e < phi:
                         red[e] = red.get(e, Q(0)) + q
-                    else:
-                        r = e - phi
-                        for j in range(p - 1):
-                            ee = r + j * (M // p)
+                    else:       # zeta^e = -sum of zeta^(e - phi + j M/p)
+                        for ee in range(e - phi, phi, M // p):
                             red[ee] = red.get(ee, Q(0)) - q
                 coeffs = {e: q for e, q in red.items() if q != 0}
-                if all(e % p == 0 for e in coeffs):
-                    coeffs = {e // p: q for e, q in coeffs.items()}
-                    k -= 1
-                else:
+                if any(e % p for e in coeffs):
                     break
+                coeffs = {e // p: q for e, q in coeffs.items()}
+                k -= 1
             if k == 0:
-                coeffs = ({0: sum(coeffs.values())}
-                          if sum(coeffs.values()) != 0 else {})
-                coeffs = {e: q for e, q in coeffs.items() if q != 0}
+                total = sum(coeffs.values())
+                coeffs = {0: total} if total != 0 else {}
         self.k = k
         self.c = coeffs
 
@@ -458,8 +502,7 @@ class Cyc:
         out: dict = {}
         for e1, q1 in a.items():
             for e2, q2 in b.items():
-                e = e1 + e2
-                out[e] = out.get(e, Q(0)) + q1 * q2
+                out[e1 + e2] = out.get(e1 + e2, Q(0)) + q1 * q2
         return Cyc(self.p, k, out)
 
     __rmul__ = __mul__
@@ -507,8 +550,6 @@ def _padic_residue(x, p: int, M: int) -> int:
     x = Fraction(x)
     if x.denominator % p == 0:
         raise ValueError("not p-integral")
-    if M == 1:
-        return 0
     return (x.numerator * pow(x.denominator, -1, M)) % M
 
 
@@ -527,8 +568,7 @@ class SchwartzFn:
                  canonical: bool = False):
         if s < 0 or s + n < 0:
             raise ValueError(f"invalid scale {s} and level {n}")
-        self.p, self.s, self.n = p, s, n
-        self.table = table
+        self.p, self.s, self.n, self.table = p, s, n, table
         if not canonical:
             self._canonicalize()
 
@@ -544,42 +584,32 @@ class SchwartzFn:
         x, y = Fraction(x), Fraction(y)
         s = max(0, -val(x, p) if x else 0, -val(y, p) if y else 0, -n)
         M = p ** (s + n)
-        a = _padic_residue(x * p ** s, p, M)
-        b = _padic_residue(y * p ** s, p, M)
-        return SchwartzFn(p, s, n, {(a, b): coeff})
+        return SchwartzFn(p, s, n, {(_padic_residue(x * p ** s, p, M),
+                                     _padic_residue(y * p ** s, p, M)): coeff})
 
     @staticmethod
     def lattice_product(p: int, t1: int, t2: int) -> "SchwartzFn":
         """ch(p^t1 Z_p x p^t2 Z_p); t may be negative."""
-        n = max(t1, t2)
-        s = max(0, -t1, -t2)
+        n, s = max(t1, t2), max(0, -t1, -t2)
         M = p ** (s + n)
-        table = {}
-        for a in range(0, M, p ** (s + t1)):
-            for b in range(0, M, p ** (s + t2)):
-                table[(a, b)] = Q(1)
-        return SchwartzFn(p, s, n, table)
+        return SchwartzFn(p, s, n, {(a, b): Q(1)
+                                    for a in range(0, M, p ** (s + t1))
+                                    for b in range(0, M, p ** (s + t2))})
 
     @staticmethod
     def unit_column(p: int, t: int) -> "SchwartzFn":
         """ch(p^t Z_p x Z_p^x): the standard depth-t test function."""
         n = max(t, 1)
-        table = {}
         M = p ** n
-        for a in range(0, M, p ** t):
-            for b in range(M):
-                if b % p != 0:
-                    table[(a, b)] = Q(1)
-        return SchwartzFn(p, 0, n, table)
+        return SchwartzFn(p, 0, n, {(a, b): Q(1) for a in range(0, M, p ** t)
+                                    for b in range(M) if b % p})
 
     @staticmethod
     def depth_pair(p: int, t: int) -> "SchwartzFn":
         """ch(p^t Z_p x (1 + p^t Z_p)); for t = 0 this is ch(Z_p x Z_p)."""
         if t == 0:
             return SchwartzFn.lattice_product(p, 0, 0)
-        M = p ** t
-        table = {(0, 1 % M): Q(1)}
-        return SchwartzFn(p, 0, t, table)
+        return SchwartzFn(p, 0, t, {(0, 1 % p ** t): Q(1)})
 
     # canonical form
 
@@ -591,82 +621,56 @@ class SchwartzFn:
             return
         # merge cosets upward while possible
         while self.n > -self.s:
-            M = p ** (self.s + self.n)
-            Mp = M // p
+            Mp = p ** (self.s + self.n - 1)
             parents: dict = {}
-            ok = True
             for (a, b), c in self.table.items():
                 parents.setdefault((a % Mp, b % Mp), []).append(c)
-            for key, vals in parents.items():
-                if len(vals) != p * p or any(v != vals[0] for v in vals):
-                    ok = False
-                    break
-            if not ok:
+            if any(len(vals) != p * p or any(v != vals[0] for v in vals)
+                   for vals in parents.values()):
                 break
             self.table = {k: v[0] for k, v in parents.items()}
             self.n -= 1
         # reduce the scale when the support allows it; keys only determine
         # residues mod p when the modulus p^(s+n) is at least p
-        while self.s > 0 and self.s + self.n >= 1:
-            if all(a % p == 0 and b % p == 0 for a, b in self.table):
-                M2 = p ** (self.s - 1 + self.n)
-                self.table = {((a // p) % M2, (b // p) % M2): c
-                              for (a, b), c in self.table.items()}
-                self.s -= 1
-            else:
-                break
+        while self.s > 0 and self.s + self.n >= 1 and all(
+                a % p == 0 and b % p == 0 for a, b in self.table):
+            M2 = p ** (self.s - 1 + self.n)
+            self.table = {((a // p) % M2, (b // p) % M2): c
+                          for (a, b), c in self.table.items()}
+            self.s -= 1
 
     def refined(self, s2: int, n2: int) -> "SchwartzFn":
         if s2 < self.s or n2 < self.n:
             raise ValueError(f"cannot refine scale {self.s} and level "
                              f"{self.n} to {s2} and {n2}")
         p = self.p
-        M_old = p ** (self.s + self.n)
-        M = p ** (s2 + n2)
-        sh = p ** (s2 - self.s)
-        table = {}
-        for (a, b), c in self.table.items():
-            a0, b0 = a * sh, b * sh
-            step = M_old * sh
-            for da in range(0, M, step):
-                for db in range(0, M, step):
-                    table[((a0 + da) % M, (b0 + db) % M)] = c
-        return SchwartzFn(p, s2, n2, table, canonical=True)
-
-    def _residue_key(self, d: int):
-        """How to read points (x, y) / d, with x and y integers, as table
-        keys: returns (q, w, M) such that the point lies in p^{-s} Z_p^2,
-        the lattice that holds the support, iff q divides x and y, and its
-        key is then ((x / q) w mod M, (y / q) w mod M)."""
-        p = self.p
-        e, u = 0, d
-        while u % p == 0:
-            u //= p
-            e += 1
-        M = p ** (self.s + self.n)
-        w = pow(u, -1, M)
-        k = e - self.s              # the point times p^s is (x, y) / (p^k u)
-        if k >= 0:
-            return p ** k, w, M
-        return 1, w * p ** -k % M, M
+        M, sh = p ** (s2 + n2), p ** (s2 - self.s)
+        lifts = range(0, M, p ** (self.s + self.n) * sh)
+        return SchwartzFn(p, s2, n2, {
+            ((a * sh + da) % M, (b * sh + db) % M): c
+            for (a, b), c in self.table.items() for da in lifts
+            for db in lifts}, canonical=True)
 
     def value_at(self, x, y):
-        """Evaluate at a rational point, viewed inside Q_p^2."""
-        x, y = Fraction(x), Fraction(y)
+        """Evaluate at a rational point, viewed inside Q_p^2: with the
+        point (x, y) / (p^e u), u a unit, p^s times it is (x, y) /
+        (p^k u), k = e - s, in the lattice of the keys iff p^k divides x
+        and y (k > 0), and keyed by (x, y) p^-k / u mod p^(s+n)."""
+        p, x, y = self.p, Fraction(x), Fraction(y)
         d = math.lcm(x.denominator, y.denominator)
-        q, w, M = self._residue_key(d)
-        xi = x.numerator * (d // x.denominator)
-        yi = y.numerator * (d // y.denominator)
-        if xi % q or yi % q:
+        x, y = (z.numerator * (d // z.denominator) for z in (x, y))
+        e = val(d, p)
+        k, M = e - self.s, p ** (self.s + self.n)
+        w, q = pow(d // p ** e, -1, M) * p ** max(0, -k), p ** max(0, k)
+        if x % q or y % q:
             return Q(0)
-        return self.table.get((xi // q * w % M, yi // q * w % M), Q(0))
+        return self.table.get((x // q * w % M, y // q * w % M), Q(0))
 
     def __add__(self, other):
         if self.p != other.p:
             raise ValueError(f"Schwartz functions at primes {self.p} and "
                              f"{other.p}")
-        s = max(self.s, other.s)
-        n = max(self.n, other.n)
+        s, n = max(self.s, other.s), max(self.n, other.n)
         a, b = self.refined(s, n), other.refined(s, n)
         table = dict(a.table)
         for k, c in b.table.items():
@@ -686,9 +690,7 @@ class SchwartzFn:
         if not isinstance(other, SchwartzFn):
             return NotImplemented
         return (self.p == other.p and self.s == other.s and self.n == other.n
-                and self.table.keys() == other.table.keys()
-                and all(self.table[k] == other.table[k]
-                        for k in self.table))
+                and self.table == other.table)
 
     def is_zero(self):
         return not self.table
@@ -702,10 +704,7 @@ class SchwartzFn:
     def integral(self):
         """Integral against the additive Haar measure, vol(Z_p^2) = 1."""
         w = Q(1, self.p ** (2 * self.n))
-        total = Q(0)
-        for c in self.table.values():
-            total = total + c * w
-        return total
+        return sum((c * w for c in self.table.values()), Q(0))
 
     def __repr__(self):
         pts = ", ".join(f"({x},{y}): {c}" for (x, y), c in self.support_points())
@@ -714,28 +713,32 @@ class SchwartzFn:
 
 def act_schwartz(g, phi: SchwartzFn) -> SchwartzFn:
     """(g . phi)(x) = phi(x g) for row vectors x in Q_p^2."""
+    return _act(_integer_rows(mat(g)), phi)
+
+
+def _act(x, phi: SchwartzFn) -> SchwartzFn:
+    """act_schwartz on (r, d), visiting only the support.  With g^-1 =
+    ri / (p^e u), u a unit, the result has scale s2 = s + e and level
+    n2 = n + val(d); the coset (a, b) / p^s + p^n Z_p^2 of phi pulls back
+    to the points (a', b') ri / (p^s2 u), (a', b') = (a, b) mod p^(s+n),
+    read mod p^(s+n+k) where p^(s+n+k) Z^2 ri lies in p^(s2+n2) Z^2, and
+    keyed by (a', b') ri / u mod p^(s2+n2)."""
     p = phi.p
-    g = mat(g)
-    gi = gl2_inv(g)
-    e_fwd = max(0, -int(min_val(g, p)))
-    e_bwd = max(0, -int(min_val(gi, p)))
-    s2 = phi.s + e_bwd
-    n2 = phi.n + e_fwd
+    ((r00, r01), (r10, r11)), di = ri = _inverse(x)
+    e_fwd, e_bwd = val(x[1], p), val(di, p)
+    s2, n2 = phi.s + e_bwd, phi.n + e_fwd
     M = p ** (s2 + n2)
-    # the grid point (a, b) / p^s2 maps to (a, b) G / (p^s2 d)
-    ((g00, g01), (g10, g11)), d = _integer_rows(g)
-    q, w, m = phi._residue_key(p ** s2 * d)
-    get = phi.table.get
+    w = pow(di // p ** e_bwd, -1, M)
+    k = max(0, e_bwd + e_fwd - min(val(v, p) for row in ri[0] for v in row))
+    step = p ** (phi.s + phi.n)
+    lifts = range(0, step * p ** k, step)
     table = {}
-    for a in range(M):
-        x0, y0 = a * g00, a * g01
-        for b in range(M):
-            x, y = x0 + b * g10, y0 + b * g11
-            if x % q or y % q:
-                continue
-            c = get((x // q * w % m, y // q * w % m))
-            if c is not None:
-                table[(a, b)] = c
+    for (a, b), c in phi.table.items():
+        for a1 in lifts:
+            x0, y0 = (a + a1) * r00, (a + a1) * r01
+            for b1 in lifts:
+                table[((x0 + (b + b1) * r10) * w % M,
+                       (y0 + (b + b1) * r11) * w % M)] = c
     return SchwartzFn(p, s2, n2, table)
 
 
@@ -780,67 +783,69 @@ def fourier(phi: SchwartzFn) -> SchwartzFn:
 
 # -- Weyl elements, root subgroups, coset enumeration ---------------------------
 
+def _weyl(k: int):
+    """(r, 1) of s1 (k = 1) or s2 (k = 2)."""
+    return _int_rows([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+                     if k == 1 else
+                     [[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]])
+
+
 def weyl_s1():
-    return mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    return _as_fractions(_weyl(1))
 
 
 def weyl_s2():
-    return mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]])
+    return _as_fractions(_weyl(2))
+
+
+def _root_unipotent(i: int, t):
+    """(r, d) of root_unipotent(i, t): t = n / d puts d on the diagonal
+    and +-n at the entries (r, c) of the root."""
+    if i not in range(4):
+        raise ValueError(i)
+    t = Fraction(t)
+    m = [[t.denominator * (r == c) for c in range(4)] for r in range(4)]
+    for r, c, sign in (((0, 1, 1), (2, 3, -1)), ((1, 2, 1),),
+                       ((0, 2, 1), (1, 3, 1)), ((0, 3, 1),))[i]:
+        m[r][c] = sign * t.numerator
+    return tuple(map(tuple, m)), t.denominator
 
 
 def root_unipotent(i: int, t) -> tuple:
     """Upper unipotent one-parameter subgroups, i in 0..3:
     0: short root (1,2)&(3,4); 1: long (2,3); 2: short (1,3)&(2,4);
     3: long (1,4)."""
-    t = Fraction(t)
-    m = [list(r) for r in identity(4)]
-    if i == 0:
-        m[0][1] = t
-        m[2][3] = -t
-    elif i == 1:
-        m[1][2] = t
-    elif i == 2:
-        m[0][2] = t
-        m[1][3] = t
-    elif i == 3:
-        m[0][3] = t
-    else:
-        raise ValueError(i)
-    return mat(m)
+    return _as_fractions(_root_unipotent(i, t))
+
+
+def _coset_block(p: int, u, v, w):
+    """(r, 1) of coset_block(p, u, v, w)."""
+    return _int_rows([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def coset_block(p: int, u, v, w) -> tuple:
     """[[p,0,u,v],[0,p,w,u],[0,0,1,0],[0,0,0,1]]: the standard coset
     matrices of the level-raising double coset and of U(p)."""
-    return mat([[p, 0, u, v], [0, p, w, u], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return _as_fractions(_coset_block(p, u, v, w))
 
 
 def _unipotent_generators():
-    """The root unipotents with parameter 1 and their transposes; they
-    generate Sp4(F_p) for every p."""
-    gens = []
-    for i in range(4):
-        u = root_unipotent(i, 1)
-        gens += [u, mat_t(u)]
-    return gens
+    """The root unipotents with parameter 1 and their transposes, as
+    (r, 1); they generate Sp4(F_p) for every p."""
+    us = [_root_unipotent(i, 1) for i in range(4)]
+    return [g for u in us for g in (u, _transpose(u))]
 
 
 def _orbit(start, gens, key):
     """One representative per key value of the orbit of start under left
-    multiplication by gens, found breadth first; the key must be constant
-    on the cosets that the orbit is taken modulo."""
+    multiplication by gens, found breadth first, all as (r, d); the key
+    must be constant on the cosets that the orbit is taken modulo."""
     reps = {key(start): start}
     frontier = [start]
-    while frontier:
-        new = []
-        for b in frontier:
-            for g in gens:
-                c = mat_mul(g, b)
-                k = key(c)
-                if k not in reps:
-                    reps[k] = c
-                    new.append(c)
-        frontier = new
+    while frontier:     # each new c is recorded before the next is keyed
+        frontier = [reps.setdefault(k, c) for b in frontier for g in gens
+                    for c in [_product(g, b)] for k in [key(c)]
+                    if k not in reps]
     return list(reps.values())
 
 
@@ -863,6 +868,11 @@ def enumerate_double_coset(exps, p: int):
     kept iff it is integral and of rank 1 mod p.  Counts per type: 1, p,
     p^2, p^3 for T, and 1, p, p^2 - 1, p^3, p^4 for T1 (Roberts &
     Schmidt, Local Newforms for GSp(4), section 6.1)."""
+    return [_as_fractions(x) for x in _double_coset(exps, p)]
+
+
+def _double_coset(exps, p: int):
+    """enumerate_double_coset as (r, d)."""
     exps = tuple(exps)
     if exps not in ((0, 0, 1, 1), (0, 1, 1, 2)):
         raise ValueError(f"no coset representatives for exponents {exps}")
@@ -874,52 +884,36 @@ def enumerate_double_coset(exps, p: int):
         if not in_orbit and d != (1, 1, 1, 1):
             continue
         # n t for every choice of the u_i, built from the right
-        bs = [mat([[p ** d[r] if r == j else 0 for j in range(4)]
-                   for r in range(4)])]
+        bs = [_diag(*(p ** x for x in d))]
         for i in (3, 2, 1, 0):
-            shape = root_unipotent(i, 1)
-            entries = [(r, j) for r in range(4) for j in range(r + 1, 4)
-                       if shape[r][j]]
+            entries = [(r, j) for r, row in enumerate(_root_unipotent(i, 1)[0])
+                       for j in range(r + 1, 4) if row[j]]
             r, j = entries[0]
             a = min(d[c] for _, c in entries)
             if in_orbit and len(entries) == 1 and d[r] == d[j]:
                 a = 0
-            us = [root_unipotent(i, Q(m, p ** a))
+            us = [_root_unipotent(i, Fraction(m, p ** a))
                   for m in range(p ** (a + d[r] - d[j]))]
-            bs = [mat_mul(u, b) for u in us for b in bs]
-        if not in_orbit:
-            bs = [b for b in bs if min_val(b, p) >= 0 and len(rref_modp(
-                [[int(x) for x in row] for row in b], p)) == 1]
+            bs = [_product(u, b) for u in us for b in bs]
+        if not in_orbit:    # integral, and of rank 1 mod p
+            bs = [b for b in bs
+                  if b[1] % p and len(rref_modp(b[0], p)) == 1]
         reps += bs
     return reps
-
-
-def hecke_t_reps(p: int):
-    """Left coset reps for K diag(1,1,p,p) K."""
-    return enumerate_double_coset((0, 0, 1, 1), p)
-
-
-def hecke_t1_reps(p: int):
-    """Left coset reps for K diag(1,p,p,p^2) K."""
-    return enumerate_double_coset((0, 1, 1, 2), p)
-
-
-def hecke_r_reps(p: int):
-    return [mat_scalar(identity(4), p)]
 
 
 def siegel_u_reps(p: int):
     """Left K0(p)-coset reps of the U(p) operator on Siegel-parahoric
     invariants."""
-    return [coset_block(p, u, v, w)
-            for u in range(p) for v in range(p) for w in range(p)]
+    return [coset_block(p, *b) for b in itertools.product(range(p), repeat=3)]
 
 
 def siegel_parahoric_reps(p: int):
     """Representatives k of GSp4(Z_p) / K0(p), as an orbit of integral
     symplectic matrices: k K0(p) is determined by the plane spanned by
     the first two columns of k mod p, keyed by its echelon form."""
-    def plane(k):
-        cols = [[int(k[r][c]) for r in range(4)] for c in (0, 1)]
+    def plane(x):       # x = (r, 1): the generators are integral
+        cols = [[x[0][r][c] for r in range(4)] for c in (0, 1)]
         return tuple(map(tuple, rref_modp(cols, p)))
-    return _orbit(identity(4), _unipotent_generators(), plane)
+    return [_as_fractions(x) for x in
+            _orbit(_diag(1, 1, 1, 1), _unipotent_generators(), plane)]

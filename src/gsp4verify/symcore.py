@@ -600,7 +600,15 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
     """Substitute RatFunc/scalar values for symbols.
 
     The reserved pair is kept consistent: binding v also binds l = v^2;
-    binding l alone is an error when v actually occurs.
+    binding l alone is an error when v actually occurs.  Where every
+    value is a Laurent polynomial, and only monomial values have negative
+    powers, each side is evaluated on its packed keys and built once: its
+    terms are grouped by the exponents of the bound names, each group's
+    unbound monomials form one polynomial, and the value powers multiply
+    it.  Laurent arithmetic is canonical, so the order does not show.
+    Otherwise a side is a chain of RatFunc products and sums, term by
+    term, since with the prime pinned the form of a reduced fraction
+    depends on the order of its reductions.
     """
     f = as_ratfunc(f)
     binds = {k: as_ratfunc(x, f.prime) for k, x in bindings.items()}
@@ -618,7 +626,7 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
             raise ExactArithmeticError(
                 "cannot substitute l alone while v occurs; bind v")
 
-    def eval_poly(p: LaurentPoly) -> RatFunc:
+    def chain(p: LaurentPoly) -> RatFunc:
         total = RatFunc.const(0, p.prime)
         for mono, c in p.terms.items():
             t = RatFunc.const(c, p.prime)
@@ -628,10 +636,38 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
             total = total + t
         return total
 
-    dv = eval_poly(f.den)
+    def eval_side(side: LaurentPoly) -> RatFunc:
+        names, prime = side.names, side.prime
+        # each bound field's value, and the divisor of its exponent: with
+        # the prime formal, v^x under l alone is l^(x/2), x being even
+        bound = {i: (binds[s], 1) if s in binds else (binds[L_NAME], 2)
+                 for i, s in enumerate(names)
+                 if s in binds or s == V_NAME and L_NAME in binds}
+        free = [i for i in range(len(names)) if i not in bound]
+        groups: dict = {}   # bound exponents -> {free key: coefficient}
+        for k, c in side.vecs.items():
+            e = _unpack(k, len(names))
+            groups.setdefault(tuple(e[i] // q for i, (_, q) in
+                                    bound.items()), {})[
+                _pack([e[i] for i in free])] = c
+        values = [b for b, _ in bound.values()]
+        if any(not b.den._is_one() or not b.num.is_monomial()
+               and min((key[j] for key in groups), default=0) < 0
+               for j, b in enumerate(values)):
+            return chain(side)
+        free_names = tuple(names[i] for i in free)
+        total = LaurentPoly.const(0, prime)
+        for key, vecs in groups.items():
+            term = LaurentPoly._of(*_canon(free_names, vecs), prime)
+            for e, b in zip(key, values):
+                term = term * b.num ** e
+            total = total + term
+        return RatFunc(total)
+
+    dv = eval_side(f.den)
     if dv.is_zero():
         raise SpecializationPole("denominator vanishes at the given point")
-    return eval_poly(f.num) / dv
+    return eval_side(f.num) / dv
 
 
 class PowerSeries:

@@ -342,19 +342,35 @@ def _borel_factor_off_by_v(monkeypatch):
 
 
 def _gsp4_inv_transposed(monkeypatch):
+    # the kernel's similitude inverse of a 4x4 (r, d), which gsp4_inv
+    # converts, transposed
     from gsp4verify import normrel, padic
-    good = padic.gsp4_inv
+    good = padic._inverse
+
+    def damaged(x):
+        return padic._transpose(good(x)) if len(x[0]) == 4 else good(x)
     for module in (padic, normrel):
-        monkeypatch.setattr(module, "gsp4_inv",
-                            lambda g: padic.mat_t(good(g)))
+        monkeypatch.setattr(module, "_inverse", damaged)
 
 
 def _act_schwartz_transposed(monkeypatch):
+    # the kernel's action on (r, d), which act_schwartz converts, by g^T
     from gsp4verify import normrel, padic
-    good = padic.act_schwartz
+    good = padic._act
     for module in (padic, normrel):
-        monkeypatch.setattr(module, "act_schwartz",
-                            lambda g, phi: good(padic.mat_t(g), phi))
+        monkeypatch.setattr(module, "_act",
+                            lambda x, phi: good(padic._transpose(x), phi))
+
+
+def _product_drops_a_denominator(monkeypatch):
+    # the kernel's product of (r, d) and (r', d') taken over d', not d d'.
+    # Dropping d' instead leaves hecke passing: every partial product of
+    # root unipotents that enumerate_double_coset builds is integral.
+    from gsp4verify import normrel, padic
+    good = padic._product
+    for module in (padic, normrel):
+        monkeypatch.setattr(module, "_product",
+                            lambda x, y: good((x[0], 1), y))
 
 
 def _lie_n0_wedge_negated(monkeypatch):
@@ -420,9 +436,11 @@ def _euler_eigenvalue_times_ell(monkeypatch):
     ("gl2", _fourier_negated),
     ("tame-norm", _depth_volume_off_by_ell),
     ("hecke", _borel_factor_off_by_v),
+    ("hecke", _product_drops_a_denominator),
     ("parahoric", _borel_factor_off_by_v),
     ("wild-norm", _gsp4_inv_transposed),
     ("wild-norm", _act_schwartz_transposed),
+    ("wild-norm", _product_drops_a_denominator),
     ("local-data", _gsp4_inv_transposed),
     ("local-data", _act_schwartz_transposed),
 ], ids=lambda x: x if isinstance(x, str) else x.__name__.strip("_"))

@@ -14,6 +14,7 @@ from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
 from gsp4verify.padic import (LevelSpec, identity, in_level, mat, mat_mul,
                               mat_t, root_unipotent, siegel_u_reps, weyl_s2)
 from gsp4verify.symcore import as_ratfunc, ell_pow, ratfunc_eq, substitute, sym
+from test_padic import hecke_r_reps, hecke_t1_reps, hecke_t_reps
 
 Q = Fraction
 
@@ -159,9 +160,9 @@ def test_hecke_polynomial_perturbed_fails():
     assert not ok
 
 
-@pytest.mark.parametrize("op,reps", [("T", padic.hecke_t_reps),
-                                     ("T1", padic.hecke_t1_reps),
-                                     ("R", padic.hecke_r_reps)])
+@pytest.mark.parametrize("op,reps", [("T", hecke_t_reps),
+                                     ("T1", hecke_t1_reps),
+                                     ("R", hecke_r_reps)])
 def test_hecke_eigenvalue_is_sum_over_representatives(monkeypatch, op, reps):
     # one Borel factor per diagonal, times the number of representatives
     # that share it, equals the sum over every representative

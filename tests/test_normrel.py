@@ -6,11 +6,11 @@ from fractions import Fraction as Q
 import pytest
 
 from gsp4verify import normrel as nr
+from gsp4verify import padic as pa
 from gsp4verify.besselzeta import tame_pairing
 from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
-                              identity, in_level, is_p_unit, mat, mat_det,
-                              mat_inv, mat_mul, mat_t, min_val, root_unipotent,
-                              val)
+                              identity, in_level, mat, mat_det, mat_inv,
+                              mat_mul, mat_t, min_val, root_unipotent, val)
 
 # ------------------------------------------------------------- local data
 
@@ -59,9 +59,10 @@ def test_xi_equality_is_coset_aware():
     p = 3
     spec = LevelSpec("G")
     g = root_unipotent(0, 1)
-    a = nr.XiElt(p, spec, ((identity(4), Q(1)),))
-    b = nr.XiElt(p, spec, ((g, Q(1)),))          # same coset of GSp4(Z_3)
-    c = nr.XiElt(p, spec, ((nr.eta(p, 1), Q(1)),))
+    # terms are integer rows over one denominator
+    a = nr.XiElt(p, spec, ((pa._integer_rows(identity(4)), Q(1)),))
+    b = nr.XiElt(p, spec, ((pa._integer_rows(g), Q(1)),))  # one coset
+    c = nr.XiElt(p, spec, ((pa._integer_rows(nr.eta(p, 1)), Q(1)),))
     assert a == b
     assert a != c
 
@@ -135,7 +136,7 @@ def _in_kh1(h: HElt, p: int, t: int) -> bool:
     for g in (h.g1, h.g2):
         if min_val(g, p) < 0:
             return False
-        if not is_p_unit(mat_det(g), p):
+        if val(mat_det(g), p) != 0:
             return False
         if val(g[1][0], p) < t or val(g[1][1] - 1, p) < t:
             return False
@@ -208,7 +209,7 @@ def test_wild_coset_stability_rejects_a_generator_outside_the_level(
     p, m, n = pmn
     generators = nr._kmn_generators
     monkeypatch.setattr(nr, "_kmn_generators", lambda *a: (
-        generators(*a) + [mat_t(root_unipotent(1, 1))]))
+        generators(*a) + [pa._integer_rows(mat_t(root_unipotent(1, 1)))]))
     ok, report = nr.wild_coset_identity(p, m, n)
     assert (ok, report) == (False, {"failed": "coset stability", "at": at})
 
@@ -220,7 +221,7 @@ def _first_equivalent_blocks(p, m, n):
     spec = LevelSpec("Kmn", m, n)
     blocks = [(u, v, w) for u in range(p) for v in range(p)
               for w in range(p)]
-    mats = {b: nr.coset_block(p, *b) for b in blocks}
+    mats = {b: pa._as_fractions(nr._coset_block(p, *b)) for b in blocks}
     for i, b in enumerate(blocks):
         for b2 in blocks[i + 1:]:
             if in_level(mat_mul(mat_inv(mats[b]), mats[b2]), spec, p):
@@ -238,9 +239,9 @@ def test_wild_coset_disjointness_matches_pairwise_oracle(p, mn, dup,
     # one of `first` with p added to u, which lies in the same left coset
     m, n = mn
     if dup is not None:
-        coset_block = nr.coset_block
+        coset_block = nr._coset_block
         first, later = dup
-        monkeypatch.setattr(nr, "coset_block", lambda q, *b: coset_block(
+        monkeypatch.setattr(nr, "_coset_block", lambda q, *b: coset_block(
             q, first[0] + q, *first[1:]) if b == later else coset_block(q, *b))
     assert _first_equivalent_blocks(p, m, n) == dup
     ok, report = nr.wild_coset_identity(p, m, n)
@@ -258,7 +259,7 @@ def test_wild_witnesses_are_exact_factorisations():
     spec = LevelSpec("Kmn", m, n)
     for (u, v, w), h, k in report["witnesses"]:
         a = 1 + p ** m * u
-        lhs = mat_mul(nr.eta(p, m), nr.coset_block(p, u, v, w))
+        lhs = mat_mul(nr.eta(p, m), pa.coset_block(p, u, v, w))
         rhs = mat_mul(mat_mul(h.embed().m, nr.eta(p, m + 1, a)), k)
         assert lhs == rhs
         assert in_level(k, spec, p)

@@ -1,6 +1,7 @@
 """Tests for the p-adic layer: Iwasawa, Schwartz/Fourier, cosets."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -9,17 +10,32 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from gsp4verify import normrel as nr
 from gsp4verify import padic as pa
 from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   eval_induced, hecke_eigenvalue)
 from gsp4verify.padic import (
     Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, fourier,
-    gl2_inv, gsp4_inv, gsp4_multiplier, hecke_r_reps, hecke_t1_reps,
-    hecke_t_reps, identity, in_level, iwasawa_gl2, iwasawa_gsp4, mat, mat_det,
-    mat_inv, mat_mul, min_val, rref_modp, siegel_parahoric_reps,
-    siegel_u_reps, solve, val, weyl_s1, weyl_s2,
+    gl2_inv, gsp4_inv, gsp4_multiplier, identity, in_level, iwasawa_gl2,
+    iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul, min_val, rref_modp,
+    siegel_parahoric_reps, siegel_u_reps, solve, val, weyl_s1, weyl_s2,
 )
 from gsp4verify.symcore import as_ratfunc, ell
+
+
+def hecke_t_reps(p: int):
+    """Left coset reps for K diag(1,1,p,p) K."""
+    return pa.enumerate_double_coset((0, 0, 1, 1), p)
+
+
+def hecke_t1_reps(p: int):
+    """Left coset reps for K diag(1,p,p,p^2) K."""
+    return pa.enumerate_double_coset((0, 1, 1, 2), p)
+
+
+def hecke_r_reps(p: int):
+    """The one left coset of K p K."""
+    return [pa.mat_scalar(identity(4), p)]
 
 
 def test_val():
@@ -825,13 +841,14 @@ def orbit_double_coset(exps, p):
     search: cosets g K correspond to the lattices g Z_p^4, so take the
     orbit of diag(p^exps) under generators of K (root unipotents, their
     transposes and the similitudes diag(1, 1, lam, lam), lam a unit mod
-    p^max(exps)), keyed by the Hermite form modulo p^sum(exps)."""
-    a = mat([[p ** exps[i] if i == j else 0 for j in range(4)]
-             for i in range(4)])
+    p^max(exps)), keyed by the Hermite form modulo p^sum(exps).  The
+    orbit runs on integer rows over one denominator, (r, d)."""
+    a = pa._diag(*(p ** x for x in exps))
     gens = pa._unipotent_generators() + [
-        mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, lam, 0], [0, 0, 0, lam]])
-        for lam in range(2, p ** max(exps)) if lam % p]
-    return pa._orbit(a, gens, lambda m: hnf_key(m, p, sum(exps)))
+        pa._diag(1, 1, lam, lam) for lam in range(2, p ** max(exps))
+        if lam % p]
+    return [pa._as_fractions(x) for x in pa._orbit(
+        a, gens, lambda x: hnf_key(pa._as_fractions(x), p, sum(exps)))]
 
 
 HECKE_TYPES = [(0, 0, 1, 1), (0, 1, 1, 2)]
@@ -989,3 +1006,171 @@ def test_siegel_parahoric_reps(p):
         assert in_level(k, LevelSpec("G"), p)
     for k1, k2 in itertools.combinations(reps, 2):
         assert not in_level(mat_mul(mat_inv(k1), k2), LevelSpec("K0"), p)
+
+
+# -- the integer kernel against the Fraction reference ---------------------
+
+def _reference_integer_rows(a):
+    """Integer rows (lists) r and the least common denominator d of an
+    int/Fraction matrix, with a = r / d."""
+    d = math.lcm(*(Q(x).denominator for row in a for x in row))
+    return [[Q(x).numerator * (d // Q(x).denominator) for x in row]
+            for row in a], d
+
+
+def _reference_mat_mul(a, b):
+    """mat_mul on Fractions: integer row-by-column sums over the product
+    of the two common denominators, one reduced Fraction per entry."""
+    ra, da = _reference_integer_rows(a)
+    rb, db = _reference_integer_rows(b)
+    return tuple(tuple(Q(sum(x * y for x, y in zip(r, c)), da * db)
+                       for c in zip(*rb)) for r in ra)
+
+
+def _reference_symplectic_rows(m):
+    r, d = _reference_integer_rows(m)
+    pairs = itertools.combinations(range(4), 2)
+    form = [r[0][i] * r[3][j] + r[1][i] * r[2][j]
+            - r[2][i] * r[1][j] - r[3][i] * r[0][j] for i, j in pairs]
+    mu_r = form[2]
+    if mu_r == 0 or form != [0, 0, mu_r, mu_r, 0, 0]:
+        raise ValueError("matrix does not preserve the symplectic form")
+    return r, d, mu_r
+
+
+def _reference_multiplier(m):
+    _, d, mu_r = _reference_symplectic_rows(m)
+    return Q(mu_r, d * d)
+
+
+def _reference_gsp4_inv(g):
+    """mu^-1 J^-1 g^T J: entry (i, j) is s_i s_j g[3-j][3-i] / mu."""
+    r, d, mu_r = _reference_symplectic_rows(g)
+    s = (1, 1, -1, -1)
+    return tuple(tuple(Q(s[i] * s[j] * r[3 - j][3 - i] * d, mu_r)
+                       for j in range(4)) for i in range(4))
+
+
+def _reference_in_level(g, spec, p):
+    """in_level on Fractions: integrality, a unit multiplier, then the
+    congruences of rows 2 and 3 read as valuations."""
+    if min_val(g, p) < 0:
+        return False
+    try:
+        mu = _reference_multiplier(g)
+    except ValueError:
+        return False
+    if val(mu, p) != 0:
+        return False
+
+    def cong(cols, e):
+        return all(val(g[i][j] - (i == j), p) >= e for i in (2, 3)
+                   for j in cols)
+    if spec.kind == "G":
+        return True
+    if spec.kind == "K0":
+        return cong((0, 1), 1)
+    if spec.kind == "K1det":
+        return val(mu * mu - 1, p) >= 1
+    return cong(range(4), spec.n) and val(mu - 1, p) >= spec.m
+
+
+_KERNEL_SPECS = [LevelSpec("G"), LevelSpec("K0"), LevelSpec("K1det")] + [
+    LevelSpec("Kmn", m, n) for m in range(3) for n in range(3)]
+
+
+@st.composite
+def _gsp4_z_1_over_p(draw):
+    """A prime p in {2, 3, 5} and a word in GSp4(Z[1/p]), each factor
+    given twice: as a Fraction matrix and as the kernel's (r, d), built
+    by the kernel's own constructors.  Factors: root unipotents and
+    their transposes with parameters n / p^k, torus elements
+    diag(a, b, c/b, c/a) with a, b, c units times powers of p, Weyl
+    elements, and the matrices of the wild coset identity."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    unit = st.sampled_from([1, -1, p + 1, p - 1, 2 * p + 1])
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["root", "torus", "weyl", "wild"]))
+        if kind == "root":
+            i = draw(st.integers(0, 3))
+            t = Q(draw(st.integers(-p * p, p * p)),
+                  p ** draw(st.integers(0, 2)))
+            x = pa._root_unipotent(i, t)
+            g = pa.root_unipotent(i, t)
+            if draw(st.booleans()):
+                x, g = pa._transpose(x), pa.mat_t(g)
+        elif kind == "torus":
+            a, b, c = (draw(unit) * Q(p) ** draw(st.integers(-2, 2))
+                       for _ in range(3))
+            g = mat([[a, 0, 0, 0], [0, b, 0, 0], [0, 0, c / b, 0],
+                     [0, 0, 0, c / a]])
+            x = pa._integer_rows(g)
+        elif kind == "weyl":
+            k = draw(st.sampled_from([1, 2]))
+            x, g = pa._weyl(k), (weyl_s1() if k == 1 else weyl_s2())
+        else:
+            m, u, v, w = (draw(st.integers(0, 2)) for _ in range(4))
+            x = pa._product(pa._root_unipotent(2, Q(1, p ** m)),
+                            pa._coset_block(p, u, v, w))
+            g = _reference_mat_mul(pa.root_unipotent(2, Q(1, p ** m)),
+                                   pa.coset_block(p, u, v, w))
+        factors.append((g, x))
+    return p, factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gsp4_z_1_over_p())
+def test_integer_kernel_matches_fraction_reference(word):
+    p, factors = word
+    g, x = identity(4), pa._diag(1, 1, 1, 1)
+    for h, y in factors:
+        g, x = _reference_mat_mul(g, h), pa._product(x, y)
+        # one canonical form: equal matrices, equal (r, d), equal hashes
+        assert x == pa._integer_rows(g)
+        assert hash(x) == hash(pa._integer_rows(g))
+        assert pa._as_fractions(x) == g
+        assert mat_mul(g, h) == _reference_mat_mul(g, h)
+    if len(factors) >= 3:       # the same matrix by another bracketing
+        (_, a), (_, b), (_, c) = factors[-3:]
+        assert pa._product(pa._product(a, b), c) == \
+            pa._product(a, pa._product(b, c))
+    gi = _reference_gsp4_inv(g)
+    assert pa._inverse(x) == pa._integer_rows(gi)
+    assert gsp4_inv(g) == gi
+    assert pa._product(x, pa._inverse(x)) == pa._diag(1, 1, 1, 1)
+    mu = _reference_multiplier(g)
+    assert Q(pa._multiplier(x[0]), x[1] ** 2) == mu == gsp4_multiplier(g)
+    for spec in _KERNEL_SPECS:
+        want = _reference_in_level(g, spec, p)
+        assert pa._in_level(x, spec, p) == want == in_level(g, spec, p), spec
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 0, 1), (2, 1, 1), (3, 0, 1),
+                                   (3, 1, 2)])
+def test_wild_coset_matrices_match_fraction_reference(p, m, n):
+    """The wild coset identity's step-0 products and its witnesses
+    k = (h eta(p, m + 1, a))^-1 eta(p, m) X against the Fraction path."""
+    ok, report = nr.wild_coset_identity(p, m, n)
+    assert ok
+    gens, spec = nr._kmn_generators(p, m, n), LevelSpec("Kmn", m, n)
+    for (u, v, w), h, k in report["witnesses"]:
+        block = pa.coset_block(p, u, v, w)
+        target = pa.root_unipotent(2, Q(1 + p ** m * u, p ** (m + 1)))
+        emb = mat([[p, 0, 0, v], [0, p, w, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        want = _reference_mat_mul(
+            _reference_gsp4_inv(_reference_mat_mul(emb, target)),
+            _reference_mat_mul(pa.root_unipotent(2, Q(1, p ** m)), block))
+        assert k == want and h.embed().m == emb
+        for kind in _KERNEL_SPECS:
+            assert pa._in_level(pa._integer_rows(k), kind, p) == \
+                _reference_in_level(k, kind, p)
+        inv = _reference_gsp4_inv(block)
+        for x in gens:
+            moved = _reference_mat_mul(pa._as_fractions(x), block)
+            step = pa._product(pa._inverse(pa._coset_block(p, u, v, w)),
+                               pa._product(x, pa._coset_block(p, u, v, w)))
+            want = _reference_mat_mul(inv, moved)
+            assert step == pa._integer_rows(want)
+            assert pa._in_level(step, spec, p) == _reference_in_level(
+                want, spec, p)

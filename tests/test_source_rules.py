@@ -3,7 +3,8 @@
 hidden global cache, whether rebound through a `global` statement or
 filled in place, no private module-level name is left without a
 reader, only symcore, the one exact-arithmetic backend, imports sympy,
-and only symcore reads the packed form of a LaurentPoly."""
+only symcore reads the packed form of a LaurentPoly, and only padic's
+public Fraction-matrix functions convert a matrix to integer rows."""
 
 import ast
 import collections
@@ -217,3 +218,56 @@ def test_packed_rule_flags_a_read():
         "    names, vecs = r.num.terms, terms.values()\n"
         "    return getattr(r, 'vecs'), keys, n, names, vecs\n")
     assert _packed_reads(tree) == [2, 3]
+
+
+#: padic's Fraction-to-integer conversion, and the functions that take
+#: Fraction matrices at the public boundary and may call it; the hot
+#: loops carry (r, d) from end to end
+CONVERSION = "_integer_rows"
+CONVERTERS = frozenset({"mat_mul", "gsp4_multiplier", "gsp4_inv",
+                        "_embed_rows", "iwasawa_gsp4", "in_level",
+                        "in_gl2_z", "act_schwartz"})
+
+
+def _conversion_reads(tree, allowed):
+    """Line numbers of the reads of the conversion, by name, attribute or
+    import, outside the module-level functions named in allowed."""
+    lines = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            continue
+        lines += [sub.lineno for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and sub.id == CONVERSION
+                  or isinstance(sub, ast.Attribute) and sub.attr == CONVERSION
+                  or isinstance(sub, ast.alias) and sub.name == CONVERSION]
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_padic_converters_build_integer_rows(path):
+    """Products, inverses and level tests run on (r, d); a Fraction
+    matrix becomes (r, d) only where it enters padic's public
+    functions, so no loop slips back onto Fractions."""
+    allowed = CONVERTERS if path.name == "padic.py" else frozenset()
+    assert _conversion_reads(TREES[path], allowed) == []
+
+
+def test_converters_are_padic_functions():
+    defined = {node.name for node in TREES[SRC / "padic.py"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert CONVERSION in defined and CONVERTERS <= defined
+
+
+def test_conversion_rule_flags_a_hot_loop():
+    tree = ast.parse(
+        "from .padic import _integer_rows, mat\n"
+        "from . import padic\n"
+        "def mat_mul(a, b):\n"
+        "    return _integer_rows(a), _integer_rows(b)\n"
+        "def _orbit(start, gens):\n"
+        "    return [padic._integer_rows(g) for g in gens]\n"
+        "class HElt:\n"
+        "    def of(self):\n"
+        "        return _integer_rows(self.g1)\n"
+        "rows = _integer_rows\n")
+    assert _conversion_reads(tree, frozenset({"mat_mul"})) == [1, 6, 9, 10]
