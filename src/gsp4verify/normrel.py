@@ -16,6 +16,7 @@ witnesses of the wild report.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .besselzeta import TameDatum
 from .gsp4local import hecke_eigenvalue
 from .padic import (HElt, LevelSpec, SchwartzFn, _act, _as_fractions,
                     _coset_block, _diag, _embed_rows, _in_level, _int_rows,
-                    _inverse, _padic_residue, _product, _root_unipotent,
+                    _inverse, _multiplier, _product, _root_unipotent,
                     _transpose, act_schwartz, identity, mat,
                     siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
@@ -211,13 +212,16 @@ def sufficiency_check(p: int, m: int, n: int) -> int:
 
 # -- depth-independence identity -------------------------------------------------
 
-def _kh1_key(h: HElt, p: int, t: int) -> tuple:
-    """Residues mod p^t of the lower rows of both factors of h^-1.  For
-    integral h, h' with unit determinants, h^-1 h' has lower rows
-    (0, 1) mod p^t exactly when h and h' have the same key."""
-    hi = h.inv()
-    return tuple(_padic_residue(x, p, p ** t) for g in (hi.g1, hi.g2)
-                 for x in g[1])
+def _kh1_key(h, p: int, t: int) -> tuple:
+    """Residues mod p^t of the lower rows of both factors of h^-1, h a
+    pair of (r, d).  For integral h, h' with unit determinants, h^-1 h'
+    has lower rows (0, 1) mod p^t exactly when h and h' have the same
+    key."""
+    M, key = p ** t, []
+    for r, d in map(_inverse, h):
+        w = pow(d, -1, M)       # d divides the unit determinant
+        key += [x * w % M for x in r[1]]
+    return tuple(key)
 
 
 def _pair_table(f1: SchwartzFn, f2: SchwartzFn, t: int) -> dict:
@@ -239,23 +243,20 @@ def indept_identity(p: int, T: int, t: int):
     pairwise inequivalent.  Returns (ok, size_of_J)."""
     if not 1 <= T <= t:
         raise ValueError("need 1 <= T <= t")
-    q = p ** (t - T)
-    reps = []
-    for c1 in range(q):
-        for d1 in range(q):
-            for c2 in range(q):
-                for d2 in range(q):
-                    g1 = mat([[1 + p ** T * d2, 0],
-                              [p ** T * c1, 1 + p ** T * d1]])
-                    g2 = mat([[1 + p ** T * d1, 0],
-                              [p ** T * c2, 1 + p ** T * d2]])
-                    reps.append(HElt.of(g1, g2))
+    q, P = p ** (t - T), p ** T
+    reps = []   # pairs of (r, 1) with equal determinants
+    for c1, d1, c2, d2 in itertools.product(range(q), repeat=4):
+        h = (_int_rows(((1 + P * d2, 0), (P * c1, 1 + P * d1))),
+             _int_rows(((1 + P * d1, 0), (P * c2, 1 + P * d2))))
+        if _multiplier(h[0][0]) != _multiplier(h[1][0]):
+            raise ValueError("determinants differ")
+        reps.append(h)
     if len(reps) != q ** 4:
         raise ArithmeticError("transversal has the wrong size")
     # transversal lies in the principal congruence subgroup of level p^T
     for h in reps:
-        for g in (h.g1, h.g2):
-            if any((g[i][j] - (i == j)) % p ** T
+        for r, _ in h:
+            if any((r[i][j] - (i == j)) % P
                    for i in range(2) for j in range(2)):
                 raise AssertionError("representative not principal")
     # pairwise inequivalent modulo the deeper group; the check above makes
@@ -265,8 +266,7 @@ def indept_identity(p: int, T: int, t: int):
     phi_t = SchwartzFn.depth_pair(p, t)
     total: dict = {}
     for h in reps:
-        tab = _pair_table(act_schwartz(h.g1, phi_t),
-                          act_schwartz(h.g2, phi_t), t)
+        tab = _pair_table(_act(h[0], phi_t), _act(h[1], phi_t), t)
         for k, c in tab.items():
             total[k] = total.get(k, Q(0)) + c
     total = {k: c for k, c in total.items() if c}

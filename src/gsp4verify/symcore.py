@@ -18,21 +18,22 @@ scales and a one-term factor shifts, and unused names are looked for
 only where one can vanish (a product adds the least and the greatest
 degrees in each name, so only a name of both sides can).
 
-RatFunc is a reduced fraction of two LaurentPolys; a Laurent polynomial
-over 1 is canonical, so building one, or the sum or product of two, does
-not reduce.  Otherwise both sides are shifted to polynomials in Q[v, ...]
-and divided by their sympy gcd (with the prime pinned, the gcd does not
-see v^2 = p), and the denominator's lexicographically smallest term gets
-coefficient 1.  The gcd is skipped where images mod a large prime q
-prove the pair coprime: for each variable x_i, with the others at fixed
-integers, the gcd in F_q[x_i] is constant and a leading coefficient in
-x_i does not vanish (evaluation images, as in Brown, JACM 1971).  A
-product cross-reduces each numerator against the other denominator; with
-the prime formal the product of the two reduced fractions is reduced
+RatFunc is a reduced fraction of two LaurentPolys, canonical at the
+formal prime and at a pinned one, so equality compares num and den.  A
+Laurent polynomial over 1 is canonical, so building one, or the sum or
+product of two, does not reduce.  Otherwise a pinned denominator is made
+free of v by its conjugate (Trager's norm, SYMSAC 1976), both sides are
+shifted to polynomials in Q[v, ...] and divided by their sympy gcd, and
+the denominator's lexicographically smallest term gets coefficient 1.
+The gcd is skipped where images mod a large prime q prove the pair
+coprime: for each variable x_i, with the others at fixed integers, the
+gcd in F_q[x_i] is constant and a leading coefficient in x_i does not
+vanish (evaluation images, as in Brown, JACM 1971).  A product
+cross-reduces each numerator against the other denominator; with the
+prime formal the product of the two reduced fractions is reduced
 (Henrici's rule: the ring is a UFD and the cross-reduced factors are
 coprime).  With the prime pinned, folding v^2 into p can create a common
-factor, so that product keeps its gcd.  Equality of RatFuncs is always
-decided by cross-multiplication, never by evaluation.
+factor, so that product keeps its gcd.
 """
 
 from __future__ import annotations
@@ -406,13 +407,20 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
                     coprime: bool = False):
     """Reduce a fraction of LaurentPolys to canonical form.  A one-term
     denominator c*m is a unit of the Laurent ring, so the form is
-    (num / (c*m), 1) with no gcd.  Otherwise every symbol is shifted by
+    (num / (c*m), 1) with no gcd.  With the prime pinned, a denominator
+    A + Bv is made free of v: both sides are multiplied by A - Bv, and
+    the denominator becomes A^2 - pB^2.  Then every symbol is shifted by
     its least exponent over both sides, to polynomials in Q[v, ...] with
     no common monomial content, so a one-term numerator is coprime to
     the denominator; any other pair is divided by its gcd, unless the
     caller knows the pair is ``coprime`` (a formal-prime product of
     reduced fractions, see the module docstring) or ``_coprime_images``
-    proves it."""
+    proves it.  The pinned form is canonical: with D free of v and num =
+    A + Bv, gcd(A + Bv, D) = gcd(A, B, D) in Q[v, ...], which the gcd
+    and the images decide with v a plain variable.  Once it is 1, a
+    v-free E with E*num/D integral is a multiple of D (a prime power of
+    D divides E*A and E*B, and one of A, B is prime to it), so two
+    reduced pairs differ by a rational unit, which the last step fixes."""
     prime = _merge_prime(num.prime, den.prime)
     num, den = num.with_prime(prime), den.with_prime(prime)
     if den.is_zero():
@@ -420,6 +428,11 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
     if num.is_zero() or den.is_monomial():
         return (num if num.is_zero() or den._is_one() else num * den ** -1,
                 LaurentPoly.const(1, prime))
+    if prime is not None and V_NAME in den.names:   # v to the 0 or 1
+        s = _W * den.names.index(V_NAME)
+        conj = LaurentPoly._of(den.names, {
+            k: -c if k >> s & 1 else c for k, c in den.vecs.items()}, prime)
+        num, den = num * conj, den * conj
 
     names, x, y, _ = _align(num, den)
     x, y = ({_unpack(k, len(names)): c for k, c in side.items()}
@@ -544,6 +557,8 @@ class RatFunc:
         return as_ratfunc(other, self.prime) * self.inv()
 
     def __pow__(self, n: int):
+        if self.den._is_one() and (n >= 0 or self.num.is_monomial()):
+            return RatFunc(self.num ** n, _canonical=True)
         b = self.inv() if n < 0 else self
         return _power(b, abs(n), RatFunc.const(1, self.prime))
 
@@ -552,9 +567,11 @@ class RatFunc:
             return NotImplemented
         other = as_ratfunc(other, self.prime)
         try:
-            return (self.num * other.den) == (other.num * self.den)
-        except PrimeMismatch:
+            p = _merge_prime(self.prime, other.prime)
+            a, b = self.with_prime(p), other.with_prime(p)
+        except (PrimeMismatch, DivisionByZero):     # a pole at the prime
             return False
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -600,15 +617,12 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
     """Substitute RatFunc/scalar values for symbols.
 
     The reserved pair is kept consistent: binding v also binds l = v^2;
-    binding l alone is an error when v actually occurs.  Where every
-    value is a Laurent polynomial, and only monomial values have negative
-    powers, each side is evaluated on its packed keys and built once: its
+    binding l alone is an error when v actually occurs.  Each side's
     terms are grouped by the exponents of the bound names, each group's
-    unbound monomials form one polynomial, and the value powers multiply
-    it.  Laurent arithmetic is canonical, so the order does not show.
-    Otherwise a side is a chain of RatFunc products and sums, term by
-    term, since with the prime pinned the form of a reduced fraction
-    depends on the order of its reductions.
+    unbound monomials form one Laurent polynomial, and the values' powers
+    multiply it as RatFuncs; reduced forms are canonical, so the order
+    does not show.  Laurent values, with negative powers only of
+    monomials, reduce no fraction.
     """
     f = as_ratfunc(f)
     binds = {k: as_ratfunc(x, f.prime) for k, x in bindings.items()}
@@ -626,16 +640,6 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
             raise ExactArithmeticError(
                 "cannot substitute l alone while v occurs; bind v")
 
-    def chain(p: LaurentPoly) -> RatFunc:
-        total = RatFunc.const(0, p.prime)
-        for mono, c in p.terms.items():
-            t = RatFunc.const(c, p.prime)
-            for s, e in mono:
-                t = t * (binds[s] ** e if s in binds else
-                         RatFunc(LaurentPoly.symbol(s, e, p.prime)))
-            total = total + t
-        return total
-
     def eval_side(side: LaurentPoly) -> RatFunc:
         names, prime = side.names, side.prime
         # each bound field's value, and the divisor of its exponent: with
@@ -650,19 +654,14 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
             groups.setdefault(tuple(e[i] // q for i, (_, q) in
                                     bound.items()), {})[
                 _pack([e[i] for i in free])] = c
-        values = [b for b, _ in bound.values()]
-        if any(not b.den._is_one() or not b.num.is_monomial()
-               and min((key[j] for key in groups), default=0) < 0
-               for j, b in enumerate(values)):
-            return chain(side)
         free_names = tuple(names[i] for i in free)
-        total = LaurentPoly.const(0, prime)
+        total = RatFunc.const(0, prime)
         for key, vecs in groups.items():
-            term = LaurentPoly._of(*_canon(free_names, vecs), prime)
-            for e, b in zip(key, values):
-                term = term * b.num ** e
+            term = RatFunc(LaurentPoly._of(*_canon(free_names, vecs), prime))
+            for e, (b, _) in zip(key, bound.values()):
+                term = term * b ** e
             total = total + term
-        return RatFunc(total)
+        return total
 
     dv = eval_side(f.den)
     if dv.is_zero():

@@ -2,9 +2,10 @@
 `assert` statement vanishes under `python -O`), no module keeps a
 hidden global cache, whether rebound through a `global` statement or
 filled in place, no private module-level name is left without a
-reader, only symcore, the one exact-arithmetic backend, imports sympy,
-only symcore reads the packed form of a LaurentPoly, and only padic's
-public Fraction-matrix functions convert a matrix to integer rows."""
+reader, every imported name is read, only symcore, the one
+exact-arithmetic backend, imports sympy, only symcore reads the packed
+form of a LaurentPoly, and only padic's public Fraction-matrix functions
+convert a matrix to integer rows."""
 
 import ast
 import collections
@@ -189,6 +190,46 @@ def test_sympy_rule_flags_an_import():
         "def f():\n"
         "    import os, sympy.abc as abc\n")
     assert sorted(_sympy_imports(tree)) == [1, 2, 6]
+
+
+def _unread_imports(tree):
+    """(line, name) of each name an import binds that the module never
+    reads; `from __future__ import annotations` sets a compiler flag."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+#: imports that only code outside the library reads: perfbench's tracer
+#: test takes `branching.mat_mul` as its second binding of a wrapped
+#: function, so the import goes when that test names another binding
+READ_OUTSIDE = {"branching.py": ["mat_mul"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    """An import that nothing reads is dead code and a false dependency."""
+    unread = [name for _, name in _unread_imports(TREES[path])]
+    assert unread == READ_OUTSIDE.get(path.name, [])
+
+
+def test_import_rule_flags_an_unread_name():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import os.path\n"
+        "from .padic import mat, mat_mul as mm\n"
+        "def f(x: Fraction):\n"
+        "    import json\n"
+        "    return sys.argv, mat\n")
+    assert sorted(_unread_imports(tree)) == [
+        (2, "os"), (3, "os"), (4, "mm"), (6, "json")]
 
 
 #: the attributes that hold a LaurentPoly's packed monomials and the

@@ -75,17 +75,16 @@ def test_laurent_unit_normalization():
 def test_single_term_denominator_matches_gcd_path(den, prime):
     # a single-term denominator is a unit: the shortcut must give den == 1
     # and the same canonical pair as the general reduction, reached here
-    # by a common factor c that makes the denominator a sum of terms (c
-    # is free of v: with the prime pinned, the gcd does not see v^2 = p)
+    # by a common factor c that makes the denominator a sum of terms
     x, y = LaurentPoly.symbol("x", prime=prime), LaurentPoly.symbol(
         "y", prime=prime)
     v = LaurentPoly.symbol("v", prime=prime)
     a = 3 * x * x * y ** -1 - v + Q(1, 2)
-    c = x + 2 * x * y + 1
     f = RatFunc(a, den)
-    g = RatFunc(a * c, den * c)
     assert f.den == LaurentPoly.const(1, prime)
-    assert f.num == g.num and f.den == g.den
+    for c in (x + 2 * x * y + 1, x + 2 * y * v + 1):
+        g = RatFunc(a * c, den * c)
+        assert f.num == g.num and f.den == g.den
 
 
 def test_division_by_zero():
@@ -397,6 +396,71 @@ def test_ratfunc_reduction_against_sympy(a, b, c, prime):
     assert min(f.den.terms) == () and f.den.terms[()] == 1
 
 
+# -- canonical forms at a pinned prime --------------------------------------
+
+
+def _eq_by_cross_multiplication(f, g):
+    """RatFunc equality decided by cross-multiplication, as it was while
+    pinned-prime forms were not canonical."""
+    g = sc.as_ratfunc(g, f.prime)
+    try:
+        return (f.num * g.den) == (g.num * f.den)
+    except sc.PrimeMismatch:
+        return False
+
+
+def _baseline_triple():
+    x, y, v = (LaurentPoly.symbol(s, prime=3) for s in "xyv")
+    return x * x + y, v, x + 2 * y * v + 1
+
+
+def test_pinned_common_factor_with_v_cancels():
+    # c carries v: the gcd alone, blind to v^2 = 3, kept it in the pair
+    a, b, c = _baseline_triple()
+    f, g = RatFunc(a, b), RatFunc(a * c, b * c)
+    assert (g.num, g.den) == (f.num, f.den)
+    assert hash(g) == hash(f)
+    assert f.den == LaurentPoly.const(1, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xylv, xylv, xylv, st.sampled_from([2, 3]))
+@example(*_baseline_triple(), 3)
+def test_pinned_reduction_is_canonical(a, b, c, prime):
+    a, b, c = a.with_prime(prime), b.with_prime(prime), c.with_prime(prime)
+    if b.is_zero() or c.is_zero():
+        return
+    f, g = RatFunc(a, b), RatFunc(a * c, b * c)
+    assert f.num * b == a * f.den       # the value is kept
+    assert "v" not in f.den.symbols()
+    assert (g.num, g.den) == (f.num, f.den)
+    assert hash(g) == hash(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xylv, xylv, xylv, st.sampled_from([None, 2, 3]),
+       st.sampled_from([None, 2, 3]), st.booleans())
+def test_equality_matches_cross_multiplication(a, b, c, p1, p2, same):
+    # formal, pinned and mixed primes; g is f's value again, written
+    # over another common factor, or a different value
+    if any(q.with_prime(p).is_zero() for q in (b, c) for p in (p1, p2)):
+        return
+    f = RatFunc(a.with_prime(p1), b.with_prime(p1))
+    g = (RatFunc((a * c).with_prime(p2), (b * c).with_prime(p2)) if same
+         else RatFunc((a + c).with_prime(p2), b.with_prime(p2)))
+    assert (f == g) == _eq_by_cross_multiplication(f, g)
+    assert (g == f) == _eq_by_cross_multiplication(g, f)
+    if same and p1 == p2:
+        assert f == g and hash(f) == hash(g)
+
+
+def test_a_pole_at_the_pinned_prime_equals_nothing_there():
+    f = RatFunc(LaurentPoly.const(1), LaurentPoly.symbol("l") - 3)
+    for g in (RatFunc.const(0, 3), RatFunc.const(5, 3), sym("x", 3)):
+        assert not f == g and not g == f
+        assert not _eq_by_cross_multiplication(f, g)
+
+
 # -- the exponent-vector kernel against independent oracles ------------------
 
 
@@ -439,8 +503,9 @@ def _repr_cases():
         (-(x - l) * (x + v), "l*v + l*x - v*x - x^2"),
         ((X + 1) / (X * Y - vee()),
          "(-l^-1*v - l^-1*v*x) / (1 - l^-1*v*x*y)"),
+        # pinned: the denominator is free of v, the canonical form
         ((X3 + 1) / (X3 * sym("y", 3) - vee(3)),
-         "(-1/3*v - 1/3*v*x) / (1 - 1/3*v*x*y)"),
+         "(-1/3*v - 1/3*v*x - 1/3*x*y - 1/3*x^2*y) / (1 - 1/3*x^2*y^2)"),
         ((1 - ell() * X) / (ell() ** 2 - X * sc.ell_pow(-3)),
          "(l^-2 - l^-1*x) / (1 - l^-4*v*x)"),
         (sc.ell_pow(-3, 2) * sym("x", 2) / 7, "1/28*v*x"),
@@ -785,8 +850,9 @@ def _substitutions(draw):
 @settings(max_examples=150, deadline=None)
 @given(_substitutions())
 def test_substitute_matches_term_by_term_reference(case):
-    # equal fractions may keep different num and den at a pinned prime,
-    # so the forms are compared, not only the values
+    # the reference is the term-by-term chain that substitute kept for
+    # fraction values; reduced forms are canonical, so num, den and repr
+    # must agree, not only the values
     f, binds = case
     assert _substitution_outcome(substitute, f, binds) == \
         _substitution_outcome(_substitute_reference, f, binds)
