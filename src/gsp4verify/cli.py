@@ -32,6 +32,10 @@ class ConfigError(ValueError):
     """Invalid runner configuration."""
 
 
+#: the largest depth and weight bounds the suites are built and budgeted for
+_BOUND_TOPS = {"k_max": 2, "t_max": 3, "m_max": 2, "n_max": 2}
+
+
 @dataclass
 class SuiteConfig:
     suites: tuple = SUITE_NAMES
@@ -61,6 +65,9 @@ class SuiteConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ConfigError("%s must be a non-negative integer" % name)
+            if v > _BOUND_TOPS.get(name, v):
+                raise ConfigError("%s must be at most %d"
+                                  % (name, _BOUND_TOPS[name]))
         if 6 ** self.a_max > 6 ** 3 * 4 ** 4 or 4 ** self.b_max > 6 ** 3 * 4 ** 4:
             raise ConfigError("weight bounds exceed the size budget")
         if self.series_order < 3:
@@ -164,7 +171,7 @@ def _cases_gl2(config, shared):
         ac, ap = al * x, be / x
         one = as_ratfunc(1, p)
         linv = one - (al / be) * x * x * ell_pow(-2, p)
-        for t in range(min(config.t_max, 3) + 1):
+        for t in range(config.t_max + 1):
             expected = one if t == 0 else linv
             yield ("value-l%d-t%d" % (p, t), {"ell": p, "t": t},
                    _eqcase(lambda p=p, t=t, ac=ac, ap=ap:
@@ -235,8 +242,8 @@ def _cases_bessel(config, shared):
 def _cases_tame_norm(config, shared):
     from .besselzeta import (tame_norm_check, tame_norm_final_check,
                              tame_norm_ul_check)
-    kmax = min(config.k_max, 2)
-    for t in range(1, min(config.t_max, 3) + 1):
+    kmax = config.k_max
+    for t in range(1, config.t_max + 1):
         for k1 in range(kmax + 1):
             for k2 in range(kmax + 1):
                 yield ("depth-t%d-k%d%d" % (t, k1, k2),
@@ -258,8 +265,8 @@ def _cases_tame_norm(config, shared):
 def _cases_wild_norm(config, shared):
     from .normrel import indept_identity, wild_coset_identity
     for p in _primes(config, (2, 3)):
-        for m in range(min(config.m_max, 2) + 1):
-            for n in range(1, min(config.n_max, 2) + 1):
+        for m in range(config.m_max + 1):
+            for n in range(1, config.n_max + 1):
                 if n < max(m, 1):
                     continue
                 def wild(p=p, m=m, n=n):
@@ -269,7 +276,7 @@ def _cases_wild_norm(config, shared):
                     return False, json.dumps(report, default=str), None
                 yield ("coset-l%d-m%d-n%d" % (p, m, n),
                        {"ell": p, "m": m, "n": n}, wild)
-        for big_t in range(2, min(config.t_max, 3) + 1):
+        for big_t in range(2, config.t_max + 1):
             # transversal size p^{4(t-T)}: pairwise checks are quadratic,
             # so keep the sweep at desk scale
             if p ** (4 * (big_t - 1)) > 1024:
@@ -327,8 +334,8 @@ def _cases_local_data(config, shared):
                _boolcase(lambda p=p: make_local_data("good", p) is not None))
         yield ("tame-l%d" % p, {"ell": p},
                _boolcase(lambda p=p: make_local_data("tame", p) is not None))
-        for m in range(min(config.m_max, 2) + 1):
-            for n in range(1, min(config.n_max, 2) + 1):
+        for m in range(config.m_max + 1):
+            for n in range(1, config.n_max + 1):
                 if n < max(m, 1):
                     continue
                 # entry construction validates a depth-(n+2m) table; keep
@@ -348,7 +355,7 @@ def _cases_local_data(config, shared):
 
 def _cases_frobrecip(config, shared):
     from .normrel import frobrecip_pairing_check
-    kmax = max(min(config.k_max, 2), 1)
+    kmax = max(config.k_max, 1)
     for k1 in range(1, kmax + 1):
         for k2 in range(1, kmax + 1):
             yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},

@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .symcore import RatFunc, as_ratfunc, ell_pow, sym
-from .padic import (GSp4Elt, _as_fractions, _diag, _double_coset,
-                    _padic_residue, gsp4_multiplier, identity, iwasawa_gsp4,
-                    mat, mat_det, mat_mul, rref_modp, siegel_u_reps, val,
-                    weyl_s1, weyl_s2)
+from .padic import (_as_fractions, _diag, _double_coset, _padic_residue,
+                    gsp4_multiplier, identity, iwasawa_gsp4, mat_det,
+                    mat_mul, rref_modp, siegel_u_reps, val, weyl_s1, weyl_s2)
 
 
 @dataclass(frozen=True)
@@ -52,19 +51,6 @@ class PrincipalSeriesG:
 
     def central_character(self) -> RatFunc:
         return self.alpha * self.beta * self.c ** 2
-
-    def is_irreducible(self) -> bool:
-        """The standard regularity condition: none of the values alpha,
-        beta, alpha*beta, alpha/beta equals |l|^{+-1}."""
-        lp, lm = ell_pow(-2, self.p), ell_pow(2, self.p)
-        tests = (self.alpha, self.beta, self.alpha * self.beta,
-                 self.alpha / self.beta)
-        return all(t != lp and t != lm for t in tests)
-
-    def twist(self, eta_value) -> "PrincipalSeriesG":
-        """Twist by an unramified character of the similitude factor."""
-        return PrincipalSeriesG(self.p, self.alpha, self.beta,
-                                self.c * as_ratfunc(eta_value, self.p))
 
 
 def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:
@@ -142,10 +128,8 @@ class InducedVectorG:
 def eval_induced(f: InducedVectorG, g) -> RatFunc:
     """Value of f at g: Iwasawa-decompose g = b k, multiply the stored
     value on the cell of k by the Borel factor of b."""
-    if isinstance(g, GSp4Elt):
-        g = g.m
     sigma = f.sigma
-    b, k = iwasawa_gsp4(mat(g), sigma.p)
+    b, k = iwasawa_gsp4(g, sigma.p)
     return borel_factor(sigma, b) * f.cell_value(cell_of(k, sigma.p))
 
 

@@ -8,10 +8,10 @@ Euler-factor statement.
 
 All matrix identities are exact over Q; subgroup membership is decided
 by the exact congruence tests of the p-adic toolkit, so no floating
-point or truncation enters anywhere.  The coset loops carry group
-elements as the toolkit's integer rows over one denominator, (r, d);
-Fraction matrices enter only through the public pairs HElt and the
-witnesses of the wild report.
+point or truncation enters anywhere.  Group elements are the toolkit's
+integer rows over one denominator, (r, d), throughout; an element of
+GL2 x GL2 glued along the determinant is a pair of 2x2 (r, d), which
+the toolkit's block embedding checks and places in GSp4.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from fractions import Fraction
 
 from .besselzeta import TameDatum
 from .gsp4local import hecke_eigenvalue
-from .padic import (HElt, LevelSpec, SchwartzFn, _act, _as_fractions,
-                    _coset_block, _diag, _embed_rows, _in_level, _int_rows,
-                    _inverse, _multiplier, _product, _root_unipotent,
-                    _transpose, act_schwartz, identity, mat,
+from .padic import (LevelSpec, SchwartzFn, _act, _as_fractions, _coset_block,
+                    _diag, _embed_rows, _in_level, _int_rows, _inverse,
+                    _multiplier, _product, _root_unipotent, _transpose,
                     siegel_parahoric_reps)
 from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
 
@@ -42,18 +41,6 @@ def _eta(p: int, r: int, a=1):
 def eta(p: int, r: int, a=1) -> tuple:
     """The rational unipotent 1 + a p^{-r} (E13 + E24)."""
     return _as_fractions(_eta(p, r, a))
-
-
-def upper_shear(b) -> tuple:
-    return mat([[1, b], [0, 1]])
-
-
-def lower_shear(c) -> tuple:
-    return mat([[1, 0], [c, 1]])
-
-
-def diag2(a, d) -> tuple:
-    return mat([[a, 0], [0, d]])
 
 
 # -- indicator-sum Hecke elements ------------------------------------------------
@@ -109,7 +96,7 @@ class LocalDataEntry:
     role: str                      # "good" | "tame" | "wild"
     params: dict
     xi: XiElt
-    w_generators: list             # of HElt
+    w_generators: list             # of pairs of 2x2 (r, d)
     phi: tuple                     # pair of SchwartzFn
 
 
@@ -123,17 +110,16 @@ def _unit_gens(p: int, m: int):
 
 def _w_group_generators(p: int, m: int, t: int):
     """Generators of the pairs (h1, h2) integral at p with equal
-    determinants = 1 mod p^m and lower rows = (0, 1) mod p^t."""
-    one = identity(2)
-    s = max(t, m, 1)
-    gens = [HElt.of(upper_shear(1), one),
-            HElt.of(one, upper_shear(1)),
-            HElt.of(lower_shear(p ** t), one),
-            HElt.of(one, lower_shear(p ** t)),
-            HElt.of(diag2(1, 1 + p ** s), diag2(1, 1 + p ** s)),
-            HElt.of(diag2(1 + p ** s, 1), diag2(1, 1 + p ** s))]
-    for a in _unit_gens(p, m):
-        gens.append(HElt.of(diag2(a, 1), diag2(a, 1)))
+    determinants = 1 mod p^m and lower rows = (0, 1) mod p^t, as pairs
+    of (r, 1)."""
+    one, s = _diag(1, 1), max(t, m, 1)
+    up, low = _int_rows([[1, 1], [0, 1]]), _int_rows([[1, 0], [p ** t, 1]])
+    gens = [(up, one), (one, up), (low, one), (one, low),
+            (_diag(1, 1 + p ** s), _diag(1, 1 + p ** s)),
+            (_diag(1 + p ** s, 1), _diag(1, 1 + p ** s))]
+    gens += [(_diag(a, 1), _diag(a, 1)) for a in _unit_gens(p, m)]
+    for h in gens:
+        _embed_rows(h)      # raises unless the determinants agree
     return gens
 
 
@@ -154,7 +140,7 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
         xi = XiElt(p, LevelSpec("K1det"),
                    ((_diag(1, 1, 1, 1), Q(1)), (_eta(p, 1), Q(-1))))
         phi = (SchwartzFn.depth_pair(p, 2), SchwartzFn.depth_pair(p, 2))
-        gens = [h for h in _w_group_generators(p, 1, 2)]
+        gens = _w_group_generators(p, 1, 2)
     elif role == "wild":
         m, n = params.pop("m", None), params.pop("n", None)
         if m is None or n is None:
@@ -178,8 +164,7 @@ def make_local_data(role: str, p: int, **params) -> LocalDataEntry:
 
 def _validate_entry(entry: LocalDataEntry):
     for h in entry.w_generators:
-        if act_schwartz(h.g1, entry.phi[0]) != entry.phi[0] \
-                or act_schwartz(h.g2, entry.phi[1]) != entry.phi[1]:
+        if any(_act(g, f) != f for g, f in zip(h, entry.phi)):
             raise AssertionError("symmetry group does not fix phi")
         if entry.xi.left_translate(_embed_rows(h)) != entry.xi:
             raise AssertionError("symmetry group does not left-fix xi")
@@ -353,13 +338,13 @@ def wild_coset_identity(p: int, m: int, n: int):
     eta_m = _eta(p, m)
     for (u, v, w) in blocks:
         a = 1 + p ** m * u
-        h = HElt.of(mat([[p, v], [0, 1]]), mat([[p, w], [0, 1]]))
+        h = (_int_rows([[p, v], [0, 1]]), _int_rows([[p, w], [0, 1]]))
         lhs = _product(eta_m, mats[(u, v, w)])
         target = _eta(p, m + 1, a)
         k = _product(_inverse(_product(_embed_rows(h), target)), lhs)
         if not _in_level(k, spec, p):
             return False, {"failed": "factorisation", "at": (u, v, w)}
-        report["witnesses"].append(((u, v, w), h, _as_fractions(k)))
+        report["witnesses"].append(((u, v, w), h, k))
 
     # test-function identity, checked per factor:
     # sum over v of the inverse-shear translates of ch(p^n Z x (1+p^n Z))

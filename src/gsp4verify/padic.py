@@ -261,53 +261,11 @@ def gsp4_inv(g):
     return _as_fractions(_inverse(_integer_rows(g)))
 
 
-gl2_inv = gsp4_inv
-
-
-@dataclass(frozen=True)
-class GSp4Elt:
-    m: tuple
-    mu: Fraction
-
-    @staticmethod
-    def of(rows) -> "GSp4Elt":
-        m = mat(rows)
-        return GSp4Elt(m, gsp4_multiplier(m))
-
-    def inv(self) -> "GSp4Elt":
-        return GSp4Elt(gsp4_inv(self.m), 1 / self.mu)
-
-
-@dataclass(frozen=True)
-class HElt:
-    """Pair of 2x2 matrices with equal determinant."""
-    g1: tuple
-    g2: tuple
-
-    @staticmethod
-    def of(g1, g2) -> "HElt":
-        h = HElt(mat(g1), mat(g2))
-        _embed_rows(h)      # raises unless the determinants agree
-        return h
-
-    def __mul__(self, other: "HElt") -> "HElt":
-        return HElt(mat_mul(self.g1, other.g1), mat_mul(self.g2, other.g2))
-
-    def inv(self) -> "HElt":
-        return HElt(gl2_inv(self.g1), gl2_inv(self.g2))
-
-    def embed(self) -> GSp4Elt:
-        """The block matrix, with the determinant of g1 as multiplier."""
-        r, d = x = _embed_rows(self)
-        return GSp4Elt(_as_fractions(x),
-                       Fraction(r[0][0] * r[3][3] - r[0][3] * r[3][0], d * d))
-
-
-def _embed_rows(h: HElt):
-    """(r, d) of the block matrix of h, the two blocks brought over one
-    denominator; its multiplier is the common determinant."""
-    (((a, b), (c, d)), e1), (((a2, b2), (c2, d2)), e2) = (
-        _integer_rows(h.g1), _integer_rows(h.g2))
+def _embed_rows(h):
+    """(r, d) of the block matrix of the pair h of 2x2 (r, d), the two
+    blocks brought over one denominator; its multiplier is the common
+    determinant, and the pair must have one."""
+    (((a, b), (c, d)), e1), (((a2, b2), (c2, d2)), e2) = h
     e = math.lcm(e1, e2)
     f1, f2 = e // e1, e // e2
     if (a * d - b * c) * f1 * f1 != (a2 * d2 - b2 * c2) * f2 * f2:
@@ -329,7 +287,7 @@ def iwasawa_gl2(g, p: int):
     b = mat_mul(g, k1)
     if b[1][0] != 0:
         raise ArithmeticError("GL2 Iwasawa factor is not upper triangular")
-    k = gl2_inv(k1)
+    k = gsp4_inv(k1)
     if not in_gl2_z(k, p):
         raise ArithmeticError("GL2 Iwasawa factor is not in GL2(Z_p)")
     return b, k
@@ -346,7 +304,7 @@ def iwasawa_gsp4(g, p: int):
     the middle block leave the lower triangle empty, since the
     symplectic form forces the first column to (mu / b[3][3], 0, 0, 0).
     The entries of b are compared, and divided, on its integer rows."""
-    b = _integer_rows(mat(g.m if isinstance(g, GSp4Elt) else g))
+    b = _integer_rows(mat(g))
     mu = Fraction(_multiplier(b[0]), b[1] ** 2)
     k1 = _diag(1, 1, 1, 1)
 
@@ -400,7 +358,6 @@ class LevelSpec:
 
 
 def in_level(g, spec: LevelSpec, p: int) -> bool:
-    g = g.m if isinstance(g, GSp4Elt) else g
     return _in_level(_integer_rows(g), spec, p)
 
 
@@ -700,11 +657,6 @@ class SchwartzFn:
         p = self.p
         return [((Q(a, p ** self.s), Q(b, p ** self.s)), c)
                 for (a, b), c in sorted(self.table.items())]
-
-    def integral(self):
-        """Integral against the additive Haar measure, vol(Z_p^2) = 1."""
-        w = Q(1, self.p ** (2 * self.n))
-        return sum((c * w for c in self.table.values()), Q(0))
 
     def __repr__(self):
         pts = ", ".join(f"({x},{y}): {c}" for (x, y), c in self.support_points())

@@ -19,7 +19,8 @@ only where one can vanish (a product adds the least and the greatest
 degrees in each name, so only a name of both sides can).
 
 RatFunc is a reduced fraction of two LaurentPolys, canonical at the
-formal prime and at a pinned one, so equality compares num and den.  A
+formal prime and at a pinned one, so equality compares num and den at
+compatible primes, with no re-pinning (`with_prime` pins first).  A
 Laurent polynomial over 1 is canonical, so building one, or the sum or
 product of two, does not reduce.  Otherwise a pinned denominator is made
 free of v by its conjugate (Trager's norm, SYMSAC 1976), both sides are
@@ -333,13 +334,11 @@ class LaurentPoly:
         return _power(self, n, LaurentPoly.const(1, self.prime))
 
     def __eq__(self, other):
+        """Equal packed terms at compatible primes (equal, or one formal),
+        with no re-pinning, so equal polynomials have equal hashes."""
         other = _as_poly(other, self.prime)
-        try:
-            p = _merge_prime(self.prime, other.prime)
-        except PrimeMismatch:
-            return False
-        a, b = self.with_prime(p), other.with_prime(p)
-        return a.names == b.names and a.vecs == b.vecs
+        return (self.prime in (None, other.prime) or other.prime is None) \
+            and self.names == other.names and self.vecs == other.vecs
 
     def __hash__(self):
         return hash((self.names, frozenset(self.vecs.items())))
@@ -566,12 +565,7 @@ class RatFunc:
         if not isinstance(other, (RatFunc, LaurentPoly, int, Fraction)):
             return NotImplemented
         other = as_ratfunc(other, self.prime)
-        try:
-            p = _merge_prime(self.prime, other.prime)
-            a, b = self.with_prime(p), other.with_prime(p)
-        except (PrimeMismatch, DivisionByZero):     # a pole at the prime
-            return False
-        return a.num == b.num and a.den == b.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))

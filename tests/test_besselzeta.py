@@ -293,6 +293,33 @@ def test_formal_pairings_specialise_to_pinned_prime(k1, k2, p, tame_data):
     assert formal.euler.with_prime(p) == pinned.euler
 
 
+@pytest.fixture(scope="module")
+def formal_zetas():
+    """The two zetas of the formal Bessel datum and their closed forms,
+    each keyed by its label."""
+    d = BesselDatum.formal(None)
+    series = bessel_series(d, 9)
+    return ({label: zeta(label, d, series=series) for label in ZETA_LABELS},
+            {"spherical": zeta_spherical_closed(d), "ul": zeta_ul_closed(d)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_formal_bessel_zetas_specialise_to_pinned_prime(p, formal_zetas):
+    # the guard above for the Bessel datum: its zetas and their closed
+    # forms, computed with the prime formal and taken to p, equal those
+    # of the datum with p pinned from the start.  A pole of the
+    # specialisation (SpecializationPole or DivisionByZero) is a
+    # failure, not a skip
+    zetas, closed = formal_zetas
+    d = BesselDatum.formal(p)
+    series = bessel_series(d, 9)
+    want = {"spherical": zeta_spherical_closed(d), "ul": zeta_ul_closed(d)}
+    for label in ZETA_LABELS:
+        assert zetas[label].with_prime(p) == zeta(label, d, series=series), \
+            label
+        assert closed[label].with_prime(p) == want[label], label
+
+
 def test_pairing_kept_per_datum():
     # a datum computes each (label, t) pairing once and hands back the
     # same object; what it has kept does not enter equality

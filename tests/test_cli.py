@@ -107,6 +107,39 @@ def test_k_config_key(tmp_path):
     assert config.k_max == 1
 
 
+#: each depth or weight bound and the largest value the suites accept
+BOUND_TOPS = [("k", 2), ("t", 3), ("m", 2), ("n", 2)]
+
+
+@pytest.mark.parametrize("key,top", BOUND_TOPS)
+def test_bound_flag_past_its_range_is_a_config_error(key, top, capsys):
+    # a bound past the range used to be clamped silently to it
+    assert cli.main(["--suite", "bessel", "--" + key, str(top + 1)]) == 2
+    assert "at most %d" % top in capsys.readouterr().err
+    parser = cli.make_parser()
+    config = cli.build_config(parser.parse_args(["--" + key, str(top)]))
+    assert getattr(config, key + "_max") == top
+
+
+@pytest.mark.parametrize("key,top", BOUND_TOPS)
+def test_bound_config_key_past_its_range_is_a_config_error(key, top,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = bessel\n%s = %d\n" % (key, top + 1))
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "at most %d" % top in capsys.readouterr().err
+    cfg.write_text("%s = %d\n" % (key, top))
+    parser = cli.make_parser()
+    config = cli.build_config(parser.parse_args(["--config", str(cfg)]))
+    assert getattr(config, key + "_max") == top
+
+
+def test_frobrecip_keeps_weight_one_at_k_zero():
+    config = cli.SuiteConfig(suites=("frobrecip",), k_max=0)
+    ids = [c for _, c, _, _ in cli.build_cases(config)]
+    assert "pairing-k11" in ids and not any("k0" in c for c in ids)
+
+
 def test_per_weight_k_flags_are_gone(capsys):
     assert cli.main(["--k1", "1"]) == 2
     assert cli.main(["--k2", "1"]) == 2

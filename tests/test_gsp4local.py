@@ -71,17 +71,6 @@ def test_spin_reciprocal_inverts_spin_l_factor(p):
         assert lf * spin_reciprocal(s, ell_pow(-3 - two_shift, p)) == 1
 
 
-def test_irreducibility_condition():
-    assert sigma_for(2).is_irreducible()
-    p = 2
-    a = ell_pow(2, p)
-    bad = PrincipalSeriesG(p, a, sym("beta", p), sym("c", p))
-    assert not bad.is_irreducible()
-    bad2 = PrincipalSeriesG(p, sym("beta", p) * ell_pow(-2, p),
-                            sym("beta", p), sym("c", p))
-    assert not bad2.is_irreducible()
-
-
 def test_cells_are_distinct_and_four():
     for p in (2, 3, 5):
         cells = [cell_of(r, p) for r in parahoric_cell_reps()]
@@ -302,10 +291,3 @@ def test_module_action_linear():
         expect = a * eval_induced(f, mat_mul(r, g)) + b * eval_induced(f, r)
         assert eval_induced(out, r) == expect
 
-
-def test_twist_shifts_spin_params():
-    p = 2
-    s = sigma_for(p)
-    eta = sym("tau", p)
-    tw = s.twist(eta)
-    assert tw.spin_params() == tuple(g * eta for g in s.spin_params())

@@ -8,9 +8,10 @@ import pytest
 from gsp4verify import normrel as nr
 from gsp4verify import padic as pa
 from gsp4verify.besselzeta import tame_pairing
-from gsp4verify.padic import (HElt, LevelSpec, SchwartzFn, act_schwartz,
-                              identity, in_level, mat, mat_det, mat_inv,
-                              mat_mul, mat_t, min_val, root_unipotent, val)
+from gsp4verify.padic import (LevelSpec, SchwartzFn, act_schwartz, gsp4_inv,
+                              gsp4_multiplier, identity, in_level, mat,
+                              mat_det, mat_inv, mat_mul, mat_t, min_val,
+                              root_unipotent, val)
 
 # ------------------------------------------------------------- local data
 
@@ -40,6 +41,23 @@ def test_wild_entry(pmn):
     e = nr.make_local_data("wild", p, m=m, n=n)
     assert e.params["t"] == n + 2 * m
     assert e.phi[0].value_at(0, 0) == 0
+
+
+@pytest.mark.parametrize("role,p,params", [("good", 3, {}), ("tame", 2, {}),
+                                           ("wild", 2, {"m": 1, "n": 1})])
+def test_w_generators_fix_phi_through_the_fraction_path(role, p, params):
+    """Each symmetry generator is a pair of 2x2 (r, d) with one
+    determinant, which its block matrix carries as its multiplier, and
+    each factor fixes its test function under the public action."""
+    e = nr.make_local_data(role, p, **params)
+    assert e.w_generators
+    for h in e.w_generators:
+        g1, g2 = map(pa._as_fractions, h)
+        assert all(pa._lowest(*x) == x for x in h)
+        assert gsp4_multiplier(pa._as_fractions(pa._embed_rows(h))) \
+            == mat_det(g1) == mat_det(g2)
+        assert act_schwartz(g1, e.phi[0]) == e.phi[0]
+        assert act_schwartz(g2, e.phi[1]) == e.phi[1]
 
 
 def test_invalid_roles_and_params():
@@ -130,10 +148,23 @@ def test_indept_index_against_brute_count():
     assert pairs_big // pairs_small == p ** (4 * (t - T))
 
 
-def _in_kh1(h: HElt, p: int, t: int) -> bool:
+def _rows(h):
+    """A pair of Fraction 2x2 matrices as a pair of (r, d)."""
+    return tuple(map(pa._integer_rows, h))
+
+
+def _pair_mul(h, h2):
+    return tuple(mat_mul(g, g2) for g, g2 in zip(h, h2))
+
+
+def _pair_inv(h):
+    return tuple(map(gsp4_inv, h))
+
+
+def _in_kh1(h, p: int, t: int) -> bool:
     """Pairs integral at p with unit equal determinants whose lower
     rows are (0, 1) mod p^t: the membership test behind the key."""
-    for g in (h.g1, h.g2):
+    for g in h:
         if min_val(g, p) < 0:
             return False
         if val(mat_det(g), p) != 0:
@@ -155,20 +186,20 @@ def _rand_unit_pair(rng, p, lower=1):
     g1 = mat([[a, b], [c, d]])
     x, y = rng.randint(-9, 9), lower * rng.randint(-9, 9)
     shear = mat_mul(mat([[1, x], [0, 1]]), mat([[1, 0], [y, 1]]))
-    return HElt.of(g1, mat_mul(g1, shear))
+    h = (g1, mat_mul(g1, shear))
+    pa._embed_rows(_rows(h))        # raises unless the determinants agree
+    return h
 
 
-def _kh1_key_reference(h: HElt, p: int, t: int) -> tuple:
+def _kh1_key_reference(h, p: int, t: int) -> tuple:
     """The key computed on Fraction matrices, as before the transversal
     was carried as (r, d)."""
-    hi = h.inv()
-    return tuple(pa._padic_residue(x, p, p ** t) for g in (hi.g1, hi.g2)
+    return tuple(pa._padic_residue(x, p, p ** t) for g in _pair_inv(h)
                  for x in g[1])
 
 
-def _kh1_key(h: HElt, p: int, t: int) -> tuple:
-    key = nr._kh1_key((pa._integer_rows(h.g1), pa._integer_rows(h.g2)),
-                      p, t)
+def _kh1_key(h, p: int, t: int) -> tuple:
+    key = nr._kh1_key(_rows(h), p, t)
     assert key == _kh1_key_reference(h, p, t)
     return key
 
@@ -179,10 +210,10 @@ def test_kh1_key_agrees_with_membership(p, t):
     same = 0
     for _ in range(60):
         h = _rand_unit_pair(rng, p)
-        for h2 in (h * _rand_unit_pair(rng, p, p ** t),
+        for h2 in (_pair_mul(h, _rand_unit_pair(rng, p, p ** t)),
                    _rand_unit_pair(rng, p)):
             equal = _kh1_key(h, p, t) == _kh1_key(h2, p, t)
-            assert equal == _in_kh1(h.inv() * h2, p, t)
+            assert equal == _in_kh1(_pair_mul(_pair_inv(h), h2), p, t)
             same += equal
     assert 60 <= same < 120
 
@@ -273,9 +304,14 @@ def test_wild_witnesses_are_exact_factorisations():
     assert ok
     spec = LevelSpec("Kmn", m, n)
     for (u, v, w), h, k in report["witnesses"]:
+        # h is the pair of shears, k the level-group factor, as (r, d)
+        assert tuple(map(pa._as_fractions, h)) == (
+            mat([[p, v], [0, 1]]), mat([[p, w], [0, 1]]))
         a = 1 + p ** m * u
+        k = pa._as_fractions(k)
         lhs = mat_mul(nr.eta(p, m), pa.coset_block(p, u, v, w))
-        rhs = mat_mul(mat_mul(h.embed().m, nr.eta(p, m + 1, a)), k)
+        emb = pa._as_fractions(pa._embed_rows(h))
+        rhs = mat_mul(mat_mul(emb, nr.eta(p, m + 1, a)), k)
         assert lhs == rhs
         assert in_level(k, spec, p)
 
@@ -324,6 +360,19 @@ def test_frobrecip_formal(tame_data):
 def test_frobrecip_concrete_prime(tame_data):
     ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, 2])
     assert ok
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobrecip_formal_sides_specialise_to_pinned_prime(p, tame_data):
+    # both sides of the formal weight-(1, 1) identity, taken to p, equal
+    # those computed with p pinned, where the Euler element is summed
+    # over explicit coset representatives instead of read off the spin
+    # parameters.  A pole of the specialisation is a failure, not a skip
+    _, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, None])
+    ok, lhs_p, rhs_p = nr.frobrecip_pairing_check(tame_pairing(1, 1, p=p))
+    assert ok
+    assert lhs.with_prime(p) == lhs_p
+    assert rhs.with_prime(p) == rhs_p
 
 
 def test_frobrecip_wrong_parahoric_index_fails(monkeypatch, tame_data):

@@ -15,8 +15,8 @@ from gsp4verify import padic as pa
 from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   eval_induced, hecke_eigenvalue)
 from gsp4verify.padic import (
-    Cyc, GSp4Elt, HElt, LevelSpec, SchwartzFn, act_schwartz, fourier,
-    gl2_inv, gsp4_inv, gsp4_multiplier, identity, in_level, iwasawa_gl2,
+    Cyc, LevelSpec, SchwartzFn, act_schwartz, fourier,
+    gsp4_inv, gsp4_multiplier, identity, in_level, iwasawa_gl2,
     iwasawa_gsp4, mat, mat_det, mat_inv, mat_mul, min_val, rref_modp,
     siegel_parahoric_reps, siegel_u_reps, solve, val, weyl_s1, weyl_s2,
 )
@@ -55,12 +55,31 @@ def test_symplectic_form_and_weyl():
                              [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
+def _embed(g1, g2):
+    """The block matrix of the pair (g1, g2) of Fraction 2x2 matrices,
+    through the (r, d) embedding."""
+    return pa._as_fractions(pa._embed_rows((pa._integer_rows(g1),
+                                            pa._integer_rows(g2))))
+
+
 def test_h_embedding():
-    h = HElt.of([[1, 2], [3, 7]], [[1, 0], [1, 1]])
-    g = h.embed()
-    assert g.mu == 1
-    h2 = HElt.of([[0, 1], [-1, 0]], [[1, 1], [-1, 0]])
-    assert (h * h2).embed().m == mat_mul(g.m, h2.embed().m)
+    g1, g2 = mat([[1, 2], [3, 7]]), mat([[1, 0], [1, 1]])
+    g = _embed(g1, g2)
+    # g1 on the outer rows and columns, g2 on the inner ones
+    assert g == mat([[1, 0, 0, 2], [0, 1, 0, 0], [0, 1, 1, 0], [3, 0, 0, 7]])
+    assert gsp4_multiplier(g) == 1
+    h1, h2 = mat([[0, 1], [-1, 0]]), mat([[1, 1], [-1, 0]])
+    assert _embed(mat_mul(g1, h1), mat_mul(g2, h2)) == mat_mul(g, _embed(h1, h2))
+    # the blocks are brought over one denominator, in lowest terms
+    a, b = mat([[Q(1, 2), 0], [0, 2]]), mat([[1, Q(1, 3)], [0, 1]])
+    x = pa._embed_rows((pa._integer_rows(a), pa._integer_rows(b)))
+    assert x[1] == 6 and pa._as_fractions(x) == mat(
+        [[Q(1, 2), 0, 0, 0], [0, 1, Q(1, 3), 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    assert pa._lowest(*x) == x
+    with pytest.raises(ValueError, match="determinants differ"):
+        _embed(mat([[1, 2], [3, 7]]), mat([[2, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="determinants differ"):
+        _embed(mat([[Q(1, 2), 0], [0, 1]]), mat([[1, 0], [0, 2]]))
 
 
 def rand_fraction(rng, p):
@@ -152,8 +171,10 @@ def test_iwasawa_gsp4_borel_diagonal_against_invariants():
 
 
 def test_iwasawa_gsp4_accepts_elements_and_rejects_non_similitudes():
-    g = mat_mul(weyl_s1(), pa.root_unipotent(2, Q(1, 4)))
-    assert iwasawa_gsp4(GSp4Elt.of(g), 2) == iwasawa_gsp4(g, 2)
+    g = mat_mul(weyl_s1(), pa.root_unipotent(2, Q(4)))
+    # an element given as nested lists of ints is read as its matrix
+    assert iwasawa_gsp4([[int(x) for x in row] for row in g], 2) == \
+        iwasawa_gsp4(g, 2)
     with pytest.raises(ValueError):
         iwasawa_gsp4(mat([[1, 1, 0, 0], [0, 1, 0, 0],
                           [0, 0, 1, 0], [0, 0, 0, 1]]), 2)
@@ -727,7 +748,6 @@ def test_gsp4_inv_matches_mat_inv(g):
     gi = gsp4_inv(g)
     assert gi == mat_inv(g)
     assert all(type(x) is Q for row in gi for x in row)
-    assert GSp4Elt.of(g).inv() == GSp4Elt(gi, 1 / gsp4_multiplier(g))
 
 
 @settings(max_examples=200, deadline=None)
@@ -735,8 +755,7 @@ def test_gsp4_inv_matches_mat_inv(g):
 def test_gl2_inv_matches_mat_inv(entries):
     g = mat([entries[:2], entries[2:]])
     assume(mat_det(g) != 0)
-    assert gl2_inv(g) == mat_inv(g)
-    assert HElt(g, g).inv() == HElt(mat_inv(g), mat_inv(g))
+    assert gsp4_inv(g) == mat_inv(g)
 
 
 def test_closed_form_inverses_reject_their_bad_inputs():
@@ -746,9 +765,9 @@ def test_closed_form_inverses_reject_their_bad_inputs():
     with pytest.raises(ValueError):      # r^T J r = 0 J: mu must be nonzero
         gsp4_inv(mat([[0] * 4] * 4))
     with pytest.raises(ZeroDivisionError):
-        gl2_inv(mat([[1, 2], [2, 4]]))
+        gsp4_inv(mat([[1, 2], [2, 4]]))
     with pytest.raises(ZeroDivisionError):
-        gl2_inv(mat([[0, 0], [0, 0]]))
+        gsp4_inv(mat([[0, 0], [0, 0]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1161,10 +1180,12 @@ def test_wild_coset_matrices_match_fraction_reference(p, m, n):
         want = _reference_mat_mul(
             _reference_gsp4_inv(_reference_mat_mul(emb, target)),
             _reference_mat_mul(pa.root_unipotent(2, Q(1, p ** m)), block))
-        assert k == want and h.embed().m == emb
+        assert pa._as_fractions(k) == want
+        assert k == pa._integer_rows(want)
+        assert pa._as_fractions(pa._embed_rows(h)) == emb
         for kind in _KERNEL_SPECS:
-            assert pa._in_level(pa._integer_rows(k), kind, p) == \
-                _reference_in_level(k, kind, p)
+            assert pa._in_level(k, kind, p) == \
+                _reference_in_level(want, kind, p)
         inv = _reference_gsp4_inv(block)
         for x in gens:
             moved = _reference_mat_mul(pa._as_fractions(x), block)

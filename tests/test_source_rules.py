@@ -266,8 +266,8 @@ def test_packed_rule_flags_a_read():
 #: loops carry (r, d) from end to end
 CONVERSION = "_integer_rows"
 CONVERTERS = frozenset({"mat_mul", "gsp4_multiplier", "gsp4_inv",
-                        "_embed_rows", "iwasawa_gsp4", "in_level",
-                        "in_gl2_z", "act_schwartz"})
+                        "iwasawa_gsp4", "in_level", "in_gl2_z",
+                        "act_schwartz"})
 
 
 def _conversion_reads(tree, allowed):
@@ -307,7 +307,7 @@ def test_conversion_rule_flags_a_hot_loop():
         "    return _integer_rows(a), _integer_rows(b)\n"
         "def _orbit(start, gens):\n"
         "    return [padic._integer_rows(g) for g in gens]\n"
-        "class HElt:\n"
+        "class Pair:\n"
         "    def of(self):\n"
         "        return _integer_rows(self.g1)\n"
         "rows = _integer_rows\n")

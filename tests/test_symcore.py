@@ -442,16 +442,36 @@ def test_pinned_reduction_is_canonical(a, b, c, prime):
        st.sampled_from([None, 2, 3]), st.booleans())
 def test_equality_matches_cross_multiplication(a, b, c, p1, p2, same):
     # formal, pinned and mixed primes; g is f's value again, written
-    # over another common factor, or a different value
+    # over another common factor, or a different value.  At one prime
+    # equality is cross-multiplication; across primes it does not pin,
+    # so it only implies it, and equal values always hash alike
     if any(q.with_prime(p).is_zero() for q in (b, c) for p in (p1, p2)):
         return
     f = RatFunc(a.with_prime(p1), b.with_prime(p1))
     g = (RatFunc((a * c).with_prime(p2), (b * c).with_prime(p2)) if same
          else RatFunc((a + c).with_prime(p2), b.with_prime(p2)))
-    assert (f == g) == _eq_by_cross_multiplication(f, g)
-    assert (g == f) == _eq_by_cross_multiplication(g, f)
+    assert (f == g) == (g == f)
+    if f == g:
+        assert hash(f) == hash(g)
+        assert _eq_by_cross_multiplication(f, g)
+        assert _eq_by_cross_multiplication(g, f)
+    if p1 == p2:
+        assert (f == g) == _eq_by_cross_multiplication(f, g)
+        assert (g == f) == _eq_by_cross_multiplication(g, f)
     if same and p1 == p2:
         assert f == g and hash(f) == hash(g)
+
+
+def test_equality_across_primes_keeps_the_hash_contract():
+    # l is 3 only once pinned: equality does not pin, so a formal value
+    # and a pinned one are equal only when their terms agree
+    assert ell() != RatFunc.const(3, 3)
+    assert len({ell(), RatFunc.const(3, 3)}) == 2
+    assert ell().with_prime(3) == RatFunc.const(3, 3)
+    assert RatFunc.const(3) == RatFunc.const(3, 3)
+    assert hash(RatFunc.const(3)) == hash(RatFunc.const(3, 3))
+    assert sym("x") == sym("x", 2) and sym("x", 2) != sym("x", 3)
+    assert LaurentPoly.symbol("l") != LaurentPoly.const(2, 2)
 
 
 def test_a_pole_at_the_pinned_prime_equals_nothing_there():
