@@ -9,7 +9,7 @@ Schwartz functions on Q_p^2.
 
 from fractions import Fraction as Q
 
-from gsp4verify.symcore import as_ratfunc, ell, ell_pow, ratfunc_eq, sym
+from gsp4verify.symcore import ell, ell_pow, ratfunc_eq, sym
 from gsp4verify.padic import (SchwartzFn, act_schwartz, fourier,
                               gsp4_multiplier, iwasawa_gsp4, mat, mat_mul,
                               root_unipotent, weyl_s1)

@@ -1,22 +1,23 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
 
-A LaurentPoly is a sorted tuple of symbol names and a dict from packed
-monomials to nonzero coefficients: an int where the coefficient is
-integral, otherwise an element of QQ, sympy's rationals and the domain of
-the gcd.  A packed monomial is one int with a 32-bit field per name, in
-names order, holding the exponent plus a bias, so the key of a product
-is k1 + k2 - bias; an exponent outside [-2^30, 2^30) raises rather than
-carry into the next field.  Tuples are built only for the ``terms`` view,
-sympy's gcd and the coprimality images.  Two names are reserved, ``l``
-and ``v``, tied by v*v = l.  With the prime formal, l is stored as v^2.
-Pinned to a prime p, l is the rational p and v keeps exponent 0 or 1: a
-product's v^2 folds to p.  ``terms`` shows sorted (name, exp) keys with
-v^2 as l and Fraction coefficients; ``repr`` and the unit normalisation
-read its lexicographic order.  No canonical operand is rebuilt: only a
-side whose names differ from the union is re-keyed, a constant factor
-scales and a one-term factor shifts, and unused names are looked for
-only where one can vanish (a product adds the least and the greatest
-degrees in each name, so only a name of both sides can).
+A LaurentPoly is a sorted tuple of symbol names, a dict from packed
+monomials to nonzero int coefficients and one positive int denominator,
+in lowest terms, so products and sums of coefficients are integer
+arithmetic.  A packed monomial is one int with a 32-bit field per name,
+in names order, holding the exponent plus a bias, so the key of a
+product is k1 + k2 - bias; an exponent outside [-2^30, 2^30) raises
+rather than carry into the next field.  Tuples are built only for the
+``terms`` view, the gcd and the coprimality images.  Two names are
+reserved, ``l`` and ``v``, tied by v*v = l.  With the prime formal, l is
+stored as v^2.  Pinned to a prime p, l is the rational p and v keeps
+exponent 0 or 1: a product's v^2 folds to p.  ``terms`` shows sorted
+(name, exp) keys with v^2 as l and Fraction coefficients; ``repr`` and
+the unit normalisation read its lexicographic order.  No canonical
+operand is rebuilt: only a side whose names differ from the union is
+re-keyed, a constant factor scales and a one-term factor shifts, and
+unused names are looked for only where one can vanish (a product adds
+the least and the greatest degrees in each name, so only a name of both
+sides can).
 
 RatFunc is a reduced fraction of two LaurentPolys, canonical at the
 formal prime and at a pinned one, so equality compares num and den at
@@ -24,34 +25,31 @@ compatible primes, with no re-pinning (`with_prime` pins first).  A
 Laurent polynomial over 1 is canonical, so building one, or the sum or
 product of two, does not reduce.  Otherwise a pinned denominator is made
 free of v by its conjugate (Trager's norm, SYMSAC 1976), both sides are
-shifted to polynomials in Q[v, ...] and divided by their sympy gcd, and
-the denominator's lexicographically smallest term gets coefficient 1.
-The gcd is skipped where images mod a large prime q prove the pair
-coprime: for each variable x_i, with the others at fixed integers, the
-gcd in F_q[x_i] is constant and a leading coefficient in x_i does not
-vanish (evaluation images, as in Brown, JACM 1971).  A product
-cross-reduces each numerator against the other denominator; with the
-prime formal the product of the two reduced fractions is reduced
-(Henrici's rule: the ring is a UFD and the cross-reduced factors are
-coprime).  With the prime pinned, folding v^2 into p can create a common
-factor, so that product keeps its gcd.
+shifted to polynomials in Q[v, ...] and divided by their gcd, and the
+denominator's lexicographically smallest term gets coefficient 1.  The
+gcd is skipped where images mod a large prime q prove the pair coprime:
+for each variable x_i, with the others at fixed integers, Euclid's
+algorithm in F_q[x_i] finds a constant gcd and a leading coefficient in
+x_i does not vanish (evaluation images, as in Brown, JACM 1971).  The
+gcd that is left is sympy's, and sympy is imported there, at the first
+pair that needs it, so a run that reduces no such fraction never loads
+it.  A product cross-reduces each numerator against the other
+denominator; with the prime formal the product of the two reduced
+fractions is reduced (Henrici's rule: the ring is a UFD and the
+cross-reduced factors are coprime).  With the prime pinned, folding v^2
+into p can create a common factor, so that product keeps its gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import prod
+from math import gcd, lcm, prod
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Union
 
-import sympy
-from sympy import QQ, ZZ
-from sympy.polys.galoistools import gf_gcd, gf_strip
-
 Q = Fraction
 Scalar = Union[int, Fraction]
-MPQ = QQ.dtype
 
 L_NAME = "l"
 V_NAME = "v"
@@ -110,19 +108,24 @@ def _unpack(k: int, n: int) -> tuple:
     return tuple(((k >> (_W * i)) & _M) - _B for i in range(n))
 
 
-def _fold_v(names: tuple, vecs: dict, prime: Optional[int]) -> dict:
-    """With the prime pinned, bring every exponent of v into {0, 1} by
-    folding v^2 into the coefficient as the prime."""
+def _fold_v(names: tuple, vecs: dict, den: int, prime: Optional[int]):
+    """With the prime pinned, vecs over den with every exponent of v
+    brought into {0, 1} by folding v^2 into the coefficient as the
+    prime; the lowest negative power of the prime moves into the
+    denominator, so every coefficient stays an int."""
     if prime is None or V_NAME not in names:
-        return vecs
+        return vecs, den
     s = _W * names.index(V_NAME)
-    p, out = MPQ(prime), {}
+    low = min(0, *((((k >> s) & _M) - _B) // 2 for k in vecs))
+    out = {}
     for k, c in vecs.items():
         q = (((k >> s) & _M) - _B) // 2
         if q:
-            k, c = k - (q << (s + 1)), c * p ** q
+            k -= q << (s + 1)
+        if q != low:
+            c *= prime ** (q - low)
         out[k] = out[k] + c if k in out else c
-    return out
+    return out, den * prime ** -low
 
 
 def _remap(vecs: dict, src: tuple, dst: tuple) -> dict:
@@ -141,21 +144,32 @@ def _remap(vecs: dict, src: tuple, dst: tuple) -> dict:
                        for m, d in steps): c for k, c in vecs.items()}
 
 
-def _canon(names: tuple, vecs: dict, where=None):
-    """names and vecs without the zero terms and the unused names among
-    those at the indices ``where`` (all by default), an integral
-    coefficient stored as an int."""
-    vecs = {k: c.numerator if c.denominator == 1 else c
-            for k, c in vecs.items() if c}
+def _integral(vecs: dict):
+    """Rational coefficients as int numerators over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in vecs.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in vecs.items()}, den
+
+
+def _canon(names: tuple, vecs: dict, den: int, where=None):
+    """names, vecs and den in lowest terms, without the zero terms and
+    the unused names among those at the indices ``where`` (all by
+    default)."""
+    vecs = {k: c for k, c in vecs.items() if c}
     if not vecs:
-        return (), vecs
+        return (), vecs, 1
+    g = gcd(den, *vecs.values())
+    if g != 1:
+        vecs, den = {k: c // g for k, c in vecs.items()}, den // g
     k0 = next(iter(vecs))
     unused = {names[i] for i in (range(len(names)) if where is None
                                  else where)
               if (k0 >> (_W * i)) & _M == _B
               and all((k >> (_W * i)) & _M == _B for k in vecs)}
     kept = tuple(s for s in names if s not in unused)
-    return (kept, _remap(vecs, names, kept)) if unused else (names, vecs)
+    return (kept, _remap(vecs, names, kept), den) if unused else (
+        names, vecs, den)
 
 
 def _align(a: "LaurentPoly", b: "LaurentPoly"):
@@ -181,10 +195,10 @@ def _power(b, n: int, r):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with int or QQ coefficients on packed
-    monomials."""
+    """Sparse Laurent polynomial on packed monomials: int coefficients
+    over one positive denominator, in lowest terms."""
 
-    __slots__ = ("names", "vecs", "prime")
+    __slots__ = ("names", "vecs", "den", "prime")
 
     def __init__(self, terms: Mapping[tuple, Scalar], prime=None):
         """Build from {((name, exp), ...): coeff}; l and v may both occur."""
@@ -196,24 +210,26 @@ class LaurentPoly:
             for s, x in mono:
                 e[V_NAME if s == L_NAME else s] += 2 * x if s == L_NAME else x
             k = _pack(e.values())
-            vecs[k] = vecs.get(k, 0) + MPQ(c)
-        self.names, self.vecs = _canon(names, _fold_v(names, vecs, prime))
+            vecs[k] = vecs.get(k, 0) + Fraction(c)
+        self.names, self.vecs, self.den = _canon(
+            names, *_fold_v(names, *_integral(vecs), prime))
         self.prime = prime
 
     @classmethod
-    def _of(cls, names: tuple, vecs: dict, prime) -> "LaurentPoly":
-        """The polynomial with these canonical names and vecs."""
+    def _of(cls, names: tuple, vecs: dict, den: int,
+            prime) -> "LaurentPoly":
+        """The polynomial with these canonical names, vecs and den."""
         out = cls.__new__(cls)
-        out.names, out.vecs, out.prime = names, vecs, prime
+        out.names, out.vecs, out.den, out.prime = names, vecs, den, prime
         return out
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c: Scalar, prime: Optional[int] = None) -> "LaurentPoly":
-        c = MPQ(c)
-        vecs = {0: c.numerator if c.denominator == 1 else c} if c else {}
-        return LaurentPoly._of((), vecs, prime)
+        c = c if type(c) is int else Fraction(c)
+        return LaurentPoly._of((), {0: c.numerator} if c else {},
+                               c.denominator, prime)
 
     @staticmethod
     def symbol(name: str, exp: int = 1, prime: Optional[int] = None) -> "LaurentPoly":
@@ -231,7 +247,7 @@ class LaurentPoly:
 
     @property
     def terms(self) -> dict:
-        return {self._key(k): Fraction(c.numerator, c.denominator)
+        return {self._key(k): Fraction(c, self.den)
                 for k, c in self.vecs.items()}
 
     # -- basic queries -----------------------------------------------------
@@ -243,7 +259,7 @@ class LaurentPoly:
         return len(self.vecs) == 1
 
     def _is_one(self) -> bool:
-        return not self.names and self.vecs.get(0) == 1
+        return not self.names and self.den == 1 and self.vecs.get(0) == 1
 
     def const_value(self) -> Fraction:
         if self.names:
@@ -257,15 +273,15 @@ class LaurentPoly:
         p2 = _merge_prime(self.prime, p)
         if p2 == self.prime:
             return self
-        return LaurentPoly._of(
-            *_canon(self.names, _fold_v(self.names, self.vecs, p2)), p2)
+        return LaurentPoly._of(*_canon(self.names, *_fold_v(
+            self.names, self.vecs, self.den, p2)), p2)
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
         return LaurentPoly._of(self.names,
                                {k: -c for k, c in self.vecs.items()},
-                               self.prime)
+                               self.den, self.prime)
 
     def __add__(self, other):
         other = _as_poly(other, self.prime)
@@ -274,11 +290,14 @@ class LaurentPoly:
         if not a.vecs or not b.vecs:
             return b if not a.vecs else a
         names, x, y, shared = _align(a, b)
-        acc = dict(x)
+        g = gcd(a.den, b.den)
+        fx, fy = b.den // g, a.den // g     # each side over the lcm
+        acc = {k: c * fx for k, c in x.items()} if fx != 1 else dict(x)
         for k, c in y.items():
+            c *= fy
             acc[k] = acc[k] + c if k in acc else c
         # only a name of both sides can cancel
-        return LaurentPoly._of(*_canon(names, acc, shared), p)
+        return LaurentPoly._of(*_canon(names, acc, a.den * fx, shared), p)
 
     __radd__ = __add__
 
@@ -296,8 +315,9 @@ class LaurentPoly:
             a, b = b, a
         if not b.names:     # a constant: 0, or a scale of a's coefficients
             c = b.vecs.get(0, 0)
-            return b if not c else a if c == 1 else LaurentPoly._of(
-                *_canon(a.names, {k: x * c for k, x in a.vecs.items()}, ()), p)
+            return b if not c else a if b._is_one() else LaurentPoly._of(
+                *_canon(a.names, {k: x * c for k, x in a.vecs.items()},
+                        a.den * b.den, ()), p)
         names, x, y, shared = _align(a, b)
         bias = _bias(len(names))
         if len(y) == 1:     # one term: a shift of a's exponents
@@ -315,10 +335,11 @@ class LaurentPoly:
         # sum stays there if the top two bits of each field differ
         if any((k ^ (k << 1)) & bias != bias for k in acc):
             raise ExactArithmeticError("exponent out of range")
+        den = a.den * b.den
         if p is not None and V_NAME in a.names and V_NAME in b.names:
-            acc = _fold_v(names, acc, p)
+            acc, den = _fold_v(names, acc, den, p)
         # only a name of both sides can vanish (see the module docstring)
-        return LaurentPoly._of(*_canon(names, acc, shared), p)
+        return LaurentPoly._of(*_canon(names, acc, den, shared), p)
 
     __rmul__ = __mul__
 
@@ -326,9 +347,12 @@ class LaurentPoly:
         if self.is_monomial():
             ((k, c),) = self.vecs.items()
             e = _unpack(k, len(self.names))
-            power = {_pack([x * n for x in e]): MPQ(c) ** n}
-            power = _fold_v(self.names, power, self.prime)
-            return LaurentPoly._of(*_canon(self.names, power), self.prime)
+            # (c/den)^n in lowest terms, the denominator kept positive
+            a, b = (c, self.den) if n >= 0 else (
+                self.den if c > 0 else -self.den, abs(c))
+            power = {_pack([x * n for x in e]): a ** abs(n)}
+            return LaurentPoly._of(*_canon(self.names, *_fold_v(
+                self.names, power, b ** abs(n), self.prime)), self.prime)
         if n < 0:
             raise ExactArithmeticError("negative power of a non-monomial")
         return _power(self, n, LaurentPoly.const(1, self.prime))
@@ -338,10 +362,11 @@ class LaurentPoly:
         with no re-pinning, so equal polynomials have equal hashes."""
         other = _as_poly(other, self.prime)
         return (self.prime in (None, other.prime) or other.prime is None) \
-            and self.names == other.names and self.vecs == other.vecs
+            and self.names == other.names and self.den == other.den \
+            and self.vecs == other.vecs
 
     def __hash__(self):
-        return hash((self.names, frozenset(self.vecs.items())))
+        return hash((self.names, self.den, frozenset(self.vecs.items())))
 
     # -- var-degree helpers (used by series expansion) ----------------------
 
@@ -370,25 +395,42 @@ def _as_poly(x, prime=None) -> LaurentPoly:
     raise TypeError(f"cannot coerce {x!r} to LaurentPoly")
 
 
-# -- gcd machinery (delegated to sympy on the shifted exponent vectors) -----
+# -- gcd machinery: images over F_q, and sympy's gcd where they fail ---------
 
 _IMAGE_PRIME = 2 ** 61 - 1  # q, the modulus of the coprimality images
 
 
+def _fq_gcd_degree(f: list, g: list, q: int) -> int:
+    """The degree of gcd(f, g) in F_q[x], -1 if f = g = 0; f and g are
+    dense lists over [0, q), leading coefficient first.  Euclid's
+    algorithm, each long division in place, in O(deg f * deg g)."""
+    while True:     # strip leading zeros, and divide the longer side
+        f, g = (h[next((i for i, c in enumerate(h) if c), len(h)):]
+                for h in (f, g))
+        if len(f) < len(g):
+            f, g = g, f
+        if not g:
+            return len(f) - 1
+        inv, n = pow(g[0], -1, q), len(f) - len(g) + 1
+        for i in range(n):
+            c = f[i] * inv % q
+            for j in range(1, len(g)):
+                f[i + j] = (f[i + j] - c * g[j]) % q
+        f = f[n:]
+
+
 def _coprime_images(x: dict, y: dict) -> bool:
     """True only if the polynomials x and y (exponent dicts over the same
-    names) are coprime over Q.  For each x_i of positive degree on both
-    sides, the other names are set to 11, 12, ... and the sides reduced
-    mod q.  A primitive common factor h divides both in Z[...], and
-    lc_i(h) divides an x_i-leading coefficient that does not vanish
-    there, so deg_i h is at most that of the gcd of the images in
-    F_q[x_i].  False means only that this proves nothing."""
+    names, int coefficients) are coprime over Q.  For each x_i of
+    positive degree on both sides, the other names are set to 11, 12,
+    ... and the sides reduced mod q.  A primitive common factor h
+    divides both in Z[...], and lc_i(h) divides an x_i-leading
+    coefficient that does not vanish there, so deg_i h is at most that
+    of the gcd of the images in F_q[x_i].  False means only that this
+    proves nothing."""
     q = _IMAGE_PRIME
-    if any(c.denominator % q == 0 for side in (x, y) for c in side.values()):
-        return False
     point = range(11, len(next(iter(x))) + 11)
-    sides = [[(e, c.numerator * pow(c.denominator, -1, q)
-               * prod(map(pow, point, e, repeat(q))) % q)
+    sides = [[(e, c * prod(map(pow, point, e, repeat(q))) % q)
               for e, c in side.items()] for side in (x, y)]
     for i, a in enumerate(point):
         images = [[0] * (1 + max(e[i] for e, _ in side)) for side in sides]
@@ -396,8 +438,8 @@ def _coprime_images(x: dict, y: dict) -> bool:
             for e, w in side:
                 img[-1 - e[i]] += w * pow(a, -e[i], q)
         f, g = ([c % q for c in img] for img in images)
-        if len(f) > 1 and len(g) > 1 and (not (f[0] or g[0]) or len(
-                gf_gcd(gf_strip(f), gf_strip(g), q, ZZ)) > 1):
+        if len(f) > 1 and len(g) > 1 and (not (f[0] or g[0]) or
+                                          _fq_gcd_degree(f, g, q) > 0):
             return False
     return True
 
@@ -430,35 +472,51 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
     if prime is not None and V_NAME in den.names:   # v to the 0 or 1
         s = _W * den.names.index(V_NAME)
         conj = LaurentPoly._of(den.names, {
-            k: -c if k >> s & 1 else c for k, c in den.vecs.items()}, prime)
+            k: -c if k >> s & 1 else c for k, c in den.vecs.items()},
+            den.den, prime)
         num, den = num * conj, den * conj
 
     names, x, y, _ = _align(num, den)
     x, y = ({_unpack(k, len(names)): c for k, c in side.items()}
             for side in (x, y))
     low = [min(col) for col in zip(*x, *y)]
-    sides = [{tuple(map(sub, e, low)): c for e, c in side.items()}
-             for side in (x, y)]
-    if len(sides[0]) > 1 and not coprime and not _coprime_images(*sides):
-        gens = [sympy.Symbol(s) for s in names]
-        fn, fd = (sympy.Poly.from_dict(side, *gens, domain=QQ)
-                  for side in sides)
-        g = sympy.gcd(fn, fd)
-        if g != 1:
-            fn, rn = sympy.div(fn, g)
-            fd, rd = sympy.div(fd, g)
-            if not (rn.is_zero and rd.is_zero):
-                raise ExactArithmeticError("gcd does not divide the pair")
-            sides = [f.as_dict(native=True) for f in (fn, fd)]
+    x, y = ({tuple(map(sub, e, low)): c for e, c in side.items()}
+            for side in (x, y))
+    sides = [(x, num.den), (y, den.den)]
+    if len(x) > 1 and not coprime and not _coprime_images(x, y):
+        sides = _divide_by_gcd(names, sides)
     num2, den2 = (LaurentPoly._of(*_canon(names, {
-        _pack(e): c for e, c in side.items()}), prime) for side in sides)
+        _pack(e): c for e, c in vecs.items()}, d), prime) for vecs, d in sides)
 
     # unit normalization: the denominator term with the lex-least key
     # gets coefficient 1
     lead = min(den2.vecs, key=den2._key)
-    unit = LaurentPoly._of(*_canon(den2.names, {lead: den2.vecs[lead]}),
-                           prime) ** -1
+    unit = LaurentPoly._of(*_canon(den2.names, {lead: den2.vecs[lead]},
+                                   den2.den), prime) ** -1
     return num2 * unit, den2 * unit
+
+
+def _divide_by_gcd(names: tuple, sides: list) -> list:
+    """num and den as (exponent dict over names, denominator), both
+    divided by their gcd in Q[names].  The one place that loads sympy:
+    its gcd and division, read off the module so that a wrapper on them
+    sees every call, with the coefficients converted at the boundary."""
+    import sympy
+    qq, gens = sympy.QQ, [sympy.Symbol(s) for s in names]
+    fn, fd = (sympy.Poly.from_dict({e: qq(c) for e, c in vecs.items()},
+                                   *gens, domain=qq) for vecs, _ in sides)
+    g = sympy.gcd(fn, fd)
+    if g == 1:
+        return sides
+    out = []
+    for f, (_, d) in zip((fn, fd), sides):
+        f, r = sympy.div(f, g)
+        if not r.is_zero:
+            raise ExactArithmeticError("gcd does not divide the pair")
+        vecs, e = _integral({k: Fraction(int(c.numerator), int(c.denominator))
+                             for k, c in f.as_dict(native=True).items()})
+        out.append((vecs, d * e))
+    return out
 
 
 class RatFunc:
@@ -651,7 +709,8 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
         free_names = tuple(names[i] for i in free)
         total = RatFunc.const(0, prime)
         for key, vecs in groups.items():
-            term = RatFunc(LaurentPoly._of(*_canon(free_names, vecs), prime))
+            term = RatFunc(LaurentPoly._of(*_canon(free_names, vecs,
+                                                   side.den), prime))
             for e, (b, _) in zip(key, bound.values()):
                 term = term * b ** e
             total = total + term

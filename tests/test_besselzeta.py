@@ -16,8 +16,8 @@ from gsp4verify.besselzeta import (ZETA_LABELS, BesselDatum, BesselSeries,
 from gsp4verify.gsp4local import PrincipalSeriesG
 from gsp4verify.padic import Cyc
 from gsp4verify.symcore import (ExactArithmeticError, PowerSeries, as_ratfunc,
-                                ell, ell_pow, reconstruct_ratfunc,
-                                series_expand, substitute, sym)
+                                ell, ell_pow, reconstruct_ratfunc, substitute,
+                                sym)
 from test_padic import e_char
 
 Q = Fraction

@@ -4,6 +4,9 @@ determinism, and exit codes."""
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -483,3 +486,47 @@ def test_damaged_layer_fails_its_suite(monkeypatch, suite, damage):
     damage(monkeypatch)
     records = cli.run(cli.SuiteConfig(suites=(suite,)))
     assert any(r["status"] == "fail" for r in records)
+
+
+# -- sympy is loaded at the first gcd, not at import ------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _in_fresh_interpreter(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_coset_workload_never_loads_sympy():
+    # the Hecke, wild-coset and local-data suites reduce no fraction by
+    # a gcd, so a run of them leaves sympy unloaded
+    _in_fresh_interpreter(
+        "import sys\n"
+        "from gsp4verify import cli\n"
+        "from workloads import WORKLOADS\n"
+        "assert 'sympy' not in sys.modules\n"
+        "records = cli.run(cli.SuiteConfig(**WORKLOADS['coset'].config))\n"
+        "assert len(records) == 20\n"
+        "assert {r['status'] for r in records} == {'pass'}\n"
+        "assert 'sympy' not in sys.modules\n")
+
+
+def test_a_reduction_that_needs_a_gcd_loads_sympy():
+    # a pair the coprimality images prove coprime does not load sympy;
+    # the first pair with a common factor does
+    _in_fresh_interpreter(
+        "import sys\n"
+        "from gsp4verify.symcore import LaurentPoly, RatFunc, ell\n"
+        "x, l = LaurentPoly.symbol('x'), ell().num\n"
+        "f = RatFunc(x + l, x + 2)\n"
+        "assert 'sympy' not in sys.modules\n"
+        "g = RatFunc((x + l) * (x + 1), (x + 1) * (x + 2))\n"
+        "assert 'sympy' in sys.modules\n"
+        "assert (g.num, g.den) == (f.num, f.den)\n"
+        "assert g.num * (x + 2) == (x + l) * g.den\n")

@@ -2,10 +2,11 @@
 `assert` statement vanishes under `python -O`), no module keeps a
 hidden global cache, whether rebound through a `global` statement or
 filled in place, no private module-level name is left without a
-reader, every imported name is read, only symcore, the one
-exact-arithmetic backend, imports sympy, only symcore reads the packed
-form of a LaurentPoly, and only padic's public Fraction-matrix functions
-convert a matrix to integer rows."""
+reader, every imported name is read (in the tests and demos too), sympy
+is imported only inside symcore's one gcd helper, so that importing the
+library does not load it, only symcore reads the packed form of a
+LaurentPoly, and only padic's public Fraction-matrix functions convert a
+matrix to integer rows."""
 
 import ast
 import collections
@@ -13,8 +14,12 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gsp4verify"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gsp4verify"
 MODULES = sorted(SRC.glob("*.py"))
+#: the scripts outside the library that the import rule also covers
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py"))
 
 
 def test_modules_found():
@@ -173,12 +178,33 @@ def _sympy_imports(tree):
             yield node.lineno
 
 
+#: the one function that may import sympy: symcore's gcd-and-divide step
+SYMPY_HELPER = ("symcore.py", "_divide_by_gcd")
+
+
+def _sympy_imports_outside(tree, helper):
+    """Line numbers of the sympy imports outside the module-level
+    function named helper (None: anywhere)."""
+    return sorted(line for node in tree.body
+                  if not (isinstance(node, ast.FunctionDef)
+                          and node.name == helper)
+                  for line in _sympy_imports(node))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_symcore_imports_sympy(path):
-    """symcore is the one exact-arithmetic backend; every other module
-    reaches sympy, if at all, through it."""
-    lines = list(_sympy_imports(TREES[path]))
-    assert path.name == "symcore.py" or lines == []
+    """symcore is the one exact-arithmetic backend, and only its gcd
+    needs sympy: the helper imports it at its first call, so a run that
+    reduces no fraction by a gcd never loads it."""
+    helper = SYMPY_HELPER[1] if path.name == SYMPY_HELPER[0] else None
+    assert _sympy_imports_outside(TREES[path], helper) == []
+
+
+def test_gcd_helper_is_a_symcore_function_that_imports_sympy():
+    (fn,) = [node for node in TREES[SRC / SYMPY_HELPER[0]].body
+             if isinstance(node, ast.FunctionDef)
+             and node.name == SYMPY_HELPER[1]]
+    assert list(_sympy_imports(fn))
 
 
 def test_sympy_rule_flags_an_import():
@@ -188,8 +214,23 @@ def test_sympy_rule_flags_an_import():
         "import sympyx\n"
         "from .symcore import sympy_gcd\n"
         "def f():\n"
-        "    import os, sympy.abc as abc\n")
-    assert sorted(_sympy_imports(tree)) == [1, 2, 6]
+        "    import os, sympy.abc as abc\n"
+        "def _divide_by_gcd(names, sides):\n"
+        "    import sympy\n"
+        "class C:\n"
+        "    def _divide_by_gcd(self):\n"
+        "        from sympy import gcd\n")
+    assert sorted(_sympy_imports(tree)) == [1, 2, 6, 8, 11]
+    assert _sympy_imports_outside(tree, "_divide_by_gcd") == [1, 2, 6, 11]
+    assert _sympy_imports_outside(tree, None) == [1, 2, 6, 8, 11]
+
+
+def test_sympy_rule_flags_a_module_level_import_in_symcore():
+    lines = (SRC / SYMPY_HELPER[0]).read_text().splitlines()
+    at = lines.index("from fractions import Fraction") + 1
+    lines.insert(at, "import sympy")
+    tree = ast.parse("\n".join(lines))
+    assert _sympy_imports_outside(tree, SYMPY_HELPER[1]) == [at + 1]
 
 
 def _unread_imports(tree):
@@ -212,11 +253,13 @@ def _unread_imports(tree):
 READ_OUTSIDE = {"branching.py": ["mat_mul"]}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     """An import that nothing reads is dead code and a false dependency."""
-    unread = [name for _, name in _unread_imports(TREES[path])]
-    assert unread == READ_OUTSIDE.get(path.name, [])
+    tree = TREES.get(path) or ast.parse(path.read_text(), filename=str(path))
+    unread = [name for _, name in _unread_imports(tree)]
+    assert unread == (READ_OUTSIDE.get(path.name, []) if path in TREES
+                      else [])
 
 
 def test_import_rule_flags_an_unread_name():

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact arithmetic core."""
 
+import math
 import operator
 import random
 from fractions import Fraction as Q
@@ -7,12 +8,13 @@ from fractions import Fraction as Q
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_strip
 
 from gsp4verify import symcore as sc
 from gsp4verify.symcore import (
-    DivisionByZero, LaurentPoly, PoleAtOrigin, PowerSeries, RatFunc,
-    SpecializationPole, ell, ratfunc_eq, reconstruct_ratfunc, series_expand,
-    substitute, sym, symbols,
+    DivisionByZero, LaurentPoly, PoleAtOrigin, RatFunc, SpecializationPole,
+    ell, reconstruct_ratfunc, series_expand, substitute, sym, symbols,
 )
 
 
@@ -622,16 +624,54 @@ def test_certificate_falls_back_where_a_leading_coefficient_vanishes(
         assert f.num * b == a * f.den
 
 
+def _fq_mul(a, b, q):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+@pytest.mark.parametrize("q", [sc._IMAGE_PRIME, 7])
+@pytest.mark.parametrize("seed", range(6))
+def test_fq_euclid_against_galoistools(q, seed):
+    # the images' Euclid gives the degree of sympy's gf_gcd on dense
+    # lists with leading zeros: zero and constant sides, equal degrees,
+    # and planted common factors, which random pairs mod a large q lack
+    rng = random.Random(seed)
+
+    def poly(n):
+        return [rng.randrange(q) for _ in range(n)]
+    cases = [([], []), ([0, 0], [0, 3, 1]), ([0, 2, 1], []), ([5], [0, 0]),
+             ([4], [1, 2, 3]), ([1, 1], [1, 1]), ([2, 1], [3, 1])]
+    for _ in range(40):
+        f, g = poly(rng.randint(0, 6)), poly(rng.randint(0, 6))
+        if rng.random() < 0.5:
+            h = poly(rng.randint(2, 4))
+            f, g = _fq_mul(f, h, q), _fq_mul(g, h, q)
+        if rng.random() < 0.3:
+            g = poly(len(f))
+        cases.append(([0] * rng.randint(0, 2) + f, g))
+    for f, g in cases:
+        want = len(gf_gcd(gf_strip(f), gf_strip(g), q, ZZ)) - 1
+        for a, b in ((f, g), (g, f)):
+            a2, b2 = list(a), list(b)
+            assert sc._fq_gcd_degree(a2, b2, q) == want
+            assert (a2, b2) == (a, b)
+
+
 def _coefficient_types_ok(f):
-    return all(type(c) is int or (type(c) is sc.MPQ and c.denominator != 1)
-               for c in f.vecs.values())
+    return (type(f.den) is int and f.den > 0
+            and all(type(c) is int for c in f.vecs.values())
+            and math.gcd(f.den, *f.vecs.values()) == 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(xylv, xylv, st.sampled_from([None, 2, 3]), st.integers(-3, 3))
 def test_integral_coefficients_are_ints(a, b, prime, n):
-    # an integral coefficient is an int, any other a QQ, never a float;
-    # the terms view, repr and hash do not see the difference
+    # every coefficient is an int over the one denominator, in lowest
+    # terms, and the terms view shows Fractions; equal values built in
+    # different ways have equal terms, hashes and reprs
     a2, b2 = a.with_prime(prime), b.with_prime(prime)
     mono = LaurentPoly({(("x", 1), ("v", -1)): 2}, prime)
     values = [a2, b2, a2 + b2, a2 - b2, a2 * b2, a2 ** 2, mono ** n,
@@ -855,8 +895,10 @@ def _substitutions(draw):
         if kind == "poly":
             return RatFunc(draw(xzv))
         z = LaurentPoly.symbol("z")
-        return RatFunc(draw(xzv), (z + draw(st.integers(1, 3)))
-                       * (draw(xzv) * z + 1))
+        num, c, h = draw(xzv), draw(st.integers(1, 3)), draw(xzv) * z + 1
+        # h is 0 when the draw is -1/z: a value must have a denominator
+        return RatFunc(num, (z + c) * (LaurentPoly.const(1) if h.is_zero()
+                                       else h))
     names = sorted(f.symbols() & {"x", "y", "l"})
     binds = {s: value() for s in draw(st.lists(
         st.sampled_from(names), min_size=1, unique=True))} if names else {}
