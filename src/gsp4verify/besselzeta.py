@@ -137,6 +137,12 @@ def _series_to_ratfunc(series: BesselSeries, num_deg: int) -> RatFunc:
 
 #: labels of the vectors whose zeta integrals are modelled
 ZETA_LABELS = ("spherical", "ul")
+#: the degree in u of every zeta integral's numerator
+_ZETA_NUM_DEG = 4
+#: the least expansion order at which zeta reconstructs every label:
+#: reconstruct_ratfunc needs two terms past the numerator degree, and the
+#: U-operator uses up one more
+MIN_ZETA_ORDER = _ZETA_NUM_DEG + 2 + 1
 
 
 def zeta(label: str, datum: BesselDatum, order: int = 9,
@@ -152,9 +158,10 @@ def zeta(label: str, datum: BesselDatum, order: int = 9,
     elif series.datum != datum:
         raise ValueError("Bessel series of another datum")
     if label == "spherical":
-        return _series_to_ratfunc(series, 4)
+        return _series_to_ratfunc(series, _ZETA_NUM_DEG)
     if label == "ul":
-        return _series_to_ratfunc(ul_bessel_transform(series, 1), 4)
+        return _series_to_ratfunc(ul_bessel_transform(series, 1),
+                                  _ZETA_NUM_DEG)
     raise ValueError(f"unknown vector label {label!r}")
 
 

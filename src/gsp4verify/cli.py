@@ -12,9 +12,7 @@ import contextlib
 import json
 import os
 import sys
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .symcore import as_ratfunc, ell_pow, sym
@@ -24,7 +22,6 @@ SUITE_NAMES = ("gl2", "hecke", "parahoric", "bessel", "tame-norm",
 
 _SMALL_PRIMES = (2, 3, 5, 7)
 
-JOBS_ENV = "GSP4VERIFY_JOBS"
 TIMINGS_ENV = "GSP4VERIFY_TIMINGS"
 
 
@@ -47,16 +44,21 @@ class SuiteConfig:
     m_max: int = 2
     n_max: int = 2
     series_order: int = 9
-    parallelism: int = 1
+    parallelism: int = 1  # unused: kept only because perfbench passes it
     fmt: str = "human"
     out: str = None
     timings: bool = False
 
     def validate(self):
+        """Raise ConfigError on an invalid setting.  A repeated suite or
+        prime is dropped, keeping the order of first appearance."""
+        from .besselzeta import MIN_ZETA_ORDER
+        self.suites = tuple(dict.fromkeys(self.suites))
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ConfigError("unknown suite: %s" % s)
         if self.primes is not None:
+            self.primes = tuple(dict.fromkeys(self.primes))
             for p in self.primes:
                 if p not in _SMALL_PRIMES:
                     raise ConfigError(
@@ -70,8 +72,9 @@ class SuiteConfig:
                                   % (name, _BOUND_TOPS[name]))
         if 6 ** self.a_max > 6 ** 3 * 4 ** 4 or 4 ** self.b_max > 6 ** 3 * 4 ** 4:
             raise ConfigError("weight bounds exceed the size budget")
-        if self.series_order < 3:
-            raise ConfigError("series order must be at least 3")
+        if self.series_order < MIN_ZETA_ORDER:
+            raise ConfigError("series order must be at least %d"
+                              % MIN_ZETA_ORDER)
         if self.parallelism < 1:
             raise ConfigError("parallelism must be positive")
         if self.fmt not in ("json", "tsv", "human"):
@@ -86,51 +89,9 @@ def _canon(x):
 
 
 # ---------------------------------------------------------------------------
-# values shared between the cases of one run
-# ---------------------------------------------------------------------------
-
-class SharedValues:
-    """The values that several cases of one run read, keyed by data:
-    ``("pairing", k1, k2, p)`` is the weight-(k1, k2) tame datum at the
-    prime p (formal if None), ``("rep", a, b)`` the irreducible with
-    highest weight (a+b, a, 0), and ``("hw", a, b, q, r)`` the
-    highest-weight vector of its (q, r) summand in TensorSpace(a, b).
-    Calling the store with a key returns the value, computed on first
-    use and kept for the run.  One lock serialises the computations,
-    because the pool runs cases on threads.  A computation that raises
-    stores nothing, so every case that needs the value records the same
-    error."""
-
-    def __init__(self):
-        self._values = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, key):
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = _compute_shared(key)
-            return self._values[key]
-
-
-def _compute_shared(key):
-    kind, *args = key
-    if kind == "pairing":
-        from .besselzeta import tame_pairing
-        k1, k2, p = args
-        return tame_pairing(k1, k2, p=p)
-    if kind == "rep":
-        from .branching import build_rep
-        return build_rep(*args)
-    if kind == "hw":
-        from .branching import TensorSpace, hw_vector
-        return hw_vector(*args, TensorSpace(*args[:2]))
-    raise KeyError(key)
-
-
-# ---------------------------------------------------------------------------
-# suite case builders: each takes the config and the run's SharedValues
-# and yields (case_id, params, fn) where fn() returns (ok, lhs, rhs) with
-# lhs/rhs optional.
+# suite case builders: each takes the config and the run's shared(key)
+# lookup (see build_cases) and yields (case_id, params, fn) where fn()
+# returns (ok, lhs, rhs) with lhs/rhs optional.
 # ---------------------------------------------------------------------------
 
 def _boolcase(fn):
@@ -385,16 +346,42 @@ _BUILDERS = {
 # runner
 # ---------------------------------------------------------------------------
 
+def _compute_shared(key):
+    """The value that several cases of one run read, named by data:
+    ``("pairing", k1, k2, p)`` is the weight-(k1, k2) tame datum at the
+    prime p (formal if None), ``("rep", a, b)`` the irreducible with
+    highest weight (a+b, a, 0), and ``("hw", a, b, q, r)`` the
+    highest-weight vector of its (q, r) summand in TensorSpace(a, b)."""
+    kind, *args = key
+    if kind == "pairing":
+        from .besselzeta import tame_pairing
+        k1, k2, p = args
+        return tame_pairing(k1, k2, p=p)
+    if kind == "rep":
+        from .branching import build_rep
+        return build_rep(*args)
+    if kind == "hw":
+        from .branching import TensorSpace, hw_vector
+        return hw_vector(*args, TensorSpace(*args[:2]))
+    raise KeyError(key)
+
+
 def build_cases(config):
     """The run's cases as (suite, case_id, params, fn) with fn() taking
-    no argument.  Nothing is computed here: the cases share one
-    SharedValues store, which computes each value on first use."""
-    shared = SharedValues()
-    cases = []
-    for suite in config.suites:
-        for case_id, params, fn in _BUILDERS[suite](config, shared):
-            cases.append((suite, case_id, params, fn))
-    return cases
+    no argument.  Nothing is computed here.  A case reads a value that
+    several cases need through shared(key), which computes it on first
+    use and keeps it for the run.  A computation that raises stores
+    nothing, so every case that needs the value records the same
+    error."""
+    values = {}
+
+    def shared(key):
+        if key not in values:
+            values[key] = _compute_shared(key)
+        return values[key]
+
+    return [(suite, case_id, params, fn) for suite in config.suites
+            for case_id, params, fn in _BUILDERS[suite](config, shared)]
 
 
 def _run_case(suite, case_id, params, fn, timings):
@@ -414,26 +401,18 @@ def _run_case(suite, case_id, params, fn, timings):
         ok, lhs, rhs = result
     else:
         ok, lhs, rhs = bool(result), None, None
-    record = {"suite": suite, "case": case_id, "params": params,
-              "status": "pass" if ok else "fail",
-              "lhs": None if ok else _canon(lhs),
-              "rhs": None if ok else _canon(rhs),
-              "ms": round(elapsed, 3) if timings else 0}
-    return record
+    return {"suite": suite, "case": case_id, "params": params,
+            "status": "pass" if ok else "fail",
+            "lhs": None if ok else _canon(lhs),
+            "rhs": None if ok else _canon(rhs),
+            "ms": round(elapsed, 3) if timings else 0}
 
 
 def run(config: SuiteConfig):
     """Execute all selected suites and return the sorted record list."""
     config.validate()
-    cases = build_cases(config)
-    timings = config.timings
-    if config.parallelism == 1:
-        records = [_run_case(s, c, p, f, timings) for s, c, p, f in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            futures = [pool.submit(_run_case, s, c, p, f, timings)
-                       for s, c, p, f in cases]
-            records = [fut.result() for fut in futures]
+    records = [_run_case(s, c, p, f, config.timings)
+               for s, c, p, f in build_cases(config)]
     records.sort(key=lambda r: (r["suite"], r["case"]))
     return records
 
@@ -497,28 +476,19 @@ def read_config_file(path):
 
 
 _INT_KEYS = {"a": "a_max", "b": "b_max", "k": "k_max", "t": "t_max",
-             "m": "m_max", "n": "n_max", "order": "series_order",
-             "jobs": "parallelism"}
+             "m": "m_max", "n": "n_max", "order": "series_order"}
 
 
 def build_config(args):
     config = SuiteConfig()
-    env_jobs = os.environ.get(JOBS_ENV)
-    if env_jobs is not None:
-        try:
-            config.parallelism = int(env_jobs)
-        except ValueError:
-            raise ConfigError("%s must be an integer" % JOBS_ENV)
     config.timings = os.environ.get(TIMINGS_ENV, "") not in ("", "0")
 
     def apply(key, value):
         if key == "suite":
-            suites = _split_list(value) if isinstance(value, str) else value
-            config.suites = tuple(s for s in suites)
+            config.suites = tuple(_split_list(value))
         elif key == "ell":
-            vals = _split_list(value) if isinstance(value, str) else value
             try:
-                config.primes = tuple(int(v) for v in vals)
+                config.primes = tuple(int(v) for v in _split_list(value))
             except ValueError:
                 raise ConfigError("ell values must be integers")
         elif key in _INT_KEYS:
@@ -536,16 +506,9 @@ def build_config(args):
     if args.config:
         for key, value in read_config_file(args.config).items():
             apply(key, value)
-    if args.suite:
-        flat = []
-        for chunk in args.suite:
-            flat.extend(_split_list(chunk))
-        apply("suite", flat)
-    if args.ell:
-        flat = []
-        for chunk in args.ell:
-            flat.extend(_split_list(chunk))
-        apply("ell", flat)
+    for key in ("suite", "ell"):   # repeatable, comma-separated flags
+        if getattr(args, key):
+            apply(key, ",".join(getattr(args, key)))
     for key in _INT_KEYS:
         value = getattr(args, key)
         if value is not None:

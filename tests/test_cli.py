@@ -8,8 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import pytest
 
@@ -37,12 +36,24 @@ def test_bad_flag_is_usage_error(capsys):
     assert cli.main(["--no-such-flag"]) == 2
 
 
-def test_bad_jobs_is_config_error(capsys):
-    assert cli.main(["--suite", "bessel", "--jobs", "0"]) == 2
+def test_bad_jobs_is_config_error(tmp_path, capsys):
+    # the runner has no worker pool: the flag is a usage error and the
+    # config-file key an unknown key
+    assert cli.main(["--suite", "bessel", "--jobs", "2"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = bessel\njobs = 2\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "unknown configuration key: jobs" in capsys.readouterr().err
 
 
 def test_bad_order_is_config_error(capsys):
-    assert cli.main(["--suite", "bessel", "--order", "1"]) == 2
+    # below MIN_ZETA_ORDER the bessel suite cannot reconstruct zeta-ul
+    from gsp4verify.besselzeta import MIN_ZETA_ORDER
+    assert MIN_ZETA_ORDER == 7
+    for order in (1, 3, 6):
+        assert cli.main(["--suite", "bessel", "--order", str(order)]) == 2
+        assert "at least 7" in capsys.readouterr().err
+    assert cli.main(["--suite", "bessel", "--order", "7"]) == 0
 
 
 def test_missing_config_file_is_config_error(capsys):
@@ -64,10 +75,10 @@ def test_unwritable_out_is_config_error_before_any_case(tmp_path, capsys,
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nsuite = hecke, bessel\nell = 2\n"
-                   "order = 7\njobs = 2\nformat = json\n")
+                   "order = 7\nt = 2\nformat = json\n")
     raw = cli.read_config_file(str(cfg))
     assert raw == {"suite": "hecke, bessel", "ell": "2", "order": "7",
-                   "jobs": "2", "format": "json"}
+                   "t": "2", "format": "json"}
 
 
 def test_config_file_bad_line(tmp_path):
@@ -148,16 +159,6 @@ def test_per_weight_k_flags_are_gone(capsys):
     assert cli.main(["--k2", "1"]) == 2
 
 
-def test_env_var_sets_parallelism(monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV, "3")
-    parser = cli.make_parser()
-    config = cli.build_config(parser.parse_args(["--suite", "bessel"]))
-    assert config.parallelism == 3
-    monkeypatch.setenv(cli.JOBS_ENV, "zero")
-    with pytest.raises(cli.ConfigError):
-        cli.build_config(parser.parse_args(["--suite", "bessel"]))
-
-
 # -- execution and reports -------------------------------------------------------
 
 def test_empty_suite_list_exits_zero(capsys):
@@ -185,9 +186,9 @@ def test_report_sorted_and_deterministic(capsys):
     code1, out1 = run_cli(["--suite", "bessel,parahoric", "--ell", "2",
                            "--format", "json"], capsys)
     code2, out2 = run_cli(["--suite", "parahoric,bessel", "--ell", "2",
-                           "--format", "json", "--jobs", "4"], capsys)
+                           "--format", "json"], capsys)
     assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical, independent of order/parallelism
+    assert out1 == out2  # byte-identical, independent of the suite order
     records = json.loads(out1)
     keys = [(r["suite"], r["case"]) for r in records]
     assert keys == sorted(keys)
@@ -253,11 +254,30 @@ def test_human_format_summary_line(capsys):
 
 
 def test_case_ids_unique_across_default_config():
+    # a suite or prime given twice runs once, in first-seen order
     parser = cli.make_parser()
-    config = cli.build_config(parser.parse_args([]))
-    cases = cli.build_cases(config)
-    ids = [(s, c) for s, c, _, _ in cases]
-    assert len(ids) == len(set(ids))
+    for argv, suites, primes in [
+            ([], cli.SUITE_NAMES, None),
+            (["--suite", "hecke,hecke", "--ell", "2,2"], ("hecke",), (2,)),
+            (["--suite", "hecke", "--suite", "bessel,hecke", "--ell", "3",
+              "--ell", "2,3"], ("hecke", "bessel"), (3, 2))]:
+        config = cli.build_config(parser.parse_args(argv))
+        assert (config.suites, config.primes) == (suites, primes)
+        ids = [(s, c) for s, c, _, _ in cli.build_cases(config)]
+        assert len(ids) == len(set(ids))
+
+
+def test_repeated_suites_and_primes_run_once(tmp_path):
+    # the config file and SuiteConfig collapse repeats like the flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = hecke, parahoric, hecke\nell = 3, 2, 3\n")
+    config = cli.build_config(cli.make_parser().parse_args(
+        ["--config", str(cfg)]))
+    assert (config.suites, config.primes) == (("hecke", "parahoric"), (3, 2))
+    records = cli.run(cli.SuiteConfig(suites=("hecke", "hecke"),
+                                      primes=(2, 2)))
+    assert [(r["suite"], r["case"]) for r in records] == [
+        ("hecke", "polynomial-l2")]
 
 
 # -- values shared between the cases of one run -----------------------------------
@@ -283,8 +303,7 @@ def test_tame_data_built_once_per_run(monkeypatch):
         assert len(calls) == 3
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_branching_builds_each_irreducible_once(monkeypatch, jobs):
+def test_branching_builds_each_irreducible_once(monkeypatch):
     from gsp4verify import branching
     rep_space = branching.RepSpace
     built = []
@@ -293,7 +312,7 @@ def test_branching_builds_each_irreducible_once(monkeypatch, jobs):
         built.append((a, b))
         return rep_space(a, b)
     monkeypatch.setattr(branching, "RepSpace", counting)
-    config = cli.SuiteConfig(suites=("branching",), parallelism=jobs)
+    config = cli.SuiteConfig(suites=("branching",))
     records = cli.run(config)
     assert {r["status"] for r in records} == {"pass"}
     pairs = [(a, b) for a, b in branching.grid()
@@ -301,8 +320,7 @@ def test_branching_builds_each_irreducible_once(monkeypatch, jobs):
     assert sorted(built) == sorted(pairs)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_branching_builds_each_hw_vector_once(monkeypatch, jobs):
+def test_branching_builds_each_hw_vector_once(monkeypatch):
     # the hw case and the two twist cases of each (a, b, q, r) read one
     # shared vector; the twist cases also read the (0, r) vector
     from gsp4verify import branching
@@ -313,8 +331,7 @@ def test_branching_builds_each_hw_vector_once(monkeypatch, jobs):
         built.append((a, b, q, r))
         return hw_vector(a, b, q, r, space)
     monkeypatch.setattr(branching, "hw_vector", counting)
-    records = cli.run(cli.SuiteConfig(suites=("branching",),
-                                      parallelism=jobs))
+    records = cli.run(cli.SuiteConfig(suites=("branching",)))
     assert {r["status"] for r in records} == {"pass"}
     wanted = {(p["a"], p["b"], p["q"], p["r"])
               for p in (r["params"] for r in records
@@ -323,28 +340,15 @@ def test_branching_builds_each_hw_vector_once(monkeypatch, jobs):
     assert sorted(built) == sorted(wanted)
 
 
-def test_shared_values_compute_each_key_once_across_threads(monkeypatch):
-    # more threads than cores, a short switch interval and a computation
-    # that gives up the interpreter: a check-then-act on the store that
-    # is not atomic would compute some key twice
-    computed = []
-
-    def compute(key):
-        computed.append(key)
-        time.sleep(0.001)
-        return object()
-    monkeypatch.setattr(cli, "_compute_shared", compute)
-    shared = cli.SharedValues()
-    keys = [("rep", i % 7, 0) for i in range(400)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(shared, keys, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(computed) == sorted(set(keys))
-    assert all(v is values[i % 7] for i, v in enumerate(values))
+def test_parallelism_starts_no_thread(monkeypatch):
+    # the field is accepted and ignored: every run is serial
+    def refuse(thread):
+        raise RuntimeError("a case run started a thread")
+    config = dict(suites=("hecke", "parahoric", "branching"), primes=(2,),
+                  a_max=1, b_max=1)
+    serial = cli.run(cli.SuiteConfig(parallelism=1, **config))
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert cli.run(cli.SuiteConfig(parallelism=2, **config)) == serial
 
 
 def test_failed_shared_value_is_an_error_of_each_case(monkeypatch):
