@@ -9,7 +9,7 @@ Schwartz functions on Q_p^2.
 
 from fractions import Fraction as Q
 
-from gsp4verify.symcore import ell, ell_pow, ratfunc_eq, sym
+from gsp4verify.symcore import ell, ell_pow, sym
 from gsp4verify.padic import (SchwartzFn, act_schwartz, fourier,
                               gsp4_multiplier, iwasawa_gsp4, mat, mat_mul,
                               root_unipotent, weyl_s1)
@@ -20,7 +20,7 @@ lp = ell(None)          # the formal prime l
 half = ell_pow(1)       # v = l^(1/2)
 f = (1 - alpha * beta) / (1 - alpha * half / lp)
 print("f =", f)
-print("f == f (canonical form):", ratfunc_eq(f, f))
+print("f == f (canonical form):", f == f)
 print("v*v == l:", half * half == lp)
 
 print()

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .symcore import (ExactArithmeticError, PowerSeries, RatFunc, as_ratfunc,
-                      ell, ell_pow, reconstruct_ratfunc, series_expand,
-                      substitute, sym)
+from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, ell,
+                      ell_pow, series_expand, substitute, sym)
 from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
 
@@ -93,8 +92,8 @@ def generating_function(datum: BesselDatum) -> RatFunc:
 
 def bessel_series(datum: BesselDatum, n: int) -> BesselSeries:
     """The first n+1 Bessel values, read off the generating function."""
-    ser = series_expand(generating_function(datum), U_VAR, n)
-    return BesselSeries(datum, tuple(ser.coeffs))
+    return BesselSeries(datum, series_expand(generating_function(datum),
+                                             U_VAR, n))
 
 
 def char_sum(j: int, k: int, p=None) -> RatFunc:
@@ -124,44 +123,62 @@ def ul_bessel_transform(series: BesselSeries, k: int = 1) -> BesselSeries:
     return BesselSeries(series.datum, vals)
 
 
-def _series_to_ratfunc(series: BesselSeries, num_deg: int) -> RatFunc:
-    """Multiply the Bessel series by the reciprocal spin factor and
-    reconstruct the (polynomial) zeta integral exactly."""
-    d = series.datum
-    p = d.p
-    recip = spin_reciprocal(d.sigma, ell_pow(-6, p) * sym(U_VAR, p))
-    ser = PowerSeries(U_VAR, series.values) * series_expand(
-        recip, U_VAR, series.order)
-    return reconstruct_ratfunc(ser, as_ratfunc(1, p), num_deg)
-
-
 #: labels of the vectors whose zeta integrals are modelled
 ZETA_LABELS = ("spherical", "ul")
-#: the degree in u of every zeta integral's numerator
+#: a bound on the degree in u of every zeta integral
 _ZETA_NUM_DEG = 4
-#: the least expansion order at which zeta reconstructs every label:
-#: reconstruct_ratfunc needs two terms past the numerator degree, and the
-#: U-operator uses up one more
-MIN_ZETA_ORDER = _ZETA_NUM_DEG + 2 + 1
+#: the order of the spherical Bessel series every zeta integral is read
+#: off: the U-operator uses up one term, and at least two coefficients
+#: past degree _ZETA_NUM_DEG must remain to be checked
+ZETA_ORDER = 9
 
 
-def zeta(label: str, datum: BesselDatum, order: int = 9,
+def _zeta_polynomial(series: BesselSeries) -> RatFunc:
+    """The generating sum of the Bessel values times the reciprocal spin
+    factor, a polynomial in u of degree at most _ZETA_NUM_DEG.  The
+    truncated product must carry at least two coefficients past that
+    degree, and every one of them must vanish."""
+    if series.order < _ZETA_NUM_DEG + 2:
+        raise ExactArithmeticError("Bessel series too short for the zeta "
+                                   "integral")
+    d = series.datum
+    p = d.p
+    u = sym(U_VAR, p)
+    recip = series_expand(spin_reciprocal(d.sigma, ell_pow(-6, p) * u),
+                          U_VAR, series.order)
+    prod = []
+    for k in range(series.order + 1):
+        acc = as_ratfunc(0, p)
+        for j, c in enumerate(recip[:k + 1]):
+            if c:
+                acc = acc + c * series.values[k - j]
+        prod.append(acc)
+    if any(prod[_ZETA_NUM_DEG + 1:]):
+        raise ExactArithmeticError("Bessel series times the reciprocal spin "
+                                   "factor has degree above %d"
+                                   % _ZETA_NUM_DEG)
+    num = as_ratfunc(0, p)
+    for i in range(_ZETA_NUM_DEG + 1):
+        num = num + prod[i] * u ** i
+    return num
+
+
+def zeta(label: str, datum: BesselDatum,
          series: BesselSeries = None) -> RatFunc:
-    """The zeta integral of the labelled vector, as a rational function
-    of u: the reciprocal spin factor times the generating sum of the
-    vector's Bessel values, computed coefficient-by-coefficient and
-    reconstructed exactly.  A precomputed ``series`` of the spherical
-    Bessel values of ``datum`` replaces the expansion to ``order``, so
-    one expansion can serve both labels."""
+    """The zeta integral of the labelled vector, as a polynomial in u:
+    the reciprocal spin factor times the generating sum of the vector's
+    Bessel values, read off coefficient by coefficient from the
+    spherical Bessel series of order ZETA_ORDER.  A precomputed
+    ``series`` of the spherical Bessel values of ``datum`` replaces that
+    expansion, so one expansion can serve both labels."""
     if series is None:
-        series = bessel_series(datum, order)
+        series = bessel_series(datum, ZETA_ORDER)
     elif series.datum != datum:
         raise ValueError("Bessel series of another datum")
     if label == "spherical":
-        return _series_to_ratfunc(series, _ZETA_NUM_DEG)
+        return _zeta_polynomial(series)
     if label == "ul":
-        return _series_to_ratfunc(ul_bessel_transform(series, 1),
-                                  _ZETA_NUM_DEG)
+        return _zeta_polynomial(ul_bessel_transform(series, 1))
     raise ValueError(f"unknown vector label {label!r}")
 
 
@@ -198,8 +215,7 @@ def z_datum(sigma: PrincipalSeriesG, psi_pair, chi_pair) -> BesselDatum:
 
 
 def z_section_value(label: str, sigma: PrincipalSeriesG, psi_pair,
-                    chi_pair, order: int = 9,
-                    series: BesselSeries = None) -> RatFunc:
+                    chi_pair, series: BesselSeries = None) -> RatFunc:
     """Value at the identity of the z-map applied to the labelled
     vector, as a rational function of Y = (prime)^{-2s}: the zeta
     integral at the shifted parameter, i.e. u = eta(prime) * prime * Y
@@ -210,7 +226,7 @@ def z_section_value(label: str, sigma: PrincipalSeriesG, psi_pair,
     p1, p2 = (as_ratfunc(x, p) for x in psi_pair)
     eta = p1 * p2
     y = sym(S_VAR, p)
-    zu = zeta(label, datum, order, series)
+    zu = zeta(label, datum, series)
     return substitute(zu, {U_VAR: eta * ell(p) * y})
 
 
@@ -260,8 +276,7 @@ def depth_factor(t: int, psi_pair, chi_pair, p=None) -> RatFunc:
 
 
 def bilinear_form(t: int, label: str, sigma: PrincipalSeriesG,
-                  psi_pair, chi_pair, order: int = 9,
-                  series: BesselSeries = None) -> RatFunc:
+                  psi_pair, chi_pair, series: BesselSeries = None) -> RatFunc:
     """The pairing of the degenerate section of depth t with the z-map
     of the labelled vector, computed along the support-reduction path:
     the depth factor (volume of the depth-t congruence subgroup of the
@@ -272,7 +287,9 @@ def bilinear_form(t: int, label: str, sigma: PrincipalSeriesG,
     Only the depth factor depends on t, and it is 1 at t = 0; the
     normalising products and the limit do not depend on the depth, so
     bilinear_form(t, ...) = depth_factor(t, ...) * bilinear_form(0, ...).
-    ``series`` is passed on to ``z_section_value``."""
+    The z-value is read off the Bessel series of the z-datum to order
+    ZETA_ORDER; a precomputed ``series`` of that datum replaces the
+    expansion (see ``zeta``)."""
     p = sigma.p
     dfac = depth_factor(t, psi_pair, chi_pair, p)
     one = as_ratfunc(1, p)
@@ -287,7 +304,7 @@ def bilinear_form(t: int, label: str, sigma: PrincipalSeriesG,
     reg = one
     for (a, b) in pairs:
         reg = reg * (one / (one - (a / b) * ell_pow(-2, p) * y))
-    zval = z_section_value(label, sigma, psi_pair, chi_pair, order, series)
+    zval = z_section_value(label, sigma, psi_pair, chi_pair, series)
     return dfac * norm * _limit_at_one(reg * zval)
 
 
@@ -336,7 +353,7 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
     sigma = tame_sigma(k1, k2, tau1, tau2, p)
     psi, chi = tame_characters(k1, k2, tau1, tau2, p)
-    series = bessel_series(z_datum(sigma, psi, chi), 9)
+    series = bessel_series(z_datum(sigma, psi, chi), ZETA_ORDER)
     base = {label: bilinear_form(0, label, sigma, psi, chi, series=series)
             for label in ZETA_LABELS}
     lp, one = ell(p), as_ratfunc(1, p)

@@ -43,7 +43,6 @@ class SuiteConfig:
     t_max: int = 3
     m_max: int = 2
     n_max: int = 2
-    series_order: int = 9
     parallelism: int = 1  # unused: kept only because perfbench passes it
     fmt: str = "human"
     out: str = None
@@ -52,7 +51,6 @@ class SuiteConfig:
     def validate(self):
         """Raise ConfigError on an invalid setting.  A repeated suite or
         prime is dropped, keeping the order of first appearance."""
-        from .besselzeta import MIN_ZETA_ORDER
         self.suites = tuple(dict.fromkeys(self.suites))
         for s in self.suites:
             if s not in SUITE_NAMES:
@@ -72,9 +70,6 @@ class SuiteConfig:
                                   % (name, _BOUND_TOPS[name]))
         if 6 ** self.a_max > 6 ** 3 * 4 ** 4 or 4 ** self.b_max > 6 ** 3 * 4 ** 4:
             raise ConfigError("weight bounds exceed the size budget")
-        if self.series_order < MIN_ZETA_ORDER:
-            raise ConfigError("series order must be at least %d"
-                              % MIN_ZETA_ORDER)
         if self.parallelism < 1:
             raise ConfigError("parallelism must be positive")
         if self.fmt not in ("json", "tsv", "human"):
@@ -188,15 +183,14 @@ def _cases_parahoric(config, shared):
 
 
 def _cases_bessel(config, shared):
-    from .besselzeta import (BesselDatum, zeta, zeta_spherical_closed,
-                             zeta_ul_closed)
+    from .besselzeta import (ZETA_ORDER, BesselDatum, zeta,
+                             zeta_spherical_closed, zeta_ul_closed)
     datum = BesselDatum.formal(None)
-    order = config.series_order
-    yield ("zeta-spherical", {"order": order},
-           _eqcase(lambda: zeta("spherical", datum, order),
+    yield ("zeta-spherical", {"order": ZETA_ORDER},
+           _eqcase(lambda: zeta("spherical", datum),
                    lambda: zeta_spherical_closed(datum)))
-    yield ("zeta-ul", {"order": order},
-           _eqcase(lambda: zeta("ul", datum, order),
+    yield ("zeta-ul", {"order": ZETA_ORDER},
+           _eqcase(lambda: zeta("ul", datum),
                    lambda: zeta_ul_closed(datum)))
 
 
@@ -387,9 +381,9 @@ def build_cases(config):
 def _run_case(suite, case_id, params, fn, timings):
     start = time.monotonic()
     try:
-        result = fn()
+        ok, lhs, rhs = fn()
     except AssertionError as exc:  # raised by a check whose identity fails
-        result = False, str(exc), None
+        ok, lhs, rhs = False, str(exc), None
     except Exception as exc:  # a case never aborts the run
         elapsed = (time.monotonic() - start) * 1000.0
         return {"suite": suite, "case": case_id, "params": params,
@@ -397,10 +391,6 @@ def _run_case(suite, case_id, params, fn, timings):
                 "lhs": "%s: %s" % (type(exc).__name__, exc), "rhs": None,
                 "ms": round(elapsed, 3) if timings else 0}
     elapsed = (time.monotonic() - start) * 1000.0
-    if isinstance(result, tuple):
-        ok, lhs, rhs = result
-    else:
-        ok, lhs, rhs = bool(result), None, None
     return {"suite": suite, "case": case_id, "params": params,
             "status": "pass" if ok else "fail",
             "lhs": None if ok else _canon(lhs),
@@ -476,7 +466,7 @@ def read_config_file(path):
 
 
 _INT_KEYS = {"a": "a_max", "b": "b_max", "k": "k_max", "t": "t_max",
-             "m": "m_max", "n": "n_max", "order": "series_order"}
+             "m": "m_max", "n": "n_max"}
 
 
 def build_config(args):

@@ -26,7 +26,7 @@ from .padic import (LevelSpec, SchwartzFn, _act, _as_fractions, _coset_block,
                     _diag, _embed_rows, _in_level, _int_rows, _inverse,
                     _multiplier, _product, _root_unipotent, _transpose,
                     siegel_parahoric_reps)
-from .symcore import as_ratfunc, ell, ell_pow, ratfunc_eq
+from .symcore import as_ratfunc, ell, ell_pow
 
 Q = Fraction
 
@@ -446,7 +446,7 @@ def frobrecip_pairing_check(datum: TameDatum, scalar=None,
         # R = c * ch(U0) with identical data on both sides
         lhs = as_ratfunc(scalar, p) * b0
         rhs = as_ratfunc(scalar, p) * b0
-        return ratfunc_eq(lhs, rhs), lhs, rhs
+        return lhs == rhs, lhs, rhs
     # the coset-sum bookkeeping: #(U0/U1) * vol(U1) = vol(U0), with the
     # parahoric index verified by explicit enumeration
     index_ok = (p is None or
@@ -459,4 +459,4 @@ def frobrecip_pairing_check(datum: TameDatum, scalar=None,
         e = e * lp
     lhs = (lp + 1) ** 2 * (lp / (lp - 1) * b1 - 1 / (lp - 1) * b2)
     rhs = lp / (lp - 1) * e * b0
-    return index_ok and ratfunc_eq(lhs, rhs), lhs, rhs
+    return index_ok and lhs == rhs, lhs, rhs

@@ -45,8 +45,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import add, sub
-from typing import Iterable, Mapping, Optional, Union
+from operator import sub
+from typing import Mapping, Optional, Union
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -661,10 +661,6 @@ def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
     return RatFunc(LaurentPoly.symbol(V_NAME, k2, prime))
 
 
-def ratfunc_eq(a, b) -> bool:
-    return as_ratfunc(a) == as_ratfunc(b)
-
-
 def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
     """Substitute RatFunc/scalar values for symbols.
 
@@ -722,64 +718,9 @@ def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
     return eval_side(f.num) / dv
 
 
-class PowerSeries:
-    """Truncated power series in one symbol with RatFunc coefficients."""
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, var: str, coeffs: Iterable[RatFunc]):
-        self.var = var
-        self.coeffs = tuple(as_ratfunc(c) for c in coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check_var(self, other):
-        if self.var != other.var:
-            raise ValueError("series in %s and %s" % (self.var, other.var))
-
-    def __add__(self, other):
-        self._check_var(other)
-        return PowerSeries(self.var, map(add, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check_var(other)
-        return PowerSeries(self.var, map(sub, self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RatFunc, LaurentPoly)):
-            c = as_ratfunc(other)
-            return PowerSeries(self.var, [x * c for x in self.coeffs])
-        self._check_var(other)
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [RatFunc.const(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            for j, b in enumerate(other.coeffs[:n - i]):
-                if a and b:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(self.var, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        if self.var != other.var or len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __getitem__(self, i: int) -> RatFunc:
-        return self.coeffs[i]
-
-    def __repr__(self):
-        return (" + ".join(f"({c!r})*{self.var}^{i}"
-                           for i, c in enumerate(self.coeffs))
-                + f" + O({self.var}^{len(self.coeffs)})")
-
-
-def series_expand(f: RatFunc, var: str, order: int) -> PowerSeries:
-    """Expand f as a power series in var up to and including var^order."""
+def series_expand(f: RatFunc, var: str, order: int) -> tuple:
+    """The coefficients of var^0 .. var^order in the power series of f
+    about var = 0."""
     f = as_ratfunc(f)
     num, den = f.num, f.den
     nmin = min(num.degrees_in(var), default=0)
@@ -802,26 +743,4 @@ def series_expand(f: RatFunc, var: str, order: int) -> PowerSeries:
             if j in den_c:
                 acc = acc - den_c[j] * out[k - j]
         out.append(acc / d0)
-    return PowerSeries(var, out)
-
-
-def reconstruct_ratfunc(series: PowerSeries, den: RatFunc,
-                        num_deg_bound: int) -> RatFunc:
-    """Recover a rational function from a truncated series and a known
-    denominator.  The product series*den must have no terms above the given
-    numerator degree bound within the truncation window; otherwise this
-    raises, signalling that the truncation order was too small."""
-    den = as_ratfunc(den)
-    dpoly = series_expand(den, series.var, series.order)
-    prod = series * dpoly
-    if series.order < num_deg_bound + 2:
-        raise ExactArithmeticError("truncation order too small to reconstruct")
-    if any(prod.coeffs[num_deg_bound + 1:]):
-        raise ExactArithmeticError("series is not the expansion of "
-                                   "a rational function with this denominator")
-    x = RatFunc.symbol(series.var, prime=series.coeffs[0].prime
-                       if series.coeffs else None)
-    num = RatFunc.const(0)
-    for i in range(min(num_deg_bound, series.order) + 1):
-        num = num + prod.coeffs[i] * x ** i
-    return num / den
+    return tuple(out)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from gsp4verify.besselzeta import (ZETA_LABELS, BesselDatum, BesselSeries,
-                                   bessel_series, bilinear_form, char_sum,
+from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
+                                   BesselSeries, bessel_series,
+                                   bilinear_form, char_sum,
                                    depth_factor, generating_function,
                                    tame_characters, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
@@ -13,11 +14,10 @@ from gsp4verify.besselzeta import (ZETA_LABELS, BesselDatum, BesselSeries,
                                    ul_bessel_transform, z_datum,
                                    z_section_value, zeta, zeta_spherical_closed,
                                    zeta_ul_closed)
-from gsp4verify.gsp4local import PrincipalSeriesG
+from gsp4verify.gsp4local import PrincipalSeriesG, spin_reciprocal
 from gsp4verify.padic import Cyc
-from gsp4verify.symcore import (ExactArithmeticError, PowerSeries, as_ratfunc,
-                                ell, ell_pow, reconstruct_ratfunc, substitute,
-                                sym)
+from gsp4verify.symcore import (ExactArithmeticError, as_ratfunc, ell, ell_pow,
+                                series_expand, substitute, sym)
 from test_padic import e_char
 
 Q = Fraction
@@ -47,19 +47,6 @@ def test_bessel_first_value():
         expect = expect + g * ell_pow(-3)
     expect = expect - (d.lam1 + d.lam2) * ell_pow(-4)
     assert ser.value(1) == expect
-
-
-def test_generating_function_reconstruction():
-    # reconstructing a rational function from ten coefficients recovers
-    # the generating function exactly
-    d = BesselDatum.formal()
-    ser = bessel_series(d, 9)
-    one = as_ratfunc(1)
-    den = one
-    for g in d.sigma.spin_params():
-        den = den * (one - g * ell_pow(-3) * sym("u"))
-    rec = reconstruct_ratfunc(PowerSeries("u", ser.values), den, 2)
-    assert rec == generating_function(d)
 
 
 def test_char_sum_values():
@@ -133,6 +120,108 @@ def test_zeta_ul_identity():
     # products, fully formally subject to the central-character constraint
     d = BesselDatum.formal()
     assert zeta("ul", d) == zeta_ul_closed(d)
+
+
+# -- the general series path, kept as the oracle of zeta -------------------------
+
+
+def series_product(a, b):
+    """Product of two truncated power series given by their coefficient
+    tuples, truncated to the shorter one."""
+    n = min(len(a), len(b))
+    out = [as_ratfunc(0, a[0].prime)] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            if x and y:
+                out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def reference_reconstruct(coeffs, var, den, num_deg):
+    """The rational function with denominator den whose expansion in var
+    begins with coeffs: the product of the series with den, which must
+    vanish past num_deg within a window of at least two more terms, over
+    den."""
+    if len(coeffs) < num_deg + 3:
+        raise ExactArithmeticError("truncation order too small to reconstruct")
+    den = as_ratfunc(den, coeffs[0].prime)
+    prod = series_product(coeffs, series_expand(den, var, len(coeffs) - 1))
+    if any(prod[num_deg + 1:]):
+        raise ExactArithmeticError("not the expansion of a rational function "
+                                   "with this denominator")
+    x = sym(var, den.prime)
+    num = as_ratfunc(0, den.prime)
+    for i in range(num_deg + 1):
+        num = num + prod[i] * x ** i
+    return num / den
+
+
+def reference_zeta(label, datum):
+    """The zeta integral along the general path: the Bessel series times
+    the expansion of the reciprocal spin factor, reconstructed over the
+    denominator 1 with numerator degree 4."""
+    p = datum.p
+    series = bessel_series(datum, ZETA_ORDER)
+    if label == "ul":
+        series = ul_bessel_transform(series, 1)
+    recip = spin_reciprocal(datum.sigma, ell_pow(-6, p) * sym("u", p))
+    prod = series_product(series.values,
+                          series_expand(recip, "u", series.order))
+    return reference_reconstruct(prod, "u", 1, 4)
+
+
+def test_generating_function_reconstruction():
+    # the reference recovers a rational function from its truncated
+    # series and a known denominator, and rejects a wrong denominator:
+    # first a toy, then the Bessel generating function from ten values
+    x, a = sym("x"), sym("a")
+    f = (1 - a * x) / ((1 - x) * (1 - 2 * x))
+    s = series_expand(f, "x", 9)
+    assert reference_reconstruct(s, "x", (1 - x) * (1 - 2 * x), 1) == f
+    with pytest.raises(ExactArithmeticError):
+        reference_reconstruct(s, "x", 1 - x, 1)
+    d = BesselDatum.formal()
+    ser = bessel_series(d, 9)
+    one = as_ratfunc(1)
+    den = one
+    for g in d.sigma.spin_params():
+        den = den * (one - g * ell_pow(-3) * sym("u"))
+    assert reference_reconstruct(ser.values, "u", den, 2) == \
+        generating_function(d)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+@pytest.mark.parametrize("label", ZETA_LABELS)
+def test_zeta_matches_general_reconstruction(label, p):
+    d = BesselDatum.formal(p)
+    got, want = zeta(label, d), reference_zeta(label, d)
+    assert got.num == want.num and got.den == want.den
+
+
+@pytest.mark.parametrize("label", ZETA_LABELS)
+def test_zeta_rejects_a_changed_tail_value(label):
+    # the last Bessel value enters only the product coefficient of
+    # degree 9 (8 after the U-operator), past the numerator degree
+    d = BesselDatum.formal()
+    vals = bessel_series(d, ZETA_ORDER).values
+    damaged = BesselSeries(d, vals[:-1] + (vals[-1] + 1,))
+    with pytest.raises(ExactArithmeticError):
+        zeta(label, d, series=damaged)
+
+
+def test_zeta_rejects_a_short_series():
+    # two product coefficients past degree 4 must be present: a series
+    # of order 6 serves the spherical vector, and is one short for the
+    # U-translated one, whose series starts one value later
+    d = BesselDatum.formal()
+    short = bessel_series(d, 5)
+    for label in ZETA_LABELS:
+        with pytest.raises(ExactArithmeticError):
+            zeta(label, d, series=short)
+    six = bessel_series(d, 6)
+    assert zeta("spherical", d, series=six) == zeta_spherical_closed(d)
+    with pytest.raises(ExactArithmeticError):
+        zeta("ul", d, series=six)
 
 
 def test_zeta_unknown_label():

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +14,8 @@ import threading
 import pytest
 
 from gsp4verify import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -46,14 +49,15 @@ def test_bad_jobs_is_config_error(tmp_path, capsys):
     assert "unknown configuration key: jobs" in capsys.readouterr().err
 
 
-def test_bad_order_is_config_error(capsys):
-    # below MIN_ZETA_ORDER the bessel suite cannot reconstruct zeta-ul
-    from gsp4verify.besselzeta import MIN_ZETA_ORDER
-    assert MIN_ZETA_ORDER == 7
-    for order in (1, 3, 6):
-        assert cli.main(["--suite", "bessel", "--order", str(order)]) == 2
-        assert "at least 7" in capsys.readouterr().err
-    assert cli.main(["--suite", "bessel", "--order", "7"]) == 0
+def test_order_is_neither_a_flag_nor_a_key(tmp_path, capsys):
+    # the bessel suite reads its zetas at one fixed order: the flag is a
+    # usage error and the config-file key an unknown key
+    assert cli.main(["--suite", "bessel", "--order", "9"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = bessel\norder = 9\n")
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert "unknown configuration key: order" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error(capsys):
@@ -75,10 +79,10 @@ def test_unwritable_out_is_config_error_before_any_case(tmp_path, capsys,
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nsuite = hecke, bessel\nell = 2\n"
-                   "order = 7\nt = 2\nformat = json\n")
+                   "t = 2\nformat = json\n")
     raw = cli.read_config_file(str(cfg))
-    assert raw == {"suite": "hecke, bessel", "ell": "2", "order": "7",
-                   "t": "2", "format": "json"}
+    assert raw == {"suite": "hecke, bessel", "ell": "2", "t": "2",
+                   "format": "json"}
 
 
 def test_config_file_bad_line(tmp_path):
@@ -159,6 +163,19 @@ def test_per_weight_k_flags_are_gone(capsys):
     assert cli.main(["--k2", "1"]) == 2
 
 
+def test_readme_flags_match_the_parser():
+    # the README paragraph that lists the flags names every option of the
+    # parser but --help, and no other
+    text = (ROOT / "README.md").read_text()
+    para = text[text.index("\nFlags:"):]
+    para = para[:para.index("\n\n")]
+    documented = set(re.findall(r"`(--[\w-]+)", para))
+    options = {opt for action in cli.make_parser()._actions
+               for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+    assert documented == options
+
+
 # -- execution and reports -------------------------------------------------------
 
 def test_empty_suite_list_exits_zero(capsys):
@@ -218,7 +235,9 @@ def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
     def bad_builder(config, shared):
         yield ("always-bad", {}, lambda: (False, "1", "2"))
         yield ("boom", {}, lambda: 1 / 0)
-        yield ("fine", {}, lambda: True)
+        yield ("fine", {}, lambda: (True, None, None))
+        # a case returns (ok, lhs, rhs); a bare truth value is no verdict
+        yield ("bare", {}, lambda: True)
     monkeypatch.setitem(cli._BUILDERS, "bessel", bad_builder)
     code, out = run_cli(["--suite", "bessel", "--format", "json"], capsys)
     assert code == 1
@@ -229,6 +248,7 @@ def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
     assert records["boom"]["status"] == "error"
     assert "ZeroDivisionError" in records["boom"]["lhs"]
     assert records["fine"]["status"] == "pass"
+    assert records["bare"]["status"] == "error"
 
 
 def test_assertion_error_is_a_fail_and_other_exceptions_errors(monkeypatch):
@@ -493,8 +513,6 @@ def test_damaged_layer_fails_its_suite(monkeypatch, suite, damage):
 
 
 # -- sympy is loaded at the first gcd, not at import ------------------------------
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _in_fresh_interpreter(code):
