@@ -139,6 +139,26 @@ def test_series_with_parameter_coeffs():
     assert s == tuple(a ** n for n in range(7))
 
 
+def test_reconstruct_ratfunc():
+    # a truncated expansion determines the rational function once its
+    # denominator is known: series times denominator is the numerator,
+    # with a vanishing tail; a wrong denominator leaves a tail
+    x, a = symbols("x a")
+    den = (1 - x) * (1 - 2 * x)
+    f = (1 - a * x) / den
+    s = series_expand(f, "x", 9)
+
+    def times(poly):
+        d = series_expand(poly, "x", 9)
+        return [sum((s[j] * d[i - j] for j in range(i + 1)), RatFunc.const(0))
+                for i in range(10)]
+
+    prod = times(den)
+    assert not any(prod[2:])
+    assert (prod[0] + prod[1] * x) / den == f
+    assert any(times(1 - x)[2:])
+
+
 def test_ratfunc_truth_value():
     assert not RatFunc.const(0)
     assert not RatFunc.const(0, 3)
