@@ -14,9 +14,10 @@ identities together with their corollary — is verified exactly against
 this definition, with the prime itself formal (v is its formal square
 root) wherever possible.
 
-The limit s -> 0 is taken by exact substitution Y -> 1 in the variable
-Y = (prime)^{-2s}; it exists precisely when no (1 - Y)-factor survives
-in the denominator.
+The z-value at s is the zeta integral at u = eta(prime) * prime *
+(prime)^{-2s}, so the limit s -> 0 of the regularised z-value is the
+value at u = eta(prime) * prime of a reduced rational function of u; it
+exists precisely when the denominator does not vanish there.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, ell,
-                      ell_pow, series_expand, substitute, sym)
+                      ell_pow, series_expand, sym)
 from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
 
 #: variable of the Bessel generating function / zeta integral
 U_VAR = "u"
-#: variable carrying the auxiliary complex parameter: Y = (prime)^{-2s}
-S_VAR = "Y"
 
 
 @dataclass(frozen=True)
@@ -163,23 +162,22 @@ def _zeta_polynomial(series: BesselSeries) -> RatFunc:
     return num
 
 
-def zeta(label: str, datum: BesselDatum,
-         series: BesselSeries = None) -> RatFunc:
+def zeta_of_series(label: str, series: BesselSeries) -> RatFunc:
     """The zeta integral of the labelled vector, as a polynomial in u:
     the reciprocal spin factor times the generating sum of the vector's
-    Bessel values, read off coefficient by coefficient from the
-    spherical Bessel series of order ZETA_ORDER.  A precomputed
-    ``series`` of the spherical Bessel values of ``datum`` replaces that
-    expansion, so one expansion can serve both labels."""
-    if series is None:
-        series = bessel_series(datum, ZETA_ORDER)
-    elif series.datum != datum:
-        raise ValueError("Bessel series of another datum")
+    Bessel values, read off coefficient by coefficient from ``series``,
+    the spherical Bessel values of its datum."""
     if label == "spherical":
         return _zeta_polynomial(series)
     if label == "ul":
         return _zeta_polynomial(ul_bessel_transform(series, 1))
     raise ValueError(f"unknown vector label {label!r}")
+
+
+def zeta(label: str, datum: BesselDatum) -> RatFunc:
+    """The zeta integral of the labelled vector of ``datum``, read off
+    its spherical Bessel series of order ZETA_ORDER."""
+    return zeta_of_series(label, bessel_series(datum, ZETA_ORDER))
 
 
 def zeta_spherical_closed(datum: BesselDatum) -> RatFunc:
@@ -212,29 +210,6 @@ def z_datum(sigma: PrincipalSeriesG, psi_pair, chi_pair) -> BesselDatum:
     c1, c2 = (as_ratfunc(x, sigma.p) for x in chi_pair)
     one = as_ratfunc(1, sigma.p)
     return BesselDatum(sigma, one / (p1 * c2), one / (c1 * p2))
-
-
-def z_section_value(label: str, sigma: PrincipalSeriesG, psi_pair,
-                    chi_pair, series: BesselSeries = None) -> RatFunc:
-    """Value at the identity of the z-map applied to the labelled
-    vector, as a rational function of Y = (prime)^{-2s}: the zeta
-    integral at the shifted parameter, i.e. u = eta(prime) * prime * Y
-    with eta = psi1 psi2.  ``series``, if given, is the Bessel series of
-    the z-datum (see ``zeta``)."""
-    datum = z_datum(sigma, psi_pair, chi_pair)
-    p = sigma.p
-    p1, p2 = (as_ratfunc(x, p) for x in psi_pair)
-    eta = p1 * p2
-    y = sym(S_VAR, p)
-    zu = zeta(label, datum, series)
-    return substitute(zu, {U_VAR: eta * ell(p) * y})
-
-
-def _limit_at_one(f: RatFunc) -> RatFunc:
-    try:
-        return substitute(f, {S_VAR: as_ratfunc(1, f.prime)})
-    except (ZeroDivisionError, ExactArithmeticError) as exc:
-        raise ExactArithmeticError("limit does not exist") from exc
 
 
 def tame_characters(k1: int, k2: int, tau1, tau2, p=None):
@@ -275,45 +250,48 @@ def depth_factor(t: int, psi_pair, chi_pair, p=None) -> RatFunc:
     return out
 
 
-def bilinear_form(t: int, label: str, sigma: PrincipalSeriesG,
-                  psi_pair, chi_pair, series: BesselSeries = None) -> RatFunc:
-    """The pairing of the degenerate section of depth t with the z-map
-    of the labelled vector, computed along the support-reduction path:
-    the depth factor (volume of the depth-t congruence subgroup of the
-    two-by-two pair, times the section's value at the identity), divided
-    by the first normalising product of degree-1 factors, times the exact
-    limit at s = 0 of the second normalising product times the z-value.
+def _value_at(f: RatFunc, x: RatFunc) -> RatFunc:
+    """The value of the reduced fraction f of u at u = x."""
+    def horner(side):
+        degs = side.degrees_in(U_VAR) or {0}
+        acc = as_ratfunc(0, f.prime)
+        for d in range(max(degs), min(degs) - 1, -1):
+            acc = acc * x + RatFunc(side.coeff_of(U_VAR, d))
+        return acc * x ** min(degs)
+    den = horner(f.den)
+    if den.is_zero():
+        raise ExactArithmeticError("limit does not exist")
+    return horner(f.num) / den
 
-    Only the depth factor depends on t, and it is 1 at t = 0; the
-    normalising products and the limit do not depend on the depth, so
-    bilinear_form(t, ...) = depth_factor(t, ...) * bilinear_form(0, ...).
-    The z-value is read off the Bessel series of the z-datum to order
-    ZETA_ORDER; a precomputed ``series`` of that datum replaces the
-    expansion (see ``zeta``)."""
-    p = sigma.p
-    dfac = depth_factor(t, psi_pair, chi_pair, p)
-    one = as_ratfunc(1, p)
+
+def bilinear_form(zeta_u: RatFunc, psi_pair, chi_pair) -> RatFunc:
+    """The depth-0 pairing of the degenerate section with the z-map of
+    the vector whose zeta integral is ``zeta_u``, computed along the
+    support-reduction path: the first normalising product of degree-1
+    factors times the limit at s = 0 of the second normalising product
+    times the z-value.  With u = eta * prime * (prime)^{-2s} and eta =
+    psi1 psi2, each factor 1/(1 - (a/b) prime^{-1} (prime)^{-2s}) of the
+    second product is 1/(1 - c u) with c = (a/b) prime^{-1}/(eta prime),
+    so the limit is the value at u = eta * prime of zeta_u over those
+    factors, reduced first so that a removable pole keeps its value."""
+    p = zeta_u.prime
+    one, u = as_ratfunc(1, p), sym(U_VAR, p)
     pairs = [(as_ratfunc(a, p), as_ratfunc(b, p))
              for a, b in zip(psi_pair, chi_pair)]
-    y = sym(S_VAR, p)
-    # first normalising product: the degree-1 factors at the fixed point
-    norm = one
+    at_zero = pairs[0][0] * pairs[1][0] * ell(p)
+    norm = factors = one
     for (a, b) in pairs:
         norm = norm * (one - (b / a) * ell_pow(-2, p))
-    # second normalising product, still carrying Y
-    reg = one
-    for (a, b) in pairs:
-        reg = reg * (one / (one - (a / b) * ell_pow(-2, p) * y))
-    zval = z_section_value(label, sigma, psi_pair, chi_pair, series)
-    return dfac * norm * _limit_at_one(reg * zval)
+        factors = factors * (one - (a / b) * ell_pow(-2, p) * u / at_zero)
+    return norm * _value_at(zeta_u / factors, at_zero)
 
 
 @dataclass(frozen=True)
 class TameDatum:
     """The weight-(k1, k2) tame datum at the prime p and its pairings.
 
-    ``base`` maps each vector label to its depth-free pairing
-    bilinear_form(0, label, sigma, psi, chi); the depth enters only
+    ``base`` maps each vector label to its depth-0 pairing, the
+    bilinear_form of the label's zeta integral; the depth enters only
     through depth_factor, so pairing(label, t) is the depth-t pairing.
     ``euler`` is prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the
     reciprocal spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}):
@@ -345,7 +323,7 @@ class TameDatum:
 def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
                  p=None) -> TameDatum:
     """The weight-(k1, k2) tame datum, with tau_i defaulting to the
-    formal symbols.  Its depth-free pairings are read off one expansion
+    formal symbols.  Its depth-0 pairings are read off one expansion
     of the Bessel series of the z-datum, computed on every call; a
     caller that checks several identities of one datum builds it once
     and hands it to each check."""
@@ -354,7 +332,7 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     sigma = tame_sigma(k1, k2, tau1, tau2, p)
     psi, chi = tame_characters(k1, k2, tau1, tau2, p)
     series = bessel_series(z_datum(sigma, psi, chi), ZETA_ORDER)
-    base = {label: bilinear_form(0, label, sigma, psi, chi, series=series)
+    base = {label: bilinear_form(zeta_of_series(label, series), psi, chi)
             for label in ZETA_LABELS}
     lp, one = ell(p), as_ratfunc(1, p)
     euler = (one - lp ** k1 / tau1) * (one - lp ** k2 / tau2)

@@ -428,8 +428,7 @@ def euler_element_eigenvalue(sigma):
     return one - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
 
 
-def frobrecip_pairing_check(datum: TameDatum, scalar=None,
-                            perturb: bool = False):
+def frobrecip_pairing_check(datum: TameDatum, perturb: bool = False):
     """Verify the pairing identity that converts the tame computation
     into an Euler-factor statement for the tame datum: the
     full-level/parahoric coset sum of the depth-1 functional equals the
@@ -437,16 +436,10 @@ def frobrecip_pairing_check(datum: TameDatum, scalar=None,
     as a single rational identity after pairing with the spherical
     vector.
 
-    With scalar=c the trivially-true scaling configuration is checked
-    instead; perturb=True damages the Euler element and must fail.
-    Returns (ok, lhs, rhs)."""
+    perturb=True damages the Euler element and must fail.  Returns
+    (ok, lhs, rhs)."""
     p = datum.p
     b0 = datum.pairing("spherical", 0)
-    if scalar is not None:
-        # R = c * ch(U0) with identical data on both sides
-        lhs = as_ratfunc(scalar, p) * b0
-        rhs = as_ratfunc(scalar, p) * b0
-        return lhs == rhs, lhs, rhs
     # the coset-sum bookkeeping: #(U0/U1) * vol(U1) = vol(U0), with the
     # parahoric index verified by explicit enumeration
     index_ok = (p is None or

@@ -63,10 +63,6 @@ class DivisionByZero(ExactArithmeticError):
     pass
 
 
-class SpecializationPole(ExactArithmeticError):
-    pass
-
-
 class PoleAtOrigin(ExactArithmeticError):
     pass
 
@@ -265,9 +261,6 @@ class LaurentPoly:
         if self.names:
             raise ExactArithmeticError("not a constant")
         return self.terms.get((), Q(0))
-
-    def symbols(self) -> set:
-        return {s for mono in self.terms for s, _ in mono}
 
     def with_prime(self, p: Optional[int]) -> "LaurentPoly":
         p2 = _merge_prime(self.prime, p)
@@ -560,9 +553,6 @@ class RatFunc:
     def const_value(self) -> Fraction:
         return self.num.const_value() / self.den.const_value()
 
-    def symbols(self) -> set:
-        return self.num.symbols() | self.den.symbols()
-
     def with_prime(self, p) -> "RatFunc":
         if p == self.prime:
             return self
@@ -659,63 +649,6 @@ def ell(prime: Optional[int] = None) -> RatFunc:
 def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
     """l^(k2/2): integer powers of v, so half-integer powers of the prime."""
     return RatFunc(LaurentPoly.symbol(V_NAME, k2, prime))
-
-
-def substitute(f: RatFunc, bindings: Mapping[str, object]) -> RatFunc:
-    """Substitute RatFunc/scalar values for symbols.
-
-    The reserved pair is kept consistent: binding v also binds l = v^2;
-    binding l alone is an error when v actually occurs.  Each side's
-    terms are grouped by the exponents of the bound names, each group's
-    unbound monomials form one Laurent polynomial, and the values' powers
-    multiply it as RatFuncs; reduced forms are canonical, so the order
-    does not show.  Laurent values, with negative powers only of
-    monomials, reduce no fraction.
-    """
-    f = as_ratfunc(f)
-    binds = {k: as_ratfunc(x, f.prime) for k, x in bindings.items()}
-    if V_NAME in binds:
-        v2 = binds[V_NAME] ** 2
-        if L_NAME in binds:
-            if binds[L_NAME] != v2:
-                raise ExactArithmeticError("inconsistent values for l and v")
-        else:
-            binds[L_NAME] = v2
-        if f.prime is not None and v2 != RatFunc.const(f.prime, f.prime):
-            raise ExactArithmeticError("v must square to the pinned prime")
-    elif L_NAME in binds:
-        if V_NAME in f.symbols():
-            raise ExactArithmeticError(
-                "cannot substitute l alone while v occurs; bind v")
-
-    def eval_side(side: LaurentPoly) -> RatFunc:
-        names, prime = side.names, side.prime
-        # each bound field's value, and the divisor of its exponent: with
-        # the prime formal, v^x under l alone is l^(x/2), x being even
-        bound = {i: (binds[s], 1) if s in binds else (binds[L_NAME], 2)
-                 for i, s in enumerate(names)
-                 if s in binds or s == V_NAME and L_NAME in binds}
-        free = [i for i in range(len(names)) if i not in bound]
-        groups: dict = {}   # bound exponents -> {free key: coefficient}
-        for k, c in side.vecs.items():
-            e = _unpack(k, len(names))
-            groups.setdefault(tuple(e[i] // q for i, (_, q) in
-                                    bound.items()), {})[
-                _pack([e[i] for i in free])] = c
-        free_names = tuple(names[i] for i in free)
-        total = RatFunc.const(0, prime)
-        for key, vecs in groups.items():
-            term = RatFunc(LaurentPoly._of(*_canon(free_names, vecs,
-                                                   side.den), prime))
-            for e, (b, _) in zip(key, bound.values()):
-                term = term * b ** e
-            total = total + term
-        return total
-
-    dv = eval_side(f.den)
-    if dv.is_zero():
-        raise SpecializationPole("denominator vanishes at the given point")
-    return eval_side(f.num) / dv
 
 
 def series_expand(f: RatFunc, var: str, order: int) -> tuple:

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    BesselSeries, bessel_series,
@@ -11,13 +12,13 @@ from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    tame_characters, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
                                    tame_pairing, tame_sigma,
-                                   ul_bessel_transform, z_datum,
-                                   z_section_value, zeta, zeta_spherical_closed,
+                                   ul_bessel_transform, z_datum, zeta,
+                                   zeta_of_series, zeta_spherical_closed,
                                    zeta_ul_closed)
 from gsp4verify.gsp4local import PrincipalSeriesG, spin_reciprocal
 from gsp4verify.padic import Cyc
 from gsp4verify.symcore import (ExactArithmeticError, as_ratfunc, ell, ell_pow,
-                                series_expand, substitute, sym)
+                                series_expand, sym)
 from test_padic import e_char
 
 Q = Fraction
@@ -206,7 +207,7 @@ def test_zeta_rejects_a_changed_tail_value(label):
     vals = bessel_series(d, ZETA_ORDER).values
     damaged = BesselSeries(d, vals[:-1] + (vals[-1] + 1,))
     with pytest.raises(ExactArithmeticError):
-        zeta(label, d, series=damaged)
+        zeta_of_series(label, damaged)
 
 
 def test_zeta_rejects_a_short_series():
@@ -217,48 +218,18 @@ def test_zeta_rejects_a_short_series():
     short = bessel_series(d, 5)
     for label in ZETA_LABELS:
         with pytest.raises(ExactArithmeticError):
-            zeta(label, d, series=short)
+            zeta_of_series(label, short)
     six = bessel_series(d, 6)
-    assert zeta("spherical", d, series=six) == zeta_spherical_closed(d)
+    assert zeta_of_series("spherical", six) == zeta_spherical_closed(d)
     with pytest.raises(ExactArithmeticError):
-        zeta("ul", d, series=six)
+        zeta_of_series("ul", six)
 
 
 def test_zeta_unknown_label():
     with pytest.raises(ValueError):
         zeta("nonsense", BesselDatum.formal())
-
-
-def test_z_section_spherical():
-    # with generic characters of the two factors the z-value at the
-    # identity is the product of the two degree-1 reciprocal factors
-    p1, p2, c1, c2 = sym("p1"), sym("p2"), sym("c1"), sym("c2")
-    alpha, c = sym("alpha"), sym("c")
-    one = as_ratfunc(1)
-    beta = one / (p1 * p2 * c1 * c2 * alpha * c ** 2)
-    sigma = PrincipalSeriesG(None, alpha, beta, c)
-    y = sym("Y")
-    zv = z_section_value("spherical", sigma, (p1, p2), (c1, c2))
-    expect = ((one - (p1 / c1) * ell_pow(-2) * y)
-              * (one - (p2 / c2) * ell_pow(-2) * y))
-    assert zv == expect
-
-
-def test_z_section_ul():
-    p1, p2, c1, c2 = sym("p1"), sym("p2"), sym("c1"), sym("c2")
-    alpha, c = sym("alpha"), sym("c")
-    one = as_ratfunc(1)
-    beta = one / (p1 * p2 * c1 * c2 * alpha * c ** 2)
-    sigma = PrincipalSeriesG(None, alpha, beta, c)
-    y = sym("Y")
-    zv = z_section_value("ul", sigma, (p1, p2), (c1, c2))
-    sph = ((one - (p1 / c1) * ell_pow(-2) * y)
-           * (one - (p2 / c2) * ell_pow(-2) * y))
-    recip = one
-    for g in sigma.spin_params():
-        recip = recip * (one - g * p1 * p2 * ell_pow(-1) * y)
-    expect = ell() ** 2 / (p1 * p2 * y) * (sph - recip)
-    assert zv == expect
+    with pytest.raises(ValueError):
+        zeta_of_series("nonsense", bessel_series(BesselDatum.formal(), 9))
 
 
 def test_tame_characters_euler_factor():
@@ -277,7 +248,7 @@ def test_tame_sigma_constraint():
 def test_bilinear_form_depth_zero_reference():
     sigma = tame_sigma(1, 1, sym("tau1"), sym("tau2"))
     psi, chi = tame_characters(1, 1, sym("tau1"), sym("tau2"))
-    b0 = bilinear_form(0, "spherical", sigma, psi, chi)
+    b0 = bilinear_form(zeta("spherical", z_datum(sigma, psi, chi)), psi, chi)
     one = as_ratfunc(1)
     expect = one
     for (a, b) in zip(chi, psi):
@@ -293,45 +264,126 @@ def tame_data():
             for w in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2))}
 
 
-@pytest.mark.parametrize("label", ["spherical", "ul"])
-def test_shared_pairing_matches_direct_bilinear_form(label, tame_data):
-    # the shared path multiplies a depth-free pairing, computed once, by
-    # depth_factor(t); check it against the pairing written out without
-    # that split: volume of the depth-t subgroup, times the section value
-    # at 1, times the first normalising product, times the value at Y = 1
-    # of the second normalising product times the z-value
-    datum = tame_data[1, 2]
-    psi, chi = tame_characters(1, 2, datum.tau1, datum.tau2)
-    one, lp, y = as_ratfunc(1), ell(), sym("Y")
-    norm, reg = one, one
+# -- the old Y path, kept in sympy as the oracle of the limit at s = 0 ----------
+
+
+def to_sympy(f, v):
+    """f as a sympy expression in its symbols, with l = v^2 and v the
+    given value of the square root of the prime."""
+    def side(poly):
+        out = sympy.Integer(0)
+        for mono, c in poly.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for s, e in mono:
+                term *= (v ** 2 if s == "l" else v if s == "v"
+                         else sympy.Symbol(s)) ** e
+            out += term
+        return out
+    return side(f.num) / side(f.den)
+
+
+def sqrt_prime(p):
+    return sympy.Symbol("v") if p is None else sympy.sqrt(p)
+
+
+def reference_pairing(label, sigma, psi, chi):
+    """The depth-0 pairing along the old path, in sympy: with Y =
+    (prime)^{-2s}, the regularising product in Y times the zeta integral
+    at u = eta * prime * Y (eta = psi1 psi2), reduced by ``cancel`` and
+    taken at Y = 1, times the first normalising product."""
+    p = sigma.p
+    v, y = sqrt_prime(p), sympy.Symbol("Y")
+    eta = to_sympy(psi[0] * psi[1], v)
+    f = to_sympy(zeta(label, z_datum(sigma, psi, chi)), v).subs(
+        sympy.Symbol("u"), eta * v ** 2 * y)
+    norm = sympy.Integer(1)
     for a, b in zip(psi, chi):
-        norm = norm * (one - (b / a) * ell_pow(-2))
-        reg = reg / (one - (a / b) * ell_pow(-2) * y)
-    zval = z_section_value(label, datum.sigma, psi, chi)
-    limit = substitute(reg * zval, {"Y": one})
-    for t in (0, 1, 2):
-        vol = one if t == 0 else one / (lp ** (t - 1) * (lp + 1)) ** 2
-        fval = one
-        if t > 0:
-            for a, b in zip(psi, chi):
-                fval = fval * (one - (a / b) * ell_pow(-2))
-        expect = vol * fval * norm * limit
-        shared = datum.pairing(label, t)
-        direct = bilinear_form(t, label, datum.sigma, psi, chi)
-        assert shared.num == expect.num and shared.den == expect.den, t
-        assert direct.num == expect.num and direct.den == expect.den, t
+        ratio = to_sympy(a / b, v)
+        f = f / (1 - ratio * v ** -2 * y)
+        norm = norm * (1 - v ** -2 / ratio)
+    num, den = sympy.fraction(sympy.cancel(f))
+    if sympy.expand(den.subs(y, 1)) == 0:
+        raise ExactArithmeticError("limit does not exist")
+    return norm * num.subs(y, 1) / den.subs(y, 1)
+
+
+def same_value(f, g, v):
+    """Whether the RatFunc f and the sympy expression g agree."""
+    num, _ = sympy.fraction(sympy.together(to_sympy(f, v) - g))
+    return sympy.expand(num) == 0
+
+
+ORACLE_WEIGHTS = ((0, 0), (1, 2), (2, 1))
+
+
+@pytest.fixture(scope="module")
+def tame_data_at_two():
+    return {w: tame_pairing(*w, p=2) for w in ORACLE_WEIGHTS}
+
+
+@pytest.mark.parametrize("label", ZETA_LABELS)
+def test_shared_pairing_matches_direct_bilinear_form(label, tame_data,
+                                                     tame_data_at_two):
+    # the depth-0 pairing is the old path's; the shared path multiplies
+    # it by depth_factor(t), so check that against the pairing written
+    # out without that split: volume of the depth-t subgroup, times the
+    # section value at 1, times the depth-0 pairing
+    for p, data in ((None, tame_data), (2, tame_data_at_two)):
+        one, lp = as_ratfunc(1, p), ell(p)
+        for k1, k2 in ORACLE_WEIGHTS:
+            datum = data[k1, k2]
+            b0 = datum.pairing(label, 0)
+            assert same_value(b0, reference_pairing(
+                label, datum.sigma, datum.psi, datum.chi), sqrt_prime(p)), \
+                (p, k1, k2)
+            for t in (1, 2):
+                expect = one / (lp ** (t - 1) * (lp + 1)) ** 2 * b0
+                for a, b in zip(datum.psi, datum.chi):
+                    expect = expect * (one - (a / b) * ell_pow(-2, p))
+                got = datum.pairing(label, t)
+                assert (got.num, got.den) == (expect.num, expect.den), \
+                    (p, k1, k2, t)
+
+
+def _pole_datum(p):
+    """sigma, psi and chi of weight (1, 1) at tau1 = prime, where the
+    second normalising product has the pole 1/(1 - Y)."""
+    tau1, tau2 = ell(p), sym("tau2", p)
+    return (tame_sigma(1, 1, tau1, tau2, p),
+            *tame_characters(1, 1, tau1, tau2, p))
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_removable_pole_matches_the_limit_in_y(p):
+    # the spherical zeta integral cancels the pole, the U-translated one
+    # does not: both paths agree on the value and on the failure
+    sigma, psi, chi = _pole_datum(p)
+    d = z_datum(sigma, psi, chi)
+    got = bilinear_form(zeta("spherical", d), psi, chi)
+    assert same_value(got, reference_pairing("spherical", sigma, psi, chi),
+                      sqrt_prime(p))
+    for path in (lambda: reference_pairing("ul", sigma, psi, chi),
+                 lambda: bilinear_form(zeta("ul", d), psi, chi)):
+        with pytest.raises(ExactArithmeticError):
+            path()
+
+
+def test_tame_pairing_at_a_pole_raises():
+    with pytest.raises(ExactArithmeticError):
+        tame_pairing(1, 1, tau1=ell())
+
+
+def test_removable_pole_keeps_its_value():
+    sigma, psi, chi = _pole_datum(None)
+    b0 = bilinear_form(zeta("spherical", z_datum(sigma, psi, chi)), psi, chi)
+    lp, tau2 = ell(), sym("tau2")
+    assert b0 == 1 + lp ** -5 * tau2 - lp ** -3 * tau2 - lp ** -2
 
 
 def test_depth_factor_negative_depth():
     psi, chi = tame_characters(1, 1, sym("tau1"), sym("tau2"))
     with pytest.raises(ValueError):
         depth_factor(-1, psi, chi)
-
-
-def test_zeta_rejects_series_of_another_datum():
-    ser = bessel_series(BesselDatum.formal(), 9)
-    with pytest.raises(ValueError):
-        zeta("spherical", BesselDatum.formal(2), series=ser)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -388,7 +440,7 @@ def formal_zetas():
     each keyed by its label."""
     d = BesselDatum.formal(None)
     series = bessel_series(d, 9)
-    return ({label: zeta(label, d, series=series) for label in ZETA_LABELS},
+    return ({label: zeta_of_series(label, series) for label in ZETA_LABELS},
             {"spherical": zeta_spherical_closed(d), "ul": zeta_ul_closed(d)})
 
 
@@ -397,14 +449,13 @@ def test_formal_bessel_zetas_specialise_to_pinned_prime(p, formal_zetas):
     # the guard above for the Bessel datum: its zetas and their closed
     # forms, computed with the prime formal and taken to p, equal those
     # of the datum with p pinned from the start.  A pole of the
-    # specialisation (SpecializationPole or DivisionByZero) is a
-    # failure, not a skip
+    # specialisation (DivisionByZero) is a failure, not a skip
     zetas, closed = formal_zetas
     d = BesselDatum.formal(p)
     series = bessel_series(d, 9)
     want = {"spherical": zeta_spherical_closed(d), "ul": zeta_ul_closed(d)}
     for label in ZETA_LABELS:
-        assert zetas[label].with_prime(p) == zeta(label, d, series=series), \
+        assert zetas[label].with_prime(p) == zeta_of_series(label, series), \
             label
         assert closed[label].with_prime(p) == want[label], label
 

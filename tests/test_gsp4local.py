@@ -13,7 +13,7 @@ from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
                                   u_matrix_char_poly)
 from gsp4verify.padic import (LevelSpec, identity, in_level, mat, mat_mul,
                               mat_t, root_unipotent, siegel_u_reps, weyl_s2)
-from gsp4verify.symcore import as_ratfunc, ell_pow, substitute, sym
+from gsp4verify.symcore import as_ratfunc, ell_pow, sym
 from test_padic import hecke_r_reps, hecke_t1_reps, hecke_t_reps
 
 Q = Fraction
@@ -186,17 +186,17 @@ def test_hecke_path_makes_no_iwasawa_call(monkeypatch):
 
 
 def test_eigenvalues_weyl_invariant():
-    # the eigenvalues are symmetric under the Weyl substitutions
+    # the eigenvalues are symmetric under the Weyl conjugations
     # (alpha, beta) -> (beta, alpha) and (alpha, c) -> (1/alpha, c alpha)
     p = 2
     s = sigma_for(p)
+    swapped = PrincipalSeriesG(p, s.beta, s.alpha, s.c)
+    refl = PrincipalSeriesG(p, as_ratfunc(1, p) / s.alpha, s.beta,
+                            s.c * s.alpha)
     for op in ("T", "T1", "R"):
         ev = hecke_eigenvalue(op, s)
-        swapped = substitute(ev, {"alpha": s.beta, "beta": s.alpha})
-        assert ev == swapped
-        refl = substitute(ev, {"alpha": as_ratfunc(1, p) / s.alpha,
-                               "c": s.c * s.alpha})
-        assert ev == refl
+        assert ev == hecke_eigenvalue(op, swapped)
+        assert ev == hecke_eigenvalue(op, refl)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -13,8 +13,8 @@ from sympy.polys.galoistools import gf_gcd, gf_strip
 
 from gsp4verify import symcore as sc
 from gsp4verify.symcore import (
-    DivisionByZero, LaurentPoly, PoleAtOrigin, RatFunc, SpecializationPole,
-    ell, series_expand, substitute, sym, symbols,
+    DivisionByZero, LaurentPoly, PoleAtOrigin, RatFunc, ell, series_expand,
+    sym, symbols,
 )
 
 
@@ -93,27 +93,6 @@ def test_division_by_zero():
     x = sym("x")
     with pytest.raises(DivisionByZero):
         x / (x - x)
-
-
-def test_substitute_basic():
-    x, y = symbols("x y")
-    f = (x + y) / (x - y)
-    g = substitute(f, {"x": 3, "y": 1})
-    assert g == RatFunc.const(2)
-    with pytest.raises(SpecializationPole):
-        substitute(f, {"x": 1, "y": 1})
-
-
-def test_substitute_l_and_v():
-    v = vee()
-    f = v * sym("x")
-    with pytest.raises(sc.ExactArithmeticError):
-        substitute(f, {"l": 4, "x": 1})
-    assert substitute(f, {"v": 2, "x": 5}) == RatFunc.const(10)
-    # even powers of v are l and substitute fine
-    assert substitute(v * v, {"l": 4}) == RatFunc.const(4)
-    with pytest.raises(sc.ExactArithmeticError):
-        substitute(v, {"l": 4, "v": 3})
 
 
 def test_series_expand_geometric():
@@ -423,7 +402,7 @@ def test_pinned_reduction_is_canonical(a, b, c, prime):
         return
     f, g = RatFunc(a, b), RatFunc(a * c, b * c)
     assert f.num * b == a * f.den       # the value is kept
-    assert "v" not in f.den.symbols()
+    assert all(s != "v" for mono in f.den.terms for s, _ in mono)
     assert (g.num, g.den) == (f.num, f.den)
     assert hash(g) == hash(f)
 
@@ -810,123 +789,3 @@ def test_laurent_over_one_skips_the_reduction(monkeypatch):
     zero = LaurentPoly.const(0, 3)
     assert zero.is_zero() and zero.names == () and zero.vecs == {}
     assert zero == LaurentPoly.const(0) * 1 == (x - x)
-
-
-# -- substitute on packed keys against the term-by-term reference ------------
-
-def _substitute_reference(f, bindings):
-    """substitute as a chain of RatFunc operations: each term of each
-    side is a product of RatFunc factors, one per (name, exp) of its
-    ``terms`` key, and the terms are added one at a time."""
-    f = sc.as_ratfunc(f)
-    binds = {k: sc.as_ratfunc(x, f.prime) for k, x in bindings.items()}
-    if "v" in binds:
-        v2 = binds["v"] ** 2
-        if "l" in binds:
-            if binds["l"] != v2:
-                raise sc.ExactArithmeticError("inconsistent values")
-        else:
-            binds["l"] = v2
-        if f.prime is not None and v2 != RatFunc.const(f.prime, f.prime):
-            raise sc.ExactArithmeticError("v must square to the prime")
-    elif "l" in binds:
-        if "v" in f.symbols():
-            raise sc.ExactArithmeticError("bind v")
-
-    def eval_poly(p):
-        total = RatFunc.const(0, p.prime)
-        for mono, c in p.terms.items():
-            t = RatFunc.const(c, p.prime)
-            for s, e in mono:
-                t = t * (binds[s] ** e if s in binds else
-                         RatFunc(LaurentPoly.symbol(s, e, p.prime)))
-            total = total + t
-        return total
-
-    dv = eval_poly(f.den)
-    if dv.is_zero():
-        raise SpecializationPole("denominator vanishes")
-    return eval_poly(f.num) / dv
-
-
-def _substitution_outcome(fn, f, binds):
-    try:
-        g = fn(f, binds)
-    except (sc.ExactArithmeticError, ZeroDivisionError) as exc:
-        return type(exc)
-    return g.num, g.den, repr(g.num), repr(g.den), repr(g)
-
-
-@st.composite
-def _substitutions(draw):
-    """A fraction of two polynomials in x, y, l and v, with the prime
-    formal or pinned to 2 or 3, and values for some of its names x, y
-    and l, and maybe v: integers, rationals, monomials in z and v (so
-    that negative powers stay Laurent), Laurent polynomials in x, z and
-    v, and fractions whose denominators are not monomials.  At a pinned
-    prime v is bound to +-v or to another value, which the check on v^2
-    rejects."""
-    prime = draw(st.sampled_from([None, 2, 3]))
-    num, den = (draw(xylv).with_prime(prime) for _ in range(2))
-    f = RatFunc(num, LaurentPoly.const(1, prime) if den.is_zero() else den)
-    xzv = laurent_polys(st.sampled_from(["x", "z", "v"]))
-
-    def value():
-        kind = draw(st.sampled_from(["int", "rational", "monomial", "poly",
-                                     "fraction"]))
-        if kind == "int":
-            return draw(st.integers(-3, 3))
-        if kind == "rational":
-            return Q(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
-        if kind == "monomial":
-            return Q(draw(st.integers(1, 5))) * sym("z") ** draw(
-                st.integers(-2, 2)) * vee() ** draw(st.integers(-3, 3))
-        if kind == "poly":
-            return RatFunc(draw(xzv))
-        z = LaurentPoly.symbol("z")
-        num, c, h = draw(xzv), draw(st.integers(1, 3)), draw(xzv) * z + 1
-        # h is 0 when the draw is -1/z: a value must have a denominator
-        return RatFunc(num, (z + c) * (LaurentPoly.const(1) if h.is_zero()
-                                       else h))
-    names = sorted(f.symbols() & {"x", "y", "l"})
-    binds = {s: value() for s in draw(st.lists(
-        st.sampled_from(names), min_size=1, unique=True))} if names else {}
-    if draw(st.booleans()):
-        binds["v"] = (draw(st.sampled_from([1, -1])) * vee(prime)
-                      if prime is not None and draw(st.booleans())
-                      else value())
-    return f, binds
-
-
-@settings(max_examples=150, deadline=None)
-@given(_substitutions())
-def test_substitute_matches_term_by_term_reference(case):
-    # the reference is the term-by-term chain that substitute kept for
-    # fraction values; reduced forms are canonical, so num, den and repr
-    # must agree, not only the values
-    f, binds = case
-    assert _substitution_outcome(substitute, f, binds) == \
-        _substitution_outcome(_substitute_reference, f, binds)
-
-
-def test_substitute_laurent_values_build_each_side_once(monkeypatch):
-    # the tame pairings' shapes: a Laurent numerator in u, v and the tau
-    # names over a Laurent denominator, u bound to Y l^2; no symbol is
-    # parsed and no fraction is reduced
-    calls = []
-    for name in ("_normalize_pair", "_coprime_images"):
-        monkeypatch.setattr(sc, name, lambda *a, _fn=getattr(sc, name),
-                            _name=name, **kw: calls.append(_name) or
-                            _fn(*a, **kw))
-    monkeypatch.setattr(LaurentPoly, "symbol", staticmethod(
-        lambda *a, _fn=LaurentPoly.symbol, **kw: calls.append("symbol")
-        or _fn(*a, **kw)))
-    u, t1, t2, v = (LaurentPoly({((s, 1),): 1}) for s in
-                    ("u", "tau1", "tau2", "v"))
-    f = RatFunc(u * u * t1 - 3 * u * v + t2 * v ** -3 + 1,
-                LaurentPoly.const(1))
-    value = RatFunc(LaurentPoly({(("Y", 1), ("l", 2)): 1}))
-    got = substitute(f, {"u": value})
-    assert calls == []
-    assert (got.num, got.den) == (lambda g: (g.num, g.den))(
-        _substitute_reference(f, {"u": value}))
