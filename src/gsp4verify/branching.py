@@ -16,8 +16,9 @@ Provided here:
 * an 11-element basis of the Lie algebra (2 semisimple Cartan elements,
   the identity, and 8 root vectors) with its trace form and the
   resulting Casimir operator,
-* cyclic construction of the irreducibles with the dimension formula
-  (a+1)(b+1)(a+b+2)(2a+b+3)/6 and full weight multiplicities,
+* cyclic construction of the irreducibles from the four Chevalley
+  generators, with the dimension formula (a+1)(b+1)(a+b+2)(2a+b+3)/6
+  and full weight multiplicities,
 * Casimir-Krylov isotypic projection (the Cartan product),
 * the restriction law to the fibre product of two 2x2 groups, with its
   explicit highest-weight vectors, and
@@ -142,7 +143,6 @@ class TensorSpace:
             raise ValueError("kinds must be a permutation of the factors")
         self.kinds = tuple(kinds)
         self.dims = tuple(6 if k == "w" else 4 for k in self.kinds)
-        self.lie_names = list(_LIE_COLUMNS)
 
     def indices(self):
         return itertools.product(*(range(d) for d in self.dims))
@@ -229,7 +229,7 @@ def _casimir4_candidates(space: TensorSpace) -> set:
                   else _STD_WEIGHTS)
         weights = {tuple(x + y for x, y in zip(w, piece))
                    for w in weights for piece in pieces}
-    return {int(4 * casimir_eigenvalue(w)) for w in weights}
+    return {_casimir4_eigenvalue(w) for w in weights}
 
 
 def casimir_apply(space: TensorSpace, vec: dict) -> dict:
@@ -237,20 +237,18 @@ def casimir_apply(space: TensorSpace, vec: dict) -> dict:
     return {k: Q(v, 4) for k, v in _casimir4(space, vec).items()}
 
 
+def _casimir4_eigenvalue(weight) -> int:
+    """4c for the highest weight w = (n1, n2, m): the pairing of w with
+    w + 2 rho, 2 rho = (4, 2, -3), under four times the dual trace form."""
+    n1, n2, m = weight
+    s = n1 + n2 + 2 * m
+    return 2 * n1 * (n1 + 4) + 2 * n2 * (n2 + 2) + s * s
+
+
 def casimir_eigenvalue(weight) -> Fraction:
     """Eigenvalue of the trace-form Casimir on the irreducible with the
-    given highest weight (n1, n2, m): the pairing of the weight with
-    weight + (sum of positive roots) under the dual trace form."""
-    n1, n2, m = weight
-    two_rho = (4, 2, -3)
-
-    def coords(w):
-        a1, a2, mm = w
-        return (Q(a1), Q(a2), Q(a1 + a2 + 2 * mm))
-
-    lam = coords(weight)
-    lam2 = coords(tuple(x + y for x, y in zip(weight, two_rho)))
-    return lam[0] * lam2[0] / 2 + lam[1] * lam2[1] / 2 + lam[2] * lam2[2] / 4
+    given highest weight (n1, n2, m)."""
+    return Q(_casimir4_eigenvalue(weight), 4)
 
 
 # -- sparse echelon form ---------------------------------------------------------
@@ -278,10 +276,21 @@ def _reduce(rows, vec: dict) -> dict:
 
 # -- cyclic construction of the irreducibles ------------------------------------
 
+#: the Chevalley generators: the simple root vectors and their negatives
+CHEVALLEY = ("n0", "n1", "m0", "m1")
+
+
 class RepSpace:
     """Irreducible representation with highest weight (a+b, a, 0),
     realised as an exact cyclic submodule of a TensorSpace.  The basis
-    is stored weight space by weight space."""
+    is stored weight space by weight space.
+
+    The search applies only CHEVALLEY, which generate the semisimple
+    part (Humphreys, Lie algebras, 1972, section 18): n2, n3, m2 and m3
+    are brackets of them, a span closed under x and y is closed under
+    xy - yx, and t1, t2 and id scale each weight vector.  The lowering
+    pair alone would span the module; the raising pair stays so that a
+    damaged generator shows as a wrong dimension."""
 
     def __init__(self, a: int, b: int):
         self.a, self.b = a, b
@@ -293,7 +302,7 @@ class RepSpace:
         while frontier:
             nxt = []
             for v in frontier:
-                for name in self.space.lie_names:
+                for name in CHEVALLEY:
                     img = self.space.apply_lie(name, v)
                     if img and self._insert(img):
                         nxt.append(img)
@@ -346,7 +355,7 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
     Casimir on the cyclic span of vec."""
     if not vec:
         return {}
-    e0 = int(4 * casimir_eigenvalue(target_weight))
+    e0 = _casimir4_eigenvalue(target_weight)
     # the Krylov vectors vec, 4C vec, (4C)^2 vec, ... over the integers,
     # until one lies in the span of those before; the echelon rows span
     # the same space and are triangular on their pivots

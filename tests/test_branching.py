@@ -1,5 +1,6 @@
 """Tests for the algebraic representation theory module."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -70,6 +71,46 @@ def test_bracket_closure():
             assert _rank(span + [_flat(b)]) == base_rank
 
 
+def test_chevalley_generators_generate_the_algebra():
+    # RepSpace searches with CHEVALLEY alone: under brackets they span the
+    # 10-dimensional semisimple part, and with id the whole algebra
+    basis = dict(br.lie_basis())
+    span = [basis[name] for name in br.CHEVALLEY]
+    assert _rank([_flat(x) for x in span]) == 4
+    # bracket each element kept with every one kept, keeping those that
+    # raise the rank, until the span is closed
+    for x in span:
+        for y in list(span):
+            b = lie_bracket(x, y)
+            if _rank([_flat(z) for z in span + [b]]) > len(span):
+                span.append(b)
+    assert len(span) == 10
+    assert _rank([_flat(x) for x in span + [basis["id"]]]) == 11
+
+
+def _dense(cols, n):
+    """The n x n matrix with the given sparse columns (see _columns)."""
+    out = [[Q(0)] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = Q(x)
+    return tuple(tuple(r) for r in out)
+
+
+def test_wedge_lie_is_a_representation():
+    # the wedge columns the library acts by, densified, respect brackets:
+    # rho([x, y]) = [rho(x), rho(y)], with rho([x, y]) from the Leibniz
+    # rule on the bracket; this also reads n2, n3, m2 and m3, which the
+    # cyclic construction does not apply
+    basis = br.lie_basis()
+    rho = {name: _dense(br._LIE_COLUMNS[name][1], 6) for name, _ in basis}
+    for name, x in basis:
+        assert _dense(br._LIE_COLUMNS[name][0], 4) == x
+        for other, y in basis:
+            assert (br.wedge_lie_matrix(lie_bracket(x, y))
+                    == lie_bracket(rho[name], rho[other])), (name, other)
+
+
 def test_not_in_lie_algebra():
     bad = br._e(2, 0)  # lower-left entry without its symplectic companion
     assert similitude_derivative(bad) is None
@@ -86,6 +127,24 @@ def test_casimir_eigenvalue_matches_direct_action(ab):
     img = br.casimir_apply(sp, top)
     idx = next(iter(top))
     assert img == {idx: br.casimir_eigenvalue((a + b, a, 0))}
+
+
+def _casimir_eigenvalue_reference(weight):
+    """The pairing of weight with weight + 2 rho under the dual trace
+    form, over Q."""
+    def coords(w):
+        return (Q(w[0]), Q(w[1]), Q(w[0] + w[1] + 2 * w[2]))
+    lam = coords(weight)
+    lam2 = coords(tuple(x + y for x, y in zip(weight, (4, 2, -3))))
+    return lam[0] * lam2[0] / 2 + lam[1] * lam2[1] / 2 + lam[2] * lam2[2] / 4
+
+
+def test_integer_casimir_eigenvalue_matches_fraction_reference():
+    for w in itertools.product(range(-8, 9), repeat=3):
+        want = _casimir_eigenvalue_reference(w)
+        got = br._casimir4_eigenvalue(w)
+        assert type(got) is int and got == 4 * want, w
+        assert br.casimir_eigenvalue(w) == want
 
 
 def test_casimir_commutes_with_lie_action():
@@ -120,6 +179,18 @@ def test_size_bound_enforced():
         br.TensorSpace(4, 0)
     with pytest.raises(ValueError):
         br.TensorSpace(2, 3)
+
+
+def test_rep_space_applies_only_the_chevalley_generators(monkeypatch):
+    applied = set()
+    apply_lie = br.TensorSpace.apply_lie
+
+    def recording(space, name, vec):
+        applied.add(name)
+        return apply_lie(space, name, vec)
+    monkeypatch.setattr(br.TensorSpace, "apply_lie", recording)
+    assert br.build_rep(1, 1).dimension == 16
+    assert applied == set(br.CHEVALLEY)
 
 
 def test_wedge_factor_is_five_dimensional_with_companion_vector():
@@ -192,8 +263,8 @@ def _push_reference(rows, vec: dict):
 
 
 def _reference_multiplicities(a, b):
-    """The cyclic construction of RepSpace with Fraction vectors and the
-    normalising elimination: the weight multiplicities."""
+    """The cyclic construction with Fraction vectors, the normalising
+    elimination and all 11 basis elements: the weight multiplicities."""
     space = br.TensorSpace(a, b)
     by_weight = {}
 
@@ -208,7 +279,7 @@ def _reference_multiplicities(a, b):
     insert(seed)
     frontier = [seed]
     while frontier:
-        frontier = [img for v in frontier for name in space.lie_names
+        frontier = [img for v in frontier for name in br._LIE_COLUMNS
                     if (img := space.apply_lie(name, v)) and insert(img)]
     return {w: len(rows) for w, rows in by_weight.items() if rows}
 

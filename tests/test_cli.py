@@ -433,13 +433,23 @@ def _product_drops_a_denominator(monkeypatch):
                             lambda x, y: good((x[0], 1), y))
 
 
-def _lie_n0_wedge_negated(monkeypatch):
-    # the first entry of each wedge column of the root vector n0 negated
+def _lie_wedge_negated(monkeypatch, name):
+    # the first entry of each wedge column of one Lie basis element negated
     from gsp4verify import branching
-    cols4, cols6 = branching._LIE_COLUMNS["n0"]
+    cols4, cols6 = branching._LIE_COLUMNS[name]
     damaged = tuple(((col[0][0], -col[0][1]),) + col[1:] if col else col
                     for col in cols6)
-    monkeypatch.setitem(branching._LIE_COLUMNS, "n0", (cols4, damaged))
+    monkeypatch.setitem(branching._LIE_COLUMNS, name, (cols4, damaged))
+
+
+def _lie_n0_wedge_negated(monkeypatch):
+    # a Chevalley generator: the cyclic construction reads it
+    _lie_wedge_negated(monkeypatch, "n0")
+
+
+def _lie_m3_wedge_negated(monkeypatch):
+    # a bracket of the Chevalley generators: only the Casimir reads it
+    _lie_wedge_negated(monkeypatch, "m3")
 
 
 def _fourier_negated(monkeypatch):
@@ -493,6 +503,7 @@ def _euler_eigenvalue_times_ell(monkeypatch):
     ("bessel", _ul_bessel_values_times_ell),
     ("frobrecip", _euler_eigenvalue_times_ell),
     ("branching", _lie_n0_wedge_negated),
+    ("branching", _lie_m3_wedge_negated),
     ("gl2", _fourier_negated),
     ("tame-norm", _depth_volume_off_by_ell),
     ("hecke", _borel_factor_off_by_v),
