@@ -15,6 +15,11 @@ Implements, in exact arithmetic:
 * the duality pairing of a principal series against its inverse-character
   dual, computed as a finite average over P^1(Z/l^t).
 
+A section value is first a character-free table {(d, j): c} of the
+coefficients of a_chi^d l^{-d/2} q^j, its shell averages read off phi's
+table at integer residues.  A sum over points adds the tables and turns
+the sum into one RatFunc.
+
 Conventions.  An unramified character chi is described by its value
 a = chi(l), a rational function in formal symbols; chi(x) = a^{val(x)}.
 The auxiliary deformation chi |.|^s is absorbed into the character value:
@@ -29,7 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .symcore import RatFunc, as_ratfunc, ell_pow
-from .padic import Cyc, SchwartzFn, fourier, mat_mul, min_val, val
+from .padic import (Cyc, SchwartzFn, _padic_residue, fourier, mat_mul,
+                    min_val, val)
 
 Q = Fraction
 
@@ -44,24 +50,26 @@ def _rat(x) -> Fraction:
 def _unit_average(phi: SchwartzFn, j: int, r) -> Fraction:
     """Average of u |-> phi(l^j u r) over the unit group, u ~ Z_l^x.
 
-    r is a pair of rationals, not both zero.  The value is locally
-    constant in u; the averaging modulus is chosen from the level of phi
-    and the valuations involved, so the average is exact."""
+    r is a pair of rationals, not both zero.  Unless l^{j+s} r is
+    l-integral the points lie outside the support l^{-s} Z_l^2 and the
+    average is 0; else the value at u is phi's table entry at u times the
+    residues of l^{j+s} r mod l^{s+n}, taken once.  It is locally constant
+    in u, and the averaging modulus comes from the level of phi and the
+    valuations, so the average is exact."""
     p = phi.p
     m = min(val(c, p) for c in r if c != 0)
-    n_mod = max(1, phi.n - (j + m))
-    mod = p ** n_mod
-    scale = Q(p) ** j
+    if j + phi.s + m < 0:
+        return Q(0)
+    M = p ** (phi.s + phi.n)
+    a, b = (_padic_residue(Q(p) ** (j + phi.s) * c, p, M) for c in r)
+    mod = p ** max(1, phi.n - (j + m))
     total = None
-    count = 0
     for u in range(1, mod):
-        if u % p == 0:
-            continue
-        value = phi.value_at(scale * u * r[0], scale * u * r[1])
-        total = value if total is None else total + value
-        count += 1
+        if u % p:
+            value = phi.table.get((u * a % M, u * b % M), Q(0))
+            total = value if total is None else total + value
     # the average over the full unit group is Galois-stable, hence rational
-    return _rat(total) / count
+    return _rat(total) / (mod - mod // p)
 
 
 def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
@@ -76,34 +84,47 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     With q = (chi/psi)(l) |l|, the factor (1 - q) = L(chi/psi, 1)^{-1}
     telescopes the geometric tail, so the value is the finite sum
     sum_j (c_j - c_{j-1}) q^j with c_{j_min - 1} = 0 and c_top = phi(0, 0)."""
-    return _section(phi, a_chi, a_psi)(g)
+    return _characters(a_chi, a_psi, phi.p)(_section_terms(phi, g))
 
 
-def _section(phi: SchwartzFn, a_chi, a_psi):
-    """The section of (phi, chi, psi) as a function g -> eval_siegel(phi,
-    a_chi, a_psi, g), with q computed once for all the points."""
+def _section_terms(phi: SchwartzFn, g, terms=None, weight=1) -> dict:
+    """The value of eval_siegel(phi, a_chi, a_psi, g) free of the
+    characters: adds weight * c to terms[(d, j)] for each coefficient c of
+    a_chi^d l^{-d/2} q^j, and returns terms (a new dict by default)."""
+    terms = {} if terms is None else terms
     p = phi.p
+    g = [[Fraction(x) for x in row] for row in g]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if det == 0:
+        raise ZeroDivisionError("g must be invertible")
+    r = (g[1][0], g[1][1])
+    m = min(val(c, p) for c in r if c != 0)
+    j_min = -phi.s - m
+    j_top = max(phi.n - m, j_min)
+    shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
+    shells.append(_rat(phi.value_at(0, 0)))
+    d = val(det, p)
+    for j, c, c_prev in zip(range(j_min, j_top + 1), shells, [0] + shells):
+        if c != c_prev:
+            terms[d, j] = terms.get((d, j), 0) + weight * (c - c_prev)
+    return terms
+
+
+def _characters(a_chi, a_psi, p: int):
+    """The map {(d, j): c} -> sum of c a_chi^d l^{-d/2} q^j, q = (a_chi /
+    a_psi) l^{-1}, which turns _section_terms into section values.  Each
+    monomial is built once, on first use, in a dict local to this call."""
     a_chi = as_ratfunc(a_chi, p)
     q = (a_chi / as_ratfunc(a_psi, p)) * ell_pow(-2, p)
+    monomials = {}
 
-    def value(g) -> RatFunc:
-        g = [[Fraction(x) for x in row] for row in g]
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        if det == 0:
-            raise ZeroDivisionError("g must be invertible")
-        r = (g[1][0], g[1][1])
-        m = min(val(c, p) for c in r if c != 0)
-        j_min = -phi.s - m
-        j_top = max(phi.n - m, j_min)
-        shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
-        shells.append(_rat(phi.value_at(0, 0)))
+    def value(terms) -> RatFunc:
         total = as_ratfunc(0, p)
-        for j, c, c_prev in zip(range(j_min, j_top + 1), shells,
-                                [0] + shells):
-            if c != c_prev:
-                total = total + as_ratfunc(c - c_prev, p) * q ** j
-        d = val(det, p)
-        return a_chi ** d * ell_pow(-d, p) * total
+        for (d, j), c in terms.items():
+            if (d, j) not in monomials:
+                monomials[d, j] = a_chi ** d * ell_pow(-d, p) * q ** j
+            total = total + as_ratfunc(c, p) * monomials[d, j]
+        return total
     return value
 
 
@@ -135,17 +156,17 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
         raise ValueError("mode must be 'closed' or 'direct'")
 
     g = [[Fraction(x) for x in row] for row in g]
-    f_at = _section(phi, a_chi, a_psi)
-    fg = f_at(g)                      # raises unless g is invertible
+    value = _characters(a_chi, a_psi, p)
+    fg = value(_section_terms(phi, g))    # raises unless g is invertible
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     # g^{-1} = adj(g) / det g, so min_val(g^{-1}) = min_val(g) - val(det g)
     top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
 
     def average(points):
-        total = as_ratfunc(0, p)
+        terms, weight = {}, Q(1, len(points))
         for h in points:
-            total = total + f_at(h)
-        return total * as_ratfunc(Q(1, len(points)), p)
+            _section_terms(phi, h, terms, weight)
+        return value(terms)
 
     # integral over u in Z_l
     total = average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
@@ -185,11 +206,14 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
     level t.  With unramified characters a section on GL2(Z_l) depends
     only on the line of the bottom row, so the integral is the exact
     average over P^1(Z/l^t)."""
-    f1, f2 = _section(*sec1), _section(*sec2)
+    (phi1, *chars1), (phi2, *chars2) = sec1, sec2
+    value1 = _characters(*chars1, phi1.p)
+    value2 = _characters(*chars2, phi2.p)
     reps = projective_line_reps(p, max(t, 1))
     total = as_ratfunc(0, p)
     for g in reps:
-        total = total + f1(g) * f2(g)
+        total = total + (value1(_section_terms(phi1, g))
+                         * value2(_section_terms(phi2, g)))
     return total * as_ratfunc(Q(1, len(reps)), p)
 
 
@@ -201,11 +225,12 @@ def support_check(phi: SchwartzFn, a_chi, a_psi, t: int) -> bool:
     if t == 0:
         return True
     mod = p ** t
-    f = _section(phi, a_chi, a_psi)
+    value = _characters(a_chi, a_psi, p)
     for rep in projective_line_reps(p, t):
-        c, d = rep[1]
-        in_k0 = (c % mod == 0)
-        value = f(rep)
-        if not in_k0 and value != as_ratfunc(0, p):
+        if rep[1][0] % mod == 0:      # inside K0(l^t)
+            continue
+        # q may be 1, so a nonempty table can still sum to zero
+        terms = _section_terms(phi, rep)
+        if terms and value(terms):
             return False
     return True

@@ -1,5 +1,6 @@
 """Tests for the algebraic representation theory module."""
 
+import copy
 import itertools
 import math
 import random
@@ -208,6 +209,16 @@ def test_central_and_dual_characters(reps):
     for rep in reps.values():
         assert br.central_character_check(rep)
         assert br.dual_character_check(rep)
+
+
+def test_character_checks_detect_a_wrong_highest_weight(reps):
+    # the built module of (a, b) read as that of (a + 1, b): both checks
+    # compare against 2a + b, which moves by 2
+    for rep in reps.values():
+        wrong = copy.copy(rep)
+        wrong.a += 1
+        assert not br.central_character_check(wrong)
+        assert not br.dual_character_check(wrong)
 
 
 # ---------------------------------------------- fraction-free echelon form

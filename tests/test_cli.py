@@ -467,6 +467,23 @@ def _fourier_negated(monkeypatch):
         monkeypatch.setattr(module, "fourier", negated)
 
 
+def _unit_average_scaled(monkeypatch):
+    # every shell average of every section times 1 + 1/l
+    from fractions import Fraction
+    from gsp4verify import gl2local
+    good = gl2local._unit_average
+    monkeypatch.setattr(gl2local, "_unit_average", lambda phi, j, r:
+                        good(phi, j, r) * (1 + Fraction(1, phi.p)))
+
+
+def _decompose_drops_a_weight(monkeypatch):
+    # the first weight of each expected summand of the restriction law
+    from gsp4verify import branching
+    good = branching._w_cd_weights
+    monkeypatch.setattr(branching, "_w_cd_weights",
+                        lambda c, d, q: good(c, d, q)[1:])
+
+
 def _depth_volume_off_by_ell(monkeypatch):
     from gsp4verify import besselzeta
     from gsp4verify.symcore import ell
@@ -504,7 +521,9 @@ def _euler_eigenvalue_times_ell(monkeypatch):
     ("frobrecip", _euler_eigenvalue_times_ell),
     ("branching", _lie_n0_wedge_negated),
     ("branching", _lie_m3_wedge_negated),
+    ("branching", _decompose_drops_a_weight),
     ("gl2", _fourier_negated),
+    ("gl2", _unit_average_scaled),
     ("tame-norm", _depth_volume_off_by_ell),
     ("hecke", _borel_factor_off_by_v),
     ("hecke", _product_drops_a_denominator),

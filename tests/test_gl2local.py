@@ -60,6 +60,24 @@ def _eval_siegel_reference(phi, a_chi, a_psi, g):
     return prefactor * total
 
 
+def _unit_average_reference(phi, j, r):
+    """The unit average as a Fraction loop over phi.value_at at each unit
+    mod l^max(1, n - j - val(r))."""
+    p = phi.p
+    m = min(val(c, p) for c in r if c != 0)
+    n_mod = max(1, phi.n - (j + m))
+    scale = Q(p) ** j
+    total = None
+    count = 0
+    for u in range(1, p ** n_mod):
+        if u % p == 0:
+            continue
+        value = phi.value_at(scale * u * r[0], scale * u * r[1])
+        total = value if total is None else total + value
+        count += 1
+    return gl._rat(total) / count
+
+
 def _dual_pairing_reference(sec1, sec2, t, p):
     """The duality pairing as the average over all of GL2(Z/l^t)."""
     mod = p ** max(t, 1)
@@ -124,16 +142,22 @@ def test_section_value_at_identity(p):
         assert gl.eval_siegel(phi_t(p, t), ac, ap, I2) == linv
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_eval_siegel_matches_reference(p):
-    al, be, X = chars(p)
-    phis = [SchwartzFn.lattice_product(p, 0, 0),
+def reference_phis(p):
+    """Schwartz functions of scale 0 and 1, levels -1 to 2, and one with
+    Cyc values."""
+    return [SchwartzFn.lattice_product(p, 0, 0),
             SchwartzFn.lattice_product(p, -1, 1),
             SchwartzFn.lattice_product(p, 2, -1),
             SchwartzFn.unit_column(p, 1), SchwartzFn.unit_column(p, 2),
             SchwartzFn.depth_pair(p, 1), SchwartzFn.depth_pair(p, 2),
             SchwartzFn.coset(p, Q(1, p), 1, 1),
             fourier(SchwartzFn.coset(p, 0, 1, 1))]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_eval_siegel_matches_reference(p):
+    al, be, X = chars(p)
+    phis = reference_phis(p)
     assert any(phi.s > 0 for phi in phis)
     assert any(not isinstance(c, Q) for c in phis[-1].table.values())
     points = [I2, W, ((p, 0), (0, 1)), ((1, 0), (Q(1, p), 1)),
@@ -144,6 +168,22 @@ def test_eval_siegel_matches_reference(p):
             for ac, ap in characters:
                 assert (gl.eval_siegel(phi, ac, ap, g)
                         == _eval_siegel_reference(phi, ac, ap, g))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unit_average_matches_reference(p):
+    # every shell the section reads, one on each side of them, and rows
+    # with l in a denominator, denominators prime to l and a zero entry
+    rows = [(Q(1, p), 1), (1, Q(1, p * p)), (p, Q(1, 5)), (Q(1, 5), Q(2, 7)),
+            (0, Q(1, p)), (Q(2, 7), 0), (1, 1 + p)]
+    for phi in reference_phis(p):
+        for r in rows:
+            m = min(val(c, p) for c in r if c != 0)
+            j_min = -phi.s - m
+            j_top = max(phi.n - m, j_min)
+            for j in range(j_min - 1, j_top + 2):
+                assert (gl._unit_average(phi, j, r)
+                        == _unit_average_reference(phi, j, r))
 
 
 def test_section_value_where_q_is_one():
