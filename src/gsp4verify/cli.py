@@ -9,12 +9,15 @@ configuration was invalid.
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
+from itertools import product
 
 from .symcore import as_ratfunc, ell_pow, sym
 
@@ -30,8 +33,9 @@ class ConfigError(ValueError):
     """Invalid runner configuration."""
 
 
-#: the largest depth and weight bounds the suites are built and budgeted for
-_BOUND_TOPS = {"k_max": 2, "t_max": 3, "m_max": 2, "n_max": 2}
+#: the largest depth and weight bounds the suites are built and budgeted
+#: for; a_max and b_max are the largest a and b of branching.grid()
+_BOUND_TOPS = dict(a_max=3, b_max=4, k_max=2, t_max=3, m_max=2, n_max=2)
 
 
 @dataclass
@@ -62,15 +66,12 @@ class SuiteConfig:
                 if p not in _SMALL_PRIMES:
                     raise ConfigError(
                         "prime %s outside supported range (2..7)" % p)
-        for name in ("a_max", "b_max", "k_max", "t_max", "m_max", "n_max"):
+        for name, top in _BOUND_TOPS.items():
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ConfigError("%s must be a non-negative integer" % name)
-            if v > _BOUND_TOPS.get(name, v):
-                raise ConfigError("%s must be at most %d"
-                                  % (name, _BOUND_TOPS[name]))
-        if 6 ** self.a_max > 6 ** 3 * 4 ** 4 or 4 ** self.b_max > 6 ** 3 * 4 ** 4:
-            raise ConfigError("weight bounds exceed the size budget")
+            if v > top:
+                raise ConfigError("%s must be at most %d" % (name, top))
         if self.parallelism < 1:
             raise ConfigError("parallelism must be positive")
         if self.fmt not in ("json", "tsv", "human"):
@@ -85,25 +86,19 @@ def _canon(x):
 
 
 # ---------------------------------------------------------------------------
-# suite case builders: each takes the config and the run's shared(key)
-# lookup (see build_cases) and yields (case_id, params, fn) where fn()
-# returns (ok, lhs, rhs) with lhs/rhs optional.
+# suite case builders: each takes the config and yields (case_id, params,
+# needs, check).  needs names the shared values the check reads, by key
+# (see _SHARED); check(*values) takes them in that order and returns
+# (ok, lhs, rhs), lhs and rhs optional.  partial binds its other arguments.
 # ---------------------------------------------------------------------------
 
-def _boolcase(fn):
-    def run():
-        ok = fn()
-        if ok:
-            return True, None, None
-        return False, "check returned False", "check returned True"
-    return run
+def _holds(ok):
+    """The verdict of a check that returns a truth value."""
+    return ok, "check returned False", "check returned True"
 
 
-def _eqcase(lhs_fn, rhs_fn):
-    def run():
-        lhs, rhs = lhs_fn(), rhs_fn()
-        return lhs == rhs, lhs, rhs
-    return run
+def _equal(lhs, rhs):
+    return lhs == rhs, lhs, rhs
 
 
 def _primes(config, default):
@@ -112,219 +107,222 @@ def _primes(config, default):
     return default
 
 
-def _cases_gl2(config, shared):
-    from .padic import SchwartzFn, fourier
+def _gl2_phis(p):
+    """The Schwartz functions of the gl2 intertwine and adjoint cases."""
+    from .padic import SchwartzFn
+    return [SchwartzFn.lattice_product(p, 0, 0), SchwartzFn.unit_column(p, 1),
+            SchwartzFn.coset(p, 0, 1, 1)]
+
+
+def _cases_gl2(config):
+    from .padic import SchwartzFn
     from . import gl2local as gl
+    i2 = ((1, 0), (0, 1))
 
     def phi_t(p, t):
-        if t == 0:
-            return SchwartzFn.lattice_product(p, 0, 0)
-        return SchwartzFn.unit_column(p, t)
+        return (SchwartzFn.unit_column(p, t) if t
+                else SchwartzFn.lattice_product(p, 0, 0))
 
-    w = ((0, 1), (-1, 0))
-    i2 = ((1, 0), (0, 1))
+    def value(p, t, ac, ap, expected):
+        return _equal(gl.eval_siegel(phi_t(p, t), ac, ap, i2), expected)
+
+    def support(p, t, ac, ap):
+        return _holds(gl.support_check(phi_t(p, t), ac, ap, t))
+
+    def intertwine(phi, ac, ap, g):
+        return _equal(gl.intertwine(phi, ac, ap, g, "closed"),
+                      gl.intertwine(phi, ac, ap, g, "direct"))
+
+    def adjoint(p, phi1, phi2, ac, ap, hat1, hat2):
+        one = as_ratfunc(1, p)
+        lf = one - (ac / ap) * ell_pow(-2, p)
+        f1, f2 = (phi1, ac, ap), (phi2, one / ap, one / ac)
+        mf1, mf2 = (hat1, ap, ac), (hat2, one / ac, one / ap)
+        return _equal(lf * gl.dual_pairing(mf1, f2, 1, p),
+                      lf * gl.dual_pairing(f1, mf2, 1, p))
+
     for p in _primes(config, (2, 3)):
         al, be, x = sym("alpha", p), sym("beta", p), sym("X", p)
         ac, ap = al * x, be / x
         one = as_ratfunc(1, p)
         linv = one - (al / be) * x * x * ell_pow(-2, p)
         for t in range(config.t_max + 1):
-            expected = one if t == 0 else linv
-            yield ("value-l%d-t%d" % (p, t), {"ell": p, "t": t},
-                   _eqcase(lambda p=p, t=t, ac=ac, ap=ap:
-                           gl.eval_siegel(phi_t(p, t), ac, ap, i2),
-                           lambda e=expected: e))
-            yield ("support-l%d-t%d" % (p, t), {"ell": p, "t": t},
-                   _boolcase(lambda p=p, t=t, ac=ac, ap=ap:
-                             gl.support_check(phi_t(p, t), ac, ap, t)))
-        phis = [SchwartzFn.lattice_product(p, 0, 0),
-                SchwartzFn.unit_column(p, 1),
-                SchwartzFn.coset(p, 0, 1, 1)]
-        from fractions import Fraction as _Q
-        points = [i2, w, ((p, 0), (0, 1)), ((1, 0), (_Q(1, p), 1))]
+            yield ("value-l%d-t%d" % (p, t), {"ell": p, "t": t}, (),
+                   partial(value, p, t, ac, ap, one if t == 0 else linv))
+            yield ("support-l%d-t%d" % (p, t), {"ell": p, "t": t}, (),
+                   partial(support, p, t, ac, ap))
+        phis = _gl2_phis(p)
+        points = [i2, ((0, 1), (-1, 0)), ((p, 0), (0, 1)),
+                  ((1, 0), (Fraction(1, p), 1))]
         for i, phi in enumerate(phis):
             for j, g in enumerate(points):
                 yield ("intertwine-l%d-phi%d-pt%d" % (p, i, j),
-                       {"ell": p, "phi": i, "point": j},
-                       _eqcase(lambda phi=phi, g=g, ac=ac, ap=ap:
-                               gl.intertwine(phi, ac, ap, g, "closed"),
-                               lambda phi=phi, g=g, ac=ac, ap=ap:
-                               gl.intertwine(phi, ac, ap, g, "direct")))
+                       {"ell": p, "phi": i, "point": j}, (),
+                       partial(intertwine, phi, ac, ap, g))
         for i, phi1 in enumerate(phis):
             for j, phi2 in enumerate(phis):
-                def adj(phi1=phi1, phi2=phi2, ac=ac, ap=ap, p=p, one=one):
-                    f1 = (phi1, ac, ap)
-                    f2 = (phi2, one / ap, one / ac)
-                    lf = one - (ac / ap) * ell_pow(-2, p)
-                    mf1 = (fourier(phi1), ap, ac)
-                    mf2 = (fourier(phi2), one / ac, one / ap)
-                    lhs = lf * gl.dual_pairing(mf1, f2, 1, p)
-                    rhs = lf * gl.dual_pairing(f1, mf2, 1, p)
-                    return lhs == rhs, lhs, rhs
                 yield ("adjoint-l%d-phi%d%d" % (p, i, j),
-                       {"ell": p, "phi1": i, "phi2": j}, adj)
+                       {"ell": p, "phi1": i, "phi2": j},
+                       (("fourier", p, i), ("fourier", p, j)),
+                       partial(adjoint, p, phi1, phi2, ac, ap))
 
 
-def _cases_hecke(config, shared):
+def _cases_hecke(config):
     from .gsp4local import PrincipalSeriesG, hecke_poly_check
+
+    def polynomial(p):
+        return hecke_poly_check(PrincipalSeriesG.formal(p))
     for p in _primes(config, (2, 3, 5)):
-        yield ("polynomial-l%d" % p, {"ell": p},
-               lambda p=p: hecke_poly_check(PrincipalSeriesG.formal(p)))
+        yield "polynomial-l%d" % p, {"ell": p}, (), partial(polynomial, p)
 
 
-def _cases_parahoric(config, shared):
+def _cases_parahoric(config):
     from .gsp4local import (PrincipalSeriesG, spin_reciprocal,
                             u_matrix_char_poly)
+
+    def charpoly(sigma, x):
+        return _equal(u_matrix_char_poly(sigma, x), spin_reciprocal(sigma, x))
     for p in _primes(config, (2, 3)):
-        sigma = PrincipalSeriesG.formal(p)
-        x = sym("x", p)
-        yield ("u-charpoly-l%d" % p, {"ell": p},
-               _eqcase(lambda sigma=sigma, x=x: u_matrix_char_poly(sigma, x),
-                       lambda sigma=sigma, x=x: spin_reciprocal(sigma, x)))
+        yield ("u-charpoly-l%d" % p, {"ell": p}, (),
+               partial(charpoly, PrincipalSeriesG.formal(p), sym("x", p)))
 
 
-def _cases_bessel(config, shared):
+def _cases_bessel(config):
     from .besselzeta import (ZETA_ORDER, BesselDatum, zeta,
                              zeta_spherical_closed, zeta_ul_closed)
     datum = BesselDatum.formal(None)
-    yield ("zeta-spherical", {"order": ZETA_ORDER},
-           _eqcase(lambda: zeta("spherical", datum),
-                   lambda: zeta_spherical_closed(datum)))
-    yield ("zeta-ul", {"order": ZETA_ORDER},
-           _eqcase(lambda: zeta("ul", datum),
-                   lambda: zeta_ul_closed(datum)))
+    yield ("zeta-spherical", {"order": ZETA_ORDER}, (), lambda: _equal(
+        zeta("spherical", datum), zeta_spherical_closed(datum)))
+    yield ("zeta-ul", {"order": ZETA_ORDER}, (), lambda: _equal(
+        zeta("ul", datum), zeta_ul_closed(datum)))
 
 
-def _cases_tame_norm(config, shared):
+def _cases_tame_norm(config):
     from .besselzeta import (tame_norm_check, tame_norm_final_check,
                              tame_norm_ul_check)
-    kmax = config.k_max
-    for t in range(1, config.t_max + 1):
-        for k1 in range(kmax + 1):
-            for k2 in range(kmax + 1):
-                yield ("depth-t%d-k%d%d" % (t, k1, k2),
-                       {"t": t, "k1": k1, "k2": k2},
-                       lambda t=t, key=("pairing", k1, k2, None):
-                       tame_norm_check(t, shared(key)))
-    for k1 in range(kmax + 1):
-        for k2 in range(kmax + 1):
-            yield ("ul-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda key=("pairing", k1, k2, None):
-                   tame_norm_ul_check(shared(key)))
-    for k1 in range(1, kmax + 1):
-        for k2 in range(1, kmax + 1):
-            yield ("final-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda key=("pairing", k1, k2, None):
-                   tame_norm_final_check(shared(key)))
+    weights = range(config.k_max + 1)
+    for k1, k2 in product(weights, weights):
+        need, params = (("pairing", k1, k2, None),), {"k1": k1, "k2": k2}
+        for t in range(1, config.t_max + 1):
+            yield ("depth-t%d-k%d%d" % (t, k1, k2), dict(params, t=t), need,
+                   partial(tame_norm_check, t))
+        yield "ul-k%d%d" % (k1, k2), params, need, tame_norm_ul_check
+        if k1 and k2:
+            yield ("final-k%d%d" % (k1, k2), params, need,
+                   tame_norm_final_check)
 
 
-def _cases_wild_norm(config, shared):
+def _cases_wild_norm(config):
     from .normrel import indept_identity, wild_coset_identity
+
+    def wild(p, m, n):
+        ok, report = wild_coset_identity(p, m, n)
+        return ok, None if ok else json.dumps(report, default=str), None
+
+    def indep(p, big_t):
+        ok, size = indept_identity(p, 1, big_t)
+        want = p ** (4 * (big_t - 1))
+        return ok and size == want, size, want
+
     for p in _primes(config, (2, 3)):
         for m in range(config.m_max + 1):
-            for n in range(1, config.n_max + 1):
-                if n < max(m, 1):
-                    continue
-                def wild(p=p, m=m, n=n):
-                    ok, report = wild_coset_identity(p, m, n)
-                    if ok:
-                        return True, None, None
-                    return False, json.dumps(report, default=str), None
+            for n in range(max(m, 1), config.n_max + 1):
                 yield ("coset-l%d-m%d-n%d" % (p, m, n),
-                       {"ell": p, "m": m, "n": n}, wild)
+                       {"ell": p, "m": m, "n": n}, (), partial(wild, p, m, n))
         for big_t in range(2, config.t_max + 1):
             # transversal size p^{4(t-T)}: pairwise checks are quadratic,
             # so keep the sweep at desk scale
-            if p ** (4 * (big_t - 1)) > 1024:
-                continue
-            def indep(p=p, big_t=big_t):
-                ok, size = indept_identity(p, 1, big_t)
-                want = p ** (4 * (big_t - 1))
-                return ok and size == want, size, want
-            yield ("indept-l%d-T1-t%d" % (p, big_t),
-                   {"ell": p, "T": 1, "t": big_t}, indep)
+            if p ** (4 * (big_t - 1)) <= 1024:
+                yield ("indept-l%d-T1-t%d" % (p, big_t),
+                       {"ell": p, "T": 1, "t": big_t}, (),
+                       partial(indep, p, big_t))
 
 
-def _cases_branching(config, shared):
+def _cases_branching(config):
     from .branching import (TensorSpace, branch_decompose,
                             central_character_check, dual_character_check,
                             grid, rep_dimension_formula, twist_lemma_check)
+
+    def dimension(a, b, rep):
+        return _equal(rep.dimension, rep_dimension_formula(a, b))
+
+    def decompose(a, b, rep):
+        return _holds(sum((c + 1) * (d + 1) for c, d, q
+                          in branch_decompose(rep))
+                      == rep_dimension_formula(a, b))
+
+    def twist(a, b, q, h, v, v0):
+        return twist_lemma_check(TensorSpace(a, b), v, v0, q, h)
+
     pairs = [(a, b) for (a, b) in grid()
              if a <= config.a_max and b <= config.b_max]
     for a, b in pairs:
-        key = ("rep", a, b)
-        yield ("dimension-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _eqcase(lambda key=key: shared(key).dimension,
-                       lambda a=a, b=b: rep_dimension_formula(a, b)))
-        yield ("decompose-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda key=key, a=a, b=b:
-                         sum((c + 1) * (d + 1) for c, d, q
-                             in branch_decompose(shared(key)))
-                         == rep_dimension_formula(a, b)))
-        yield ("dual-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda key=key: dual_character_check(shared(key))))
-        yield ("central-a%d-b%d" % (a, b), {"a": a, "b": b},
-               _boolcase(lambda key=key:
-                         central_character_check(shared(key))))
+        need, params = (("rep", a, b),), {"a": a, "b": b}
+        yield ("dimension-a%d-b%d" % (a, b), params, need,
+               partial(dimension, a, b))
+        yield ("decompose-a%d-b%d" % (a, b), params, need,
+               partial(decompose, a, b))
+        yield ("dual-a%d-b%d" % (a, b), params, need,
+               lambda rep: _holds(dual_character_check(rep)))
+        yield ("central-a%d-b%d" % (a, b), params, need,
+               lambda rep: _holds(central_character_check(rep)))
     for a, b in pairs:
         if 6 ** a * 4 ** b > 200:
             continue
         for q in range(a + 1):
             for r in range(b + 1):
-                key, key0 = ("hw", a, b, q, r), ("hw", a, b, 0, r)
-                yield ("hw-a%d-b%d-q%d-r%d" % (a, b, q, r),
-                       {"a": a, "b": b, "q": q, "r": r},
-                       lambda key=key: (bool(shared(key)), None, None))
+                hw, hw0 = ("hw", a, b, q, r), ("hw", a, b, 0, r)
+                params = {"a": a, "b": b, "q": q, "r": r}
+                yield ("hw-a%d-b%d-q%d-r%d" % (a, b, q, r), params, (hw,),
+                       lambda v: (bool(v), None, None))
                 for h in (1, -1):
                     yield ("twist-a%d-b%d-q%d-r%d-h%d" % (a, b, q, r, h),
-                           {"a": a, "b": b, "q": q, "r": r, "h": h},
-                           lambda a=a, b=b, q=q, h=h, key=key, key0=key0:
-                           twist_lemma_check(TensorSpace(a, b), shared(key),
-                                             shared(key0), q, h))
+                           dict(params, h=h), (hw, hw0),
+                           partial(twist, a, b, q, h))
 
 
-def _cases_local_data(config, shared):
+def _cases_local_data(config):
     from .normrel import make_local_data, sufficiency_check
+
+    def exists(kind, p, **levels):
+        return _holds(make_local_data(kind, p, **levels) is not None)
+
+    def sufficient(p, m, n):
+        t = sufficiency_check(p, m, n)
+        return t <= n + 2 * m, t, n + 2 * m
+
     for p in _primes(config, (2, 3)):
-        yield ("good-l%d" % p, {"ell": p},
-               _boolcase(lambda p=p: make_local_data("good", p) is not None))
-        yield ("tame-l%d" % p, {"ell": p},
-               _boolcase(lambda p=p: make_local_data("tame", p) is not None))
+        for kind in ("good", "tame"):
+            yield ("%s-l%d" % (kind, p), {"ell": p}, (),
+                   partial(exists, kind, p))
         for m in range(config.m_max + 1):
-            for n in range(1, config.n_max + 1):
-                if n < max(m, 1):
-                    continue
+            for n in range(max(m, 1), config.n_max + 1):
+                params = {"ell": p, "m": m, "n": n}
                 # entry construction validates a depth-(n+2m) table; keep
                 # the sweep at desk scale
                 if p ** (n + 2 * m) <= 100:
-                    yield ("wild-l%d-m%d-n%d" % (p, m, n),
-                           {"ell": p, "m": m, "n": n},
-                           _boolcase(lambda p=p, m=m, n=n:
-                                     make_local_data("wild", p, m=m, n=n)
-                                     is not None))
-                def suff(p=p, m=m, n=n):
-                    t = sufficiency_check(p, m, n)
-                    return t <= n + 2 * m, t, n + 2 * m
-                yield ("sufficient-l%d-m%d-n%d" % (p, m, n),
-                       {"ell": p, "m": m, "n": n}, suff)
+                    yield ("wild-l%d-m%d-n%d" % (p, m, n), params, (),
+                           partial(exists, "wild", p, m=m, n=n))
+                yield ("sufficient-l%d-m%d-n%d" % (p, m, n), params, (),
+                       partial(sufficient, p, m, n))
 
 
-def _cases_frobrecip(config, shared):
+def _cases_frobrecip(config):
     from .normrel import frobrecip_pairing_check
-    kmax = max(config.k_max, 1)
-    for k1 in range(1, kmax + 1):
-        for k2 in range(1, kmax + 1):
-            yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-                   lambda key=("pairing", k1, k2, None):
-                   frobrecip_pairing_check(shared(key)))
-    yield ("pairing-concrete-l2", {"ell": 2, "k1": 1, "k2": 1},
-           lambda: frobrecip_pairing_check(shared(("pairing", 1, 1, 2))))
-    def scaled():
+
+    def scaled(datum):
         # the identity is linear in the pairings: it holds for 5/7 of them
-        datum = shared(("pairing", 1, 1, None))
         return frobrecip_pairing_check(replace(datum, base={
             k: Fraction(5, 7) * v for k, v in datum.base.items()}))
-    yield ("pairing-scalar", {"k1": 1, "k2": 1}, scaled)
+
+    weights = range(1, max(config.k_max, 1) + 1)
+    for k1, k2 in product(weights, weights):
+        yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
+               (("pairing", k1, k2, None),), frobrecip_pairing_check)
+    yield ("pairing-concrete-l2", {"ell": 2, "k1": 1, "k2": 1},
+           (("pairing", 1, 1, 2),), frobrecip_pairing_check)
+    yield ("pairing-scalar", {"k1": 1, "k2": 1},
+           (("pairing", 1, 1, None),), scaled)
 
 
 _BUILDERS = {
@@ -344,61 +342,66 @@ _BUILDERS = {
 # runner
 # ---------------------------------------------------------------------------
 
-def _compute_shared(key):
-    """The value that several cases of one run read, named by data:
-    ``("pairing", k1, k2, p)`` is the weight-(k1, k2) tame datum at the
-    prime p (formal if None), ``("rep", a, b)`` the irreducible with
-    highest weight (a+b, a, 0), and ``("hw", a, b, q, r)`` the
-    highest-weight vector of its (q, r) summand in TensorSpace(a, b)."""
-    kind, *args = key
-    if kind == "pairing":
-        from .besselzeta import tame_pairing
-        k1, k2, p = args
-        return tame_pairing(k1, k2, p=p)
-    if kind == "rep":
-        from .branching import build_rep
-        return build_rep(*args)
-    if kind == "hw":
-        from .branching import TensorSpace, hw_vector
-        return hw_vector(*args, TensorSpace(*args[:2]))
-    raise KeyError(key)
+def _lib(name):
+    """A library module, imported on first use, so that a run loads only
+    the layers its cases reach."""
+    return importlib.import_module("." + name, __package__)
+
+
+#: the function that computes a shared value, by the kind heading its key:
+#: ("pairing", k1, k2, p) is the weight-(k1, k2) tame datum at the prime p
+#: (formal if None), ("rep", a, b) the irreducible of highest weight
+#: (a+b, a, 0), ("hw", a, b, q, r) the highest-weight vector of its (q, r)
+#: summand, ("fourier", p, i) the transform of _gl2_phis(p)[i]
+_SHARED = {
+    "pairing": lambda k1, k2, p: _lib("besselzeta").tame_pairing(k1, k2, p=p),
+    "rep": lambda a, b: _lib("branching").build_rep(a, b),
+    "hw": lambda a, b, q, r: _lib("branching").hw_vector(
+        a, b, q, r, _lib("branching").TensorSpace(a, b)),
+    "fourier": lambda p, i: _lib("padic").fourier(_gl2_phis(p)[i]),
+}
 
 
 def build_cases(config):
     """The run's cases as (suite, case_id, params, fn) with fn() taking
-    no argument.  Nothing is computed here.  A case reads a value that
-    several cases need through shared(key), which computes it on first
-    use and keeps it for the run.  A computation that raises stores
-    nothing, so every case that needs the value records the same
-    error."""
+    no argument.  Nothing is computed here, and a need of unknown kind
+    raises.  fn computes each value its case needs on first use in the
+    run and keeps it for the run; a computation that raises keeps
+    nothing, so every case that needs the value records the same error."""
     values = {}
 
-    def shared(key):
-        if key not in values:
-            values[key] = _compute_shared(key)
-        return values[key]
+    def supply(needs, check):
+        for key in needs:
+            if key not in values:
+                values[key] = _SHARED[key[0]](*key[1:])
+        return check(*(values[key] for key in needs))
 
-    return [(suite, case_id, params, fn) for suite in config.suites
-            for case_id, params, fn in _BUILDERS[suite](config, shared)]
+    cases = []
+    for suite in config.suites:
+        for case_id, params, needs, check in _BUILDERS[suite](config):
+            for key in needs:
+                if key[0] not in _SHARED:
+                    raise LookupError("case %s/%s needs %r, a value of no "
+                                      "known kind" % (suite, case_id, key))
+            cases.append((suite, case_id, params,
+                          partial(supply, needs, check)))
+    return cases
 
 
 def _run_case(suite, case_id, params, fn, timings):
     start = time.monotonic()
     try:
         ok, lhs, rhs = fn()
+        status = "pass" if ok else "fail"
     except AssertionError as exc:  # raised by a check whose identity fails
-        ok, lhs, rhs = False, str(exc), None
+        status, lhs, rhs = "fail", str(exc), None
     except Exception as exc:  # a case never aborts the run
-        elapsed = (time.monotonic() - start) * 1000.0
-        return {"suite": suite, "case": case_id, "params": params,
-                "status": "error",
-                "lhs": "%s: %s" % (type(exc).__name__, exc), "rhs": None,
-                "ms": round(elapsed, 3) if timings else 0}
+        status, lhs, rhs = "error", "%s: %s" % (type(exc).__name__, exc), None
     elapsed = (time.monotonic() - start) * 1000.0
+    if status == "pass":  # the sides of a pass are not reported
+        lhs = rhs = None
     return {"suite": suite, "case": case_id, "params": params,
-            "status": "pass" if ok else "fail",
-            "lhs": None if ok else _canon(lhs),
-            "rhs": None if ok else _canon(rhs),
+            "status": status, "lhs": _canon(lhs), "rhs": _canon(rhs),
             "ms": round(elapsed, 3) if timings else 0}
 
 
@@ -503,14 +506,10 @@ def build_config(args):
     for key in ("suite", "ell"):   # repeatable, comma-separated flags
         if getattr(args, key):
             apply(key, ",".join(getattr(args, key)))
-    for key in _INT_KEYS:
+    for key in (*_INT_KEYS, "format", "out"):
         value = getattr(args, key)
         if value is not None:
             apply(key, str(value))
-    if args.format:
-        apply("format", args.format)
-    if args.out:
-        apply("out", args.out)
     config.validate()
     return config
 

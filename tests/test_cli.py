@@ -2,6 +2,7 @@
 determinism, and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -126,7 +127,15 @@ def test_k_config_key(tmp_path):
 
 
 #: each depth or weight bound and the largest value the suites accept
-BOUND_TOPS = [("k", 2), ("t", 3), ("m", 2), ("n", 2)]
+BOUND_TOPS = [("a", 3), ("b", 4), ("k", 2), ("t", 3), ("m", 2), ("n", 2)]
+
+
+def test_weight_tops_are_the_largest_of_the_branching_grid():
+    # a larger a or b would select no more irreducibles of the grid
+    from gsp4verify import branching
+    pairs = list(branching.grid())
+    assert cli._BOUND_TOPS["a_max"] == max(a for a, _ in pairs)
+    assert cli._BOUND_TOPS["b_max"] == max(b for _, b in pairs)
 
 
 @pytest.mark.parametrize("key,top", BOUND_TOPS)
@@ -186,6 +195,24 @@ def test_empty_suite_list_exits_zero(capsys):
     assert cli.emit([], "json") == "[]\n"
 
 
+#: the default JSON report: its record count, its size and its sha256
+DEFAULT_REPORT = (296, 59565, "5a5431e8252cd6699aa50b09a90c0187"
+                              "591da34aa8545f38db16abeb22589b8f")
+
+
+def test_default_report_is_pinned(monkeypatch, capsys):
+    # a change to the runner or a layer keeps the default report, byte
+    # for byte, unless it says why not
+    monkeypatch.delenv(cli.TIMINGS_ENV, raising=False)
+    code, out = run_cli(["--format", "json"], capsys)
+    assert code == 0
+    records = json.loads(out)
+    assert {r["status"] for r in records} == {"pass"}
+    data = out.encode()
+    assert (len(records), len(data), hashlib.sha256(data).hexdigest()) \
+        == DEFAULT_REPORT
+
+
 def test_json_schema_and_exit_code(capsys):
     code, out = run_cli(["--suite", "bessel", "--format", "json"], capsys)
     assert code == 0
@@ -232,12 +259,12 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
-    def bad_builder(config, shared):
-        yield ("always-bad", {}, lambda: (False, "1", "2"))
-        yield ("boom", {}, lambda: 1 / 0)
-        yield ("fine", {}, lambda: (True, None, None))
+    def bad_builder(config):
+        yield ("always-bad", {}, (), lambda: (False, "1", "2"))
+        yield ("boom", {}, (), lambda: 1 / 0)
+        yield ("fine", {}, (), lambda: (True, None, None))
         # a case returns (ok, lhs, rhs); a bare truth value is no verdict
-        yield ("bare", {}, lambda: True)
+        yield ("bare", {}, (), lambda: True)
     monkeypatch.setitem(cli._BUILDERS, "bessel", bad_builder)
     code, out = run_cli(["--suite", "bessel", "--format", "json"], capsys)
     assert code == 1
@@ -252,14 +279,14 @@ def test_failing_case_reports_sides_and_exit_one(capsys, monkeypatch):
 
 
 def test_assertion_error_is_a_fail_and_other_exceptions_errors(monkeypatch):
-    def builder(config, shared):
+    def builder(config):
         def false_identity():
             raise AssertionError("identity does not hold")
 
         def crash():
             raise ArithmeticError("no such value")
-        yield "false", {}, false_identity
-        yield "crash", {}, crash
+        yield "false", {}, (), false_identity
+        yield "crash", {}, (), crash
     monkeypatch.setitem(cli._BUILDERS, "bessel", builder)
     records = cli.run(cli.SuiteConfig(suites=("bessel",)))
     assert [(r["case"], r["status"], r["lhs"], r["rhs"]) for r in records] == [
@@ -358,6 +385,54 @@ def test_branching_builds_each_hw_vector_once(monkeypatch):
                         if r["case"].startswith("hw-"))}
     assert len(wanted) == 31
     assert sorted(built) == sorted(wanted)
+
+
+def test_gl2_computes_each_fourier_transform_once(monkeypatch):
+    # the adjoint cases read the shared transform of each of the three
+    # Schwartz functions per prime; each of the 24 closed-mode intertwine
+    # cases takes its own transform inside gl2local.intertwine
+    from gsp4verify import gl2local, padic
+    fourier = padic.fourier
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return fourier(phi)
+    for module in (padic, gl2local):
+        monkeypatch.setattr(module, "fourier", counting)
+    for _ in range(2):
+        calls.clear()
+        records = cli.run(cli.SuiteConfig(suites=("gl2",)))
+        assert {r["status"] for r in records} == {"pass"}
+        assert len(calls) == 30
+
+
+def test_building_cases_computes_nothing(monkeypatch):
+    # build_cases only names the shared values: none is computed until
+    # a case runs
+    from gsp4verify import besselzeta, branching, padic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shared value was computed")
+    for module, name in [(besselzeta, "tame_pairing"),
+                         (branching, "build_rep"), (branching, "hw_vector"),
+                         (padic, "fourier")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert len(cli.build_cases(cli.SuiteConfig())) == 296
+
+
+def test_unknown_need_fails_at_build_time(monkeypatch):
+    # a need of no known kind is a fault of its suite, found before any
+    # case runs
+    ran = []
+
+    def builder(config):
+        yield "fine", {}, (), lambda: ran.append("fine")
+        yield "odd", {}, (("nonesuch", 1),), lambda value: ran.append("odd")
+    monkeypatch.setitem(cli._BUILDERS, "bessel", builder)
+    with pytest.raises(LookupError, match="bessel/odd"):
+        cli.run(cli.SuiteConfig(suites=("bessel",)))
+    assert ran == []
 
 
 def test_parallelism_starts_no_thread(monkeypatch):
