@@ -319,8 +319,9 @@ def _cases_frobrecip(config):
     for k1, k2 in product(weights, weights):
         yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
                (("pairing", k1, k2, None),), frobrecip_pairing_check)
-    yield ("pairing-concrete-l2", {"ell": 2, "k1": 1, "k2": 1},
-           (("pairing", 1, 1, 2),), frobrecip_pairing_check)
+    for p in _primes(config, (2,)):
+        yield ("pairing-concrete-l%d" % p, {"ell": p, "k1": 1, "k2": 1},
+               (("pairing", 1, 1, p),), frobrecip_pairing_check)
     yield ("pairing-scalar", {"k1": 1, "k2": 1},
            (("pairing", 1, 1, None),), scaled)
 

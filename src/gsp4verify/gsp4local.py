@@ -8,26 +8,28 @@ Exact-arithmetic implementation of:
   spherical or invariant under the Siegel parahoric, via the Iwasawa
   decomposition and the Borel transformation law,
 * spherical Hecke eigenvalues for the three standard double cosets, as
-  sums of the Borel transformation factor over upper triangular coset
-  representatives (no Iwasawa step), and the degree-4 Hecke polynomial
-  identity,
+  sums over the torus types of their left cosets of the Borel factor
+  times the number of cosets of that type, a polynomial in the prime
+  (HECKE_TYPES: no matrix is built), and the degree-4 Hecke polynomial
+  identity, at a pinned or at the formal prime,
 * the 4x4 matrix of the parahoric U-operator on the Siegel-parahoric
   invariants, by one Iwasawa step per (cell, coset), and its
   characteristic polynomial.
 
-Satake parameters are carried as formal symbols pinned to a concrete
-prime; the reserved symbol v is the formal square root of the prime,
-carrying the half-integer modulus exponents.
+Satake parameters are carried as formal symbols, pinned to a concrete
+prime or with the prime formal (p = None); the reserved symbol v is the
+formal square root of the prime, carrying the half-integer modulus
+exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcore import RatFunc, as_ratfunc, ell_pow, sym
-from .padic import (_as_fractions, _diag, _double_coset, _padic_residue,
-                    gsp4_multiplier, identity, iwasawa_gsp4, mat_det,
-                    mat_mul, rref_modp, siegel_u_reps, val, weyl_s1, weyl_s2)
+from .symcore import RatFunc, as_ratfunc, ell, ell_pow, sym
+from .padic import (_padic_residue, gsp4_multiplier, identity, iwasawa_gsp4,
+                    mat_det, mat_mul, rref_modp, siegel_u_reps, val, weyl_s1,
+                    weyl_s2)
 
 
 @dataclass(frozen=True)
@@ -53,17 +55,20 @@ class PrincipalSeriesG:
         return self.alpha * self.beta * self.c ** 2
 
 
-def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:
+def _borel(sigma: PrincipalSeriesG, a: int, b: int, c: int) -> RatFunc:
     """Transformation factor of the principal series on an upper
-    triangular similitude element with diagonal (a, b, c/b, c/a):
-    |a^2 b| / |c|^{3/2} * chi1(a) chi2(b) rho(c)."""
+    triangular similitude element with diagonal (x, y, z/y, z/x), given
+    the valuations a, b, c of x, y and z:
+    |x^2 y| / |z|^{3/2} * chi1(x) chi2(y) rho(z)."""
+    return (ell_pow(3 * c - 2 * (2 * a + b), sigma.p) * sigma.alpha ** a
+            * sigma.beta ** b * sigma.c ** c)
+
+
+def borel_factor(sigma: PrincipalSeriesG, b) -> RatFunc:
+    """The Borel factor of the upper triangular similitude matrix b."""
     p = sigma.p
-    a_val = val(b[0][0], p)
-    b_val = val(b[1][1], p)
-    c_val = val(gsp4_multiplier(b), p)
-    mod = ell_pow(-2 * (2 * a_val + b_val) + 3 * c_val, p)
-    return (mod * sigma.alpha ** a_val * sigma.beta ** b_val
-            * sigma.c ** c_val)
+    return _borel(sigma, val(b[0][0], p), val(b[1][1], p),
+                  val(gsp4_multiplier(b), p))
 
 
 # -- cells of the Siegel-parahoric quotient -------------------------------------
@@ -135,32 +140,34 @@ def eval_induced(f: InducedVectorG, g) -> RatFunc:
 
 # -- spherical Hecke operators ---------------------------------------------------
 
-def _coset_reps(op: str, p: int):
-    """Left coset representatives of the double coset of op, as (r, d)."""
-    if op == "R":
-        return [_diag(p, p, p, p)]
-    return _double_coset({"T": (0, 0, 1, 1), "T1": (0, 1, 1, 2)}[op], p)
+#: The left cosets of each spherical Hecke double coset K a K, by torus
+#: type: every coset holds an upper triangular n t, t = diag(l^d), and the
+#: type d (the valuations of the diagonal of n t) maps to the number of
+#: cosets of that type, a polynomial in l (Roberts & Schmidt, Local
+#: Newforms for GSp(4), LNM 1918, section 6.1).  On a Weyl-orbit type the
+#: count is the product of the root ranges l^(a + d_r - d_j) that
+#: padic.enumerate_double_coset loops over; the central type of T1 counts
+#: the l^2 - 1 symmetric rank-1 2x2 matrices over F_l.
+HECKE_TYPES = {
+    "T": {(0, 0, 1, 1): lambda l: 1, (0, 1, 0, 1): lambda l: l,
+          (1, 0, 1, 0): lambda l: l ** 2, (1, 1, 0, 0): lambda l: l ** 3},
+    "T1": {(0, 1, 1, 2): lambda l: 1, (1, 0, 2, 1): lambda l: l,
+           (1, 1, 1, 1): lambda l: l ** 2 - 1,
+           (1, 2, 0, 1): lambda l: l ** 3, (2, 1, 1, 0): lambda l: l ** 4},
+    "R": {(1, 1, 1, 1): lambda l: 1},
+}
 
 
 def hecke_eigenvalue(op: str, sigma: PrincipalSeriesG) -> RatFunc:
-    """Eigenvalue of the spherical Hecke operator on the spherical
-    vector: the sum of its values over the left coset representatives.
-    The representatives are upper triangular and the spherical vector is
-    1 on GSp4(Z_p), so each value is the Borel factor, which depends only
-    on the valuations of the diagonal, read off r / d as val(r_ii) -
-    val(d): the sum is taken over those, each Borel factor times the
-    number of representatives that share it."""
-    p = sigma.p
-    groups = {}     # diagonal valuations -> [a representative, count]
-    for x in _coset_reps(op, p):
-        r, d = x
-        if any(r[i][j] for i in range(4) for j in range(i)):
-            raise ArithmeticError("Hecke representative is not in the Borel")
-        groups.setdefault(tuple(val(r[i][i], p) - val(d, p)
-                                for i in range(4)), [x, 0])[1] += 1
-    total = as_ratfunc(0, p)
-    for x, count in groups.values():
-        total = total + count * borel_factor(sigma, _as_fractions(x))
+    """Eigenvalue of the spherical Hecke operator op on the spherical
+    vector: its sum over the left cosets n t K.  The spherical vector is
+    1 on GSp4(Z_l), so each coset contributes the Borel factor of its
+    type d, and the sum is taken over HECKE_TYPES[op], each factor times
+    the count of its type, at a pinned or at the formal prime."""
+    lp = ell(sigma.p)
+    total = as_ratfunc(0, sigma.p)
+    for d, count in HECKE_TYPES[op].items():
+        total = total + count(lp) * _borel(sigma, d[0], d[1], d[0] + d[3])
     return total
 
 
@@ -168,13 +175,12 @@ def hecke_polynomial(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:
     """The degree-4 Hecke polynomial evaluated on the computed spherical
     eigenvalues: 1 - T x + l (T1 + (l^2+1) R) x^2 - l^3 T R x^3
     + l^6 R^2 x^4."""
-    p = sigma.p
+    lp = ell(sigma.p)
     t = hecke_eigenvalue("T", sigma)
     t1 = hecke_eigenvalue("T1", sigma)
     r = hecke_eigenvalue("R", sigma)
-    one = as_ratfunc(1, p)
-    return (one - t * x + p * (t1 + (p * p + 1) * r) * x ** 2
-            - p ** 3 * t * r * x ** 3 + p ** 6 * r * r * x ** 4)
+    return (1 - t * x + lp * (t1 + (lp ** 2 + 1) * r) * x ** 2
+            - lp ** 3 * t * r * x ** 3 + lp ** 6 * r * r * x ** 4)
 
 
 def spin_reciprocal(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:

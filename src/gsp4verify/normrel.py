@@ -26,7 +26,7 @@ from .padic import (LevelSpec, SchwartzFn, _act, _as_fractions, _coset_block,
                     _diag, _embed_rows, _in_level, _int_rows, _inverse,
                     _multiplier, _product, _root_unipotent, _transpose,
                     siegel_parahoric_reps)
-from .symcore import as_ratfunc, ell, ell_pow
+from .symcore import ell
 
 Q = Fraction
 
@@ -76,16 +76,9 @@ class XiElt:
             return NotImplemented
         if (self.p, self.level) != (other.p, other.level):
             return False
-        a, b = self._collapse(), other._collapse()
-        if len(a) != len(b):
-            return False
-        b_inv = [(_inverse(g2), c2) for g2, c2 in b]
-        for g, c in a:
-            if not any(c == c2 and _in_level(_product(g2_inv, g),
-                                             self.level, self.p)
-                       for g2_inv, c2 in b_inv):
-                return False
-        return True
+        # equal exactly when their difference leaves no coset
+        return not XiElt(self.p, self.level, self.terms + tuple(
+            (g, -c) for g, c in other.terms))._collapse()
 
 
 # -- the local-data catalog ------------------------------------------------------
@@ -404,28 +397,14 @@ def euler_element_eigenvalue(sigma):
 
         1 - T/p + (T1 + (p^2+1) R)/p - T R + p^2 R^2,
 
-    computed from the individual double-coset eigenvalues (by explicit
-    coset enumeration when the prime is concrete)."""
-    p = sigma.p
-    lp = ell(p)
-    if p is None:
-        al, be, c = sigma.alpha, sigma.beta, sigma.c
-        t = ell_pow(3, p) * c * (1 + al) * (1 + be)
-        r = al * be * c * c
-        # recover T1 + (p^2+1) R from the quartic coefficient identity
-        # e2 * p^3 = p (T1 + (p^2+1) R)
-        gammas = sigma.spin_params()
-        e2 = as_ratfunc(0, p)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                e2 = e2 + gammas[i] * gammas[j]
-        t1pr = e2 * ell_pow(6, p) / lp   # = T1 + (p^2 + 1) R
-    else:
-        t = hecke_eigenvalue("T", sigma)
-        r = hecke_eigenvalue("R", sigma)
-        t1pr = hecke_eigenvalue("T1", sigma) + (lp ** 2 + 1) * r
-    one = as_ratfunc(1, p)
-    return one - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
+    from the double-coset eigenvalues of T, T1 and R, each a sum over the
+    coset counts per torus type of gsp4local.HECKE_TYPES, at a pinned or
+    at the formal prime."""
+    lp = ell(sigma.p)
+    t = hecke_eigenvalue("T", sigma)
+    r = hecke_eigenvalue("R", sigma)
+    t1pr = hecke_eigenvalue("T1", sigma) + (lp ** 2 + 1) * r
+    return 1 - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
 
 
 def frobrecip_pairing_check(datum: TameDatum, perturb: bool = False):

@@ -817,14 +817,9 @@ def enumerate_double_coset(exps, p: int):
     gives exactly the cosets of K a K, except that a long root with
     d_r = d_j needs a = 0 (a unit entry there gives the elementary
     divisors of diag(1, 1, p^2, p^2)).  On the central type b = p n is
-    kept iff it is integral and of rank 1 mod p.  Counts per type: 1, p,
-    p^2, p^3 for T, and 1, p, p^2 - 1, p^3, p^4 for T1 (Roberts &
-    Schmidt, Local Newforms for GSp(4), section 6.1)."""
-    return [_as_fractions(x) for x in _double_coset(exps, p)]
-
-
-def _double_coset(exps, p: int):
-    """enumerate_double_coset as (r, d)."""
+    kept iff it is integral and of rank 1 mod p.  The counts per type are
+    the table gsp4local.HECKE_TYPES, which the Hecke eigenvalues sum over
+    at every prime; this enumeration is its oracle at pinned primes."""
     exps = tuple(exps)
     if exps not in ((0, 0, 1, 1), (0, 1, 1, 2)):
         raise ValueError(f"no coset representatives for exponents {exps}")
@@ -851,7 +846,7 @@ def _double_coset(exps, p: int):
             bs = [b for b in bs
                   if b[1] % p and len(rref_modp(b[0], p)) == 1]
         reps += bs
-    return reps
+    return [_as_fractions(x) for x in reps]
 
 
 def siegel_u_reps(p: int):

@@ -249,6 +249,16 @@ def test_tsv_round_trips(capsys):
         assert json.loads(row["params"]) == {"ell": 2}
 
 
+def test_frobrecip_concrete_case_runs_at_each_ell(capsys):
+    code, out = run_cli(["--suite", "frobrecip", "--ell", "3,5",
+                         "--format", "json"], capsys)
+    assert code == 0
+    concrete = {r["case"]: r["status"] for r in json.loads(out)
+                if r["case"].startswith("pairing-concrete")}
+    assert concrete == {"pairing-concrete-l3": "pass",
+                        "pairing-concrete-l5": "pass"}
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out = run_cli(["--suite", "bessel", "--format", "json",
@@ -469,11 +479,21 @@ def test_failed_shared_value_is_an_error_of_each_case(monkeypatch):
 # -- negative controls: a damaged layer makes its suite fail ------------------
 
 def _borel_factor_off_by_v(monkeypatch):
+    # the Borel factor from valuations, which both the Hecke sums and
+    # borel_factor read
     from gsp4verify import gsp4local
     from gsp4verify.symcore import ell_pow
-    good = gsp4local.borel_factor
-    monkeypatch.setattr(gsp4local, "borel_factor",
-                        lambda sigma, b: good(sigma, b) * ell_pow(1, sigma.p))
+    good = gsp4local._borel
+    monkeypatch.setattr(gsp4local, "_borel", lambda sigma, a, b, c:
+                        good(sigma, a, b, c) * ell_pow(1, sigma.p))
+
+
+def _t1_central_count_l_squared(monkeypatch):
+    # T1's central type counted as all l^2 symmetric 2x2 matrices over
+    # F_l, not the l^2 - 1 of rank 1
+    from gsp4verify import gsp4local
+    monkeypatch.setitem(gsp4local.HECKE_TYPES["T1"], (1, 1, 1, 1),
+                        lambda l: l ** 2)
 
 
 def _gsp4_inv_transposed(monkeypatch):
@@ -498,9 +518,7 @@ def _act_schwartz_transposed(monkeypatch):
 
 
 def _product_drops_a_denominator(monkeypatch):
-    # the kernel's product of (r, d) and (r', d') taken over d', not d d'.
-    # Dropping d' instead leaves hecke passing: every partial product of
-    # root unipotents that enumerate_double_coset builds is integral.
+    # the kernel's product of (r, d) and (r', d') taken over d', not d d'
     from gsp4verify import normrel, padic
     good = padic._product
     for module in (padic, normrel):
@@ -601,7 +619,7 @@ def _euler_eigenvalue_times_ell(monkeypatch):
     ("gl2", _unit_average_scaled),
     ("tame-norm", _depth_volume_off_by_ell),
     ("hecke", _borel_factor_off_by_v),
-    ("hecke", _product_drops_a_denominator),
+    ("hecke", _t1_central_count_l_squared),
     ("parahoric", _borel_factor_off_by_v),
     ("wild-norm", _gsp4_inv_transposed),
     ("wild-norm", _act_schwartz_transposed),

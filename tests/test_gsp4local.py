@@ -1,14 +1,15 @@
 """Tests for the GSp4 principal-series module."""
 
+import collections
 from fractions import Fraction
 
 import pytest
 
 from gsp4verify import gsp4local, padic
-from gsp4verify.gsp4local import (InducedVectorG, PrincipalSeriesG,
-                                  borel_factor, cell_of, eval_induced,
-                                  hecke_eigenvalue, hecke_poly_check,
-                                  parahoric_cell_reps,
+from gsp4verify.gsp4local import (HECKE_TYPES, InducedVectorG,
+                                  PrincipalSeriesG, borel_factor, cell_of,
+                                  eval_induced, hecke_eigenvalue,
+                                  hecke_poly_check, parahoric_cell_reps,
                                   parahoric_u_matrix, spin_reciprocal,
                                   u_matrix_char_poly)
 from gsp4verify.padic import (LevelSpec, identity, in_level, mat, mat_mul,
@@ -163,26 +164,66 @@ def test_hecke_eigenvalue_is_sum_over_representatives(monkeypatch, op, reps):
     diagonals = {tuple(padic.val(r[i][i], p) for i in range(4))
                  for r in reps(p)}
     calls = []
+    good = gsp4local._borel
 
-    def counting(sigma, b):
-        calls.append(b)
-        return borel_factor(sigma, b)
-    monkeypatch.setattr(gsp4local, "borel_factor", counting)
+    def counting(sigma, a, b, c):
+        calls.append((a, b, c))
+        return good(sigma, a, b, c)
+    monkeypatch.setattr(gsp4local, "_borel", counting)
     assert hecke_eigenvalue(op, s) == plain
     assert len(calls) == len(diagonals)
 
 
 def test_hecke_path_makes_no_iwasawa_call(monkeypatch):
-    """The spherical eigenvalues sum Borel factors over upper triangular
-    coset representatives: no decomposition and no lattice keys."""
+    """The spherical eigenvalues sum Borel factors over the coset counts
+    per torus type: no decomposition, no lattice keys, no coset
+    enumeration and no matrix product."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("the Hecke path called an Iwasawa step")
+        raise AssertionError("the Hecke path built a coset or an Iwasawa step")
     for module in (gsp4local, padic):
         monkeypatch.setattr(module, "iwasawa_gsp4", forbidden)
+    for name in ("enumerate_double_coset", "_product"):
+        monkeypatch.setattr(padic, name, forbidden)
     monkeypatch.setattr(gsp4local, "eval_induced", forbidden)
     assert not hasattr(padic, "hnf_key")
     assert hecke_poly_check(sigma_for(2))[0]
     assert not hecke_poly_check(sigma_for(2), perturb=1)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_hecke_types_count_the_enumerated_cosets(p):
+    """The oracle of the table: at a pinned prime, the representatives
+    of each double coset, grouped by the valuations of their diagonal,
+    have the counts of HECKE_TYPES."""
+    for op, reps in (("T", hecke_t_reps), ("T1", hecke_t1_reps),
+                     ("R", hecke_r_reps)):
+        counts = collections.Counter(
+            tuple(padic.val(r[i][i], p) for i in range(4)) for r in reps(p))
+        assert counts == {d: count(p)
+                          for d, count in HECKE_TYPES[op].items()}, op
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_formal_hecke_eigenvalues_specialise_to_pinned_prime(p):
+    formal = PrincipalSeriesG.formal(None)
+    for op in HECKE_TYPES:
+        assert (hecke_eigenvalue(op, formal).with_prime(p)
+                == hecke_eigenvalue(op, sigma_for(p))), op
+
+
+def test_hecke_polynomial_identity_at_formal_prime():
+    formal = PrincipalSeriesG.formal(None)
+    ok, lhs, rhs = hecke_poly_check(formal)
+    assert ok, (lhs, rhs)
+    assert not hecke_poly_check(formal, perturb=1)[0]
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7])
+def test_hecke_polynomial_fails_with_l_squared_central_count(monkeypatch, p):
+    # T1's central type counted as all l^2 symmetric 2x2 matrices, the
+    # zero matrix included, not the l^2 - 1 of rank 1
+    monkeypatch.setitem(HECKE_TYPES["T1"], (1, 1, 1, 1), lambda l: l ** 2)
+    assert not hecke_poly_check(PrincipalSeriesG.formal(p))[0]
 
 
 def test_eigenvalues_weyl_invariant():

@@ -789,3 +789,14 @@ def test_laurent_over_one_skips_the_reduction(monkeypatch):
     zero = LaurentPoly.const(0, 3)
     assert zero.is_zero() and zero.names == () and zero.vecs == {}
     assert zero == LaurentPoly.const(0) * 1 == (x - x)
+
+
+def test_stress_script_builds_the_sizes_it_states():
+    # the slow sum of tests/stress_ratfunc_sum.py stays outside Tier-1;
+    # this keeps the script importable and its stated sizes true, without
+    # running the sum
+    import stress_ratfunc_sum
+    w = stress_ratfunc_sum.value()
+    assert w.prime == 3 and len(w.den.vecs) == 21
+    w2 = w * w
+    assert len((w2 * w2).den.vecs) == 542
