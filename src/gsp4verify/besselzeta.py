@@ -80,13 +80,16 @@ class BesselSeries:
 
 
 def generating_function(datum: BesselDatum) -> RatFunc:
+    """G(u), the product of the two torus factors over the reciprocal
+    spin factor, as one fraction reduced once."""
     p = datum.p
     u = sym(U_VAR, p)
     one = as_ratfunc(1, p)
-    g = one / spin_reciprocal(datum.sigma, ell_pow(-6, p) * u)
+    num = one
     for lam in (datum.lam1, datum.lam2):
-        g = g * (one - lam * ell_pow(-4, p) * u)
-    return g
+        num = num * (one - lam * ell_pow(-4, p) * u)
+    den = spin_reciprocal(datum.sigma, ell_pow(-6, p) * u)
+    return RatFunc(num.num * den.den, num.den * den.num)
 
 
 def bessel_series(datum: BesselDatum, n: int) -> BesselSeries:
@@ -132,19 +135,26 @@ _ZETA_NUM_DEG = 4
 ZETA_ORDER = 9
 
 
-def _zeta_polynomial(series: BesselSeries) -> RatFunc:
+def _recip_series(datum: BesselDatum, order: int) -> tuple:
+    """The coefficients of u^0 .. u^order of the reciprocal spin factor
+    at (prime)^{-3} u."""
+    p = datum.p
+    return series_expand(spin_reciprocal(datum.sigma,
+                                         ell_pow(-6, p) * sym(U_VAR, p)),
+                         U_VAR, order)
+
+
+def _zeta_polynomial(series: BesselSeries, recip: tuple) -> RatFunc:
     """The generating sum of the Bessel values times the reciprocal spin
-    factor, a polynomial in u of degree at most _ZETA_NUM_DEG.  The
+    factor, whose coefficients ``recip`` reach at least the series'
+    order, a polynomial in u of degree at most _ZETA_NUM_DEG.  The
     truncated product must carry at least two coefficients past that
     degree, and every one of them must vanish."""
     if series.order < _ZETA_NUM_DEG + 2:
         raise ExactArithmeticError("Bessel series too short for the zeta "
                                    "integral")
-    d = series.datum
-    p = d.p
+    p = series.datum.p
     u = sym(U_VAR, p)
-    recip = series_expand(spin_reciprocal(d.sigma, ell_pow(-6, p) * u),
-                          U_VAR, series.order)
     prod = []
     for k in range(series.order + 1):
         acc = as_ratfunc(0, p)
@@ -162,16 +172,21 @@ def _zeta_polynomial(series: BesselSeries) -> RatFunc:
     return num
 
 
-def zeta_of_series(label: str, series: BesselSeries) -> RatFunc:
+def zeta_of_series(label: str, series: BesselSeries,
+                   recip: tuple | None = None) -> RatFunc:
     """The zeta integral of the labelled vector, as a polynomial in u:
     the reciprocal spin factor times the generating sum of the vector's
     Bessel values, read off coefficient by coefficient from ``series``,
-    the spherical Bessel values of its datum."""
-    if label == "spherical":
-        return _zeta_polynomial(series)
+    the spherical Bessel values of its datum.  ``recip`` is the
+    reciprocal spin series of the datum to at least the series' order,
+    read off here if not given; both labels of one datum can share it."""
+    if label not in ZETA_LABELS:
+        raise ValueError(f"unknown vector label {label!r}")
+    if recip is None:
+        recip = _recip_series(series.datum, series.order)
     if label == "ul":
-        return _zeta_polynomial(ul_bessel_transform(series, 1))
-    raise ValueError(f"unknown vector label {label!r}")
+        series = ul_bessel_transform(series, 1)
+    return _zeta_polynomial(series, recip)
 
 
 def zeta(label: str, datum: BesselDatum) -> RatFunc:
@@ -251,13 +266,17 @@ def depth_factor(t: int, psi_pair, chi_pair, p=None) -> RatFunc:
 
 
 def _value_at(f: RatFunc, x: RatFunc) -> RatFunc:
-    """The value of the reduced fraction f of u at u = x."""
+    """The value of the reduced fraction f of u at u = x, each side by
+    Horner's rule over its coefficients in u."""
     def horner(side):
-        degs = side.degrees_in(U_VAR) or {0}
+        cs = side.coeffs(U_VAR)
+        lo, hi = min(cs, default=0), max(cs, default=0)
         acc = as_ratfunc(0, f.prime)
-        for d in range(max(degs), min(degs) - 1, -1):
-            acc = acc * x + RatFunc(side.coeff_of(U_VAR, d))
-        return acc * x ** min(degs)
+        for d in range(hi, lo - 1, -1):
+            acc = acc * x
+            if d in cs:
+                acc = acc + RatFunc(cs[d])
+        return acc * x ** lo
     den = horner(f.den)
     if den.is_zero():
         raise ExactArithmeticError("limit does not exist")
@@ -273,7 +292,11 @@ def bilinear_form(zeta_u: RatFunc, psi_pair, chi_pair) -> RatFunc:
     psi1 psi2, each factor 1/(1 - (a/b) prime^{-1} (prime)^{-2s}) of the
     second product is 1/(1 - c u) with c = (a/b) prime^{-1}/(eta prime),
     so the limit is the value at u = eta * prime of zeta_u over those
-    factors, reduced first so that a removable pole keeps its value."""
+    factors.  Where the factors do not vanish there, that is the value
+    of zeta_u over theirs, with no reduction: if N/D = gN'/(gD') and
+    D(x) != 0, then g(x) != 0.  Where they vanish, the fraction is
+    reduced first, so that a removable pole keeps its value and a pole
+    raises."""
     p = zeta_u.prime
     one, u = as_ratfunc(1, p), sym(U_VAR, p)
     pairs = [(as_ratfunc(a, p), as_ratfunc(b, p))
@@ -283,7 +306,11 @@ def bilinear_form(zeta_u: RatFunc, psi_pair, chi_pair) -> RatFunc:
     for (a, b) in pairs:
         norm = norm * (one - (b / a) * ell_pow(-2, p))
         factors = factors * (one - (a / b) * ell_pow(-2, p) * u / at_zero)
-    return norm * _value_at(zeta_u / factors, at_zero)
+    # the denominator of the factors is free of u, so this cannot raise
+    at_factors = _value_at(factors, at_zero)
+    if at_factors.is_zero():
+        return norm * _value_at(zeta_u / factors, at_zero)
+    return norm * (_value_at(zeta_u, at_zero) / at_factors)
 
 
 @dataclass(frozen=True)
@@ -296,8 +323,9 @@ class TameDatum:
     ``euler`` is prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the
     reciprocal spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}):
     the two factors on the right sides of the tame identities.  Each
-    pairing is computed once per datum and kept in ``_pairings``, which
-    equality and repr ignore."""
+    pairing is computed once per datum and kept in ``_pairings``, and
+    each depth factor once per depth t, for both labels, in ``_depths``;
+    equality and repr ignore both."""
     k1: int
     k2: int
     p: int | None
@@ -311,12 +339,15 @@ class TameDatum:
     spin_recip: RatFunc
     _pairings: dict = field(default_factory=dict, init=False,
                             compare=False, repr=False)
+    _depths: dict = field(default_factory=dict, init=False,
+                          compare=False, repr=False)
 
     def pairing(self, label: str, t: int) -> RatFunc:
         key = (label, t)
         if key not in self._pairings:
-            self._pairings[key] = (depth_factor(t, self.psi, self.chi, self.p)
-                                   * self.base[label])
+            if t not in self._depths:
+                self._depths[t] = depth_factor(t, self.psi, self.chi, self.p)
+            self._pairings[key] = self._depths[t] * self.base[label]
         return self._pairings[key]
 
 
@@ -331,8 +362,11 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
     sigma = tame_sigma(k1, k2, tau1, tau2, p)
     psi, chi = tame_characters(k1, k2, tau1, tau2, p)
-    series = bessel_series(z_datum(sigma, psi, chi), ZETA_ORDER)
-    base = {label: bilinear_form(zeta_of_series(label, series), psi, chi)
+    datum = z_datum(sigma, psi, chi)
+    series = bessel_series(datum, ZETA_ORDER)
+    recip = _recip_series(datum, ZETA_ORDER)
+    base = {label: bilinear_form(zeta_of_series(label, series, recip),
+                                 psi, chi)
             for label in ZETA_LABELS}
     lp, one = ell(p), as_ratfunc(1, p)
     euler = (one - lp ** k1 / tau1) * (one - lp ** k2 / tau2)

@@ -129,8 +129,8 @@ def _cases_gl2(config):
     def support(p, t, ac, ap):
         return _holds(gl.support_check(phi_t(p, t), ac, ap, t))
 
-    def intertwine(phi, ac, ap, g):
-        return _equal(gl.intertwine(phi, ac, ap, g, "closed"),
+    def intertwine(phi, ac, ap, g, hat):
+        return _equal(gl.intertwine_closed(hat, ac, ap, g),
                       gl.intertwine(phi, ac, ap, g, "direct"))
 
     def adjoint(p, phi1, phi2, ac, ap, hat1, hat2):
@@ -157,7 +157,7 @@ def _cases_gl2(config):
         for i, phi in enumerate(phis):
             for j, g in enumerate(points):
                 yield ("intertwine-l%d-phi%d-pt%d" % (p, i, j),
-                       {"ell": p, "phi": i, "point": j}, (),
+                       {"ell": p, "phi": i, "point": j}, (("fourier", p, i),),
                        partial(intertwine, phi, ac, ap, g))
         for i, phi1 in enumerate(phis):
             for j, phi2 in enumerate(phis):

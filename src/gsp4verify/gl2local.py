@@ -137,7 +137,8 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
     (phi, chi, psi), evaluated at g.
 
     closed mode: (1 - (a_chi/a_psi) l^{-1}) * section of (phi^, psi, chi),
-    valid for unramified characters.  direct mode: the unipotent integral
+    valid for unramified characters (intertwine_closed, given phi^).
+    direct mode: the unipotent integral
     L(chi/psi, 0)^{-1} * int f(w n(u) g) du over u in Z_l and the shells
     val(u) = -j.  The section f is right-invariant under K(l^L),
     L = max(0, s + n), and g^{-1} n(x) g, g^{-1} nbar(x) g lie in K(l^L)
@@ -145,15 +146,14 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
     part is one average over u mod l^top, shell j < top is one average
     over units mod l^(top - j), and every shell from max(1, top) on equals
     f(g), which sums to a geometric tail."""
+    if mode == "closed":
+        return intertwine_closed(fourier(phi), a_chi, a_psi, g)
+    if mode != "direct":
+        raise ValueError("mode must be 'closed' or 'direct'")
     p = phi.p
     a_chi = as_ratfunc(a_chi, p)
     a_psi = as_ratfunc(a_psi, p)
     one = as_ratfunc(1, p)
-    if mode == "closed":
-        lfac = one - (a_chi / a_psi) * ell_pow(-2, p)
-        return lfac * eval_siegel(fourier(phi), a_psi, a_chi, g)
-    if mode != "direct":
-        raise ValueError("mode must be 'closed' or 'direct'")
 
     g = [[Fraction(x) for x in row] for row in g]
     value = _characters(a_chi, a_psi, p)
@@ -183,6 +183,15 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
     # geometric tail sum_{j >= tail} a_r^j (1 - 1/l) f(g)
     total = total + a_r ** tail / (one - a_r) * unit_vol * fg
     return (one - a_r) * total
+
+
+def intertwine_closed(phi_hat: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
+    """intertwine(phi, a_chi, a_psi, g, "closed") given phi_hat, the
+    Fourier transform of phi."""
+    p = phi_hat.p
+    a_chi, a_psi = as_ratfunc(a_chi, p), as_ratfunc(a_psi, p)
+    lfac = as_ratfunc(1, p) - (a_chi / a_psi) * ell_pow(-2, p)
+    return lfac * eval_siegel(phi_hat, a_psi, a_chi, g)
 
 
 def projective_line_reps(p: int, t: int):

@@ -38,6 +38,13 @@ denominator; with the prime formal the product of the two reduced
 fractions is reduced (Henrici's rule: the ring is a UFD and the
 cross-reduced factors are coprime).  With the prime pinned, folding v^2
 into p can create a common factor, so that product keeps its gcd.
+
+series_expand splits numerator and denominator into their coefficients
+in one variable, on that variable's packed field (``coeffs``).  Where
+the denominator's lowest coefficient d0 is a monomial, a unit of the
+Laurent ring, the recurrence runs on LaurentPolys times d0^-1, and each
+coefficient is a Laurent polynomial over 1, canonical with no
+reduction; otherwise it runs on RatFuncs, each step reduced.
 """
 
 from __future__ import annotations
@@ -363,13 +370,30 @@ class LaurentPoly:
 
     # -- var-degree helpers (used by series expansion) ----------------------
 
-    def degrees_in(self, var: str):
-        return {dict(mono).get(var, 0) for mono in self.terms}
+    def coeffs(self, var: str) -> dict:
+        """{deg: the coefficient of var^deg}, the nonzero ones, each a
+        LaurentPoly free of var: the terms are split on var's packed
+        field, which is dropped and the higher fields shifted down.  var
+        may not be l or v, which share one field."""
+        if var in (L_NAME, V_NAME):
+            raise ExactArithmeticError(f"cannot split on {var}")
+        if var not in self.names:
+            return {0: self} if self.vecs else {}
+        i = self.names.index(var)
+        s, low = _W * i, (1 << (_W * i)) - 1
+        split: dict = {}
+        for k, c in self.vecs.items():
+            split.setdefault(((k >> s) & _M) - _B, {})[
+                (k & low) | (k >> (s + _W) << s)] = c
+        names = self.names[:i] + self.names[i + 1:]
+        return {d: LaurentPoly._of(*_canon(names, vecs, self.den), self.prime)
+                for d, vecs in split.items()}
+
+    def degrees_in(self, var: str) -> set:
+        return set(self.coeffs(var))
 
     def coeff_of(self, var: str, deg: int) -> "LaurentPoly":
-        return LaurentPoly({tuple(m for m in mono if m[0] != var): c
-                            for mono, c in self.terms.items()
-                            if dict(mono).get(var, 0) == deg}, self.prime)
+        return self.coeffs(var).get(deg, LaurentPoly.const(0, self.prime))
 
     def __repr__(self):
         parts = []
@@ -653,27 +677,38 @@ def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
 
 def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     """The coefficients of var^0 .. var^order in the power series of f
-    about var = 0."""
+    about var = 0, by the recurrence out[k] = (n_k - sum_j d_j
+    out[k - j]) / d0 on the coefficients of f's numerator and
+    denominator in var.  When d0, the lowest coefficient of the
+    denominator, is a monomial, it is a unit of the Laurent ring, so the
+    recurrence runs on LaurentPolys, times d0^-1, and each result is a
+    canonical fraction over 1 with no reduction; otherwise it runs on
+    RatFuncs, each step reduced."""
     f = as_ratfunc(f)
-    num, den = f.num, f.den
-    nmin = min(num.degrees_in(var), default=0)
-    dmin = min(den.degrees_in(var), default=0)
-    if nmin < dmin:
+    num, den = f.num.coeffs(var), f.den.coeffs(var)
+    dmin = min(den)
+    if min(num, default=dmin) < dmin:
         raise PoleAtOrigin(f"pole at {var}=0")
-    if dmin != 0:
-        # canonical forms may carry a common monomial in var; shift it out
-        shift = LaurentPoly.symbol(var, -dmin, f.prime)
-        num, den = num * shift, den * shift
-    num_c = {d: RatFunc(num.coeff_of(var, d)) for d in num.degrees_in(var)}
-    den_c = {d: RatFunc(den.coeff_of(var, d)) for d in den.degrees_in(var)}
-    d0 = den_c.get(0)
-    if d0 is None or d0.is_zero():
-        raise PoleAtOrigin(f"pole at {var}=0")
+    # canonical forms may carry a common monomial in var; shift it out
+    num = {d - dmin: c for d, c in num.items()}
+    den = {d - dmin: c for d, c in den.items()}
+    d0 = den.pop(0)
+    if not d0.is_monomial():
+        return _recurrence({d: RatFunc(c) for d, c in num.items()},
+                           {d: RatFunc(c) for d, c in den.items()},
+                           RatFunc(d0).inv(), RatFunc.const(0, f.prime), order)
+    return tuple(RatFunc(c, _canonical=True) for c in _recurrence(
+        num, den, d0 ** -1, LaurentPoly.const(0, f.prime), order))
+
+
+def _recurrence(num: dict, den: dict, inv, zero, order: int) -> tuple:
+    """out[k] = (num[k] - sum_j den[j] out[k - j]) * inv for k = 0 ..
+    order, with den holding the coefficients of degree >= 1."""
     out = []
     for k in range(order + 1):
-        acc = num_c.get(k, RatFunc.const(0, f.prime))
+        acc = num.get(k, zero)
         for j in range(1, k + 1):
-            if j in den_c:
-                acc = acc - den_c[j] * out[k - j]
-        out.append(acc / d0)
+            if j in den:
+                acc = acc - den[j] * out[k - j]
+        out.append(acc * inv)
     return tuple(out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from gsp4verify import besselzeta, symcore
 from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    BesselSeries, bessel_series,
                                    bilinear_form, char_sum,
@@ -20,6 +21,8 @@ from gsp4verify.padic import Cyc
 from gsp4verify.symcore import (ExactArithmeticError, as_ratfunc, ell, ell_pow,
                                 series_expand, sym)
 from test_padic import e_char
+from test_symcore import (coeff_of_by_terms, degrees_in_by_terms,
+                          series_expand_by_ratfuncs)
 
 Q = Fraction
 
@@ -354,12 +357,17 @@ def _pole_datum(p):
 
 
 @pytest.mark.parametrize("p", [None, 2])
-def test_removable_pole_matches_the_limit_in_y(p):
+def test_removable_pole_matches_the_limit_in_y(p, monkeypatch):
     # the spherical zeta integral cancels the pole, the U-translated one
-    # does not: both paths agree on the value and on the failure
+    # does not: both paths agree on the value and on the failure.  The
+    # second normalising product vanishes at the point, so bilinear_form
+    # reduces the fraction before it evaluates it
     sigma, psi, chi = _pole_datum(p)
     d = z_datum(sigma, psi, chi)
-    got = bilinear_form(zeta("spherical", d), psi, chi)
+    z = zeta("spherical", d)
+    seen = _evaluated(monkeypatch)
+    got = bilinear_form(z, psi, chi)
+    assert seen and not any(f is z for f in seen)
     assert same_value(got, reference_pairing("spherical", sigma, psi, chi),
                       sqrt_prime(p))
     for path in (lambda: reference_pairing("ul", sigma, psi, chi),
@@ -378,6 +386,124 @@ def test_removable_pole_keeps_its_value():
     b0 = bilinear_form(zeta("spherical", z_datum(sigma, psi, chi)), psi, chi)
     lp, tau2 = ell(), sym("tau2")
     assert b0 == 1 + lp ** -5 * tau2 - lp ** -3 * tau2 - lp ** -2
+
+
+# -- the Laurent paths against the RatFunc paths they replaced ---------------
+
+
+@pytest.fixture(scope="module")
+def tame_z_data():
+    """sigma, psi, chi and the z-datum of each tame datum the benchmark's
+    tame workload builds: formal weights in {0, 1}^2, and (1, 1) with the
+    prime pinned to 2."""
+    out = {}
+    for k1, k2, p in ((0, 0, None), (0, 1, None), (1, 0, None),
+                      (1, 1, None), (1, 1, 2)):
+        tau1, tau2 = sym("tau1", p), sym("tau2", p)
+        sigma = tame_sigma(k1, k2, tau1, tau2, p)
+        psi, chi = tame_characters(k1, k2, tau1, tau2, p)
+        out[k1, k2, p] = sigma, psi, chi, z_datum(sigma, psi, chi)
+    return out
+
+
+def generating_function_by_steps(d):
+    """G(u) built one RatFunc operation at a time, each result reduced:
+    1 over the reciprocal spin factor, times each torus factor."""
+    p, u = d.p, sym("u", d.p)
+    one = as_ratfunc(1, p)
+    g = one / spin_reciprocal(d.sigma, ell_pow(-6, p) * u)
+    for lam in (d.lam1, d.lam2):
+        g = g * (one - lam * ell_pow(-4, p) * u)
+    return g
+
+
+def test_tame_generating_functions_expand_as_before(tame_z_data):
+    # G is one fraction reduced once, and its expansion runs in Laurent
+    # arithmetic: both give what the step-by-step RatFunc paths gave
+    for *_, d in tame_z_data.values():
+        f = generating_function(d)
+        want = generating_function_by_steps(d)
+        assert (f.num, f.den) == (want.num, want.den)
+        got = series_expand(f, "u", ZETA_ORDER)
+        want = series_expand_by_ratfuncs(f, "u", ZETA_ORDER)
+        assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want]
+
+
+def test_bessel_series_of_a_formal_datum_reduces_nothing(tame_z_data,
+                                                        monkeypatch):
+    # the generating functions have a monomial lowest coefficient in u,
+    # so their expansion runs in Laurent arithmetic: no fraction is
+    # reduced, let alone one whose denominator is not a monomial.  The
+    # generating function itself is built before counting
+    data = [d for *_, d in tame_z_data.values()] + [BesselDatum.formal()]
+    for d in data:
+        calls = []
+
+        def counting(num, den, *args, _fn=symcore._normalize_pair, **kw):
+            calls.append(den)
+            return _fn(num, den, *args, **kw)
+        f = generating_function(d)
+        with monkeypatch.context() as m:
+            m.setattr(besselzeta, "generating_function", lambda datum: f)
+            m.setattr(symcore, "_normalize_pair", counting)
+            series = bessel_series(d, ZETA_ORDER)
+        assert calls == []
+        assert series.values == series_expand_by_ratfuncs(f, "u", ZETA_ORDER)
+
+
+def bilinear_form_reduced_first(zeta_u, psi, chi):
+    """The depth-0 pairing as bilinear_form computed it before it
+    evaluated each side on its own: zeta_u over the second normalising
+    product, reduced, evaluated at u = eta * prime by Horner's rule over
+    the terms view, times the first normalising product."""
+    p = zeta_u.prime
+    one, u = as_ratfunc(1, p), sym("u", p)
+    pairs = [(as_ratfunc(a, p), as_ratfunc(b, p)) for a, b in zip(psi, chi)]
+    at_zero = pairs[0][0] * pairs[1][0] * ell(p)
+    norm = factors = one
+    for (a, b) in pairs:
+        norm = norm * (one - (b / a) * ell_pow(-2, p))
+        factors = factors * (one - (a / b) * ell_pow(-2, p) * u / at_zero)
+    f = zeta_u / factors
+
+    def horner(side):
+        degs = degrees_in_by_terms(side, "u") or {0}
+        acc = as_ratfunc(0, p)
+        for d in range(max(degs), min(degs) - 1, -1):
+            acc = acc * at_zero + as_ratfunc(coeff_of_by_terms(side, "u", d))
+        return acc * at_zero ** min(degs)
+    den = horner(f.den)
+    if den.is_zero():
+        raise ExactArithmeticError("limit does not exist")
+    return norm * (horner(f.num) / den)
+
+
+def _evaluated(monkeypatch):
+    """The fractions that besselzeta._value_at is handed from now on."""
+    seen = []
+
+    def recording(f, x, _fn=besselzeta._value_at):
+        seen.append(f)
+        return _fn(f, x)
+    monkeypatch.setattr(besselzeta, "_value_at", recording)
+    return seen
+
+
+def test_bilinear_form_evaluates_the_zeta_integral_itself(tame_z_data,
+                                                          monkeypatch):
+    # the second normalising product does not vanish at u = eta * prime
+    # for the tame data, so the zeta integral is evaluated as it is, and
+    # the value is the reduce-first one
+    seen = _evaluated(monkeypatch)
+    for (k1, k2, p), (_, psi, chi, d) in tame_z_data.items():
+        series = bessel_series(d, ZETA_ORDER)
+        for label in ZETA_LABELS:
+            z = zeta_of_series(label, series)
+            got = bilinear_form(z, psi, chi)
+            want = bilinear_form_reduced_first(z, psi, chi)
+            assert (got.num, got.den) == (want.num, want.den), (k1, k2, p)
+            assert any(f is z for f in seen), (k1, k2, p, label)
+            seen.clear()
 
 
 def test_depth_factor_negative_depth():
@@ -460,12 +586,19 @@ def test_formal_bessel_zetas_specialise_to_pinned_prime(p, formal_zetas):
         assert closed[label].with_prime(p) == want[label], label
 
 
-def test_pairing_kept_per_datum():
+def test_pairing_kept_per_datum(monkeypatch):
     # a datum computes each (label, t) pairing once and hands back the
-    # same object; what it has kept does not enter equality
+    # same object, from one depth factor per t for both labels; what it
+    # has kept does not enter equality
     first, second = tame_pairing(0, 0, p=2), tame_pairing(0, 0, p=2)
+    depths = []
+    monkeypatch.setattr(besselzeta, "depth_factor",
+                        lambda t, *args, _fn=depth_factor:
+                        depths.append(t) or _fn(t, *args))
     got = first.pairing("ul", 1)
     assert first.pairing("ul", 1) is got
+    first.pairing("spherical", 1)
+    assert depths == [1]
     assert got == depth_factor(1, first.psi, first.chi, 2) * first.base["ul"]
     assert first == second and repr(first) == repr(second)
     assert second.pairing("spherical", 2) is second.pairing("spherical", 2)

@@ -398,9 +398,8 @@ def test_branching_builds_each_hw_vector_once(monkeypatch):
 
 
 def test_gl2_computes_each_fourier_transform_once(monkeypatch):
-    # the adjoint cases read the shared transform of each of the three
-    # Schwartz functions per prime; each of the 24 closed-mode intertwine
-    # cases takes its own transform inside gl2local.intertwine
+    # the adjoint and intertwine cases read the shared transform of each
+    # of the three Schwartz functions per prime: 6 in all
     from gsp4verify import gl2local, padic
     fourier = padic.fourier
     calls = []
@@ -414,7 +413,7 @@ def test_gl2_computes_each_fourier_transform_once(monkeypatch):
         calls.clear()
         records = cli.run(cli.SuiteConfig(suites=("gl2",)))
         assert {r["status"] for r in records} == {"pass"}
-        assert len(calls) == 30
+        assert len(calls) == 6
 
 
 def test_building_cases_computes_nothing(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_strip
 
@@ -800,3 +800,145 @@ def test_stress_script_builds_the_sizes_it_states():
     assert w.prime == 3 and len(w.den.vecs) == 21
     w2 = w * w
     assert len((w2 * w2).den.vecs) == 542
+
+
+# -- coefficients in one variable against the terms view they replaced -------
+
+
+def degrees_in_by_terms(f, var):
+    """The degrees of f in var, read off the terms view."""
+    return {dict(mono).get(var, 0) for mono in f.terms}
+
+
+def coeff_of_by_terms(f, var, deg):
+    """The coefficient of var^deg in f, rebuilt from the terms view."""
+    return LaurentPoly({tuple(m for m in mono if m[0] != var): c
+                        for mono, c in f.terms.items()
+                        if dict(mono).get(var, 0) == deg}, f.prime)
+
+
+# a, m and z sort first, in the middle and last among the names; b never
+# occurs, and l and v share one field between m and x
+_split_polys = laurent_polys(st.sampled_from(["a", "m", "x", "z", "v", "l"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_polys, st.sampled_from("amzb"), st.sampled_from([None, 2, 3]))
+@example(LaurentPoly({(("a", -2), ("m", 3), ("z", -1)): Q(3, 4),
+                      (("a", 1), ("v", 1), ("x", 2)): Q(5, 2)}), "a", None)
+@example(LaurentPoly({}), "m", 2)
+def test_coeffs_against_terms_reference(f, var, prime):
+    f = f.with_prime(prime)
+    got = f.coeffs(var)
+    degs = degrees_in_by_terms(f, var)
+    assert set(got) == degs == f.degrees_in(var)
+    total = LaurentPoly.const(0, prime)
+    for d in sorted(degs | {min(degs, default=0) - 1}):
+        want = coeff_of_by_terms(f, var, d)
+        assert f.coeff_of(var, d) == want
+        if d in got:
+            c = got[d]
+            assert (c.names, c.vecs, c.den, c.prime) == (
+                want.names, want.vecs, want.den, want.prime)
+            assert var not in c.names and not c.is_zero()
+            total = total + c * LaurentPoly.symbol(var, d, prime)
+    assert total == f
+
+
+def test_coeffs_refuses_l_and_v():
+    for prime in (None, 3):
+        f = LaurentPoly({(("l", 1), ("x", 2)): 1, (("v", 1),): 2}, prime)
+        for var in ("l", "v"):
+            with pytest.raises(sc.ExactArithmeticError):
+                f.coeffs(var)
+
+
+# -- series_expand against the RatFunc recurrence it replaced ----------------
+
+
+def series_expand_by_ratfuncs(f, var, order):
+    """The coefficients of var^0 .. var^order of f, by the recurrence on
+    RatFunc coefficients read off the terms view, each step divided by
+    the lowest coefficient of the denominator."""
+    num, den = f.num, f.den
+    nmin = min(degrees_in_by_terms(num, var), default=0)
+    dmin = min(degrees_in_by_terms(den, var), default=0)
+    if nmin < dmin:
+        raise PoleAtOrigin(f"pole at {var}=0")
+    if dmin != 0:
+        shift = LaurentPoly.symbol(var, -dmin, f.prime)
+        num, den = num * shift, den * shift
+    num_c = {d: RatFunc(coeff_of_by_terms(num, var, d))
+             for d in degrees_in_by_terms(num, var)}
+    den_c = {d: RatFunc(coeff_of_by_terms(den, var, d))
+             for d in degrees_in_by_terms(den, var)}
+    d0 = den_c[0]
+    out = []
+    for k in range(order + 1):
+        acc = num_c.get(k, RatFunc.const(0, f.prime))
+        for j in range(1, k + 1):
+            if j in den_c:
+                acc = acc - den_c[j] * out[k - j]
+        out.append(acc / d0)
+    return tuple(out)
+
+
+def assert_same_series(f, var, order):
+    """series_expand and the RatFunc recurrence give the same canonical
+    coefficients, or both find a pole."""
+    try:
+        want = series_expand_by_ratfuncs(f, var, order)
+    except PoleAtOrigin:
+        with pytest.raises(PoleAtOrigin):
+            series_expand(f, var, order)
+        return
+    got = series_expand(f, var, order)
+    assert [(c.num, c.den) for c in got] == [(c.num, c.den) for c in want]
+
+
+_yzvl = laurent_polys(st.sampled_from(["y", "z", "v", "l"]))
+
+
+@st.composite
+def _series_fractions(draw, monomial_d0):
+    """A numerator with powers of x from 0 (now and then -1, a pole) to
+    2 over d0 + x D(x), on coefficients in y, z, v and l, at the formal
+    prime or a pinned one; d0 is c y^i v^j, or c + y^i."""
+    prime = draw(st.sampled_from([None, 2, 3]))
+    x = LaurentPoly.symbol("x")
+    c = Q(draw(st.sampled_from([-3, -1, 1, 2, 5])), draw(st.integers(1, 3)))
+    i = draw(st.sampled_from([-2, -1, 1, 2]))
+    if monomial_d0:
+        d0 = LaurentPoly({(("v", draw(st.integers(-1, 2))), ("y", i)): c})
+    else:
+        d0 = LaurentPoly({(): c, (("y", i),): 1})
+    den = d0 + x * draw(_yzvl) + x * x * draw(_yzvl)
+    lowest = draw(st.sampled_from([0, 0, 0, -1]))
+    num = sum((draw(_yzvl) * LaurentPoly.symbol("x", e)
+               for e in (lowest, 1, 2)), LaurentPoly.const(0))
+    return RatFunc(num.with_prime(prime), den.with_prime(prime))
+
+
+def _lowest_coefficient(f, var):
+    """d0: the coefficient of the least power of var in f's denominator."""
+    cs = f.den.coeffs(var)
+    return cs[min(cs)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_fractions(True))
+# d0 = -2y: a recurrence that dropped its d0 ** -1 would differ here
+@example(1 / (2 * sym("y") - sym("x")))
+def test_series_expand_with_a_monomial_d0(f):
+    # a monomial d0 runs the Laurent recurrence
+    assert _lowest_coefficient(f, "x").is_monomial()
+    assert_same_series(f, "x", 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_fractions(False))
+def test_series_expand_with_a_general_d0(f):
+    # a reduction can cancel c + y^i out of d0; the rest run the RatFunc
+    # recurrence
+    assume(not _lowest_coefficient(f, "x").is_monomial())
+    assert_same_series(f, "x", 5)
