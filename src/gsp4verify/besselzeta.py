@@ -173,17 +173,15 @@ def _zeta_polynomial(series: BesselSeries, recip: tuple) -> RatFunc:
 
 
 def zeta_of_series(label: str, series: BesselSeries,
-                   recip: tuple | None = None) -> RatFunc:
+                   recip: tuple) -> RatFunc:
     """The zeta integral of the labelled vector, as a polynomial in u:
     the reciprocal spin factor times the generating sum of the vector's
     Bessel values, read off coefficient by coefficient from ``series``,
     the spherical Bessel values of its datum.  ``recip`` is the
-    reciprocal spin series of the datum to at least the series' order,
-    read off here if not given; both labels of one datum can share it."""
+    reciprocal spin series of the datum to at least the series' order
+    (``_recip_series``); both labels of one datum can share it."""
     if label not in ZETA_LABELS:
         raise ValueError(f"unknown vector label {label!r}")
-    if recip is None:
-        recip = _recip_series(series.datum, series.order)
     if label == "ul":
         series = ul_bessel_transform(series, 1)
     return _zeta_polynomial(series, recip)
@@ -192,7 +190,8 @@ def zeta_of_series(label: str, series: BesselSeries,
 def zeta(label: str, datum: BesselDatum) -> RatFunc:
     """The zeta integral of the labelled vector of ``datum``, read off
     its spherical Bessel series of order ZETA_ORDER."""
-    return zeta_of_series(label, bessel_series(datum, ZETA_ORDER))
+    return zeta_of_series(label, bessel_series(datum, ZETA_ORDER),
+                          _recip_series(datum, ZETA_ORDER))
 
 
 def zeta_spherical_closed(datum: BesselDatum) -> RatFunc:

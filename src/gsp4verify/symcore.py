@@ -40,11 +40,12 @@ cross-reduced factors are coprime).  With the prime pinned, folding v^2
 into p can create a common factor, so that product keeps its gcd.
 
 series_expand splits numerator and denominator into their coefficients
-in one variable, on that variable's packed field (``coeffs``).  Where
-the denominator's lowest coefficient d0 is a monomial, a unit of the
-Laurent ring, the recurrence runs on LaurentPolys times d0^-1, and each
-coefficient is a Laurent polynomial over 1, canonical with no
-reduction; otherwise it runs on RatFuncs, each step reduced.
+in one variable, on that variable's packed field (``coeffs``), and runs
+its recurrence on RatFuncs times the inverse of the denominator's lowest
+coefficient d0, formed once.  Where d0 is a monomial, a unit of the
+Laurent ring, that inverse is a Laurent polynomial over 1, and so is
+every coefficient: each step takes the den-1 fast paths and reduces
+nothing.  Otherwise each step is reduced.
 """
 
 from __future__ import annotations
@@ -389,12 +390,6 @@ class LaurentPoly:
         return {d: LaurentPoly._of(*_canon(names, vecs, self.den), self.prime)
                 for d, vecs in split.items()}
 
-    def degrees_in(self, var: str) -> set:
-        return set(self.coeffs(var))
-
-    def coeff_of(self, var: str, deg: int) -> "LaurentPoly":
-        return self.coeffs(var).get(deg, LaurentPoly.const(0, self.prime))
-
     def __repr__(self):
         parts = []
         for mono, c in sorted(self.terms.items()):
@@ -678,32 +673,20 @@ def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
 def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     """The coefficients of var^0 .. var^order in the power series of f
     about var = 0, by the recurrence out[k] = (n_k - sum_j d_j
-    out[k - j]) / d0 on the coefficients of f's numerator and
-    denominator in var.  When d0, the lowest coefficient of the
-    denominator, is a monomial, it is a unit of the Laurent ring, so the
-    recurrence runs on LaurentPolys, times d0^-1, and each result is a
-    canonical fraction over 1 with no reduction; otherwise it runs on
-    RatFuncs, each step reduced."""
+    out[k - j]) * d0^-1 on the coefficients of f's numerator and
+    denominator in var, with d0^-1, the inverse of the lowest
+    coefficient of the denominator, formed once.  When d0 is a monomial,
+    a unit of the Laurent ring, every term is a Laurent polynomial over
+    1 and no step reduces a fraction; otherwise each step is reduced."""
     f = as_ratfunc(f)
     num, den = f.num.coeffs(var), f.den.coeffs(var)
     dmin = min(den)
     if min(num, default=dmin) < dmin:
         raise PoleAtOrigin(f"pole at {var}=0")
     # canonical forms may carry a common monomial in var; shift it out
-    num = {d - dmin: c for d, c in num.items()}
-    den = {d - dmin: c for d, c in den.items()}
-    d0 = den.pop(0)
-    if not d0.is_monomial():
-        return _recurrence({d: RatFunc(c) for d, c in num.items()},
-                           {d: RatFunc(c) for d, c in den.items()},
-                           RatFunc(d0).inv(), RatFunc.const(0, f.prime), order)
-    return tuple(RatFunc(c, _canonical=True) for c in _recurrence(
-        num, den, d0 ** -1, LaurentPoly.const(0, f.prime), order))
-
-
-def _recurrence(num: dict, den: dict, inv, zero, order: int) -> tuple:
-    """out[k] = (num[k] - sum_j den[j] out[k - j]) * inv for k = 0 ..
-    order, with den holding the coefficients of degree >= 1."""
+    num = {d - dmin: RatFunc(c) for d, c in num.items()}
+    den = {d - dmin: RatFunc(c) for d, c in den.items()}
+    inv, zero = den.pop(0).inv(), RatFunc.const(0, f.prime)
     out = []
     for k in range(order + 1):
         acc = num.get(k, zero)
