@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, ell,
+from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, dot, ell,
                       ell_pow, series_expand, sym)
 from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
@@ -149,27 +149,21 @@ def _zeta_polynomial(series: BesselSeries, recip: tuple) -> RatFunc:
     factor, whose coefficients ``recip`` reach at least the series'
     order, a polynomial in u of degree at most _ZETA_NUM_DEG.  The
     truncated product must carry at least two coefficients past that
-    degree, and every one of them must vanish."""
+    degree, and every one of them must vanish.  Each coefficient of the
+    convolution, and the polynomial in u, is one ``dot``, so Laurent
+    Bessel values build no polynomial per product or partial sum."""
     if series.order < _ZETA_NUM_DEG + 2:
         raise ExactArithmeticError("Bessel series too short for the zeta "
                                    "integral")
     p = series.datum.p
     u = sym(U_VAR, p)
-    prod = []
-    for k in range(series.order + 1):
-        acc = as_ratfunc(0, p)
-        for j, c in enumerate(recip[:k + 1]):
-            if c:
-                acc = acc + c * series.values[k - j]
-        prod.append(acc)
+    prod = [dot(zip(recip, series.values[k::-1]))
+            for k in range(series.order + 1)]
     if any(prod[_ZETA_NUM_DEG + 1:]):
         raise ExactArithmeticError("Bessel series times the reciprocal spin "
                                    "factor has degree above %d"
                                    % _ZETA_NUM_DEG)
-    num = as_ratfunc(0, p)
-    for i in range(_ZETA_NUM_DEG + 1):
-        num = num + prod[i] * u ** i
-    return num
+    return dot((prod[i], u ** i) for i in range(_ZETA_NUM_DEG + 1))
 
 
 def zeta_of_series(label: str, series: BesselSeries,
@@ -250,18 +244,20 @@ def depth_factor(t: int, psi_pair, chi_pair, p=None) -> RatFunc:
     """The part of the depth-t pairing that depends on t: the volume of
     the depth-t congruence subgroup of the two-by-two pair times the
     value at the identity of the degenerate section of depth t.  Both
-    are 1 at depth 0."""
+    are 1 at depth 0.  It is prod_i (b_i - a_i prime^-1) over prod_i b_i
+    (prime^(t-1) (prime+1))^2, one fraction reduced once."""
     if t < 0:
         raise ValueError("depth must be >= 0")
     one = as_ratfunc(1, p)
     if t == 0:
         return one
     lp = ell(p)
-    out = one / (lp ** (t - 1) * (lp + 1)) ** 2
+    num, den = one, (lp ** (t - 1) * (lp + 1)) ** 2
     for (a, b) in zip(psi_pair, chi_pair):
         a, b = as_ratfunc(a, p), as_ratfunc(b, p)
-        out = out * (one - (a / b) * ell_pow(-2, p))
-    return out
+        num = num * (b - a * ell_pow(-2, p))
+        den = den * b
+    return RatFunc(num.num * den.den, num.den * den.num)
 
 
 def _value_at(f: RatFunc, x: RatFunc) -> RatFunc:

@@ -39,21 +39,35 @@ fractions is reduced (Henrici's rule: the ring is a UFD and the
 cross-reduced factors are coprime).  With the prime pinned, folding v^2
 into p can create a common factor, so that product keeps its gcd.
 
+The reduction works on packed keys: one packed offset shifts every
+name by its least exponent over both sides, one integer subtraction per
+key; exponent tuples are built only for the coprimality images and the
+gcd; the denominator's lead term c*m gets coefficient 1 by one pass per
+side that scales by 1/c and shifts by -m.
+
+``dot`` is a sum of products a*b with one accumulator (the method of
+Monagan & Pearce for sparse polynomials, JSC 2011): where every factor
+is a Laurent polynomial over 1, all term products go into one dict of
+packed keys, scaled to the lcm of the pairs' denominators, and one
+range check, one fold of v^2 at a pinned prime and one ``_canon`` make
+the sum, with no polynomial per product or partial sum.  It shares its
+product loop, ``_add_products``, with ``LaurentPoly.__mul__``.
+
 series_expand splits numerator and denominator into their coefficients
 in one variable, on that variable's packed field (``coeffs``), and runs
-its recurrence on RatFuncs times the inverse of the denominator's lowest
+its recurrence times the inverse of the denominator's lowest
 coefficient d0, formed once.  Where d0 is a monomial, a unit of the
 Laurent ring, that inverse is a Laurent polynomial over 1, and so is
-every coefficient: each step takes the den-1 fast paths and reduces
-nothing.  Otherwise each step is reduced.
+every coefficient: with the numerator's coefficients and the negated
+higher denominator coefficients multiplied by d0^-1 once, each step is
+one ``dot`` and reduces nothing.  Otherwise each step is reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm, prod
-from operator import sub
 from typing import Mapping, Optional, Union
 
 Q = Fraction
@@ -110,6 +124,16 @@ def _pack(e) -> int:
 
 def _unpack(k: int, n: int) -> tuple:
     return tuple(((k >> (_W * i)) & _M) - _B for i in range(n))
+
+
+def _key(names: tuple, prime: Optional[int], k: int) -> tuple:
+    """The sorted (name, exp) key of packed monomial k over names, v^2
+    shown as l where the prime is formal."""
+    pairs = list(zip(names, _unpack(k, len(names))))
+    if prime is None and V_NAME in names:
+        x = pairs.pop(names.index(V_NAME))[1]
+        pairs += [(L_NAME, x // 2), (V_NAME, x % 2)]
+    return tuple(sorted(pair for pair in pairs if pair[1]))
 
 
 def _fold_v(names: tuple, vecs: dict, den: int, prime: Optional[int]):
@@ -176,16 +200,43 @@ def _canon(names: tuple, vecs: dict, den: int, where=None):
         names, vecs, den)
 
 
+def _over(f: "LaurentPoly", names: tuple) -> dict:
+    """f's vecs keyed over names, a superset of f's names."""
+    return f.vecs if f.names == names else _remap(f.vecs, f.names, names)
+
+
 def _align(a: "LaurentPoly", b: "LaurentPoly"):
     """The union of the names of a and b, both sides' vecs over it, and
     the indices of the names they share."""
     if a.names == b.names:
         return a.names, a.vecs, b.vecs, range(len(a.names))
     names = tuple(sorted(set(a.names) | set(b.names)))
-    return (names, *(f.vecs if f.names == names else
-                     _remap(f.vecs, f.names, names) for f in (a, b)),
+    return (names, _over(a, names), _over(b, names),
             [i for i, s in enumerate(names)
              if s in a.names and s in b.names])
+
+
+def _add_products(acc: dict, x: dict, y: dict, bias: int,
+                  scale: int = 1) -> dict:
+    """acc with scale * c1 * c2 added at k1 + k2 - bias for each term
+    k1: c1 of x and k2: c2 of y, keys over the same names: the one
+    product loop of the module."""
+    for k1, c1 in x.items():
+        k1 -= bias
+        c1 *= scale
+        for k2, c2 in y.items():
+            k = k1 + k2
+            acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
+    return acc
+
+
+def _check_range(keys, bias: int) -> None:
+    """Raise unless every field of every key holds an exponent in
+    [-2^(W-2), 2^(W-2)): the top two bits of each field differ.  Fields
+    of two keys in that range add with no carry, so a product or a
+    difference of such keys is checked after it is formed."""
+    if any((k ^ (k << 1)) & bias != bias for k in keys):
+        raise ExactArithmeticError("exponent out of range")
 
 
 def _power(b, n: int, r):
@@ -241,17 +292,9 @@ class LaurentPoly:
 
     # -- the historical view -------------------------------------------------
 
-    def _key(self, k: int) -> tuple:
-        """The sorted (name, exp) key of packed monomial k, v^2 shown as l."""
-        pairs = list(zip(self.names, _unpack(k, len(self.names))))
-        if self.prime is None and V_NAME in self.names:
-            x = pairs.pop(self.names.index(V_NAME))[1]
-            pairs += [(L_NAME, x // 2), (V_NAME, x % 2)]
-        return tuple(sorted(pair for pair in pairs if pair[1]))
-
     @property
     def terms(self) -> dict:
-        return {self._key(k): Fraction(c, self.den)
+        return {_key(self.names, self.prime, k): Fraction(c, self.den)
                 for k, c in self.vecs.items()}
 
     # -- basic queries -----------------------------------------------------
@@ -326,16 +369,8 @@ class LaurentPoly:
             kb -= bias
             acc = {k + kb: c * cb for k, c in x.items()}
         else:
-            acc = {}
-            for k1, c1 in x.items():
-                k1 -= bias
-                for k2, c2 in y.items():
-                    k = k1 + k2
-                    acc[k] = acc[k] + c1 * c2 if k in acc else c1 * c2
-        # fields of two keys in [-2^(W-2), 2^(W-2)) add with no carry; the
-        # sum stays there if the top two bits of each field differ
-        if any((k ^ (k << 1)) & bias != bias for k in acc):
-            raise ExactArithmeticError("exponent out of range")
+            acc = _add_products({}, x, y, bias)
+        _check_range(acc, bias)
         den = a.den * b.den
         if p is not None and V_NAME in a.names and V_NAME in b.names:
             acc, den = _fold_v(names, acc, den, p)
@@ -489,23 +524,36 @@ def _normalize_pair(num: LaurentPoly, den: LaurentPoly,
         num, den = num * conj, den * conj
 
     names, x, y, _ = _align(num, den)
-    x, y = ({_unpack(k, len(names)): c for k, c in side.items()}
-            for side in (x, y))
-    low = [min(col) for col in zip(*x, *y)]
-    x, y = ({tuple(map(sub, e, low)): c for e, c in side.items()}
-            for side in (x, y))
+    n, bias = len(names), _bias(len(names))
+    # one packed offset lowers every field by its least exponent over
+    # both sides; the differences must fit a field
+    off = sum(min((k >> s) & _M for side in (x, y) for k in side) << s
+              for s in range(0, _W * n, _W)) - bias
+    x, y = ({k - off: c for k, c in side.items()} for side in (x, y))
+    _check_range((*x, *y), bias)
     sides = [(x, num.den), (y, den.den)]
-    if len(x) > 1 and not coprime and not _coprime_images(x, y):
-        sides = _divide_by_gcd(names, sides)
-    num2, den2 = (LaurentPoly._of(*_canon(names, {
-        _pack(e): c for e, c in vecs.items()}, d), prime) for vecs, d in sides)
+    if len(x) > 1 and not coprime:
+        tx, ty = ({_unpack(k, n): c for k, c in side.items()}
+                  for side in (x, y))
+        if not _coprime_images(tx, ty):
+            sides = [({_pack(e): c for e, c in vecs.items()}, d)
+                     for vecs, d in _divide_by_gcd(
+                         names, [(tx, num.den), (ty, den.den)])]
 
-    # unit normalization: the denominator term with the lex-least key
-    # gets coefficient 1
-    lead = min(den2.vecs, key=den2._key)
-    unit = LaurentPoly._of(*_canon(den2.names, {lead: den2.vecs[lead]},
-                                   den2.den), prime) ** -1
-    return num2 * unit, den2 * unit
+    # unit normalisation: the denominator term c*m with the lex-least key
+    # gets coefficient 1, both sides scaled by 1/c and shifted by -m in
+    # one pass each.  A pinned denominator is free of v, so m is too, and
+    # the shift keeps the exponents of v in {0, 1}
+    y, d = sides[1]
+    lead = min(y, key=lambda k: _key(names, prime, k))
+    if prime is not None and V_NAME in names \
+            and (lead >> (_W * names.index(V_NAME))) & _M != _B:
+        raise ExactArithmeticError("pinned denominator not free of v")
+    c, shift = y[lead], lead - bias
+    scale = d if c > 0 else -d
+    return tuple(LaurentPoly._of(*_canon(names, {
+        k - shift: a * scale for k, a in vecs.items()}, e * abs(c)), prime)
+        for vecs, e in sides)
 
 
 def _divide_by_gcd(names: tuple, sides: list) -> list:
@@ -654,10 +702,6 @@ def sym(name: str, prime: Optional[int] = None) -> RatFunc:
     return RatFunc.symbol(name, prime=prime)
 
 
-def symbols(names: str, prime: Optional[int] = None):
-    return tuple(sym(n, prime) for n in names.replace(",", " ").split())
-
-
 def ell(prime: Optional[int] = None) -> RatFunc:
     """The prime itself: the symbol l, or the concrete value."""
     if prime is None:
@@ -670,14 +714,46 @@ def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
     return RatFunc(LaurentPoly.symbol(V_NAME, k2, prime))
 
 
+def dot(pairs) -> RatFunc:
+    """sum a * b over the pairs (a, b) of RatFuncs, 0 at the formal prime
+    if there are none.  Where every factor is a Laurent polynomial over
+    1, every term product goes into one dict of packed keys: the names
+    are aligned once, each pair's products are scaled to the lcm of the
+    pairs' denominators, and one range check, one fold of v^2 at a
+    pinned prime and one ``_canon`` make the sum, with no polynomial
+    built per product or per partial sum.  Otherwise it is the sum of
+    the RatFunc products."""
+    pairs, prime = [(as_ratfunc(a), as_ratfunc(b)) for a, b in pairs], None
+    for a, b in pairs:
+        prime = _merge_prime(_merge_prime(prime, a.prime), b.prime)
+    if not all(a.den._is_one() and b.den._is_one() for a, b in pairs):
+        return sum((a * b for a, b in pairs), RatFunc.const(0, prime))
+    polys = [(a.num.with_prime(prime), b.num.with_prime(prime))
+             for a, b in pairs if a and b]
+    names = tuple(sorted({s for f in chain.from_iterable(polys)
+                          for s in f.names}))
+    bias, den = _bias(len(names)), lcm(*(a.den * b.den for a, b in polys))
+    acc: dict = {}
+    for a, b in polys:
+        _add_products(acc, _over(a, names), _over(b, names), bias,
+                      den // (a.den * b.den))
+    _check_range(acc, bias)
+    if prime is not None and V_NAME in names:
+        acc, den = _fold_v(names, acc, den, prime)
+    return RatFunc(LaurentPoly._of(*_canon(names, acc, den), prime),
+                   _canonical=True)
+
+
 def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     """The coefficients of var^0 .. var^order in the power series of f
     about var = 0, by the recurrence out[k] = (n_k - sum_j d_j
     out[k - j]) * d0^-1 on the coefficients of f's numerator and
     denominator in var, with d0^-1, the inverse of the lowest
     coefficient of the denominator, formed once.  When d0 is a monomial,
-    a unit of the Laurent ring, every term is a Laurent polynomial over
-    1 and no step reduces a fraction; otherwise each step is reduced."""
+    a unit of the Laurent ring, n_k * d0^-1 and -d_j * d0^-1 are formed
+    once, every term is a Laurent polynomial over 1, and each step is
+    one ``dot`` of those with 1 and the earlier out[k - j], which
+    reduces no fraction; otherwise each step is reduced."""
     f = as_ratfunc(f)
     num, den = f.num.coeffs(var), f.den.coeffs(var)
     dmin = min(den)
@@ -688,6 +764,14 @@ def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     den = {d - dmin: RatFunc(c) for d, c in den.items()}
     inv, zero = den.pop(0).inv(), RatFunc.const(0, f.prime)
     out = []
+    if inv.den._is_one():   # d0 a monomial: each step is one dot
+        num = {d: c * inv for d, c in num.items()}
+        den = {j: -c * inv for j, c in den.items()}
+        one = RatFunc.const(1, f.prime)
+        for k in range(order + 1):
+            out.append(dot([(num.get(k, zero), one)] + [
+                (c, out[k - j]) for j, c in den.items() if j <= k]))
+        return tuple(out)
     for k in range(order + 1):
         acc = num.get(k, zero)
         for j in range(1, k + 1):

@@ -440,10 +440,11 @@ def test_bessel_series_of_a_formal_datum_reduces_no_fraction(tame_z_data,
                                                             monkeypatch):
     # the generating functions have a monomial lowest coefficient d0 in
     # u, so the expansion forms d0^-1 once, a unit with no gcd, and every
-    # step of its recurrence stays a Laurent polynomial over 1: no
+    # step of its recurrence is one dot of Laurent polynomials over 1: no
     # fraction with a non-monomial denominator is reduced, and no step
-    # divides by d0 again.  The generating function is built before
-    # counting
+    # divides by d0 again.  The zeta integrals read off the series are
+    # dots of Laurent polynomials too, and reduce nothing at all.  The
+    # generating function is built before counting
     data = [d for *_, d in tame_z_data.values()] + [BesselDatum.formal()]
     for d in data:
         calls = []
@@ -456,9 +457,37 @@ def test_bessel_series_of_a_formal_datum_reduces_no_fraction(tame_z_data,
             m.setattr(besselzeta, "generating_function", lambda datum: f)
             m.setattr(symcore, "_normalize_pair", counting)
             series = bessel_series(d, ZETA_ORDER)
-        assert all(den.is_monomial() for den in calls)
-        assert len(calls) <= 1
+            assert all(den.is_monomial() for den in calls)
+            assert len(calls) <= 1
+            recip = _recip_series(d, ZETA_ORDER)
+            calls.clear()
+            zetas = [zeta_of_series(label, series, recip)
+                     for label in ZETA_LABELS]
+            assert calls == []
         assert series.values == series_expand_by_ratfuncs(f, "u", ZETA_ORDER)
+        want = [zeta_by_sums(label, series, recip) for label in ZETA_LABELS]
+        assert [(z.num, z.den) for z in zetas] == \
+            [(z.num, z.den) for z in want]
+
+
+def zeta_by_sums(label, series, recip):
+    """zeta_of_series as it was before each coefficient of the product
+    became one dot: the truncated product summed one RatFunc product at
+    a time, and the polynomial in u summed term by term."""
+    if label == "ul":
+        series = ul_bessel_transform(series, 1)
+    p = series.datum.p
+    prod = []
+    for k in range(series.order + 1):
+        acc = as_ratfunc(0, p)
+        for j, c in enumerate(recip[:k + 1]):
+            acc = acc + c * series.values[k - j]
+        prod.append(acc)
+    assert not any(prod[5:])
+    num = as_ratfunc(0, p)
+    for i in range(5):
+        num = num + prod[i] * sym("u", p) ** i
+    return num
 
 
 def bilinear_form_reduced_first(zeta_u, psi, chi):
@@ -514,6 +543,42 @@ def test_bilinear_form_evaluates_the_zeta_integral_itself(tame_z_data,
             assert (got.num, got.den) == (want.num, want.den), (k1, k2, p)
             assert any(f is z for f in seen), (k1, k2, p, label)
             seen.clear()
+
+
+def depth_factor_by_products(t, psi_pair, chi_pair, p=None):
+    """The depth factor as a chain of reduced products: 1 over
+    (prime^(t-1) (prime+1))^2, times 1 - (a/b) prime^-1 for each pair."""
+    one = as_ratfunc(1, p)
+    if t == 0:
+        return one
+    lp = ell(p)
+    out = one / (lp ** (t - 1) * (lp + 1)) ** 2
+    for (a, b) in zip(psi_pair, chi_pair):
+        a, b = as_ratfunc(a, p), as_ratfunc(b, p)
+        out = out * (one - (a / b) * ell_pow(-2, p))
+    return out
+
+
+def test_depth_factor_is_one_reduced_fraction(tame_z_data, monkeypatch):
+    # the tame characters, and characters that are fractions, at the
+    # formal prime and at 2: one fraction reduced once per depth
+    x = sym("x")
+    pairs = [(psi, chi, sigma.p) for sigma, psi, chi, _ in
+             tame_z_data.values()]
+    pairs += [((ell(p), 1 / (1 + x)), (x / (x - 2), ell_pow(3, p) * x), p)
+              for p in (None, 2)]
+    for psi, chi, p in pairs:
+        for t in range(4):
+            want = depth_factor_by_products(t, psi, chi, p)
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(symcore, "_normalize_pair",
+                          lambda *a, _fn=symcore._normalize_pair, **kw:
+                          calls.append(a) or _fn(*a, **kw))
+                got = depth_factor(t, psi, chi, p)
+            assert (got.num, got.den) == (want.num, want.den), (p, t)
+            if all(f.den == 1 for f in (*psi, *chi)):
+                assert len(calls) == (t > 0), (p, t)
 
 
 def test_depth_factor_negative_depth():

@@ -13,9 +13,14 @@ from sympy.polys.galoistools import gf_gcd, gf_strip
 
 from gsp4verify import symcore as sc
 from gsp4verify.symcore import (
-    DivisionByZero, LaurentPoly, PoleAtOrigin, RatFunc, ell, series_expand,
-    sym, symbols,
+    DivisionByZero, LaurentPoly, PoleAtOrigin, RatFunc, dot, ell,
+    series_expand, sym,
 )
+
+
+def symbols(names, prime=None):
+    """One symbol per name of a space- or comma-separated list."""
+    return tuple(sym(n, prime) for n in names.replace(",", " ").split())
 
 
 def vee(prime=None):
@@ -939,3 +944,171 @@ def test_series_expand_with_a_general_d0(f):
     # of the recurrence is reduced
     assume(not _lowest_coefficient(f, "x").is_monomial())
     assert_same_series(f, "x", 5)
+
+
+# -- dot against the sum of RatFunc products ---------------------------------
+
+
+@st.composite
+def _dot_factors(draw, prime):
+    """A factor of a dot: a Laurent polynomial in x, y, z, l and v with
+    negative exponents and differing name sets, now and then zero,
+    formal or at ``prime``."""
+    f = draw(laurent_polys(st.sampled_from(["x", "y", "z", "l", "v"])))
+    return RatFunc(f.with_prime(draw(st.sampled_from([None, prime]))))
+
+
+@st.composite
+def _dot_pairs(draw, prime, fractions):
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(_dot_factors(prime)), draw(_dot_factors(prime))
+        if fractions and draw(st.booleans()):     # the fallback
+            d = draw(_dot_factors(prime))
+            a = a / (d * d + 1)
+        pairs.append((a, b))
+    return pairs
+
+
+def sum_of_products(pairs):
+    """sum a * b in RatFunc arithmetic, one product and one sum at a
+    time."""
+    return sum((a * b for a, b in pairs), RatFunc.const(0))
+
+
+def _parts(f):
+    return [(g.names, g.vecs, g.den, g.prime) for g in (f.num, f.den)]
+
+
+_V_HALF = RatFunc(LaurentPoly({(("v", 1), ("x", -1)): Q(1, 2),
+                               (("y", 2),): Q(-3, 4)}))
+
+
+def assert_dot_is_the_sum(pairs):
+    got, want = dot(pairs), sum_of_products(pairs)
+    assert _parts(got) == _parts(want)
+    assert hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([None, 2, 3]), st.booleans())
+def test_dot_against_sum_of_products(data, prime, fractions):
+    assert_dot_is_the_sum(data.draw(_dot_pairs(prime, fractions)))
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_dot_with_v_in_both_factors(prime):
+    # v in both factors of both pairs, over denominators 2, 4 and 3
+    half = _V_HALF.with_prime(prime)
+    assert_dot_is_the_sum([(half, half), (half / 3, sym("v"))])
+
+
+def test_dot_edge_cases(monkeypatch):
+    x, y = sym("x"), sym("y")
+    assert _parts(dot([])) == _parts(RatFunc.const(0))
+    assert _parts(dot([(x, 0), (0, sym("y", 2))])) == \
+        _parts(RatFunc.const(0, 2))
+    # over 1, no fraction is reduced; a fraction takes the fallback
+    pairs, calls = [(x / 2, y ** -3), (x * y, Q(5, 3))], []
+    want = x * y ** -3 / 2 + Q(5, 3) * x * y
+    monkeypatch.setattr(sc, "_normalize_pair",
+                        lambda *a, _fn=sc._normalize_pair, **kw:
+                        calls.append(a) or _fn(*a, **kw))
+    assert dot(pairs) == want and calls == []
+    assert dot([(x, 1 / (1 + y)), (1, x)]) == x * (2 + y) / (1 + y)
+    # the one range check covers every pair
+    edge = sym("x") ** (_EDGE - 1)
+    with pytest.raises(sc.ExactArithmeticError):
+        dot([(x, y), (edge, x)])
+    with pytest.raises(sc.PrimeMismatch):
+        dot([(sym("x", 2), sym("y", 3))])
+    with pytest.raises(sc.PrimeMismatch):
+        dot([(sym("x", 2), y), (x, sym("y", 3))])
+
+
+# -- the packed reduction against the tuple-keyed one it replaced ------------
+
+
+def normalize_pair_by_tuples(num, den, coprime=False):
+    """_normalize_pair as it was on exponent tuples: the pair unpacked,
+    shifted name by name and packed again, and the unit fixed by
+    multiplying both sides by the inverse of the lead monomial."""
+    prime = sc._merge_prime(num.prime, den.prime)
+    num, den = num.with_prime(prime), den.with_prime(prime)
+    if den.is_zero():
+        raise DivisionByZero("zero denominator")
+    if num.is_zero() or den.is_monomial():
+        return (num if num.is_zero() or den._is_one() else num * den ** -1,
+                LaurentPoly.const(1, prime))
+    if prime is not None and "v" in den.names:
+        s = sc._W * den.names.index("v")
+        conj = LaurentPoly._of(den.names, {
+            k: -c if k >> s & 1 else c for k, c in den.vecs.items()},
+            den.den, prime)
+        num, den = num * conj, den * conj
+    names, x, y, _ = sc._align(num, den)
+    x, y = ({sc._unpack(k, len(names)): c for k, c in side.items()}
+            for side in (x, y))
+    low = [min(col) for col in zip(*x, *y)]
+    x, y = ({tuple(map(operator.sub, e, low)): c for e, c in side.items()}
+            for side in (x, y))
+    sides = [(x, num.den), (y, den.den)]
+    if len(x) > 1 and not coprime and not sc._coprime_images(x, y):
+        sides = sc._divide_by_gcd(names, sides)
+    num2, den2 = (LaurentPoly._of(*sc._canon(names, {
+        sc._pack(e): c for e, c in vecs.items()}, d), prime)
+        for vecs, d in sides)
+    lead = min(den2.vecs, key=lambda k: sc._key(den2.names, prime, k))
+    unit = LaurentPoly._of(*sc._canon(den2.names, {lead: den2.vecs[lead]},
+                                      den2.den), prime) ** -1
+    return num2 * unit, den2 * unit
+
+
+def _assert_same_reduction(num, den, coprime=False):
+    got = sc._normalize_pair(num, den, coprime)
+    want = normalize_pair_by_tuples(num, den, coprime)
+    assert [(f.names, f.vecs, f.den, f.prime) for f in got] == \
+        [(f.names, f.vecs, f.den, f.prime) for f in want]
+
+
+def _reduction_examples():
+    x, y, v = (LaurentPoly.symbol(s) for s in "xyv")
+    yield x, -2 - y                         # a negative lead coefficient
+    yield x * x - y * y, -3 * (x + y)       # a gcd, then a negative lead
+    yield (x + v) * (1 + y), (1 + y) * (v * x - 2)
+    for p in (2, 3):
+        yield ((x + v).with_prime(p), (2 * v - x * y).with_prime(p))
+        yield (((1 + v) * (x - y)).with_prime(p),
+               (-(1 + v) * (x + y * y)).with_prime(p))
+
+
+@pytest.mark.parametrize("i", range(7))
+def test_packed_reduction_examples(i):
+    num, den = list(_reduction_examples())[i]
+    _assert_same_reduction(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xylv, xylv, xylv, st.sampled_from([None, 2, 3]),
+       st.sampled_from([1, -1, Q(-3, 2)]), st.booleans())
+def test_packed_reduction_against_tuple_reference(a, b, c, prime, unit,
+                                                  common):
+    # coprime pairs, pairs with the common factor c that the gcd must
+    # find, and denominators whose lead coefficient is negative
+    a, b, c = (f.with_prime(prime) for f in (a, b, c))
+    if common:
+        a, b = a * c, b * c
+    assume(not b.is_zero())
+    _assert_same_reduction(a, b * unit)
+    if prime is None and not common:
+        _assert_same_reduction(a, b * unit, coprime=True)
+
+
+def test_pinned_lead_with_v_raises(monkeypatch):
+    # the conjugate makes a pinned denominator free of v, so the unit
+    # shift keeps v in {0, 1}; with the fold of v^2 switched off, x^2 - v^2
+    # keeps v in its lead term, and the reduction must refuse it
+    x, v = (LaurentPoly.symbol(s, prime=3) for s in "xv")
+    monkeypatch.setattr(sc, "_fold_v", lambda names, vecs, den, p: (vecs, den))
+    with pytest.raises(sc.ExactArithmeticError, match="free of v"):
+        sc._normalize_pair(x, x + v)
