@@ -56,11 +56,11 @@ product loop, ``_add_products``, with ``LaurentPoly.__mul__``.
 series_expand splits numerator and denominator into their coefficients
 in one variable, on that variable's packed field (``coeffs``), and runs
 its recurrence times the inverse of the denominator's lowest
-coefficient d0, formed once.  Where d0 is a monomial, a unit of the
-Laurent ring, that inverse is a Laurent polynomial over 1, and so is
-every coefficient: with the numerator's coefficients and the negated
-higher denominator coefficients multiplied by d0^-1 once, each step is
-one ``dot`` and reduces nothing.  Otherwise each step is reduced.
+coefficient d0, formed once: with the numerator's coefficients and the
+negated higher denominator coefficients multiplied by d0^-1 once, each
+step is one ``dot``.  Where d0 is a monomial, a unit of the Laurent
+ring, that inverse is a Laurent polynomial over 1, and so is every
+coefficient, so no step reduces a fraction.
 """
 
 from __future__ import annotations
@@ -748,34 +748,24 @@ def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     """The coefficients of var^0 .. var^order in the power series of f
     about var = 0, by the recurrence out[k] = (n_k - sum_j d_j
     out[k - j]) * d0^-1 on the coefficients of f's numerator and
-    denominator in var, with d0^-1, the inverse of the lowest
-    coefficient of the denominator, formed once.  When d0 is a monomial,
-    a unit of the Laurent ring, n_k * d0^-1 and -d_j * d0^-1 are formed
-    once, every term is a Laurent polynomial over 1, and each step is
-    one ``dot`` of those with 1 and the earlier out[k - j], which
-    reduces no fraction; otherwise each step is reduced."""
+    denominator in var.  n_k * d0^-1 and -d_j * d0^-1, with d0^-1 the
+    inverse of the lowest coefficient of the denominator, are formed
+    once, and each step is one ``dot`` of those with 1 and the earlier
+    out[k - j].  When d0 is a monomial, a unit of the Laurent ring,
+    every factor is a Laurent polynomial over 1 and no step reduces a
+    fraction; otherwise ``dot`` sums the reduced products."""
     f = as_ratfunc(f)
     num, den = f.num.coeffs(var), f.den.coeffs(var)
     dmin = min(den)
     if min(num, default=dmin) < dmin:
         raise PoleAtOrigin(f"pole at {var}=0")
     # canonical forms may carry a common monomial in var; shift it out
-    num = {d - dmin: RatFunc(c) for d, c in num.items()}
-    den = {d - dmin: RatFunc(c) for d, c in den.items()}
-    inv, zero = den.pop(0).inv(), RatFunc.const(0, f.prime)
+    inv = RatFunc(den.pop(dmin)).inv()
+    num = {d - dmin: RatFunc(c) * inv for d, c in num.items()}
+    den = {d - dmin: -RatFunc(c) * inv for d, c in den.items()}
+    zero, one = RatFunc.const(0, f.prime), RatFunc.const(1, f.prime)
     out = []
-    if inv.den._is_one():   # d0 a monomial: each step is one dot
-        num = {d: c * inv for d, c in num.items()}
-        den = {j: -c * inv for j, c in den.items()}
-        one = RatFunc.const(1, f.prime)
-        for k in range(order + 1):
-            out.append(dot([(num.get(k, zero), one)] + [
-                (c, out[k - j]) for j, c in den.items() if j <= k]))
-        return tuple(out)
     for k in range(order + 1):
-        acc = num.get(k, zero)
-        for j in range(1, k + 1):
-            if j in den:
-                acc = acc - den[j] * out[k - j]
-        out.append(acc * inv)
+        out.append(dot([(num.get(k, zero), one)] + [
+            (c, out[k - j]) for j, c in den.items() if j <= k]))
     return tuple(out)

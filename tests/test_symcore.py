@@ -940,8 +940,8 @@ def test_series_expand_with_a_monomial_d0(f):
 @settings(max_examples=40, deadline=None)
 @given(_series_fractions(False))
 def test_series_expand_with_a_general_d0(f):
-    # a reduction can cancel c + y^i out of d0; for the rest each step
-    # of the recurrence is reduced
+    # a reduction can cancel c + y^i out of d0; for the rest d0^-1 has
+    # a denominator, and each step's dot sums reduced products
     assume(not _lowest_coefficient(f, "x").is_monomial())
     assert_same_series(f, "x", 5)
 
