@@ -5,11 +5,17 @@ The irreducible representation with highest weight (a+b, a, 0) — in the
 basis (chi1, chi2, mu) of the diagonal-torus character lattice — is
 realised as the cyclic module generated by the top tensor inside
 (wedge^2 of the standard representation)^(tensor a) tensor (standard
-representation)^(tensor b).  The Lie action, four times the Casimir and
-the echelon form (fraction-free, on primitive rows) run on Python ints;
-the isotypic projection clears the denominators of its input and makes
-one exact division over Q at the end; its eigenvalues are the candidates
-4c(w), w a weight of the tensor space, where the Krylov polynomial vanishes.
+representation)^(tensor b).  Its vectors are dicts keyed by packed
+factor indices: one int with a 3-bit field per tensor factor, factor 0
+in the highest field, so the order of the keys is that of the index
+tuples and the pivots of the echelon form do not depend on the packing;
+acting on one factor adds (r - i) << shift to a key.  Only the sides of
+a twist failure are shown with tuple keys.  The Lie action, four times
+the Casimir and the echelon form (fraction-free, on primitive rows) run
+on Python ints; the isotypic projection clears the denominators of its
+input and makes one exact division over Q at the end; its eigenvalues
+are the candidates 4c(w), w a weight of the tensor space, where the
+Krylov polynomial vanishes.
 
 Provided here:
 
@@ -129,9 +135,28 @@ _LIE_COLUMNS = {name: (_columns(x), _columns(wedge_lie_matrix(x)))
 
 # -- ambient tensor spaces -------------------------------------------------------
 
+#: bits per tensor factor in a packed key; a factor index is below 6
+_FIELD = 3
+_MASK = (1 << _FIELD) - 1
+
+#: the torus weights of the basis vectors of a factor, by its kind
+_FACTOR_WEIGHTS = {"w": tuple(map(_wedge_weight, range(6))),
+                   "v": _STD_WEIGHTS}
+
+
+def pack(idx) -> int:
+    """The packed key of a tuple of factor indices: 3 bits per factor,
+    factor 0 in the highest field, so keys of one length sort as their
+    tuples do."""
+    k = 0
+    for i in idx:
+        k = (k << _FIELD) | i
+    return k
+
+
 class TensorSpace:
     """(wedge square)^(tensor a) tensor (standard)^(tensor b), with
-    exact sparse vectors keyed by tuples of factor indices."""
+    exact sparse vectors keyed by packed factor indices (see pack)."""
 
     def __init__(self, a: int, b: int, kinds=None):
         if a < 0 or b < 0 or 6 ** a * 4 ** b > SIZE_BOUND:
@@ -143,18 +168,27 @@ class TensorSpace:
             raise ValueError("kinds must be a permutation of the factors")
         self.kinds = tuple(kinds)
         self.dims = tuple(6 if k == "w" else 4 for k in self.kinds)
+        # the shift of each factor's field, factor 0 highest
+        self._shifts = tuple(_FIELD * pos
+                            for pos in reversed(range(len(self.kinds))))
 
     def indices(self):
-        return itertools.product(*(range(d) for d in self.dims))
+        """The packed keys of the basis, in the order of their tuples."""
+        return map(pack, itertools.product(*(range(d) for d in self.dims)))
 
-    def gweight(self, idx):
-        w = (0, 0, 0)
-        for k, i in zip(self.kinds, idx):
-            piece = _wedge_weight(i) if k == "w" else _STD_WEIGHTS[i]
-            w = tuple(x + y for x, y in zip(w, piece))
-        return w
+    def unpack(self, key: int) -> tuple:
+        """The tuple of factor indices of a packed key."""
+        return tuple((key >> s) & _MASK for s in self._shifts)
 
-    def sweight(self, idx) -> int:
+    def gweight(self, idx: int):
+        """The torus weight of the basis vector with packed key idx."""
+        n1 = n2 = m = 0
+        for kind, s in zip(self.kinds, self._shifts):
+            x, y, z = _FACTOR_WEIGHTS[kind][(idx >> s) & _MASK]
+            n1, n2, m = n1 + x, n2 + y, m + z
+        return n1, n2, m
+
+    def sweight(self, idx: int) -> int:
         """Weight under the rank-1 torus diag(x, x, 1, 1)."""
         n1, n2, m = self.gweight(idx)
         return n1 + n2 + m
@@ -162,12 +196,16 @@ class TensorSpace:
     def _act_factor(self, pos: int, cols4, cols6, vec: dict, out: dict):
         """Add to out the image of vec under one matrix acting on tensor
         factor pos; cols4 and cols6 are the sparse columns (see _columns)
-        of its action on the standard and on the wedge representation."""
+        of its action on the standard and on the wedge representation.
+        The entry (r, x) of column i sends a key with i in the field of
+        pos to the key with r there: it adds (r - i) << shift."""
         cols = cols6 if self.kinds[pos] == "w" else cols4
-        for idx, c in vec.items():
-            for r, x in cols[idx[pos]]:
-                nidx = idx[:pos] + (r,) + idx[pos + 1:]
-                out[nidx] = out.get(nidx, 0) + c * x
+        s = self._shifts[pos]
+        for k, c in vec.items():
+            i = (k >> s) & _MASK
+            for r, x in cols[i]:
+                nk = k + ((r - i) << s)
+                out[nk] = out[nk] + c * x if nk in out else c * x
         return out
 
     def apply_lie(self, name: str, vec: dict) -> dict:
@@ -190,7 +228,7 @@ class TensorSpace:
 
     def top_tensor(self) -> dict:
         """w^(tensor a) tensor v^(tensor b): the generating vector."""
-        return {tuple([0] * (self.a + self.b)): 1}
+        return {pack((0,) * (self.a + self.b)): 1}
 
 
 def _casimir_terms():
@@ -215,8 +253,8 @@ def _casimir4(space: TensorSpace, vec: dict) -> dict:
     """Apply four times the Casimir operator: integral on integral vec."""
     out: dict = {}
     for x, y, g in _CASIMIR_TERMS:
-        for idx, c in space.apply_lie(x, space.apply_lie(y, vec)).items():
-            out[idx] = out.get(idx, 0) + g * c
+        for k, c in space.apply_lie(x, space.apply_lie(y, vec)).items():
+            out[k] = out.get(k, 0) + g * c
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -225,10 +263,8 @@ def _casimir4_candidates(space: TensorSpace) -> set:
     4c of a constituent's highest weight, a weight of space."""
     weights = {(0, 0, 0)}
     for kind in space.kinds:
-        pieces = (tuple(map(_wedge_weight, range(6))) if kind == "w"
-                  else _STD_WEIGHTS)
         weights = {tuple(x + y for x, y in zip(w, piece))
-                   for w in weights for piece in pieces}
+                   for w in weights for piece in _FACTOR_WEIGHTS[kind]}
     return {_casimir4_eigenvalue(w) for w in weights}
 
 
@@ -344,8 +380,10 @@ def build_rep(a: int, b: int) -> RepSpace:
 
 # -- isotypic projection (Cartan product) ---------------------------------------
 
-class ProjectorError(Exception):
-    pass
+class ProjectorError(AssertionError):
+    """The Casimir does not separate the isotypic parts it is asked to:
+    a failed identity of the representation, which the runner records
+    as a failure."""
 
 
 def cartan_project(space: TensorSpace, vec: dict, target_weight,
@@ -452,7 +490,7 @@ W_PRIME = ((_WEDGE_INDEX[(0, 3)], 1), (_WEDGE_INDEX[(1, 2)], -1))
 
 def hw_tensor(a: int, b: int, q: int, r: int) -> dict:
     """The plain tensor w^(a-q) (w')^q v^(b-r) (v')^r in the fixed
-    factor order (wedge factors first)."""
+    factor order (wedge factors first), on packed keys."""
     if not (0 <= q <= a and 0 <= r <= b):
         raise ValueError("parameters out of range")
     vec = {(): 1}
@@ -470,7 +508,7 @@ def hw_tensor(a: int, b: int, q: int, r: int) -> dict:
             for i, x in choices:
                 nxt[idx + (i,)] = c * x
         vec = nxt
-    return vec
+    return {pack(idx): c for idx, c in vec.items()}
 
 
 def hw_vector(a: int, b: int, q: int, r: int, space: TensorSpace) -> dict:
@@ -496,8 +534,7 @@ def twist_element(h: int):
 
 
 def s_weight_projection(space: TensorSpace, vec: dict, weight: int) -> dict:
-    return {idx: c for idx, c in vec.items()
-            if space.sweight(idx) == weight}
+    return {k: c for k, c in vec.items() if space.sweight(k) == weight}
 
 
 def twist_lemma_check(space: TensorSpace, v: dict, v0: dict, q: int,
@@ -505,13 +542,15 @@ def twist_lemma_check(space: TensorSpace, v: dict, v0: dict, q: int,
     """Check that the projection of the h-th twist of the (q, r)
     highest-weight vector v to the top weight space of the rank-1 torus
     diag(x,x,1,1) equals (2h)^q times the (0, r) vector v0, both built
-    by hw_vector in space.  Returns (ok, lhs, rhs)."""
+    by hw_vector in space.  Returns (ok, lhs, rhs), the sides keyed by
+    tuples of factor indices."""
     if h == 0:
         raise ValueError("h must be non-zero")
     twisted = space.apply_group(twist_element(h), v)
     lhs = s_weight_projection(space, twisted, 2 * space.a + space.b)
     rhs = {k: Q(2 * h) ** q * c for k, c in v0.items()}
-    return lhs == rhs, lhs, rhs
+    return lhs == rhs, *({space.unpack(k): c for k, c in side.items()}
+                         for side in (lhs, rhs))
 
 
 def dual_character_check(rep: RepSpace) -> bool:

@@ -17,8 +17,13 @@ Implements, in exact arithmetic:
 
 A section value is first a character-free table {(d, j): c} of the
 coefficients of a_chi^d l^{-d/2} q^j, its shell averages read off phi's
-table at integer residues.  A sum over points adds the tables and turns
-the sum into one RatFunc.
+table at integer residues, and a table is evaluated by one symcore.dot
+of its rational coefficients with those monomials.  A sum over points
+adds the tables and is evaluated once: the direct intertwining integral
+puts its Z_l average and every shell below the geometric tail into one
+table, a_r = l q moving a shell's q^i to q^(i+j) with the scale
+l^j (1 - 1/l), and the duality pairing adds the products of the two
+tables, keyed by both keys, and evaluates them once.
 
 Conventions.  An unramified character chi is described by its value
 a = chi(l), a rational function in formal symbols; chi(x) = a^{val(x)}.
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symcore import RatFunc, as_ratfunc, ell_pow
+from .symcore import RatFunc, as_ratfunc, dot, ell_pow
 from .padic import (Cyc, SchwartzFn, _padic_residue, fourier, mat_mul,
                     min_val, val)
 
@@ -87,10 +92,12 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     return _characters(a_chi, a_psi, phi.p)(_section_terms(phi, g))
 
 
-def _section_terms(phi: SchwartzFn, g, terms=None, weight=1) -> dict:
+def _section_terms(phi: SchwartzFn, g, terms=None, weight=1,
+                   shift: int = 0) -> dict:
     """The value of eval_siegel(phi, a_chi, a_psi, g) free of the
-    characters: adds weight * c to terms[(d, j)] for each coefficient c of
-    a_chi^d l^{-d/2} q^j, and returns terms (a new dict by default)."""
+    characters: adds weight * c to terms[(d, j + shift)] for each
+    coefficient c of a_chi^d l^{-d/2} q^j, and returns terms (a new dict
+    by default)."""
     terms = {} if terms is None else terms
     p = phi.p
     g = [[Fraction(x) for x in row] for row in g]
@@ -104,27 +111,40 @@ def _section_terms(phi: SchwartzFn, g, terms=None, weight=1) -> dict:
     shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
     shells.append(_rat(phi.value_at(0, 0)))
     d = val(det, p)
-    for j, c, c_prev in zip(range(j_min, j_top + 1), shells, [0] + shells):
+    for j, c, c_prev in zip(range(j_min + shift, j_top + shift + 1), shells,
+                            [0] + shells):
         if c != c_prev:
             terms[d, j] = terms.get((d, j), 0) + weight * (c - c_prev)
     return terms
 
 
-def _characters(a_chi, a_psi, p: int):
-    """The map {(d, j): c} -> sum of c a_chi^d l^{-d/2} q^j, q = (a_chi /
-    a_psi) l^{-1}, which turns _section_terms into section values.  Each
-    monomial is built once, on first use, in a dict local to this call."""
+def _monomials(a_chi, a_psi, p: int):
+    """The map (d, j) -> a_chi^d l^{-d/2} q^j, q = (a_chi / a_psi) l^{-1}.
+    Each monomial is built once, on first use, in a dict local to this
+    call."""
     a_chi = as_ratfunc(a_chi, p)
     q = (a_chi / as_ratfunc(a_psi, p)) * ell_pow(-2, p)
     monomials = {}
 
+    def monomial(key) -> RatFunc:
+        if key not in monomials:
+            d, j = key
+            monomials[key] = a_chi ** d * ell_pow(-d, p) * q ** j
+        return monomials[key]
+    return monomial
+
+
+def _characters(a_chi, a_psi, p: int):
+    """The map {(d, j): c} -> sum of c a_chi^d l^{-d/2} q^j, which turns
+    _section_terms into section values: one dot of the coefficients with
+    the monomials (see _monomials)."""
+    monomial = _monomials(a_chi, a_psi, p)
+
     def value(terms) -> RatFunc:
-        total = as_ratfunc(0, p)
-        for (d, j), c in terms.items():
-            if (d, j) not in monomials:
-                monomials[d, j] = a_chi ** d * ell_pow(-d, p) * q ** j
-            total = total + as_ratfunc(c, p) * monomials[d, j]
-        return total
+        if not terms:
+            return as_ratfunc(0, p)
+        return dot([(as_ratfunc(c, p), monomial(key))
+                    for key, c in terms.items()])
     return value
 
 
@@ -156,33 +176,39 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
     one = as_ratfunc(1, p)
 
     g = [[Fraction(x) for x in row] for row in g]
-    value = _characters(a_chi, a_psi, p)
-    fg = value(_section_terms(phi, g))    # raises unless g is invertible
+    fg = _section_terms(phi, g)    # raises unless g is invertible
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     # g^{-1} = adj(g) / det g, so min_val(g^{-1}) = min_val(g) - val(det g)
     top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
-
-    def average(points):
-        terms, weight = {}, Q(1, len(points))
-        for h in points:
-            _section_terms(phi, h, terms, weight)
-        return value(terms)
-
-    # integral over u in Z_l
-    total = average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
-                     for u in range(p ** top)])
-    # shell val(u) = -j, rewritten via u -> 1/u as an integral over the
-    # opposite unipotent:  S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g)
-    a_r = a_chi / a_psi
-    unit_vol = one - as_ratfunc(Q(1, p), p)
     tail = max(1, top)
+    unit_vol = 1 - Q(1, p)
+    terms = {}
+
+    def average(points, weight, shift):
+        weight /= len(points)
+        for h in points:
+            _section_terms(phi, h, terms, weight, shift)
+
+    # the integral over u in Z_l, then the shells val(u) = -j below the
+    # tail, each rewritten via u -> 1/u as an integral over the opposite
+    # unipotent: S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g).  With
+    # a_r = a_chi/a_psi = l q, S_j's table is the average's moved from
+    # q^i to q^(i+j) and scaled by l^j (1 - 1/l): one table for them all
+    average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
+             for u in range(p ** top)], Q(1), 0)
     for j in range(1, tail):
-        total = total + a_r ** j * unit_vol * average([
-            mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
-            for e in range(1, p ** (top - j)) if e % p])
-    # geometric tail sum_{j >= tail} a_r^j (1 - 1/l) f(g)
-    total = total + a_r ** tail / (one - a_r) * unit_vol * fg
-    return (one - a_r) * total
+        average([mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
+                 for e in range(1, p ** (top - j)) if e % p],
+                p ** j * unit_vol, j)
+    # the geometric tail sum_{j >= tail} a_r^j (1 - 1/l) f(g), one fraction
+    # a_r^tail (1 - 1/l) f(g) / (1 - a_r), f(g)'s table moved the same way
+    value = _characters(a_chi, a_psi, p)
+    tail_num = value({(d, j + tail): p ** tail * unit_vol * c
+                      for (d, j), c in fg.items()})
+    den = one - a_chi / a_psi
+    total = value(terms) + RatFunc(tail_num.num * den.den,
+                                   tail_num.den * den.num)
+    return den * total
 
 
 def intertwine_closed(phi_hat: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
@@ -216,14 +242,22 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
     only on the line of the bottom row, so the integral is the exact
     average over P^1(Z/l^t)."""
     (phi1, *chars1), (phi2, *chars2) = sec1, sec2
-    value1 = _characters(*chars1, phi1.p)
-    value2 = _characters(*chars2, phi2.p)
     reps = projective_line_reps(p, max(t, 1))
-    total = as_ratfunc(0, p)
+    # the products of the two tables, keyed by both keys
+    products = {}
     for g in reps:
-        total = total + (value1(_section_terms(phi1, g))
-                         * value2(_section_terms(phi2, g)))
-    return total * as_ratfunc(Q(1, len(reps)), p)
+        terms2 = _section_terms(phi2, g).items()
+        for key1, c1 in _section_terms(phi1, g).items():
+            for key2, c2 in terms2:
+                key = key1, key2
+                products[key] = products.get(key, 0) + c1 * c2
+    if not products:
+        return as_ratfunc(0, p)
+    monomial1 = _monomials(*chars1, phi1.p)
+    monomial2 = _monomials(*chars2, phi2.p)
+    return dot([(as_ratfunc(Q(c, len(reps)), p),
+                 monomial1(key1) * monomial2(key2))
+                for (key1, key2), c in products.items()])
 
 
 def support_check(phi: SchwartzFn, a_chi, a_psi, t: int) -> bool:

@@ -23,10 +23,12 @@ RatFunc is a reduced fraction of two LaurentPolys, canonical at the
 formal prime and at a pinned one, so equality compares num and den at
 compatible primes, with no re-pinning (`with_prime` pins first).  A
 Laurent polynomial over 1 is canonical, so building one, or the sum or
-product of two, does not reduce.  Otherwise a pinned denominator is made
-free of v by its conjugate (Trager's norm, SYMSAC 1976), both sides are
-shifted to polynomials in Q[v, ...] and divided by their gcd, and the
-denominator's lexicographically smallest term gets coefficient 1.  The
+product of two, does not reduce; nor does a product with a rational,
+or with c v^k at a pinned prime, which keeps the other denominator.
+Otherwise a pinned denominator is made free of v by its conjugate
+(Trager's norm, SYMSAC 1976), both sides are shifted to polynomials in
+Q[v, ...] and divided by their gcd, and the denominator's
+lexicographically smallest term gets coefficient 1.  The
 gcd is skipped where images mod a large prime q prove the pair coprime:
 for each variable x_i, with the others at fixed integers, Euclid's
 algorithm in F_q[x_i] finds a constant gcd and a leading coefficient in
@@ -651,6 +653,19 @@ class RatFunc:
         other = as_ratfunc(other, self.prime)
         if self.den._is_one() and other.den._is_one():
             return RatFunc(self.num * other.num, _canonical=True)
+        # a rational, or c v^k at a pinned prime, times a reduced N/D at
+        # that prime is (u N)/D as it stands: u changes no exponent but
+        # v's and a pinned D is free of v, so the least exponents over
+        # both sides, and D's unit, are those of N/D, and gcd(u N, D) =
+        # gcd(N, D).  Another monomial can move the least exponents, and
+        # with them the term of D that the reduction scales to 1
+        for u, f in ((self, other), (other, self)):
+            names = u.num.names
+            if u.den._is_one() and u.num.is_monomial() \
+                    and _merge_prime(u.prime, f.prime) == f.prime and (
+                        not names or f.prime is not None
+                        and names == (V_NAME,)):
+                return RatFunc(u.num * f.num, f.den, _canonical=True)
         # cross-reduce first to keep intermediate degrees small; with the
         # prime formal the product of the reduced factors is reduced
         a = RatFunc(self.num, other.den)

@@ -680,6 +680,22 @@ def test_pairing_kept_per_datum(monkeypatch):
     assert first == second
 
 
+def test_depth_zero_pairing_reduces_no_fraction(tame_data, monkeypatch):
+    # the depth-0 factor is the constant 1, so the depth-0 pairing is the
+    # datum's base pairing, with no reduction
+    for datum in tame_data.values():
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(symcore, "_normalize_pair",
+                      lambda *a, _fn=symcore._normalize_pair, **kw:
+                      calls.append(a) or _fn(*a, **kw))
+            got = {label: datum.pairing(label, 0) for label in ZETA_LABELS}
+        assert calls == []
+        for label in ZETA_LABELS:
+            want = datum.base[label]
+            assert (got[label].num, got[label].den) == (want.num, want.den)
+
+
 def test_concrete_prime_consistency():
     # the whole chain also runs with the prime pinned to 2
     datum = tame_pairing(1, 1, sym("tau1", 2), sym("tau2", 2), p=2)

@@ -117,6 +117,98 @@ def test_not_in_lie_algebra():
     assert similitude_derivative(bad) is None
 
 
+# ------------------------------------------- packed keys against tuple keys
+
+
+def _act_factor_by_tuples(space, pos, cols4, cols6, vec, out):
+    """TensorSpace._act_factor as it was on tuple keys: the reference for
+    the packed keys."""
+    cols = cols6 if space.kinds[pos] == "w" else cols4
+    for idx, c in vec.items():
+        for r, x in cols[idx[pos]]:
+            nidx = idx[:pos] + (r,) + idx[pos + 1:]
+            out[nidx] = out.get(nidx, 0) + c * x
+    return out
+
+
+def apply_lie_by_tuples(space, name, vec):
+    out = {}
+    for pos in range(len(space.kinds)):
+        _act_factor_by_tuples(space, pos, *br._LIE_COLUMNS[name], vec, out)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def apply_group_by_tuples(space, g, vec):
+    g4 = [[br._integral(x) for x in row] for row in mat(g)]
+    cols = (br._columns(g4), br._columns(br.wedge_group_matrix(g4)))
+    for pos in range(len(space.kinds)):
+        vec = _act_factor_by_tuples(space, pos, *cols, vec, {})
+        vec = {k: v for k, v in vec.items() if v != 0}
+    return vec
+
+
+def gweight_by_tuples(space, idx):
+    w = (0, 0, 0)
+    for k, i in zip(space.kinds, idx):
+        piece = br._wedge_weight(i) if k == "w" else br._STD_WEIGHTS[i]
+        w = tuple(x + y for x, y in zip(w, piece))
+    return w
+
+
+@st.composite
+def _tensor_vectors(draw):
+    """A tensor space of the grid with its factors in any order, and a
+    vector on it with int or Fraction coefficients, keyed by tuples."""
+    a, b = draw(st.sampled_from(br.grid()))
+    kinds = draw(st.permutations(("w",) * a + ("v",) * b))
+    space = br.TensorSpace(a, b, kinds)
+    coeffs = st.integers(-5, 5) | st.fractions(max_denominator=4)
+    vec = draw(st.dictionaries(
+        st.tuples(*(st.integers(0, d - 1) for d in space.dims)), coeffs,
+        max_size=6))
+    return space, {k: c for k, c in vec.items() if c}
+
+
+_GROUP = (st.sampled_from([-2, -1, 1, 2]).map(br.twist_element)
+          | st.lists(st.integers(-3, 3) | st.fractions(max_denominator=3),
+                     min_size=16, max_size=16).map(
+              lambda xs: mat([xs[i:i + 4] for i in range(0, 16, 4)])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_vectors(), st.sampled_from(sorted(br._LIE_COLUMNS)), _GROUP)
+def test_packed_action_against_tuple_reference(sv, name, g):
+    space, vec = sv
+    packed = {br.pack(k): c for k, c in vec.items()}
+    for got, want in ((space.apply_lie(name, packed),
+                       apply_lie_by_tuples(space, name, vec)),
+                      (space.apply_group(g, packed),
+                       apply_group_by_tuples(space, g, vec))):
+        assert {space.unpack(k): c for k, c in got.items()} == want
+        assert all(type(c) is type(want[space.unpack(k)])
+                   for k, c in got.items())
+    for idx in vec:
+        assert space.gweight(br.pack(idx)) == gweight_by_tuples(space, idx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.tuples(*(st.integers(0, 5),) * n), max_size=8)))
+def test_pack_preserves_order(idxs):
+    assert [br.pack(t) for t in sorted(idxs)] == sorted(map(br.pack, idxs))
+    assert len(set(map(br.pack, idxs))) == len(set(idxs))
+
+
+@pytest.mark.parametrize("kinds", ["", "w", "v", "wv", "vw", "wwv", "vvvv"])
+def test_indices_are_packed_in_tuple_order(kinds):
+    space = br.TensorSpace(kinds.count("w"), kinds.count("v"), tuple(kinds))
+    tuples = list(itertools.product(*(range(d) for d in space.dims)))
+    assert list(space.indices()) == [br.pack(t) for t in tuples]
+    assert list(space.indices()) == sorted(space.indices())
+    assert [space.unpack(k) for k in space.indices()] == tuples
+    assert space.top_tensor() == {br.pack((0,) * len(kinds)): 1}
+
+
 # ------------------------------------------------------------------- Casimir
 
 
@@ -202,7 +294,7 @@ def test_wedge_factor_is_five_dimensional_with_companion_vector():
     sp = rep.space
     z = "m2"  # transpose of the (0,2)&(1,3) root vector
     img = sp.apply_lie(z, sp.top_tensor())
-    assert img == {(i,): c for i, c in br.W_PRIME}
+    assert img == {br.pack((i,)): c for i, c in br.W_PRIME}
 
 
 def test_central_and_dual_characters(reps):
@@ -368,10 +460,11 @@ def test_hw_vector_ordering_independence():
     for q in range(2):
         for r in range(2):
             v1 = br.hw_vector(1, 1, q, r, sp_wv)
-            seed = {(i2, i1): c
-                    for (i1, i2), c in br.hw_tensor(1, 1, q, r).items()}
+            seed = {br.pack(sp_wv.unpack(k)[::-1]): c
+                    for k, c in br.hw_tensor(1, 1, q, r).items()}
             v2 = br.cartan_project(sp_vw, seed, (2, 1, 0))
-            assert v2 == {(i2, i1): c for (i1, i2), c in v1.items()}
+            assert v2 == {br.pack(sp_wv.unpack(k)[::-1]): c
+                          for k, c in v1.items()}
 
 
 # ------------------------------------------------------ isotypic projection
@@ -379,17 +472,18 @@ def test_hw_vector_ordering_independence():
 
 def test_cartan_project_kills_missing_component():
     sp = br.TensorSpace(0, 2)
-    antisym = {(0, 1): Q(1), (1, 0): Q(-1)}
+    antisym = {br.pack((0, 1)): Q(1), br.pack((1, 0)): Q(-1)}
     assert br.cartan_project(sp, antisym, (2, 0, 0)) == {}
 
 
 def test_cartan_project_requires_maximal_eigenvalue():
     sp = br.TensorSpace(0, 2)
-    vec = {(0, 1): Q(1)}  # mixes the symmetric and antisymmetric parts
+    # mixes the symmetric and antisymmetric parts
+    vec = {br.pack((0, 1)): Q(1)}
     with pytest.raises(br.ProjectorError):
         br.cartan_project(sp, vec, (1, 1, 0))
     proj = br.cartan_project(sp, vec, (1, 1, 0), require_max=False)
-    assert proj == {(0, 1): Q(1, 2), (1, 0): Q(-1, 2)}
+    assert proj == {br.pack((0, 1)): Q(1, 2), br.pack((1, 0)): Q(-1, 2)}
 
 
 def test_cartan_project_idempotent_and_equivariant():
@@ -536,10 +630,11 @@ def test_twist_micro_identity(h):
     # the twist sends the companion vector to itself plus 2h times the
     # generator in the wedge factor
     sp = br.TensorSpace(1, 0)
-    wp = {(i,): c for i, c in br.W_PRIME}
+    wp = {br.pack((i,)): c for i, c in br.W_PRIME}
     out = sp.apply_group(br.twist_element(h), wp)
     want = dict(wp)
-    want[(br.W_INDEX,)] = want.get((br.W_INDEX,), Q(0)) + 2 * h
+    top = br.pack((br.W_INDEX,))
+    want[top] = want.get(top, Q(0)) + 2 * h
     assert out == want
 
 
@@ -585,6 +680,18 @@ def test_twist_lemma_grid(ab):
             for h in (-2, -1, 1, 2):
                 ok, lhs, rhs = br.twist_lemma_check(sp, v, v0, q, h)
                 assert ok, (a, b, q, r, h)
+
+
+def test_twist_failure_shows_tuple_keys():
+    # the sides of a failed twist, as the runner reports them, keep the
+    # tuple keys of the factor indices
+    sp = br.TensorSpace(2, 1)
+    v, v0 = (br.hw_vector(2, 1, q, 1, sp) for q in (1, 0))
+    ok, lhs, rhs = br.twist_lemma_check(sp, v, v0, 2, 1)
+    assert not ok and lhs and rhs
+    assert all(isinstance(k, tuple) and len(k) == 3 for k in (*lhs, *rhs))
+    good, lhs1, rhs1 = br.twist_lemma_check(sp, v, v0, 1, 1)
+    assert good and lhs1 == rhs1 == {k: c / 2 for k, c in rhs.items()}
 
 
 def test_twist_lemma_rejects_zero_twist():

@@ -634,6 +634,18 @@ def test_damaged_layer_fails_its_suite(monkeypatch, suite, damage):
     assert any(r["status"] == "fail" for r in records)
 
 
+def test_a_casimir_that_does_not_separate_fails_its_cases(monkeypatch):
+    # ProjectorError is an AssertionError, so the hw and twist cases
+    # whose projection it stops record a decided failure, not an error
+    _lie_n0_wedge_negated(monkeypatch)
+    records = cli.run(cli.SuiteConfig(suites=("branching",)))
+    hw = [r for r in records if r["case"].startswith(("hw-", "twist-"))]
+    assert {r["status"] for r in hw} == {"pass", "fail"}
+    assert {r["lhs"] for r in hw if r["status"] == "fail"} <= {
+        "projector not separating", "target eigenvalue is not maximal"}
+    assert all(r["status"] != "error" for r in records)
+
+
 # -- sympy is loaded at the first gcd, not at import ------------------------------
 
 

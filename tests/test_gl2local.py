@@ -9,8 +9,9 @@ from fractions import Fraction as Q
 import pytest
 
 from gsp4verify.symcore import as_ratfunc, ell_pow, sym
-from gsp4verify.padic import SchwartzFn, act_schwartz, fourier, mat, val
-from gsp4verify import gl2local as gl
+from gsp4verify.padic import (SchwartzFn, act_schwartz, fourier, mat,
+                              mat_mul, min_val, val)
+from gsp4verify import cli, gl2local as gl
 
 I2 = ((1, 0), (0, 1))
 W = ((0, 1), (-1, 0))
@@ -93,6 +94,74 @@ def _dual_pairing_reference(sec1, sec2, t, p):
                                          * gl.eval_siegel(*sec2, g))
                         count += 1
     return total * as_ratfunc(Q(1, count), p)
+
+
+# -- references: the sums the one-table evaluations replaced ------------------
+
+def _characters_by_sums(a_chi, a_psi, p):
+    """A table {(d, j): c} evaluated one RatFunc product and sum per
+    term."""
+    a_chi = as_ratfunc(a_chi, p)
+    q = (a_chi / as_ratfunc(a_psi, p)) * ell_pow(-2, p)
+
+    def value(terms):
+        total = as_ratfunc(0, p)
+        for (d, j), c in terms.items():
+            total = total + as_ratfunc(c, p) * (
+                a_chi ** d * ell_pow(-d, p) * q ** j)
+        return total
+    return value
+
+
+def _dual_pairing_by_values(sec1, sec2, t, p):
+    """The duality pairing as the sum over P^1(Z/l^t) of the products of
+    the two section values, each evaluated on its own."""
+    (phi1, *chars1), (phi2, *chars2) = sec1, sec2
+    value1 = _characters_by_sums(*chars1, phi1.p)
+    value2 = _characters_by_sums(*chars2, phi2.p)
+    reps = gl.projective_line_reps(p, max(t, 1))
+    total = as_ratfunc(0, p)
+    for g in reps:
+        total = total + (value1(gl._section_terms(phi1, g))
+                         * value2(gl._section_terms(phi2, g)))
+    return total * as_ratfunc(Q(1, len(reps)), p)
+
+
+def _intertwine_direct_by_shells(phi, a_chi, a_psi, g):
+    """The direct intertwining integral evaluated shell by shell: the
+    Z_l average, each shell times a_r^j (1 - 1/l), and the tail
+    a_r^tail/(1 - a_r) (1 - 1/l) f(g), each a RatFunc."""
+    p = phi.p
+    a_chi, a_psi = as_ratfunc(a_chi, p), as_ratfunc(a_psi, p)
+    one = as_ratfunc(1, p)
+    g = [[Q(x) for x in row] for row in g]
+    value = _characters_by_sums(a_chi, a_psi, p)
+    fg = value(gl._section_terms(phi, g))
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
+
+    def average(points):
+        terms, weight = {}, Q(1, len(points))
+        for h in points:
+            gl._section_terms(phi, h, terms, weight)
+        return value(terms)
+
+    total = average([mat_mul(mat_mul(gl.WEYL, ((1, Q(u)), (0, 1))), g)
+                     for u in range(p ** top)])
+    a_r = a_chi / a_psi
+    unit_vol = one - as_ratfunc(Q(1, p), p)
+    tail = max(1, top)
+    for j in range(1, tail):
+        total = total + a_r ** j * unit_vol * average([
+            mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
+            for e in range(1, p ** (top - j)) if e % p])
+    total = total + a_r ** tail / (one - a_r) * unit_vol * fg
+    return (one - a_r) * total
+
+
+def _same(f, g):
+    """Equal canonical parts, so equal hashes and reprs."""
+    return (f.num, f.den) == (g.num, g.den) and repr(f) == repr(g)
 
 
 # -- L-factors: the oracle for the normalising factors ------------------------
@@ -310,6 +379,21 @@ def test_intertwining_direct_at_deep_modulus(p):
                     == gl.intertwine(phi, ac, ap, g, "closed"))
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_direct_intertwine_matches_shell_by_shell_reference(p):
+    # every Schwartz function and point of the gl2 cases, and deeper ones,
+    # at the cases' characters and at a non-monomial chi/psi
+    al, be, X = chars(p)
+    deep = [((Q(1, p), 2), (3, p * p)), ((1, Q(1, p * p)), (0, 1))]
+    phis = cli._gl2_phis(p) + [SchwartzFn.coset(p, Q(1, p), 1, 1),
+                               SchwartzFn.unit_column(p, 2)]
+    for ac, ap in [(al * X, be / X), ((al + 1) * X, be)]:
+        for phi in phis:
+            for g in points_for(p) + deep:
+                assert _same(gl.intertwine(phi, ac, ap, g, "direct"),
+                             _intertwine_direct_by_shells(phi, ac, ap, g))
+
+
 def test_intertwining_special_reducible_point():
     # chi/psi = |.|^{-1} forces the closed form to vanish identically
     p = 2
@@ -367,6 +451,26 @@ def test_dual_pairing_matches_reference(p, t):
             f2 = (phi2, one / ap, one / ac)
             assert (gl.dual_pairing(f1, f2, t, p)
                     == _dual_pairing_reference(f1, f2, t, p))
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_dual_pairing_matches_sum_of_value_products(p, t):
+    # the adjoint cases' pairs, sections of level 2, zero sections, and
+    # characters whose ratio is not a monomial
+    al, be, X = chars(p)
+    one = as_ratfunc(1, p)
+    phis = cli._gl2_phis(p) + [fourier(phi) for phi in cli._gl2_phis(p)]
+    phis += [SchwartzFn.unit_column(p, 2), SchwartzFn.depth_pair(p, 2)]
+    for ac, ap in [(al * X, be / X), (al + 1, be * X)]:
+        for phi1 in phis:
+            for phi2 in phis:
+                f1 = (phi1, ac, ap)
+                f2 = (phi2, one / ap, one / ac)
+                assert _same(gl.dual_pairing(f1, f2, t, p),
+                             _dual_pairing_by_values(f1, f2, t, p))
+    zero = SchwartzFn(p, 0, 1, {})
+    vanishing = gl.dual_pairing((zero, al, be), (phis[0], al, be), t, p)
+    assert vanishing == 0 and vanishing.prime == p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

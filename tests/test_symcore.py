@@ -796,6 +796,65 @@ def test_laurent_over_one_skips_the_reduction(monkeypatch):
     assert zero == LaurentPoly.const(0) * 1 == (x - x)
 
 
+@st.composite
+def _units(draw):
+    """A unit of the Laurent ring: a rational times a monomial in x, y, l
+    and v with exponents of either sign, formal or at 2 or 3."""
+    mono = {draw(st.sampled_from(["x", "y", "l", "v"])): draw(
+        st.integers(-3, 3)) for _ in range(draw(st.integers(0, 3)))}
+    c = Q(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+    return LaurentPoly({tuple(sorted(mono.items())): c},
+                       draw(st.sampled_from([None, 2, 3])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_units(), xylv, xylv, st.sampled_from([None, 2, 3]))
+def test_unit_product_matches_the_full_reduction(u, n, d, prime):
+    # u * N/D is the full reduction of the plain product u N / D.  Where
+    # u is a rational, or c v^k at the pinned prime of N/D, it is (u N)/D
+    # as it stands, with no reduction.  A pinned u pins a formal N/D
+    # first, and another monomial can move the least exponents of D's
+    # names: y^-1 * (1/8)/(1 + x) is (1/8 x^-1 y^-1)/(1 + x^-1)
+    assume(not d.is_zero() and (u.prime in (None, prime) or prime is None))
+    f, unit = RatFunc(n.with_prime(prime), d.with_prime(prime)), RatFunc(u)
+    want = RatFunc(*sc._normalize_pair(u * f.num, f.den), _canonical=True)
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sc, "_normalize_pair",
+                  lambda *a, _fn=sc._normalize_pair, **kw:
+                  calls.append(a) or _fn(*a, **kw))
+        got = [unit * f, f * unit]
+    if u.prime in (None, prime) and (
+            not u.names or prime is not None and u.names == ("v",)):
+        assert calls == []
+        assert all(g.den == f.den for g in got)
+    for g in got:
+        assert _parts(g) == _parts(want) and repr(g) == repr(want)
+
+
+def test_which_unit_products_reduce(monkeypatch):
+    # a pinned unit times a formal fraction pins the fraction first, so
+    # it takes the reduction; at a pinned prime, rationals and powers of
+    # v keep the denominator
+    x, v2 = sym("x"), sym("v", 2)
+    f = (x + 1) / (x - sym("l"))
+    g = (sym("x", 2) + 1) / (sym("x", 2) - 2)
+    calls = []
+    monkeypatch.setattr(sc, "_normalize_pair",
+                        lambda *a, _fn=sc._normalize_pair, **kw:
+                        calls.append(a) or _fn(*a, **kw))
+    got = v2 * f
+    assert calls
+    calls.clear()
+    assert got == v2 * g and (v2 * v2 * g).den is g.den
+    assert (Q(-2, 3) * g).den is g.den and (g * v2 ** -3).den is g.den
+    assert calls == []
+    # the unit the reduction would pick differs from the one kept
+    y, h = sym("y"), Q(1, 8) / (1 + x)
+    got = y ** -1 * h
+    assert calls and got.den == (1 + x ** -1).num and got == h / y
+
+
 def test_stress_script_builds_the_sizes_it_states():
     # the slow sum of tests/stress_ratfunc_sum.py stays outside Tier-1;
     # this keeps the script importable and its stated sizes true, without
