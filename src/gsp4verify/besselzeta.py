@@ -7,12 +7,12 @@ their rational generating function
            * prod_{i in {1,2}} (1 - lam_i v^{-4} u),
 
 with u the formal variable standing for (character value at the prime)
-times (prime)^{-(s - 3/2)}.  Everything downstream — the effect of the
-U-operator on Bessel values, the zeta integral of the spherical and
-U-translated vectors, the z-map values, and the two tame norm-relation
-identities together with their corollary — is verified exactly against
-this definition, with the prime itself formal (v is its formal square
-root) wherever possible.
+times (prime)^{-(s - 3/2)}.  The U-operator's factor on Bessel values
+is posited (ul_bessel_transform).  Everything downstream — the zeta
+integral of the spherical and U-translated vectors, the z-map values,
+and the two tame norm-relation identities together with their
+corollary — is verified exactly against this definition, with the prime
+itself formal (v is its formal square root) wherever possible.
 
 The z-value at s is the zeta integral at u = eta(prime) * prime *
 (prime)^{-2s}, so the limit s -> 0 of the regularised z-value is the
@@ -98,28 +98,16 @@ def bessel_series(datum: BesselDatum, n: int) -> BesselSeries:
                                              U_VAR, n))
 
 
-def char_sum(j: int, k: int, p=None) -> RatFunc:
-    """Sum over u mod (prime)^k of the standard additive character at
-    x u, where x has valuation j: the full modulus if the character is
-    trivial on the support, zero as soon as it is not."""
-    if j < -k:
-        raise ValueError("out of modeled domain")
-    if j >= 0:
-        return ell(p) ** k
-    return as_ratfunc(0, p)
-
-
 def ul_bessel_transform(series: BesselSeries, k: int = 1) -> BesselSeries:
     """Bessel values of the U-operator (k-th power) applied to the
-    vector: the unipotent integration contributes the square of the full
-    modulus from two coordinates and the character sum from the third,
-    and shifts the diagonal argument by the k-th power of the prime."""
+    vector: the k-th power of the prime shifts the diagonal argument,
+    and the unipotent integration mod prime^k contributes prime^(2k)
+    from two coordinates and the character sum prime^k from the third,
+    where the character is trivial.  The factor prime^(3k) is posited:
+    nothing here sums the character over cosets."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = series.datum.p
-    factor = ell(p) ** (2 * k) * char_sum(0, k, p)
-    if factor != ell(p) ** (3 * k):
-        raise ArithmeticError("character sum is not the full modulus")
+    factor = ell(series.datum.p) ** (3 * k)
     vals = tuple(factor * series.value(n + k)
                  for n in range(series.order - k + 1))
     return BesselSeries(series.datum, vals)
@@ -150,8 +138,7 @@ def _zeta_polynomial(series: BesselSeries, recip: tuple) -> RatFunc:
     order, a polynomial in u of degree at most _ZETA_NUM_DEG.  The
     truncated product must carry at least two coefficients past that
     degree, and every one of them must vanish.  Each coefficient of the
-    convolution, and the polynomial in u, is one ``dot``, so Laurent
-    Bessel values build no polynomial per product or partial sum."""
+    convolution, and the polynomial in u, is one ``dot``."""
     if series.order < _ZETA_NUM_DEG + 2:
         raise ExactArithmeticError("Bessel series too short for the zeta "
                                    "integral")
@@ -222,7 +209,7 @@ def z_datum(sigma: PrincipalSeriesG, psi_pair, chi_pair) -> BesselDatum:
 
 def tame_characters(k1: int, k2: int, tau1, tau2, p=None):
     """The weight-(k1, k2) character values: psi_i at the prime is v,
-    chi_i is v^{-1-2k_i} tau_i."""
+    chi_i is v^{-1-2k_i} tau_i = v^-1 (prime^-k_i tau_i)."""
     v = ell_pow(1, p)
     t1, t2 = as_ratfunc(tau1, p), as_ratfunc(tau2, p)
     return ((v, v), (ell_pow(-1 - 2 * k1, p) * t1,
@@ -352,7 +339,13 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     formal symbols.  Its depth-0 pairings are read off one expansion
     of the Bessel series of the z-datum, computed on every call; a
     caller that checks several identities of one datum builds it once
-    and hands it to each check."""
+    and hands it to each check.
+
+    Transport: the weight enters only through prime^-k_i tau_i, so the
+    datum equals tame_pairing(0, 0, prime^-k1 tau1, prime^-k2 tau2) in
+    every pairing, in euler, in spin_recip and in sigma.  An identity of
+    the weight-(0, 0) datum in formal tau_i therefore holds at every
+    weight."""
     tau1 = sym("tau1", p) if tau1 is None else as_ratfunc(tau1, p)
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
     sigma = tame_sigma(k1, k2, tau1, tau2, p)

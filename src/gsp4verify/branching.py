@@ -268,23 +268,12 @@ def _casimir4_candidates(space: TensorSpace) -> set:
     return {_casimir4_eigenvalue(w) for w in weights}
 
 
-def casimir_apply(space: TensorSpace, vec: dict) -> dict:
-    """Apply the Casimir operator of the trace form."""
-    return {k: Q(v, 4) for k, v in _casimir4(space, vec).items()}
-
-
 def _casimir4_eigenvalue(weight) -> int:
     """4c for the highest weight w = (n1, n2, m): the pairing of w with
     w + 2 rho, 2 rho = (4, 2, -3), under four times the dual trace form."""
     n1, n2, m = weight
     s = n1 + n2 + 2 * m
     return 2 * n1 * (n1 + 4) + 2 * n2 * (n2 + 2) + s * s
-
-
-def casimir_eigenvalue(weight) -> Fraction:
-    """Eigenvalue of the trace-form Casimir on the irreducible with the
-    given highest weight (n1, n2, m)."""
-    return Q(_casimir4_eigenvalue(weight), 4)
 
 
 # -- sparse echelon form ---------------------------------------------------------

@@ -136,8 +136,7 @@ def _monomials(a_chi, a_psi, p: int):
 
 def _characters(a_chi, a_psi, p: int):
     """The map {(d, j): c} -> sum of c a_chi^d l^{-d/2} q^j, which turns
-    _section_terms into section values: one dot of the coefficients with
-    the monomials (see _monomials)."""
+    _section_terms into section values (see the module docstring)."""
     monomial = _monomials(a_chi, a_psi, p)
 
     def value(terms) -> RatFunc:
@@ -191,9 +190,8 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
 
     # the integral over u in Z_l, then the shells val(u) = -j below the
     # tail, each rewritten via u -> 1/u as an integral over the opposite
-    # unipotent: S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g).  With
-    # a_r = a_chi/a_psi = l q, S_j's table is the average's moved from
-    # q^i to q^(i+j) and scaled by l^j (1 - 1/l): one table for them all
+    # unipotent: S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g), all in
+    # one table
     average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
              for u in range(p ** top)], Q(1), 0)
     for j in range(1, tail):
@@ -243,7 +241,6 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
     average over P^1(Z/l^t)."""
     (phi1, *chars1), (phi2, *chars2) = sec1, sec2
     reps = projective_line_reps(p, max(t, 1))
-    # the products of the two tables, keyed by both keys
     products = {}
     for g in reps:
         terms2 = _section_terms(phi2, g).items()

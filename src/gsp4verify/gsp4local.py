@@ -95,6 +95,9 @@ def parahoric_cell_reps():
     return [e, s2, mat_mul(s1, s2), mat_mul(s2, mat_mul(s1, s2))]
 
 
+# Only the tests read InducedVectorG and eval_induced (the oracle of the
+# Hecke and U-operator paths).  Moving them waits on perfbench's speed
+# probe, which reads the shift in garbage-collection phase as a slowdown.
 @dataclass(frozen=True)
 class InducedVectorG:
     """Right parahoric- (or hyperspecial-) invariant vector in a

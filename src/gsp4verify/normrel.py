@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .besselzeta import TameDatum
-from .gsp4local import hecke_eigenvalue
-from .padic import (LevelSpec, SchwartzFn, _act, _as_fractions, _coset_block,
-                    _diag, _embed_rows, _in_level, _int_rows, _inverse,
-                    _multiplier, _product, _root_unipotent, _transpose,
+from .gsp4local import hecke_polynomial
+from .padic import (LevelSpec, SchwartzFn, _act, _coset_block, _diag,
+                    _embed_rows, _in_level, _int_rows, _inverse, _multiplier,
+                    _product, _root_unipotent, _transpose,
                     siegel_parahoric_reps)
 from .symcore import ell
 
@@ -36,11 +36,6 @@ Q = Fraction
 def _eta(p: int, r: int, a=1):
     """(r, d) of the rational unipotent 1 + a p^{-r} (E13 + E24)."""
     return _root_unipotent(2, Q(a, p ** r))
-
-
-def eta(p: int, r: int, a=1) -> tuple:
-    """The rational unipotent 1 + a p^{-r} (E13 + E24)."""
-    return _as_fractions(_eta(p, r, a))
 
 
 # -- indicator-sum Hecke elements ------------------------------------------------
@@ -397,14 +392,8 @@ def euler_element_eigenvalue(sigma):
 
         1 - T/p + (T1 + (p^2+1) R)/p - T R + p^2 R^2,
 
-    from the double-coset eigenvalues of T, T1 and R, each a sum over the
-    coset counts per torus type of gsp4local.HECKE_TYPES, at a pinned or
-    at the formal prime."""
-    lp = ell(sigma.p)
-    t = hecke_eigenvalue("T", sigma)
-    r = hecke_eigenvalue("R", sigma)
-    t1pr = hecke_eigenvalue("T1", sigma) + (lp ** 2 + 1) * r
-    return 1 - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
+    the degree-4 Hecke polynomial at X = 1/p."""
+    return hecke_polynomial(sigma, 1 / ell(sigma.p))
 
 
 def frobrecip_pairing_check(datum: TameDatum, perturb: bool = False):

@@ -123,11 +123,6 @@ def identity(n):
     return _as_fractions(_diag(*[1] * n))
 
 
-def mat_scalar(a, c):
-    c = Fraction(c)
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
 
@@ -209,12 +204,8 @@ def min_val(a, p: int):
 
 
 # -- the symplectic similitude group -----------------------------------------
-
-J4 = mat([[0, 0, 0, 1],
-          [0, 0, 1, 0],
-          [0, -1, 0, 0],
-          [-1, 0, 0, 0]])
-
+# g^T J g = mu J with J antidiagonal, its rows from the top (0, 0, 0, 1),
+# (0, 0, 1, 0), (0, -1, 0, 0), (-1, 0, 0, 0)
 
 def _multiplier(r):
     """The int mu_r with r^T J r = mu_r J: on 2x2 rows the determinant,
@@ -472,6 +463,9 @@ class Cyc:
         return self.p == other.p and self.k == other.k and self.c == other.c
 
     def __hash__(self):
+        """A rational value hashes as its Fraction, which it equals."""
+        if self.k == 0:
+            return hash(self.as_rational())
         return hash((self.p, self.k, frozenset(self.c.items())))
 
     def is_zero(self):
@@ -481,9 +475,6 @@ class Cyc:
         if self.k == 0:
             return self.c.get(0, Q(0))
         raise ValueError(f"not rational: {self!r}")
-
-    def is_rational(self) -> bool:
-        return self.k == 0
 
     def __repr__(self):
         if self.k == 0:

@@ -52,8 +52,9 @@ Monagan & Pearce for sparse polynomials, JSC 2011): where every factor
 is a Laurent polynomial over 1, all term products go into one dict of
 packed keys, scaled to the lcm of the pairs' denominators, and one
 range check, one fold of v^2 at a pinned prime and one ``_canon`` make
-the sum, with no polynomial per product or partial sum.  It shares its
-product loop, ``_add_products``, with ``LaurentPoly.__mul__``.
+the sum, with no polynomial per product or partial sum; otherwise it is
+the sum of the RatFunc products.  It shares its product loop,
+``_add_products``, with ``LaurentPoly.__mul__``.
 
 series_expand splits numerator and denominator into their coefficients
 in one variable, on that variable's packed field (``coeffs``), and runs
@@ -62,7 +63,8 @@ coefficient d0, formed once: with the numerator's coefficients and the
 negated higher denominator coefficients multiplied by d0^-1 once, each
 step is one ``dot``.  Where d0 is a monomial, a unit of the Laurent
 ring, that inverse is a Laurent polynomial over 1, and so is every
-coefficient, so no step reduces a fraction.
+coefficient, so no step reduces a fraction; otherwise ``dot`` sums the
+reduced products.
 """
 
 from __future__ import annotations
@@ -398,6 +400,8 @@ class LaurentPoly:
     def __eq__(self, other):
         """Equal packed terms at compatible primes (equal, or one formal),
         with no re-pinning, so equal polynomials have equal hashes."""
+        if not isinstance(other, (LaurentPoly, int, Fraction)):
+            return NotImplemented
         other = _as_poly(other, self.prime)
         return (self.prime in (None, other.prime) or other.prime is None) \
             and self.names == other.names and self.den == other.den \
@@ -731,13 +735,7 @@ def ell_pow(k2: int, prime: Optional[int] = None) -> RatFunc:
 
 def dot(pairs) -> RatFunc:
     """sum a * b over the pairs (a, b) of RatFuncs, 0 at the formal prime
-    if there are none.  Where every factor is a Laurent polynomial over
-    1, every term product goes into one dict of packed keys: the names
-    are aligned once, each pair's products are scaled to the lcm of the
-    pairs' denominators, and one range check, one fold of v^2 at a
-    pinned prime and one ``_canon`` make the sum, with no polynomial
-    built per product or per partial sum.  Otherwise it is the sum of
-    the RatFunc products."""
+    if there are none, in one accumulator (see the module docstring)."""
     pairs, prime = [(as_ratfunc(a), as_ratfunc(b)) for a, b in pairs], None
     for a, b in pairs:
         prime = _merge_prime(_merge_prime(prime, a.prime), b.prime)
@@ -763,12 +761,7 @@ def series_expand(f: RatFunc, var: str, order: int) -> tuple:
     """The coefficients of var^0 .. var^order in the power series of f
     about var = 0, by the recurrence out[k] = (n_k - sum_j d_j
     out[k - j]) * d0^-1 on the coefficients of f's numerator and
-    denominator in var.  n_k * d0^-1 and -d_j * d0^-1, with d0^-1 the
-    inverse of the lowest coefficient of the denominator, are formed
-    once, and each step is one ``dot`` of those with 1 and the earlier
-    out[k - j].  When d0 is a monomial, a unit of the Laurent ring,
-    every factor is a Laurent polynomial over 1 and no step reduces a
-    fraction; otherwise ``dot`` sums the reduced products."""
+    denominator in var (see the module docstring)."""
     f = as_ratfunc(f)
     num, den = f.num.coeffs(var), f.den.coeffs(var)
     dmin = min(den)

@@ -8,7 +8,7 @@ import sympy
 from gsp4verify import besselzeta, symcore
 from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    BesselSeries, _recip_series,
-                                   bessel_series, bilinear_form, char_sum,
+                                   bessel_series, bilinear_form,
                                    depth_factor, generating_function,
                                    tame_characters, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
@@ -17,10 +17,8 @@ from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    zeta_of_series, zeta_spherical_closed,
                                    zeta_ul_closed)
 from gsp4verify.gsp4local import PrincipalSeriesG, spin_reciprocal
-from gsp4verify.padic import Cyc
 from gsp4verify.symcore import (ExactArithmeticError, as_ratfunc, ell, ell_pow,
                                 series_expand, sym)
-from test_padic import e_char
 from test_symcore import (coeff_of_by_terms, degrees_in_by_terms,
                           series_expand_by_ratfuncs)
 
@@ -51,30 +49,6 @@ def test_bessel_first_value():
         expect = expect + g * ell_pow(-3)
     expect = expect - (d.lam1 + d.lam2) * ell_pow(-4)
     assert ser.value(1) == expect
-
-
-def test_char_sum_values():
-    assert char_sum(0, 2) == ell() ** 2
-    assert char_sum(3, 1) == ell()
-    assert char_sum(-1, 1) == as_ratfunc(0)
-    assert char_sum(-2, 3) == as_ratfunc(0)
-    with pytest.raises(ValueError):
-        char_sum(-2, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_char_sum_cyclotomic_oracle(p):
-    # independent oracle: sum the actual roots of unity
-    for j in (0, -1):
-        for k in (1, 2):
-            if j < -k:
-                continue
-            x = Fraction(1, p ** (-j)) if j < 0 else Fraction(p ** j)
-            total = Cyc.rational(p, 0)
-            for u in range(p ** k):
-                total = total + e_char(x * u, p)
-            assert total.is_rational()
-            assert as_ratfunc(total.as_rational(), p) == char_sum(j, k, p)
 
 
 def test_ul_transform_values():
@@ -633,6 +607,25 @@ def test_formal_pairings_specialise_to_pinned_prime(k1, k2, p, tame_data):
         assert (formal.pairing(label, 1).with_prime(p)
                 == pinned.pairing(label, 1)), label
     assert formal.euler.with_prime(p) == pinned.euler
+
+
+@pytest.mark.parametrize("p", [None, 2])
+@pytest.mark.parametrize("k1,k2", [(1, 0), (1, 2), (3, 4)])
+def test_a_tame_weight_is_a_rescaling_of_tau(k1, k2, p):
+    # the transport lemma: the weight-(k1, k2) datum is the weight-(0, 0)
+    # datum at tau_i' = prime^-k_i tau_i, so each tame identity at weight
+    # (0, 0) implies it at every weight.  (3, 4) lies past --k's cap
+    lp = ell(p)
+    tau1, tau2 = sym("tau1", p), sym("tau2", p)
+    datum = tame_pairing(k1, k2, p=p)
+    moved = tame_pairing(0, 0, lp ** -k1 * tau1, lp ** -k2 * tau2, p)
+    for label in ZETA_LABELS:
+        for t in range(4):
+            assert datum.pairing(label, t) == moved.pairing(label, t), \
+                (label, t)
+    assert datum.euler == moved.euler
+    assert datum.spin_recip == moved.spin_recip
+    assert datum.sigma == moved.sigma
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,12 @@ from gsp4verify.padic import (LevelSpec, SchwartzFn, act_schwartz, gsp4_inv,
                               mat_det, mat_inv, mat_mul, mat_t, min_val,
                               root_unipotent, val)
 
+
+def eta(p: int, r: int, a=1) -> tuple:
+    """The rational unipotent 1 + a p^{-r} (E13 + E24)."""
+    return root_unipotent(2, Q(a, p ** r))
+
+
 # ------------------------------------------------------------- local data
 
 
@@ -81,7 +87,7 @@ def test_xi_equality_is_coset_aware():
     # terms are integer rows over one denominator
     a = nr.XiElt(p, spec, ((pa._integer_rows(identity(4)), Q(1)),))
     b = nr.XiElt(p, spec, ((pa._integer_rows(g), Q(1)),))  # one coset
-    c = nr.XiElt(p, spec, ((pa._integer_rows(nr.eta(p, 1)), Q(1)),))
+    c = nr.XiElt(p, spec, ((pa._integer_rows(eta(p, 1)), Q(1)),))
     assert a == b
     assert a != c
 
@@ -310,9 +316,9 @@ def test_wild_witnesses_are_exact_factorisations():
             mat([[p, v], [0, 1]]), mat([[p, w], [0, 1]]))
         a = 1 + p ** m * u
         k = pa._as_fractions(k)
-        lhs = mat_mul(nr.eta(p, m), pa.coset_block(p, u, v, w))
+        lhs = mat_mul(eta(p, m), pa.coset_block(p, u, v, w))
         emb = pa._as_fractions(pa._embed_rows(h))
-        rhs = mat_mul(mat_mul(emb, nr.eta(p, m + 1, a)), k)
+        rhs = mat_mul(mat_mul(emb, eta(p, m + 1, a)), k)
         assert lhs == rhs
         assert in_level(k, spec, p)
 
@@ -404,6 +410,26 @@ def test_euler_element_formal_matches_spin_product():
     for gam in sigma.spin_params():
         prod = prod * (1 - gam * ell_pow(1))
     assert e == prod
+
+
+def _euler_element_by_eigenvalues(sigma):
+    """The Euler element's eigenvalue written out from the eigenvalues of
+    T, T1 and R: 1 - T/p + (T1 + (p^2+1) R)/p - T R + p^2 R^2."""
+    from gsp4verify.gsp4local import hecke_eigenvalue
+    from gsp4verify.symcore import ell
+    lp = ell(sigma.p)
+    t = hecke_eigenvalue("T", sigma)
+    r = hecke_eigenvalue("R", sigma)
+    t1pr = hecke_eigenvalue("T1", sigma) + (lp ** 2 + 1) * r
+    return 1 - t / lp + t1pr / lp - t * r + lp ** 2 * r * r
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_euler_element_is_the_hecke_polynomial_at_one_over_p(p):
+    from gsp4verify.gsp4local import PrincipalSeriesG
+    sigma = PrincipalSeriesG.formal(p)
+    assert nr.euler_element_eigenvalue(sigma) == \
+        _euler_element_by_eigenvalues(sigma)
 
 
 def test_parahoric_index_formula():

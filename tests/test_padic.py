@@ -23,6 +23,14 @@ from gsp4verify.padic import (
 from gsp4verify.symcore import as_ratfunc, ell
 
 
+#: the Gram matrix of the symplectic form: g is a similitude iff
+#: g^T J4 g = mu J4
+J4 = mat([[0, 0, 0, 1],
+          [0, 0, 1, 0],
+          [0, -1, 0, 0],
+          [-1, 0, 0, 0]])
+
+
 def hecke_t_reps(p: int):
     """Left coset reps for K diag(1,1,p,p) K."""
     return pa.enumerate_double_coset((0, 0, 1, 1), p)
@@ -35,7 +43,7 @@ def hecke_t1_reps(p: int):
 
 def hecke_r_reps(p: int):
     """The one left coset of K p K."""
-    return [pa.mat_scalar(identity(4), p)]
+    return [mat([[p if i == j else 0 for j in range(4)] for i in range(4)])]
 
 
 def test_val():
@@ -252,10 +260,10 @@ def _in_level_reference(g, spec, p):
     """in_level written out in its original order: the multiplier first
     (from g^T J g as a sum of products), then integrality, then the
     congruences of the level."""
-    jg = _product_oracle(pa.J4, g)
+    jg = _product_oracle(J4, g)
     gram = _product_oracle(tuple(zip(*g)), jg)
     mu = gram[0][3]
-    if mu == 0 or any(gram[i][j] != mu * pa.J4[i][j]
+    if mu == 0 or any(gram[i][j] != mu * J4[i][j]
                       for i in range(4) for j in range(4)):
         return False
     if any(val(x, p) < 0 for row in g for x in row) or val(mu, p) != 0:
@@ -344,11 +352,22 @@ def test_cyc_basics():
     p = 3
     z = cyc_root(p, 1, 1)
     s = z + z * z  # zeta + zeta^2 = -1
-    assert s.is_rational() and s.as_rational() == -1
+    assert s.k == 0 and s.as_rational() == -1
     full = sum((cyc_root(p, j, 1) for j in range(1, 3)), cyc_root(p, 0, 1))
-    assert full.is_rational() and full.as_rational() == 0
+    assert full.k == 0 and full.as_rational() == 0
     # zeta_9^3 is a primitive cube root
     assert cyc_root(3, 3, 2) == cyc_root(3, 1, 1)
+
+
+def test_a_rational_cyc_hashes_as_the_fraction_it_equals():
+    for p in (2, 3):
+        for q in (Q(0), Q(1, 2), Q(-3), Q(5, 9)):
+            c = Cyc.rational(p, q)
+            assert c == q and hash(c) == hash(q)
+            assert len({c, q}) == 1
+    # a reduced sum of roots of unity is rational too: zeta_3 + zeta_3^2
+    s = cyc_root(3, 1, 1) + cyc_root(3, 2, 1)
+    assert s == -1 and hash(s) == hash(-1) and {s, -1} == {-1}
 
 
 def test_cyc_sum_across_primes_raises():
@@ -676,7 +695,7 @@ def test_fourier_matches_term_by_term_oracle():
         # Cyc-valued tables: the transform of a transform is phi again; the
         # oracle on them only at p = 2, where it takes milliseconds, not
         # half a second
-        cyc_valued += any(not c.is_rational() for c in got.table.values())
+        cyc_valued += any(c.k > 0 for c in got.table.values())
         back = fourier(got)
         assert back == phi
         assert all(isinstance(c, Cyc) for c in back.table.values())
@@ -974,12 +993,9 @@ def test_hnf_key_rejects_non_integral_entries():
 
 
 def test_r_and_u_reps():
-    assert hecke_r_reps(3)[0] == mat_scalar_3()
+    assert hecke_r_reps(3)[0] == mat([[3, 0, 0, 0], [0, 3, 0, 0],
+                                      [0, 0, 3, 0], [0, 0, 0, 3]])
     assert len(siegel_u_reps(2)) == 8
-
-
-def mat_scalar_3():
-    return pa.mat_scalar(identity(4), 3)
 
 
 def lagrangian_subspaces(p: int):

@@ -449,6 +449,16 @@ def test_equality_across_primes_keeps_the_hash_contract():
     assert LaurentPoly.symbol("l") != LaurentPoly.const(2, 2)
 
 
+def test_laurent_equality_defers_on_an_operand_it_cannot_coerce():
+    x = LaurentPoly.symbol("x")
+    assert x.__eq__("x") is NotImplemented
+    assert x != "x" and x != None  # noqa: E711
+    assert x in [None, "x", x] and [None, x].index(x) == 1
+    # RatFunc's reflected equality decides the mixed comparison
+    assert x == sym("x") and sym("x") == x
+    assert x != sym("y")
+
+
 def test_a_pole_at_the_pinned_prime_equals_nothing_there():
     f = RatFunc(LaurentPoly.const(1), LaurentPoly.symbol("l") - 3)
     for g in (RatFunc.const(0, 3), RatFunc.const(5, 3), sym("x", 3)):
@@ -994,6 +1004,13 @@ def test_series_expand_with_a_monomial_d0(f):
     # a monomial d0 is a unit: every step stays a Laurent polynomial
     assert _lowest_coefficient(f, "x").is_monomial()
     assert_same_series(f, "x", 5)
+
+
+def test_hypothesis_draws_are_derandomised():
+    # tests/conftest.py loads the profile before any test is collected,
+    # so every @settings here inherits it
+    assert settings.default.derandomize
+    assert settings(max_examples=40).derandomize
 
 
 @settings(max_examples=40, deadline=None)
