@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, dot, ell,
-                      ell_pow, series_expand, sym)
+                      ell_pow, rescale, series_expand, sym)
 from .gsp4local import PrincipalSeriesG, spin_reciprocal
 
 
@@ -345,21 +345,58 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     datum equals tame_pairing(0, 0, prime^-k1 tau1, prime^-k2 tau2) in
     every pairing, in euler, in spin_recip and in sigma.  An identity of
     the weight-(0, 0) datum in formal tau_i therefore holds at every
-    weight."""
+    weight, and ``transport`` builds the formal datum of any weight from
+    the formal weight-(0, 0) one with no second expansion; the runner
+    transports every formal weight so.  This direct path stays the one
+    at a pinned prime, and the oracle of transport."""
     tau1 = sym("tau1", p) if tau1 is None else as_ratfunc(tau1, p)
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
-    sigma = tame_sigma(k1, k2, tau1, tau2, p)
-    psi, chi = tame_characters(k1, k2, tau1, tau2, p)
+    return _tame_datum(k1, k2, tau1, tau2, p, _expanded_base)
+
+
+def _expanded_base(sigma: PrincipalSeriesG, psi, chi) -> dict:
+    """The depth-0 pairing of each vector label, read off one expansion
+    of the Bessel series of the z-datum."""
     datum = z_datum(sigma, psi, chi)
     series = bessel_series(datum, ZETA_ORDER)
     recip = _recip_series(datum, ZETA_ORDER)
-    base = {label: bilinear_form(zeta_of_series(label, series, recip),
+    return {label: bilinear_form(zeta_of_series(label, series, recip),
                                  psi, chi)
             for label in ZETA_LABELS}
+
+
+def _tame_datum(k1: int, k2: int, tau1: RatFunc, tau2: RatFunc, p,
+                base_of) -> TameDatum:
+    """The weight-(k1, k2) datum whose depth-0 pairings are
+    base_of(sigma, psi, chi): the one place where sigma, the characters,
+    euler and spin_recip of a tame datum are built."""
+    sigma = tame_sigma(k1, k2, tau1, tau2, p)
+    psi, chi = tame_characters(k1, k2, tau1, tau2, p)
     lp, one = ell(p), as_ratfunc(1, p)
     euler = (one - lp ** k1 / tau1) * (one - lp ** k2 / tau2)
-    return TameDatum(k1, k2, p, tau1, tau2, sigma, psi, chi, base, euler,
+    return TameDatum(k1, k2, p, tau1, tau2, sigma, psi, chi,
+                     base_of(sigma, psi, chi), euler,
                      spin_reciprocal(sigma, ell_pow(-2, p)))
+
+
+def transport(datum: TameDatum, k1: int, k2: int) -> TameDatum:
+    """The formal weight-(k1, k2) tame datum, equal to tame_pairing(k1,
+    k2), from ``datum``, the formal weight-(0, 0) one, by the transport
+    lemma (tame_pairing): each depth-0 pairing at tau_i -> prime^-k_i
+    tau_i, one symcore.rescale, with no Bessel expansion.  sigma, the
+    characters, euler and spin_recip are built directly, as tame_pairing
+    builds them.  So on a transported datum the ul and final identities,
+    and frobrecip's, check the transported pairings against a directly
+    built euler and spin_recip; the depth-t identity checks algebra, as
+    both of its sides carry the same base pairing."""
+    tau1, tau2 = sym("tau1"), sym("tau2")
+    if (datum.p, datum.k1, datum.k2, datum.tau1, datum.tau2) != (
+            None, 0, 0, tau1, tau2):
+        raise ValueError("transport starts from the formal weight-(0, 0) "
+                         "datum")
+    shifts = {"tau1": -2 * k1, "tau2": -2 * k2}
+    return _tame_datum(k1, k2, tau1, tau2, None, lambda *_: {
+        label: rescale(f, shifts) for label, f in datum.base.items()})
 
 
 def tame_norm_check(t: int, datum: TameDatum):

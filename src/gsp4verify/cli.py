@@ -349,17 +349,30 @@ def _lib(name):
     return importlib.import_module("." + name, __package__)
 
 
-#: the function that computes a shared value, by the kind heading its key:
+def _pairing(value, k1, k2, p):
+    """The weight-(k1, k2) tame datum at the prime p (formal if None).  A
+    formal weight other than (0, 0) is transported from the run's formal
+    weight-(0, 0) datum, so a run expands the Bessel series once at the
+    formal prime and once at each pinned prime."""
+    besselzeta = _lib("besselzeta")
+    if p is None and (k1, k2) != (0, 0):
+        return besselzeta.transport(value(("pairing", 0, 0, None)), k1, k2)
+    return besselzeta.tame_pairing(k1, k2, p=p)
+
+
+#: the function that computes a shared value, by the kind heading its key,
+#: called with the run's value(key) and the rest of the key:
 #: ("pairing", k1, k2, p) is the weight-(k1, k2) tame datum at the prime p
-#: (formal if None), ("rep", a, b) the irreducible of highest weight
-#: (a+b, a, 0), ("hw", a, b, q, r) the highest-weight vector of its (q, r)
-#: summand, ("fourier", p, i) the transform of _gl2_phis(p)[i]
+#: (formal if None; see _pairing), ("rep", a, b) the irreducible of
+#: highest weight (a+b, a, 0), ("hw", a, b, q, r) the highest-weight
+#: vector of its (q, r) summand, ("fourier", p, i) the transform of
+#: _gl2_phis(p)[i]
 _SHARED = {
-    "pairing": lambda k1, k2, p: _lib("besselzeta").tame_pairing(k1, k2, p=p),
-    "rep": lambda a, b: _lib("branching").build_rep(a, b),
-    "hw": lambda a, b, q, r: _lib("branching").hw_vector(
+    "pairing": _pairing,
+    "rep": lambda value, a, b: _lib("branching").build_rep(a, b),
+    "hw": lambda value, a, b, q, r: _lib("branching").hw_vector(
         a, b, q, r, _lib("branching").TensorSpace(a, b)),
-    "fourier": lambda p, i: _lib("padic").fourier(_gl2_phis(p)[i]),
+    "fourier": lambda value, p, i: _lib("padic").fourier(_gl2_phis(p)[i]),
 }
 
 
@@ -367,15 +380,18 @@ def build_cases(config):
     """The run's cases as (suite, case_id, params, fn) with fn() taking
     no argument.  Nothing is computed here, and a need of unknown kind
     raises.  fn computes each value its case needs on first use in the
-    run and keeps it for the run; a computation that raises keeps
-    nothing, so every case that needs the value records the same error."""
+    run, and each value that one is computed from, and keeps it for the
+    run; a computation that raises keeps nothing, so every case that
+    needs the value records the same error."""
     values = {}
 
+    def value(key):
+        if key not in values:
+            values[key] = _SHARED[key[0]](value, *key[1:])
+        return values[key]
+
     def supply(needs, check):
-        for key in needs:
-            if key not in values:
-                values[key] = _SHARED[key[0]](*key[1:])
-        return check(*(values[key] for key in needs))
+        return check(*map(value, needs))
 
     cases = []
     for suite in config.suites:

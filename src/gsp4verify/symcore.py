@@ -65,6 +65,12 @@ step is one ``dot``.  Where d0 is a monomial, a unit of the Laurent
 ring, that inverse is a Laurent polynomial over 1, and so is every
 coefficient, so no step reduces a fraction; otherwise ``dot`` sums the
 reduced products.
+
+``rescale`` applies name^e -> name^e v^(c e) at the formal prime, one
+pass over each side's packed keys.  It is an automorphism of the
+Laurent ring, so it keeps a reduced pair coprime: the reduction redoes
+only the exponent shift and the unit normalisation, which the new
+exponents of v can move, with no gcd and no coprimality images.
 """
 
 from __future__ import annotations
@@ -408,6 +414,9 @@ class LaurentPoly:
             and self.vecs == other.vecs
 
     def __hash__(self):
+        """A constant hashes as the Fraction it equals."""
+        if not self.names:
+            return hash(Fraction(self.vecs.get(0, 0), self.den))
         return hash((self.names, self.den, frozenset(self.vecs.items())))
 
     # -- var-degree helpers (used by series expansion) ----------------------
@@ -702,6 +711,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        """A constant hashes as the Fraction it equals."""
+        if not self.num.names and self.den._is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):
@@ -755,6 +767,40 @@ def dot(pairs) -> RatFunc:
         acc, den = _fold_v(names, acc, den, prime)
     return RatFunc(LaurentPoly._of(*_canon(names, acc, den), prime),
                    _canonical=True)
+
+
+def rescale(f: RatFunc, shifts: Mapping[str, int]) -> RatFunc:
+    """f with name^e -> name^e v^(c e) for each name: c of shifts, the
+    prime formal; tau -> l^-k tau is {tau: -2k}.  The map is an
+    automorphism of the Laurent ring that fixes every other name, so a
+    reduced pair stays coprime (see the module docstring)."""
+    f = as_ratfunc(f)
+    if f.prime is not None:
+        raise ExactArithmeticError("a rescaling needs the prime formal")
+    if L_NAME in shifts or V_NAME in shifts:
+        raise ExactArithmeticError("cannot rescale l or v")
+    num, den = (_rescaled(side, shifts) for side in (f.num, f.den))
+    return RatFunc(*_normalize_pair(num, den, coprime=True), _canonical=True)
+
+
+def _rescaled(f: LaurentPoly, shifts: Mapping[str, int]) -> LaurentPoly:
+    """The Laurent polynomial f under rescale's map, in one pass over its
+    packed keys: each key gains sum(c e) in v's field, v is added to the
+    names if f lacks it and dropped if it falls out of use."""
+    moves = [(s, c) for s, c in shifts.items() if c and s in f.names]
+    if not moves:
+        return f
+    names = tuple(sorted({*f.names, V_NAME}))
+    fields = [(_W * names.index(s), c) for s, c in moves]
+    iv = names.index(V_NAME)
+    sv = _W * iv
+    vecs = {}
+    for k, a in _over(f, names).items():
+        e = sum(c * (((k >> s) & _M) - _B) for s, c in fields)
+        if not -_B // 2 <= ((k >> sv) & _M) - _B + e < _B // 2:
+            raise ExactArithmeticError("exponent out of range")
+        vecs[k + (e << sv)] = a
+    return LaurentPoly._of(*_canon(names, vecs, f.den, (iv,)), None)
 
 
 def series_expand(f: RatFunc, var: str, order: int) -> tuple:

@@ -5,18 +5,19 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from gsp4verify import besselzeta, symcore
+from gsp4verify import besselzeta, gl2local, symcore
 from gsp4verify.besselzeta import (ZETA_LABELS, ZETA_ORDER, BesselDatum,
                                    BesselSeries, _recip_series,
                                    bessel_series, bilinear_form,
                                    depth_factor, generating_function,
                                    tame_characters, tame_norm_check,
                                    tame_norm_final_check, tame_norm_ul_check,
-                                   tame_pairing, tame_sigma,
+                                   tame_pairing, tame_sigma, transport,
                                    ul_bessel_transform, z_datum, zeta,
                                    zeta_of_series, zeta_spherical_closed,
                                    zeta_ul_closed)
 from gsp4verify.gsp4local import PrincipalSeriesG, spin_reciprocal
+from gsp4verify.padic import SchwartzFn
 from gsp4verify.symcore import (ExactArithmeticError, as_ratfunc, ell, ell_pow,
                                 series_expand, sym)
 from test_symcore import (coeff_of_by_terms, degrees_in_by_terms,
@@ -626,6 +627,58 @@ def test_a_tame_weight_is_a_rescaling_of_tau(k1, k2, p):
     assert datum.euler == moved.euler
     assert datum.spin_recip == moved.spin_recip
     assert datum.sigma == moved.sigma
+
+
+@pytest.mark.parametrize("k1,k2", [(0, 0), (1, 0), (0, 3), (2, 2), (3, 4)])
+def test_transport_equals_the_direct_datum(k1, k2, tame_data):
+    # the lemma above as the runner uses it: the formal weight-(0, 0)
+    # datum rescaled equals the datum expanded at the weight, repr and
+    # every pairing included, also past --k's cap
+    got, want = transport(tame_data[0, 0], k1, k2), tame_pairing(k1, k2)
+    assert got == want and repr(got) == repr(want)
+    for label in ZETA_LABELS:
+        for t in range(4):
+            f, g = got.pairing(label, t), want.pairing(label, t)
+            assert (f.num, f.den) == (g.num, g.den), (label, t)
+
+
+def test_transport_starts_from_the_formal_weight_zero_datum(tame_data):
+    for datum in (tame_data[1, 1], tame_pairing(0, 0, p=2),
+                  tame_pairing(0, 0, sym("tau2"), sym("tau1"))):
+        with pytest.raises(ValueError):
+            transport(datum, 1, 1)
+
+
+def _k0_index(p, t):
+    """[GL2(Z_p) : K0(p^t)], counted: GL2(Z_p) moves the bottom row (0, 1)
+    to every row mod p^t that is not 0 mod p, and K0(p^t) is the
+    stabiliser of its line, so the index is the number of such lines."""
+    mod = p ** t
+    lines = set()
+    for c in range(mod):
+        for d in range(mod):
+            if d % p:
+                lines.add((c * pow(d, -1, mod) % mod, 1))
+            elif c % p:
+                lines.add((1, d * pow(c, -1, mod) % mod))
+    return len(lines)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_depth_factor_from_the_gl2_layer(p):
+    # item 15(b) of the roadmap: the closed form is the product over the
+    # two GL2 factors of the inverse index of K0(p^t) and the value at 1
+    # of the depth-t section of psi_i and chi_i
+    tau1, tau2 = sym("tau1", p), sym("tau2", p)
+    for k1, k2 in ((0, 0), (1, 2)):
+        psi, chi = tame_characters(k1, k2, tau1, tau2, p)
+        for t in (1, 2, 3):
+            built = as_ratfunc(1, p)
+            for a, b in zip(psi, chi):
+                built = built * gl2local.eval_siegel(
+                    SchwartzFn.unit_column(p, t), a, b, ((1, 0), (0, 1))
+                ) / _k0_index(p, t)
+            assert depth_factor(t, psi, chi, p) == built, (k1, k2, t)
 
 
 @pytest.fixture(scope="module")

@@ -339,25 +339,48 @@ def test_repeated_suites_and_primes_run_once(tmp_path):
 
 # -- values shared between the cases of one run -----------------------------------
 
-def test_tame_data_built_once_per_run(monkeypatch):
-    # tame-norm and frobrecip share each tame datum within a run, and a
-    # second run in the same process builds them afresh
+def _counting_expansions(monkeypatch):
+    """The prime of each Bessel datum the run expands, in a list that
+    grows as bessel_series is called."""
     from gsp4verify import besselzeta
     expand = besselzeta.bessel_series
     calls = []
 
     def counting(datum, n):
-        calls.append(datum)
+        calls.append(datum.p)
         return expand(datum, n)
     monkeypatch.setattr(besselzeta, "bessel_series", counting)
+    return calls
+
+
+def test_tame_data_built_once_per_run(monkeypatch):
+    # tame-norm and frobrecip share each tame datum within a run, and a
+    # second run in the same process builds them afresh
+    calls = _counting_expansions(monkeypatch)
     config = cli.SuiteConfig(suites=("tame-norm", "frobrecip"), k_max=0,
                              t_max=1)
     for _ in range(2):
         calls.clear()
         records = cli.run(config)
         assert {r["status"] for r in records} == {"pass"}
-        # weights (0, 0) and (1, 1) with the prime formal, (1, 1) at 2
-        assert len(calls) == 3
+        # weight (0, 0) with the prime formal and (1, 1) at 2; the formal
+        # (1, 1) is transported from (0, 0)
+        assert sorted(calls, key=str) == [2, None]
+
+
+def test_default_tame_sweep_expands_once_per_prime(monkeypatch):
+    # nine formal weights in tame-norm, four in frobrecip: one expansion
+    # at the formal prime, and one at each pinned prime
+    calls = _counting_expansions(monkeypatch)
+    config = cli.SuiteConfig(suites=("tame-norm", "frobrecip"))
+    records = cli.run(config)
+    assert {r["status"] for r in records} == {"pass"}
+    assert len({r["params"].get("k1") for r in records}) == 3
+    assert sorted(calls, key=str) == [2, None]
+    calls.clear()
+    records = cli.run(cli.SuiteConfig(suites=("frobrecip",), primes=(2, 3)))
+    assert {r["status"] for r in records} == {"pass"}
+    assert sorted(calls, key=str) == [2, 3, None]
 
 
 def test_branching_builds_each_irreducible_once(monkeypatch):
@@ -600,6 +623,14 @@ def _ul_bessel_values_times_ell(monkeypatch):
     monkeypatch.setattr(besselzeta, "ul_bessel_transform", damaged)
 
 
+def _transport_tau1_sign_flipped(monkeypatch):
+    # transport takes tau1 to prime^k1 tau1, not to prime^-k1 tau1
+    from gsp4verify import besselzeta
+    good = besselzeta.rescale
+    monkeypatch.setattr(besselzeta, "rescale", lambda f, shifts: good(
+        f, dict(shifts, tau1=-shifts["tau1"])))
+
+
 def _euler_eigenvalue_times_ell(monkeypatch):
     from gsp4verify import normrel
     from gsp4verify.symcore import ell
@@ -611,12 +642,14 @@ def _euler_eigenvalue_times_ell(monkeypatch):
 @pytest.mark.parametrize("suite,damage", [
     ("bessel", _ul_bessel_values_times_ell),
     ("frobrecip", _euler_eigenvalue_times_ell),
+    ("frobrecip", _transport_tau1_sign_flipped),
     ("branching", _lie_n0_wedge_negated),
     ("branching", _lie_m3_wedge_negated),
     ("branching", _decompose_drops_a_weight),
     ("gl2", _fourier_negated),
     ("gl2", _unit_average_scaled),
     ("tame-norm", _depth_volume_off_by_ell),
+    ("tame-norm", _transport_tau1_sign_flipped),
     ("hecke", _borel_factor_off_by_v),
     ("hecke", _t1_central_count_l_squared),
     ("parahoric", _borel_factor_off_by_v),

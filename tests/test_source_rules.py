@@ -1,13 +1,13 @@
 """Source rules of the library: invariants raise real exceptions (an
 `assert` statement vanishes under `python -O`), no module keeps a
-hidden global cache, whether rebound through a `global` statement or
-filled in place, no module-level name is left without a reader in the
-library (a public one may name its reader outside it), every imported
-name is read (in the tests and demos too), sympy is imported only
-inside symcore's one gcd helper, so that importing the library does not
-load it, only symcore reads the packed form of a LaurentPoly, and only
-padic's public Fraction-matrix functions convert a matrix to integer
-rows."""
+hidden global cache, whether rebound through a `global` statement,
+filled in place, named a cache or kept by functools, no module-level
+name is left without a reader in the library (a public one may name
+its reader outside it), every imported name is read (in the tests and
+demos too), sympy is imported only inside symcore's one gcd helper, so
+that importing the library does not load it, only symcore reads the
+packed form of a LaurentPoly, and only padic's public Fraction-matrix
+functions convert a matrix to integer rows."""
 
 import ast
 import collections
@@ -234,6 +234,79 @@ def test_module_state_rule_flags_a_cache():
         "    _CACHE[0] = 1\n")
     assert sorted(_writes_to_module_state(tree)) == [
         (4, "_CACHE"), (5, "_SEEN"), (10, "_CACHE")]
+
+
+#: the functools decorators that keep every result for the life of the
+#: process, and the containers a module-level cache is built as
+FUNCTOOLS_CACHES = frozenset({"lru_cache", "cache"})
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+CONTAINER_CALLS = frozenset({"dict", "list", "set", "defaultdict",
+                             "OrderedDict"})
+
+
+def _named_caches(tree):
+    """(line, name) of each module-level dict, list or set whose name
+    contains "cache", and of each use of functools' lru_cache or cache,
+    by import or by attribute: what perfbench's process_caches measures
+    at run time, read off the source."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        call = value.func if isinstance(value, ast.Call) else None
+        called = (call.id if isinstance(call, ast.Name) else
+                  call.attr if isinstance(call, ast.Attribute) else None)
+        if isinstance(value, CONTAINERS) or called in CONTAINER_CALLS:
+            yield from ((node.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name)
+                        and "cache" in t.id.lower())
+    functools = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name == "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from ((node.lineno, alias.name) for alias in node.names
+                        if alias.name in FUNCTOOLS_CACHES)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in FUNCTOOLS_CACHES
+              and isinstance(node.value, ast.Name)
+              and node.value.id in functools):
+            yield node.lineno, node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_keeps_a_named_cache(path):
+    """No hidden global cache under its own name either: a module-level
+    container called a cache, or a functools cache, would make one
+    check's cost depend on the checks that ran before it in the
+    process."""
+    assert list(_named_caches(TREES[path])) == []
+
+
+def test_named_cache_rule_flags_a_cache():
+    tree = ast.parse(
+        "import functools as ft\n"
+        "from functools import lru_cache, partial\n"
+        "from collections import defaultdict\n"
+        "_CACHE = {}\n"
+        "pair_cache: dict = dict()\n"
+        "_Cached = defaultdict(list)\n"
+        "CACHE_SIZE = 128\n"
+        "_seen = set()\n"
+        "@ft.cache\n"
+        "def f(x):\n"
+        "    local_cache = {}\n"
+        "    return partial(f, x), local_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def g(x):\n"
+        "    return x.cache\n")
+    assert sorted(_named_caches(tree)) == [
+        (2, "lru_cache"), (4, "_CACHE"), (5, "pair_cache"), (6, "_Cached"),
+        (9, "cache")]
 
 
 def _sympy_imports(tree):

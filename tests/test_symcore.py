@@ -466,6 +466,79 @@ def test_a_pole_at_the_pinned_prime_equals_nothing_there():
         assert not _eq_by_cross_multiplication(f, g)
 
 
+@pytest.mark.parametrize("prime", [None, 2, 3])
+def test_a_constant_hashes_as_the_fraction_it_equals(prime):
+    for q in (Q(0), Q(2), Q(-3, 4)):
+        for c in (LaurentPoly.const(q, prime), RatFunc.const(q, prime),
+                  RatFunc(LaurentPoly.const(q, prime),
+                          LaurentPoly.const(7, prime)) * 7):
+            assert c == q and hash(c) == hash(q), (c, prime)
+            assert len({c, q}) == 1 and {q: 1}[c] == 1
+    # a quotient of constants is constant too
+    assert hash(RatFunc.const(2, prime) / 3) == hash(Q(2, 3))
+
+
+# -- rescaling a symbol by a power of v, against sympy's cancel ---------------
+
+rescale_names = st.sampled_from(["a", "tau", "x", "y", "l", "v"])
+
+
+def _from_sympy(expr):
+    """The LaurentPoly of a sympy polynomial in the symcore names."""
+    gens = sorted(expr.free_symbols, key=str)
+    if not gens:
+        return LaurentPoly.const(Q(str(expr)))
+    terms = {}
+    for e, c in sympy.Poly(expr, *gens).as_dict().items():
+        terms[tuple((str(s), x) for s, x in zip(gens, e) if x)] = Q(str(c))
+    return LaurentPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_polys(rescale_names), laurent_polys(rescale_names),
+       st.dictionaries(st.sampled_from(["a", "tau", "x", "y"]),
+                       st.integers(-6, 6), min_size=1, max_size=4))
+# a monomial denominator; a general one whose lex-least term moves
+@example(LaurentPoly({(("tau", 1), ("x", -2)): 3, (("l", 1),): Q(1, 2)}),
+         LaurentPoly({(("tau", -1), ("v", 1)): 5}), {"tau": -2})
+@example(LaurentPoly({(("a", 1),): 1}),
+         LaurentPoly({(("l", 1),): 1, (("a", 1), ("tau", 1)): 2}),
+         {"tau": 2})
+def test_rescale_against_sympy(a, b, shifts):
+    # name -> v^c name on a reduced fraction, against the cancelled
+    # substitution: the value, and the canonical pair of that value
+    assume(not b.is_zero())
+    f = RatFunc(a, b)
+    v = sympy.Symbol("v")
+    expr = (_expr(_lifted_exponents(f.num))
+            / _expr(_lifted_exponents(f.den)))
+    moved = sympy.cancel(expr.subs(
+        {sympy.Symbol(s): v ** c * sympy.Symbol(s)
+         for s, c in shifts.items()}, simultaneous=True))
+    want = RatFunc(*map(_from_sympy, sympy.fraction(moved)))
+    got = sc.rescale(f, shifts)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_rescale_moves_a_name_by_a_power_of_the_prime():
+    tau, x = sym("tau"), sym("x")
+    f = (tau + ell()) / (x - tau ** 2)
+    got = sc.rescale(f, {"tau": -2})
+    assert got == (ell() ** -1 * tau + ell()) / (x - ell() ** -2 * tau ** 2)
+    # a name f lacks, or a shift by v^0, leaves f as it is
+    assert sc.rescale(f, {"tau": 0, "z": 3}) == f
+
+
+def test_rescale_refuses_a_pinned_prime_and_l_or_v():
+    with pytest.raises(sc.ExactArithmeticError):
+        sc.rescale(sym("tau", 2), {"tau": -2})
+    for name in ("l", "v"):
+        with pytest.raises(sc.ExactArithmeticError):
+            sc.rescale(sym("tau"), {name: 1})
+    with pytest.raises(sc.ExactArithmeticError):
+        sc.rescale(sym("tau") ** (2 ** 29), {"tau": 2})
+
+
 # -- the exponent-vector kernel against independent oracles ------------------
 
 
