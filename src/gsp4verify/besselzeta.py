@@ -347,8 +347,9 @@ def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
     the weight-(0, 0) datum in formal tau_i therefore holds at every
     weight, and ``transport`` builds the formal datum of any weight from
     the formal weight-(0, 0) one with no second expansion; the runner
-    transports every formal weight so.  This direct path stays the one
-    at a pinned prime, and the oracle of transport."""
+    transports every formal weight so (transport says what each tame case
+    then decides).  This direct path stays the one at a pinned prime,
+    and the oracle of transport."""
     tau1 = sym("tau1", p) if tau1 is None else as_ratfunc(tau1, p)
     tau2 = sym("tau2", p) if tau2 is None else as_ratfunc(tau2, p)
     return _tame_datum(k1, k2, tau1, tau2, p, _expanded_base)
