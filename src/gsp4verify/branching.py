@@ -34,7 +34,6 @@ Provided here:
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -171,10 +170,6 @@ class TensorSpace:
         # the shift of each factor's field, factor 0 highest
         self._shifts = tuple(_FIELD * pos
                             for pos in reversed(range(len(self.kinds))))
-
-    def indices(self):
-        """The packed keys of the basis, in the order of their tuples."""
-        return map(pack, itertools.product(*(range(d) for d in self.dims)))
 
     def unpack(self, key: int) -> tuple:
         """The tuple of factor indices of a packed key."""

@@ -15,15 +15,18 @@ Implements, in exact arithmetic:
 * the duality pairing of a principal series against its inverse-character
   dual, computed as a finite average over P^1(Z/l^t).
 
-A section value is first a character-free table {(d, j): c} of the
-coefficients of a_chi^d l^{-d/2} q^j, its shell averages read off phi's
-table at integer residues, and a table is evaluated by one symcore.dot
-of its rational coefficients with those monomials.  A sum over points
-adds the tables and is evaluated once: the direct intertwining integral
-puts its Z_l average and every shell below the geometric tail into one
-table, a_r = l q moving a shell's q^i to q^(i+j) with the scale
-l^j (1 - 1/l), and the duality pairing adds the products of the two
-tables, keyed by both keys, and evaluates them once.
+A section value reads g only through v(det g) and the bottom row of g,
+the one input of every evaluation: intertwine averages the rows of
+w n(u) g and nbar(x) g, and the pairing and the support check walk the
+rows of P^1(Z/l^t).  The value is first a character-free table
+{(d, j): c} of the coefficients of a_chi^d l^{-d/2} q^j, whose shell
+averages read phi's table at integer residues, found at the lowest shell
+and multiplied by l for each next one; one symcore.dot evaluates a
+table.  A sum over points adds the tables and evaluates once: the direct
+integral puts its Z_l average and every shell below the geometric tail
+into one table, a_r = l q moving a shell's q^i to q^(i+j) with the
+scale l^j (1 - 1/l), and the pairing adds the products of the two
+tables, keyed by both keys.
 
 Conventions.  An unramified character chi is described by its value
 a = chi(l), a rational function in formal symbols; chi(x) = a^{val(x)}.
@@ -39,8 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .symcore import RatFunc, as_ratfunc, dot, ell_pow
-from .padic import (Cyc, SchwartzFn, _padic_residue, fourier, mat_mul,
-                    min_val, val)
+from .padic import Cyc, SchwartzFn, _padic_residue, fourier, min_val, val
 
 Q = Fraction
 
@@ -52,22 +54,11 @@ def _rat(x) -> Fraction:
     return Fraction(x)
 
 
-def _unit_average(phi: SchwartzFn, j: int, r) -> Fraction:
-    """Average of u |-> phi(l^j u r) over the unit group, u ~ Z_l^x.
-
-    r is a pair of rationals, not both zero.  Unless l^{j+s} r is
-    l-integral the points lie outside the support l^{-s} Z_l^2 and the
-    average is 0; else the value at u is phi's table entry at u times the
-    residues of l^{j+s} r mod l^{s+n}, taken once.  It is locally constant
-    in u, and the averaging modulus comes from the level of phi and the
-    valuations, so the average is exact."""
+def _unit_average(phi: SchwartzFn, a: int, b: int, mod: int) -> Fraction:
+    """Average over the units u mod `mod` of phi's table entry at the
+    residues (u a, u b) mod l^(s+n)."""
     p = phi.p
-    m = min(val(c, p) for c in r if c != 0)
-    if j + phi.s + m < 0:
-        return Q(0)
     M = p ** (phi.s + phi.n)
-    a, b = (_padic_residue(Q(p) ** (j + phi.s) * c, p, M) for c in r)
-    mod = p ** max(1, phi.n - (j + m))
     total = None
     for u in range(1, mod):
         if u % p:
@@ -75,6 +66,16 @@ def _unit_average(phi: SchwartzFn, j: int, r) -> Fraction:
             total = value if total is None else total + value
     # the average over the full unit group is Galois-stable, hence rational
     return _rat(total) / (mod - mod // p)
+
+
+def _rows(g, p: int):
+    """(v(det g), top row, bottom row) of the 2x2 matrix g over Q; raises
+    unless g is invertible."""
+    top, row = (tuple(Fraction(x) for x in r) for r in g)
+    det = top[0] * row[1] - top[1] * row[0]
+    if det == 0:
+        raise ZeroDivisionError("g must be invertible")
+    return val(det, p), top, row
 
 
 def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
@@ -89,33 +90,30 @@ def eval_siegel(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     With q = (chi/psi)(l) |l|, the factor (1 - q) = L(chi/psi, 1)^{-1}
     telescopes the geometric tail, so the value is the finite sum
     sum_j (c_j - c_{j-1}) q^j with c_{j_min - 1} = 0 and c_top = phi(0, 0)."""
-    return _characters(a_chi, a_psi, phi.p)(_section_terms(phi, g))
+    d, _, row = _rows(g, phi.p)
+    return _characters(a_chi, a_psi, phi.p)(_section_terms(phi, d, row))
 
 
-def _section_terms(phi: SchwartzFn, g, terms=None, weight=1,
-                   shift: int = 0) -> dict:
-    """The value of eval_siegel(phi, a_chi, a_psi, g) free of the
-    characters: adds weight * c to terms[(d, j + shift)] for each
-    coefficient c of a_chi^d l^{-d/2} q^j, and returns terms (a new dict
-    by default)."""
-    terms = {} if terms is None else terms
+def _section_terms(phi: SchwartzFn, d: int, row) -> dict:
+    """eval_siegel(phi, a_chi, a_psi, g) free of the characters, for g
+    with v(det g) = d and bottom row `row`: the table {(d, j): c} of the
+    coefficients of a_chi^d l^{-d/2} q^j.  Shell j averages phi(l^j u row)
+    over units u; it is 0 until l^{j+s} row is l-integral, at j_min, and
+    shell j + 1 reads l times shell j's residues mod l^{s+n}."""
     p = phi.p
-    g = [[Fraction(x) for x in row] for row in g]
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-    if det == 0:
-        raise ZeroDivisionError("g must be invertible")
-    r = (g[1][0], g[1][1])
-    m = min(val(c, p) for c in r if c != 0)
+    m = min(val(c, p) for c in row if c != 0)
     j_min = -phi.s - m
     j_top = max(phi.n - m, j_min)
-    shells = [_unit_average(phi, j, r) for j in range(j_min, j_top)]
+    M = p ** (phi.s + phi.n)
+    a, b = (_padic_residue(Q(p) ** -m * c, p, M) for c in row)
+    shells = []
+    for j in range(j_min, j_top):
+        shells.append(_unit_average(phi, a, b, p ** max(1, phi.n - j - m)))
+        a, b = a * p % M, b * p % M
     shells.append(_rat(phi.value_at(0, 0)))
-    d = val(det, p)
-    for j, c, c_prev in zip(range(j_min + shift, j_top + shift + 1), shells,
-                            [0] + shells):
-        if c != c_prev:
-            terms[d, j] = terms.get((d, j), 0) + weight * (c - c_prev)
-    return terms
+    return {(d, j): c - c_prev for j, c, c_prev
+            in zip(range(j_min, j_top + 1), shells, [0] + shells)
+            if c != c_prev}
 
 
 def _monomials(a_chi, a_psi, p: int):
@@ -147,9 +145,6 @@ def _characters(a_chi, a_psi, p: int):
     return value
 
 
-WEYL = ((0, 1), (-1, 0))
-
-
 def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
                mode: str = "closed") -> RatFunc:
     """The normalised intertwining operator applied to the section of
@@ -170,33 +165,37 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
     if mode != "direct":
         raise ValueError("mode must be 'closed' or 'direct'")
     p = phi.p
-    a_chi = as_ratfunc(a_chi, p)
-    a_psi = as_ratfunc(a_psi, p)
+    a_chi, a_psi = as_ratfunc(a_chi, p), as_ratfunc(a_psi, p)
     one = as_ratfunc(1, p)
-
-    g = [[Fraction(x) for x in row] for row in g]
-    fg = _section_terms(phi, g)    # raises unless g is invertible
-    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    d, (a, b), (c, e) = _rows(g, p)
+    fg = _section_terms(phi, d, (c, e))
     # g^{-1} = adj(g) / det g, so min_val(g^{-1}) = min_val(g) - val(det g)
-    top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
+    top = max(0, phi.s + phi.n) - 2 * min_val(((a, b), (c, e)), p) + d
     tail = max(1, top)
     unit_vol = 1 - Q(1, p)
     terms = {}
 
-    def average(points, weight, shift):
-        weight /= len(points)
-        for h in points:
-            _section_terms(phi, h, terms, weight, shift)
+    def average(rows, weight, shift):
+        # each point has the determinant of g; the weight and the shift
+        # apply once, to the sum of the points' tables
+        sums = {}
+        for row in rows:
+            for key, coeff in _section_terms(phi, d, row).items():
+                sums[key] = sums.get(key, 0) + coeff
+        weight /= len(rows)
+        for (_, j), coeff in sums.items():
+            key = d, j + shift
+            terms[key] = terms.get(key, 0) + weight * coeff
 
     # the integral over u in Z_l, then the shells val(u) = -j below the
     # tail, each rewritten via u -> 1/u as an integral over the opposite
     # unipotent: S_j = a_r^j (1 - 1/l) avg_e f(nbar(l^j e) g), all in
-    # one table
-    average([mat_mul(mat_mul(WEYL, ((1, Q(u)), (0, 1))), g)
-             for u in range(p ** top)], Q(1), 0)
+    # one table.  The bottom row of w n(u) g is -(top + u bottom), and
+    # that of nbar(x) g is x top + bottom.
+    average([(-a - u * c, -b - u * e) for u in range(p ** top)], Q(1), 0)
     for j in range(1, tail):
-        average([mat_mul(((1, 0), (Q(e * p ** j), 1)), g)
-                 for e in range(1, p ** (top - j)) if e % p],
+        average([(k * p ** j * a + c, k * p ** j * b + e)
+                 for k in range(1, p ** (top - j)) if k % p],
                 p ** j * unit_vol, j)
     # the geometric tail sum_{j >= tail} a_r^j (1 - 1/l) f(g), one fraction
     # a_r^tail (1 - 1/l) f(g) / (1 - a_r), f(g)'s table moved the same way
@@ -218,19 +217,11 @@ def intertwine_closed(phi_hat: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     return lfac * eval_siegel(phi_hat, a_psi, a_chi, g)
 
 
-def projective_line_reps(p: int, t: int):
-    """Integral lifts of coset representatives for the lower Bruhat cells
-    of GL2(Z/p^t) modulo the upper-triangular subgroup: matrices in
-    GL2(Z) whose bottom rows exhaust P^1(Z/p^t)."""
+def projective_line(p: int, t: int):
+    """One primitive row on each line of P^1(Z/p^t): the rows (1, y) and
+    (x, 1) with p | x, each the bottom row of a matrix of determinant 1."""
     mod = p ** t
-    reps = []
-    for y in range(mod):
-        # bottom row (1, y)
-        reps.append(((0, -1), (1, y)))
-    for x in range(0, mod, p):
-        # bottom row (x, 1)
-        reps.append(((1, 0), (x, 1)))
-    return reps
+    return [(1, y) for y in range(mod)] + [(x, 1) for x in range(0, mod, p)]
 
 
 def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
@@ -240,11 +231,11 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
     only on the line of the bottom row, so the integral is the exact
     average over P^1(Z/l^t)."""
     (phi1, *chars1), (phi2, *chars2) = sec1, sec2
-    reps = projective_line_reps(p, max(t, 1))
+    rows = projective_line(p, max(t, 1))
     products = {}
-    for g in reps:
-        terms2 = _section_terms(phi2, g).items()
-        for key1, c1 in _section_terms(phi1, g).items():
+    for row in rows:
+        terms2 = _section_terms(phi2, 0, row).items()
+        for key1, c1 in _section_terms(phi1, 0, row).items():
             for key2, c2 in terms2:
                 key = key1, key2
                 products[key] = products.get(key, 0) + c1 * c2
@@ -252,25 +243,24 @@ def dual_pairing(sec1, sec2, t: int, p: int) -> RatFunc:
         return as_ratfunc(0, p)
     monomial1 = _monomials(*chars1, phi1.p)
     monomial2 = _monomials(*chars2, phi2.p)
-    return dot([(as_ratfunc(Q(c, len(reps)), p),
+    return dot([(as_ratfunc(Q(c, len(rows)), p),
                  monomial1(key1) * monomial2(key2))
                 for (key1, key2), c in products.items()])
 
 
 def support_check(phi: SchwartzFn, a_chi, a_psi, t: int) -> bool:
     """True iff the section of (phi, chi, psi) vanishes on every Bruhat
-    cell of GL2(Z_l) outside B * K0(l^t), tested on representatives of
-    the projective line mod l^t."""
+    cell of GL2(Z_l) outside B * K0(l^t), tested on the rows of the
+    projective line mod l^t."""
     p = phi.p
     if t == 0:
         return True
-    mod = p ** t
     value = _characters(a_chi, a_psi, p)
-    for rep in projective_line_reps(p, t):
-        if rep[1][0] % mod == 0:      # inside K0(l^t)
+    for row in projective_line(p, t):
+        if row[0] == 0:      # the line of (0, 1), inside K0(l^t)
             continue
         # q may be 1, so a nonempty table can still sum to zero
-        terms = _section_terms(phi, rep)
+        terms = _section_terms(phi, 0, row)
         if terms and value(terms):
             return False
     return True

@@ -318,11 +318,6 @@ class LaurentPoly:
     def _is_one(self) -> bool:
         return not self.names and self.den == 1 and self.vecs.get(0) == 1
 
-    def const_value(self) -> Fraction:
-        if self.names:
-            raise ExactArithmeticError("not a constant")
-        return self.terms.get((), Q(0))
-
     def with_prime(self, p: Optional[int]) -> "LaurentPoly":
         p2 = _merge_prime(self.prime, p)
         if p2 == self.prime:
@@ -632,9 +627,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
-
     def with_prime(self, p) -> "RatFunc":
         if p == self.prime:
             return self
@@ -711,8 +703,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        """A constant hashes as the Fraction it equals."""
-        if not self.num.names and self.den._is_one():
+        """A value over 1 hashes as its numerator, the LaurentPoly it
+        equals, and so a constant as the Fraction it equals."""
+        if self.den._is_one():
             return hash(self.num)
         return hash((self.num, self.den))
 

@@ -664,7 +664,7 @@ def _k0_index(p, t):
     return len(lines)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_depth_factor_from_the_gl2_layer(p):
     # item 15(b) of the roadmap: the closed form is the product over the
     # two GL2 factors of the inverse index of K0(p^t) and the value at 1

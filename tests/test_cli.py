@@ -587,8 +587,8 @@ def _unit_average_scaled(monkeypatch):
     from fractions import Fraction
     from gsp4verify import gl2local
     good = gl2local._unit_average
-    monkeypatch.setattr(gl2local, "_unit_average", lambda phi, j, r:
-                        good(phi, j, r) * (1 + Fraction(1, phi.p)))
+    monkeypatch.setattr(gl2local, "_unit_average", lambda phi, a, b, mod:
+                        good(phi, a, b, mod) * (1 + Fraction(1, phi.p)))
 
 
 def _decompose_drops_a_weight(monkeypatch):

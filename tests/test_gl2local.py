@@ -7,10 +7,11 @@ from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gsp4verify.symcore import as_ratfunc, ell_pow, sym
-from gsp4verify.padic import (SchwartzFn, act_schwartz, fourier, mat,
-                              mat_mul, min_val, val)
+from gsp4verify.padic import (SchwartzFn, _padic_residue, act_schwartz,
+                              fourier, mat, mat_mul, min_val, val)
 from gsp4verify import cli, gl2local as gl
 
 I2 = ((1, 0), (0, 1))
@@ -30,6 +31,89 @@ def phi_t(p, t):
 def mul2(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2))
                        for j in range(2)) for i in range(2))
+
+
+# -- oracles: the matrix form of the section tables ---------------------------
+
+def _unit_average_by_shell(phi, j, r):
+    """Average of u |-> phi(l^j u r) over the unit group, u ~ Z_l^x, for a
+    pair r of rationals, not both zero: 0 unless l^{j+s} r is l-integral,
+    else phi's table at u times the residues of l^{j+s} r mod l^{s+n}."""
+    p = phi.p
+    m = min(val(c, p) for c in r if c != 0)
+    if j + phi.s + m < 0:
+        return Q(0)
+    M = p ** (phi.s + phi.n)
+    a, b = (_padic_residue(Q(p) ** (j + phi.s) * c, p, M) for c in r)
+    mod = p ** max(1, phi.n - (j + m))
+    total = None
+    for u in range(1, mod):
+        if u % p:
+            value = phi.table.get((u * a % M, u * b % M), Q(0))
+            total = value if total is None else total + value
+    return gl._rat(total) / (mod - mod // p)
+
+
+def _section_terms_by_matrix(phi, g, terms=None, weight=1, shift=0):
+    """The table of eval_siegel(phi, a_chi, a_psi, g) read off the matrix
+    g, each shell's residues found from l^{j+s} times the bottom row:
+    adds weight * c to terms[(d, j + shift)] for each coefficient c of
+    a_chi^d l^{-d/2} q^j, and returns terms (a new dict by default)."""
+    terms = {} if terms is None else terms
+    p = phi.p
+    g = [[Q(x) for x in row] for row in g]
+    det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+    if det == 0:
+        raise ZeroDivisionError("g must be invertible")
+    r = (g[1][0], g[1][1])
+    m = min(val(c, p) for c in r if c != 0)
+    j_min = -phi.s - m
+    j_top = max(phi.n - m, j_min)
+    shells = [_unit_average_by_shell(phi, j, r) for j in range(j_min, j_top)]
+    shells.append(gl._rat(phi.value_at(0, 0)))
+    d = val(det, p)
+    for j, c, c_prev in zip(range(j_min + shift, j_top + shift + 1), shells,
+                            [0] + shells):
+        if c != c_prev:
+            terms[d, j] = terms.get((d, j), 0) + weight * (c - c_prev)
+    return terms
+
+
+def _projective_line_reps(p, t):
+    """Matrices in GL2(Z) whose bottom rows exhaust P^1(Z/p^t)."""
+    mod = p ** t
+    return ([((0, -1), (1, y)) for y in range(mod)]
+            + [((1, 0), (x, 1)) for x in range(0, mod, p)])
+
+
+@st.composite
+def _invertible_points(draw):
+    """A prime and an invertible 2x2 matrix over Q: integral, or with
+    powers of l and a unit in its denominators."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    integral = draw(st.booleans())
+    entry = st.builds(
+        lambda n, k, e: Q(n, p ** k * e), st.integers(-40, 40),
+        st.just(0) if integral else st.integers(0, 2),
+        st.just(1) if integral else st.sampled_from([1, 7]))
+    g = tuple(tuple(draw(entry) for _ in range(2)) for _ in range(2))
+    assume(g[0][0] * g[1][1] != g[0][1] * g[1][0])
+    return p, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invertible_points())
+def test_row_path_matches_the_matrix_path(point):
+    # the tables of the gl2 cases' sections and of a level-2 section, and
+    # the values eval_siegel forms from (v(det g), bottom row)
+    p, g = point
+    al, be, X = chars(p)
+    value = gl._characters(al * X, be / X, p)
+    d = val(g[0][0] * g[1][1] - g[0][1] * g[1][0], p)
+    for phi in cli._gl2_phis(p) + [SchwartzFn.unit_column(p, 2)]:
+        want = _section_terms_by_matrix(phi, g)
+        assert gl._section_terms(phi, d, g[1]) == want
+        assert _same(gl.eval_siegel(phi, al * X, be / X, g), value(want))
 
 
 # -- references: the geometric-tail section and the GL2(Z/l^t) average --------
@@ -52,7 +136,7 @@ def _eval_siegel_reference(phi, a_chi, a_psi, g):
     j_top = max(phi.n - m, j_min)
     total = as_ratfunc(0, p)
     for j in range(j_min, j_top):
-        c = gl._unit_average(phi, j, r)
+        c = _unit_average_by_shell(phi, j, r)
         if c:
             total = total + as_ratfunc(c, p) * q ** j
     c_inf = gl._rat(phi.value_at(0, 0))
@@ -119,11 +203,11 @@ def _dual_pairing_by_values(sec1, sec2, t, p):
     (phi1, *chars1), (phi2, *chars2) = sec1, sec2
     value1 = _characters_by_sums(*chars1, phi1.p)
     value2 = _characters_by_sums(*chars2, phi2.p)
-    reps = gl.projective_line_reps(p, max(t, 1))
+    reps = _projective_line_reps(p, max(t, 1))
     total = as_ratfunc(0, p)
     for g in reps:
-        total = total + (value1(gl._section_terms(phi1, g))
-                         * value2(gl._section_terms(phi2, g)))
+        total = total + (value1(_section_terms_by_matrix(phi1, g))
+                         * value2(_section_terms_by_matrix(phi2, g)))
     return total * as_ratfunc(Q(1, len(reps)), p)
 
 
@@ -136,17 +220,17 @@ def _intertwine_direct_by_shells(phi, a_chi, a_psi, g):
     one = as_ratfunc(1, p)
     g = [[Q(x) for x in row] for row in g]
     value = _characters_by_sums(a_chi, a_psi, p)
-    fg = value(gl._section_terms(phi, g))
+    fg = value(_section_terms_by_matrix(phi, g))
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     top = max(0, phi.s + phi.n) - 2 * min_val(g, p) + val(det, p)
 
     def average(points):
         terms, weight = {}, Q(1, len(points))
         for h in points:
-            gl._section_terms(phi, h, terms, weight)
+            _section_terms_by_matrix(phi, h, terms, weight)
         return value(terms)
 
-    total = average([mat_mul(mat_mul(gl.WEYL, ((1, Q(u)), (0, 1))), g)
+    total = average([mat_mul(mat_mul(W, ((1, Q(u)), (0, 1))), g)
                      for u in range(p ** top)])
     a_r = a_chi / a_psi
     unit_vol = one - as_ratfunc(Q(1, p), p)
@@ -251,7 +335,7 @@ def test_unit_average_matches_reference(p):
             j_min = -phi.s - m
             j_top = max(phi.n - m, j_min)
             for j in range(j_min - 1, j_top + 2):
-                assert (gl._unit_average(phi, j, r)
+                assert (_unit_average_by_shell(phi, j, r)
                         == _unit_average_reference(phi, j, r))
 
 
@@ -477,14 +561,17 @@ def test_dual_pairing_matches_sum_of_value_products(p, t):
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_projective_line_reps(p, t):
     mod = p ** t
-    reps = gl.projective_line_reps(p, t)
-    assert len(reps) == p ** t + p ** (t - 1)
+    rows = gl.projective_line(p, t)
+    assert len(rows) == p ** t + p ** (t - 1)
+    # each row is the bottom row of a matrix of determinant +-1, so the
+    # pairing and the support check read it at v(det) = 0
+    reps = _projective_line_reps(p, t)
+    assert [bottom for _, bottom in reps] == rows
     for (a, b), (c, d) in reps:
         assert a * d - b * c in (1, -1)
-    # every primitive bottom row mod p^t is a unit multiple of the bottom
-    # row of exactly one representative
+    # every primitive row mod p^t is a unit multiple of exactly one row
     hits = Counter((u * c % mod, u * d % mod)
-                   for _, (c, d) in reps for u in range(mod) if u % p)
+                   for c, d in rows for u in range(mod) if u % p)
     primitive = {(c, d) for c in range(mod) for d in range(mod)
                  if c % p or d % p}
     assert set(hits) == primitive
