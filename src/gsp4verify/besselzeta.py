@@ -98,18 +98,16 @@ def bessel_series(datum: BesselDatum, n: int) -> BesselSeries:
                                              U_VAR, n))
 
 
-def ul_bessel_transform(series: BesselSeries, k: int = 1) -> BesselSeries:
-    """Bessel values of the U-operator (k-th power) applied to the
-    vector: the k-th power of the prime shifts the diagonal argument,
-    and the unipotent integration mod prime^k contributes prime^(2k)
-    from two coordinates and the character sum prime^k from the third,
-    where the character is trivial.  The factor prime^(3k) is posited:
-    nothing here sums the character over cosets."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    factor = ell(series.datum.p) ** (3 * k)
-    vals = tuple(factor * series.value(n + k)
-                 for n in range(series.order - k + 1))
+def ul_bessel_transform(series: BesselSeries) -> BesselSeries:
+    """Bessel values of the U-operator applied to the vector: the prime
+    shifts the diagonal argument by one, and the unipotent integration
+    mod the prime contributes prime^2 from two coordinates and the
+    character sum prime from the third, where the character is trivial.
+    The factor prime^3 is posited: nothing here sums the character over
+    cosets."""
+    factor = ell(series.datum.p) ** 3
+    vals = tuple(factor * series.value(n + 1)
+                 for n in range(series.order))
     return BesselSeries(series.datum, vals)
 
 
@@ -164,7 +162,7 @@ def zeta_of_series(label: str, series: BesselSeries,
     if label not in ZETA_LABELS:
         raise ValueError(f"unknown vector label {label!r}")
     if label == "ul":
-        series = ul_bessel_transform(series, 1)
+        series = ul_bessel_transform(series)
     return _zeta_polynomial(series, recip)
 
 
@@ -425,7 +423,7 @@ def tame_norm_ul_check(datum: TameDatum):
     return lhs == rhs, lhs, rhs
 
 
-def tame_norm_final_check(datum: TameDatum, perturb: bool = False):
+def tame_norm_final_check(datum: TameDatum):
     """Check the combined corollary for the tame datum: with B1 the
     depth-1 spherical pairing, B2 the depth-1 pairing of the
     U-translated vector and B0 the depth-0 pairing,
@@ -433,14 +431,11 @@ def tame_norm_final_check(datum: TameDatum, perturb: bool = False):
         (l+1)^2 l/(l-1) B1 - (l+1)^2/(l-1) B2
             = l/(l-1) * (reciprocal spin factor at -1/2) * B0.
 
-    With perturb=True the combinatorial factor l-1 is replaced by l on
-    the left side, which must break the identity.  Returns
-    (ok, lhs, rhs)."""
+    Returns (ok, lhs, rhs)."""
     b0 = datum.pairing("spherical", 0)
     b1 = datum.pairing("spherical", 1)
     b2 = datum.pairing("ul", 1)
     lp = ell(datum.p)
-    denom = lp if perturb else lp - 1
-    lhs = (lp + 1) ** 2 * lp / denom * b1 - (lp + 1) ** 2 / denom * b2
+    lhs = (lp + 1) ** 2 * lp / (lp - 1) * b1 - (lp + 1) ** 2 / (lp - 1) * b2
     rhs = lp / (lp - 1) * datum.spin_recip * b0
     return lhs == rhs, lhs, rhs

@@ -157,16 +157,11 @@ class TensorSpace:
     """(wedge square)^(tensor a) tensor (standard)^(tensor b), with
     exact sparse vectors keyed by packed factor indices (see pack)."""
 
-    def __init__(self, a: int, b: int, kinds=None):
+    def __init__(self, a: int, b: int):
         if a < 0 or b < 0 or 6 ** a * 4 ** b > SIZE_BOUND:
             raise ValueError("size bound exceeded")
         self.a, self.b = a, b
-        if kinds is None:
-            kinds = ("w",) * a + ("v",) * b
-        if sorted(kinds) != sorted(("w",) * a + ("v",) * b):
-            raise ValueError("kinds must be a permutation of the factors")
-        self.kinds = tuple(kinds)
-        self.dims = tuple(6 if k == "w" else 4 for k in self.kinds)
+        self.kinds = ("w",) * a + ("v",) * b
         # the shift of each factor's field, factor 0 highest
         self._shifts = tuple(_FIELD * pos
                             for pos in reversed(range(len(self.kinds))))
@@ -370,11 +365,12 @@ class ProjectorError(AssertionError):
     as a failure."""
 
 
-def cartan_project(space: TensorSpace, vec: dict, target_weight,
-                   require_max: bool = True) -> dict:
+def cartan_project(space: TensorSpace, vec: dict, target_weight) -> dict:
     """Component of vec in the isotypic part whose Casimir eigenvalue is
     that of target_weight, via a Krylov minimal polynomial of the
-    Casimir on the cyclic span of vec."""
+    Casimir on the cyclic span of vec.  Raises ProjectorError if vec has
+    a component of larger eigenvalue: the target is then not the Cartan
+    product."""
     if not vec:
         return {}
     e0 = _casimir4_eigenvalue(target_weight)
@@ -405,7 +401,7 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight,
         raise ProjectorError("projector not separating")
     if e0 not in rts:
         return {}
-    if require_max and any(r > e0 for r in rts):
+    if any(r > e0 for r in rts):
         raise ProjectorError("target eigenvalue is not maximal")
     out, den = krylov[0], scale
     for r in rts:
@@ -554,13 +550,13 @@ def central_character_check(rep: RepSpace) -> bool:
                for w in rep.weight_multiplicities())
 
 
-def grid(bound: int = SIZE_BOUND):
+def grid():
     """All (a, b) with 6^a 4^b within the desk-scale bound."""
     out = []
     a = 0
-    while 6 ** a <= bound:
+    while 6 ** a <= SIZE_BOUND:
         b = 0
-        while 6 ** a * 4 ** b <= bound:
+        while 6 ** a * 4 ** b <= SIZE_BOUND:
             out.append((a, b))
             b += 1
         a += 1

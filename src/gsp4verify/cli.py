@@ -54,14 +54,19 @@ class SuiteConfig:
     timings: bool = False
 
     def validate(self):
-        """Raise ConfigError on an invalid setting.  A repeated suite or
-        prime is dropped, keeping the order of first appearance."""
+        """Raise ConfigError on an invalid setting, an empty selection
+        of suites or primes included.  A repeated suite or prime is
+        dropped, keeping the order of first appearance."""
         self.suites = tuple(dict.fromkeys(self.suites))
+        if not self.suites:
+            raise ConfigError("no suite selected")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ConfigError("unknown suite: %s" % s)
         if self.primes is not None:
             self.primes = tuple(dict.fromkeys(self.primes))
+            if not self.primes:
+                raise ConfigError("no prime selected")
             for p in self.primes:
                 if p not in _SMALL_PRIMES:
                     raise ConfigError(
@@ -131,7 +136,7 @@ def _cases_gl2(config):
 
     def intertwine(phi, ac, ap, g, hat):
         return _equal(gl.intertwine_closed(hat, ac, ap, g),
-                      gl.intertwine(phi, ac, ap, g, "direct"))
+                      gl.intertwine(phi, ac, ap, g))
 
     def adjoint(p, phi1, phi2, ac, ap, hat1, hat2):
         one = as_ratfunc(1, p)

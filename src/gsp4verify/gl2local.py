@@ -6,12 +6,13 @@ Implements, in exact arithmetic:
   Tate-type zeta integral ("Siegel sections"); once normalised by
   L(chi/psi, 1)^{-1}, each value is a finite Laurent sum in
   q = (chi/psi)(l) l^{-1},
-* the normalised standard intertwining operator, both as a direct
-  integral and in closed form via the Fourier transform.  The direct
-  integral is a finite sum: a section of phi (scale s, level n) is
-  right-invariant under the principal congruence subgroup K(l^L),
-  L = max(0, s + n), so each of its averages is taken at one modulus
-  computed from L and the valuations of g,
+* the normalised standard intertwining operator, as a direct integral
+  (intertwine) and in closed form from the Fourier transform
+  (intertwine_closed).  The direct integral is a finite sum: a section
+  of phi (scale s, level n) is right-invariant under the principal
+  congruence subgroup K(l^L), L = max(0, s + n), so each of its
+  averages is taken at one modulus computed from L and the valuations
+  of g,
 * the duality pairing of a principal series against its inverse-character
   dual, computed as a finite average over P^1(Z/l^t).
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .symcore import RatFunc, as_ratfunc, dot, ell_pow
-from .padic import Cyc, SchwartzFn, _padic_residue, fourier, min_val, val
+from .padic import Cyc, SchwartzFn, _padic_residue, min_val, val
 
 Q = Fraction
 
@@ -145,25 +146,19 @@ def _characters(a_chi, a_psi, p: int):
     return value
 
 
-def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
-               mode: str = "closed") -> RatFunc:
+def intertwine(phi: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
     """The normalised intertwining operator applied to the section of
-    (phi, chi, psi), evaluated at g.
-
-    closed mode: (1 - (a_chi/a_psi) l^{-1}) * section of (phi^, psi, chi),
-    valid for unramified characters (intertwine_closed, given phi^).
-    direct mode: the unipotent integral
+    (phi, chi, psi), evaluated at g, as the direct unipotent integral
     L(chi/psi, 0)^{-1} * int f(w n(u) g) du over u in Z_l and the shells
-    val(u) = -j.  The section f is right-invariant under K(l^L),
-    L = max(0, s + n), and g^{-1} n(x) g, g^{-1} nbar(x) g lie in K(l^L)
-    once val(x) >= top = L - min_val(g) - min_val(g^{-1}).  So the Z_l
-    part is one average over u mod l^top, shell j < top is one average
-    over units mod l^(top - j), and every shell from max(1, top) on equals
+    val(u) = -j.  intertwine_closed gives the same value in closed form
+    from the Fourier transform of phi.
+
+    The section f is right-invariant under K(l^L), L = max(0, s + n),
+    and g^{-1} n(x) g, g^{-1} nbar(x) g lie in K(l^L) once
+    val(x) >= top = L - min_val(g) - min_val(g^{-1}).  So the Z_l part
+    is one average over u mod l^top, shell j < top is one average over
+    units mod l^(top - j), and every shell from max(1, top) on equals
     f(g), which sums to a geometric tail."""
-    if mode == "closed":
-        return intertwine_closed(fourier(phi), a_chi, a_psi, g)
-    if mode != "direct":
-        raise ValueError("mode must be 'closed' or 'direct'")
     p = phi.p
     a_chi, a_psi = as_ratfunc(a_chi, p), as_ratfunc(a_psi, p)
     one = as_ratfunc(1, p)
@@ -209,8 +204,9 @@ def intertwine(phi: SchwartzFn, a_chi, a_psi, g,
 
 
 def intertwine_closed(phi_hat: SchwartzFn, a_chi, a_psi, g) -> RatFunc:
-    """intertwine(phi, a_chi, a_psi, g, "closed") given phi_hat, the
-    Fourier transform of phi."""
+    """intertwine(phi, a_chi, a_psi, g) in closed form, given phi_hat,
+    the Fourier transform of phi: (1 - (a_chi/a_psi) l^{-1}) times the
+    section of (phi_hat, psi, chi), valid for unramified characters."""
     p = phi_hat.p
     a_chi, a_psi = as_ratfunc(a_chi, p), as_ratfunc(a_psi, p)
     lfac = as_ratfunc(1, p) - (a_chi / a_psi) * ell_pow(-2, p)

@@ -198,12 +198,12 @@ def spin_reciprocal(sigma: PrincipalSeriesG, x: RatFunc) -> RatFunc:
     return out
 
 
-def hecke_poly_check(sigma: PrincipalSeriesG, perturb=0):
+def hecke_poly_check(sigma: PrincipalSeriesG):
     """Compare the Hecke polynomial at the computed eigenvalues with the
     reciprocal spin factor.  Returns (ok, lhs, rhs)."""
     p = sigma.p
     x = sym("X", p)
-    lhs = hecke_polynomial(sigma, x) + as_ratfunc(perturb, p) * x
+    lhs = hecke_polynomial(sigma, x)
     rhs = spin_reciprocal(sigma, x)
     return lhs == rhs, lhs, rhs
 

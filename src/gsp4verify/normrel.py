@@ -75,6 +75,10 @@ class XiElt:
         return not XiElt(self.p, self.level, self.terms + tuple(
             (g, -c) for g, c in other.terms))._collapse()
 
+    def __hash__(self):
+        # equal elements may list different representatives of a coset
+        return hash((self.p, self.level))
+
 
 # -- the local-data catalog ------------------------------------------------------
 
@@ -286,8 +290,7 @@ def wild_coset_identity(p: int, m: int, n: int):
         raise ValueError("invalid parameters")
     spec = LevelSpec("Kmn", m, n)
     report = {"cosets": 0, "witnesses": [], "conjugate_terms": 0,
-              "special_case": None,
-              "factor": ("1/p * U" if m >= 1 else "1/(p-1) * (U - 1)")}
+              "special_case": None}
 
     # step 0: the p^3 coset matrices are pairwise inequivalent and the
     # family is stable under left translation by level-group generators.
@@ -396,16 +399,13 @@ def euler_element_eigenvalue(sigma):
     return hecke_polynomial(sigma, 1 / ell(sigma.p))
 
 
-def frobrecip_pairing_check(datum: TameDatum, perturb: bool = False):
+def frobrecip_pairing_check(datum: TameDatum):
     """Verify the pairing identity that converts the tame computation
     into an Euler-factor statement for the tame datum: the
     full-level/parahoric coset sum of the depth-1 functional equals the
     transposed Euler element applied to the depth-0 functional, checked
     as a single rational identity after pairing with the spherical
-    vector.
-
-    perturb=True damages the Euler element and must fail.  Returns
-    (ok, lhs, rhs)."""
+    vector.  Returns (ok, lhs, rhs)."""
     p = datum.p
     b0 = datum.pairing("spherical", 0)
     # the coset-sum bookkeeping: #(U0/U1) * vol(U1) = vol(U0), with the
@@ -416,8 +416,6 @@ def frobrecip_pairing_check(datum: TameDatum, perturb: bool = False):
     b2 = datum.pairing("ul", 1)
     lp = ell(p)
     e = euler_element_eigenvalue(datum.sigma)
-    if perturb:
-        e = e * lp
     lhs = (lp + 1) ** 2 * (lp / (lp - 1) * b1 - 1 / (lp - 1) * b2)
     rhs = lp / (lp - 1) * e * b0
     return index_ok and lhs == rhs, lhs, rhs

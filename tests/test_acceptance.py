@@ -28,6 +28,8 @@ from gsp4verify.branching import (TensorSpace, W_INDEX, W_PRIME,
                                   twist_lemma_check, wedge_group_matrix)
 from gsp4verify.normrel import (indept_identity, sufficiency_check,
                                 wild_coset_identity)
+from test_besselzeta import corollary_with_ell_for_ell_minus_one
+from test_gsp4local import hecke_polynomial_plus_x
 
 I2 = ((1, 0), (0, 1))
 LONG_WEYL = ((0, 1), (-1, 0))
@@ -82,8 +84,8 @@ def test_criterion_02_intertwining_and_adjointness():
         points = [I2, LONG_WEYL, ((p, 0), (0, 1)), ((1, 0), (Q(1, p), 1))]
         for phi in phis:
             for g in points:
-                ok &= (gl.intertwine(phi, ac, ap, g, "closed")
-                       == gl.intertwine(phi, ac, ap, g, "direct"))
+                ok &= (gl.intertwine_closed(fourier(phi), ac, ap, g)
+                       == gl.intertwine(phi, ac, ap, g))
         lf = one - (ac / ap) * ell_pow(-2, p)
         for phi1 in phis:
             for phi2 in phis:
@@ -97,13 +99,14 @@ def test_criterion_02_intertwining_and_adjointness():
           time.monotonic() - start, 60)
 
 
-def test_criterion_03_hecke_polynomial():
+def test_criterion_03_hecke_polynomial(monkeypatch):
     start = time.monotonic()
     ok = True
     for p in (2, 3, 5):
         good, _, _ = hecke_poly_check(PrincipalSeriesG.formal(p))
         ok &= good
-    bad, _, _ = hecke_poly_check(PrincipalSeriesG.formal(2), perturb=1)
+    hecke_polynomial_plus_x(monkeypatch)
+    bad, _, _ = hecke_poly_check(PrincipalSeriesG.formal(2))
     ok &= not bad
     _gate(3, "spherical Hecke polynomial factorization", ok,
           time.monotonic() - start, 300)
@@ -150,7 +153,7 @@ def test_criterion_07_tame_norm_corollary():
         for k2 in (1, 2):
             good, _, _ = tame_norm_final_check(tame_pairing(k1, k2))
             ok &= good
-    bad, _, _ = tame_norm_final_check(tame_pairing(1, 1), perturb=True)
+    bad, _, _ = corollary_with_ell_for_ell_minus_one(tame_pairing(1, 1))
     ok &= not bad
     _gate(7, "combined tame norm corollary", ok,
           time.monotonic() - start, 30)

@@ -27,13 +27,25 @@ def run_cli(argv, capsys):
 
 # -- configuration --------------------------------------------------------------
 
-def test_unknown_suite_is_config_error(capsys):
+def test_unknown_suite_is_config_error(tmp_path, capsys):
     assert cli.main(["--suite", "nonsense"]) == 2
+    # an empty selection would pass without checking anything
+    assert cli.main(["--suite", ""]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite =\n")
+    assert cli.main(["--config", str(cfg)]) == 2
 
 
-def test_bad_prime_is_config_error(capsys):
+def test_bad_prime_is_config_error(tmp_path, capsys):
     assert cli.main(["--suite", "hecke", "--ell", "11"]) == 2
     assert cli.main(["--suite", "hecke", "--ell", "4"]) == 2
+    assert cli.main(["--suite", "hecke", "--ell", ""]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = hecke\nell =\n")
+    assert cli.main(["--config", str(cfg)]) == 2
+    with pytest.raises(cli.ConfigError, match="no prime selected"):
+        cli.SuiteConfig(primes=()).validate()
+    cli.SuiteConfig(primes=None).validate()   # each suite's own primes
 
 
 def test_bad_flag_is_usage_error(capsys):
@@ -187,11 +199,13 @@ def test_readme_flags_match_the_parser():
 
 # -- execution and reports -------------------------------------------------------
 
-def test_empty_suite_list_exits_zero(capsys):
+def test_empty_suite_list_is_a_config_error(capsys):
+    # a run that selects no suite would check nothing and pass
     parser = cli.make_parser()
     config = cli.build_config(parser.parse_args([]))
     config.suites = ()
-    assert cli.run(config) == []
+    with pytest.raises(cli.ConfigError, match="no suite selected"):
+        cli.run(config)
     assert cli.emit([], "json") == "[]\n"
 
 
@@ -423,15 +437,14 @@ def test_branching_builds_each_hw_vector_once(monkeypatch):
 def test_gl2_computes_each_fourier_transform_once(monkeypatch):
     # the adjoint and intertwine cases read the shared transform of each
     # of the three Schwartz functions per prime: 6 in all
-    from gsp4verify import gl2local, padic
+    from gsp4verify import padic
     fourier = padic.fourier
     calls = []
 
     def counting(phi):
         calls.append(phi)
         return fourier(phi)
-    for module in (padic, gl2local):
-        monkeypatch.setattr(module, "fourier", counting)
+    monkeypatch.setattr(padic, "fourier", counting)
     for _ in range(2):
         calls.clear()
         records = cli.run(cli.SuiteConfig(suites=("gl2",)))
@@ -571,15 +584,14 @@ def _fourier_negated(monkeypatch):
     # -phi_hat.  Flipping the sign of the character instead, phi_hat(-x),
     # leaves every gl2 case passing: with unramified characters the
     # section of phi(-x) is the section of phi.
-    from gsp4verify import gl2local, padic
+    from gsp4verify import padic
     good = padic.fourier
 
     def negated(phi):
         f = good(phi)
         return padic.SchwartzFn(f.p, f.s, f.n,
                                 {k: -c for k, c in f.table.items()})
-    for module in (padic, gl2local):
-        monkeypatch.setattr(module, "fourier", negated)
+    monkeypatch.setattr(padic, "fourier", negated)
 
 
 def _unit_average_scaled(monkeypatch):
@@ -615,8 +627,8 @@ def _ul_bessel_values_times_ell(monkeypatch):
     from gsp4verify.symcore import ell
     good = besselzeta.ul_bessel_transform
 
-    def damaged(series, k=1):
-        out = good(series, k)
+    def damaged(series):
+        out = good(series)
         factor = ell(series.datum.p)
         return besselzeta.BesselSeries(
             out.datum, tuple(factor * x for x in out.values))
@@ -631,7 +643,8 @@ def _transport_tau1_sign_flipped(monkeypatch):
         f, dict(shifts, tau1=-shifts["tau1"])))
 
 
-def _euler_eigenvalue_times_ell(monkeypatch):
+def euler_eigenvalue_times_ell(monkeypatch):
+    # the Euler element's eigenvalue times l, which frobrecip must reject
     from gsp4verify import normrel
     from gsp4verify.symcore import ell
     good = normrel.euler_element_eigenvalue
@@ -641,7 +654,7 @@ def _euler_eigenvalue_times_ell(monkeypatch):
 
 @pytest.mark.parametrize("suite,damage", [
     ("bessel", _ul_bessel_values_times_ell),
-    ("frobrecip", _euler_eigenvalue_times_ell),
+    ("frobrecip", euler_eigenvalue_times_ell),
     ("frobrecip", _transport_tau1_sign_flipped),
     ("branching", _lie_n0_wedge_negated),
     ("branching", _lie_m3_wedge_negated),

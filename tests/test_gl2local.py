@@ -441,16 +441,16 @@ def test_intertwining_functional_equation(p):
     ac, ap = al * X, be / X
     for phi in phis_for(p):
         for g in points_for(p):
-            closed = gl.intertwine(phi, ac, ap, g, "closed")
-            direct = gl.intertwine(phi, ac, ap, g, "direct")
+            closed = gl.intertwine_closed(fourier(phi), ac, ap, g)
+            direct = gl.intertwine(phi, ac, ap, g)
             assert closed == direct
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_intertwining_direct_at_deep_modulus(p):
     # sections of scale s > 0 or level 2 at points with 1/l^2 entries: the
-    # direct mode averages modulo l^top with top = 5 or 6 here, beyond the
-    # top <= 3 of the default CLI grid
+    # direct integral averages modulo l^top with top = 5 or 6 here, beyond
+    # the top <= 3 of the default CLI grid
     al, be, X = chars(p)
     ac, ap = al * X, be / X
     phis = [SchwartzFn.coset(p, Q(1, p), 1, 1),
@@ -459,8 +459,8 @@ def test_intertwining_direct_at_deep_modulus(p):
     assert all(phi.s > 0 or phi.n == 2 for phi in phis)
     for phi in phis:
         for g in [((Q(1, p), 2), (3, p * p)), ((1, Q(1, p * p)), (0, 1))]:
-            assert (gl.intertwine(phi, ac, ap, g, "direct")
-                    == gl.intertwine(phi, ac, ap, g, "closed"))
+            assert (gl.intertwine(phi, ac, ap, g)
+                    == gl.intertwine_closed(fourier(phi), ac, ap, g))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -474,7 +474,7 @@ def test_direct_intertwine_matches_shell_by_shell_reference(p):
     for ac, ap in [(al * X, be / X), ((al + 1) * X, be)]:
         for phi in phis:
             for g in points_for(p) + deep:
-                assert _same(gl.intertwine(phi, ac, ap, g, "direct"),
+                assert _same(gl.intertwine(phi, ac, ap, g),
                              _intertwine_direct_by_shells(phi, ac, ap, g))
 
 
@@ -485,7 +485,7 @@ def test_intertwining_special_reducible_point():
     ac = ell_pow(2, p)  # chi(l) = l
     ap = one            # psi(l) = 1
     phi = SchwartzFn.lattice_product(p, 0, 0)
-    assert gl.intertwine(phi, ac, ap, I2, "closed") == as_ratfunc(0, p)
+    assert gl.intertwine_closed(fourier(phi), ac, ap, I2) == as_ratfunc(0, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -145,8 +145,17 @@ def test_hecke_polynomial_identity(p):
     assert ok, (lhs, rhs)
 
 
-def test_hecke_polynomial_perturbed_fails():
-    ok, _, _ = hecke_poly_check(sigma_for(2), perturb=1)
+def hecke_polynomial_plus_x(monkeypatch):
+    """Damage the Hecke polynomial side of hecke_poly_check: X added to
+    it, which must break the identity."""
+    good = gsp4local.hecke_polynomial
+    monkeypatch.setattr(gsp4local, "hecke_polynomial",
+                        lambda sigma, x: good(sigma, x) + x)
+
+
+def test_hecke_polynomial_perturbed_fails(monkeypatch):
+    hecke_polynomial_plus_x(monkeypatch)
+    ok, _, _ = hecke_poly_check(sigma_for(2))
     assert not ok
 
 
@@ -187,7 +196,8 @@ def test_hecke_path_makes_no_iwasawa_call(monkeypatch):
     monkeypatch.setattr(gsp4local, "eval_induced", forbidden)
     assert not hasattr(padic, "hnf_key")
     assert hecke_poly_check(sigma_for(2))[0]
-    assert not hecke_poly_check(sigma_for(2), perturb=1)[0]
+    hecke_polynomial_plus_x(monkeypatch)
+    assert not hecke_poly_check(sigma_for(2))[0]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -211,11 +221,12 @@ def test_formal_hecke_eigenvalues_specialise_to_pinned_prime(p):
                 == hecke_eigenvalue(op, sigma_for(p))), op
 
 
-def test_hecke_polynomial_identity_at_formal_prime():
+def test_hecke_polynomial_identity_at_formal_prime(monkeypatch):
     formal = PrincipalSeriesG.formal(None)
     ok, lhs, rhs = hecke_poly_check(formal)
     assert ok, (lhs, rhs)
-    assert not hecke_poly_check(formal, perturb=1)[0]
+    hecke_polynomial_plus_x(monkeypatch)
+    assert not hecke_poly_check(formal)[0]
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5, 7])

@@ -3,11 +3,12 @@
 hidden global cache, whether rebound through a `global` statement,
 filled in place, named a cache or kept by functools, no module-level
 name is left without a reader in the library (a public one may name
-its reader outside it), every imported name is read (in the tests and
-demos too), sympy is imported only inside symcore's one gcd helper, so
-that importing the library does not load it, only symcore reads the
-packed form of a LaurentPoly, and only padic's public Fraction-matrix
-functions convert a matrix to integer rows."""
+its reader outside it), every option takes two values in the library's
+own calls (or names its reader outside it), every imported name is read
+(in the tests and demos too), sympy is imported only inside symcore's
+one gcd helper, so that importing the library does not load it, only
+symcore reads the packed form of a LaurentPoly, and only padic's public
+Fraction-matrix functions convert a matrix to integer rows."""
 
 import ast
 import collections
@@ -213,6 +214,195 @@ def test_unread_rule_flags_an_unread_method():
     assert sorted(_unread_methods(trees)) == [
         ("a.py", "Public.unread"), ("b.py", "Poly.const_value"),
         ("b.py", "Value.const_value")]
+
+
+#: the value a call gives a parameter through an expression that is not
+#: a literal: the parameter may take any number of values there
+VARIES = "varies"
+
+
+def _defs_by_class(node, cls=None):
+    """(class name or None, def) for each function under node, nested
+    ones included; the class is the one whose body holds the def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield cls, child
+        yield from _defs_by_class(
+            child, child.name if isinstance(child, ast.ClassDef) else None)
+
+
+def _literal(expr):
+    """The value of a literal expression, as its repr, else VARIES."""
+    try:
+        return repr(ast.literal_eval(expr))
+    except ValueError:
+        return VARIES
+
+
+def _options(tree):
+    """(option, called name, parameter, position, default) for each
+    parameter with a default.  The option reads "f(param)", with
+    "Class.method" or, for __init__, the class in place of f; a call
+    names the method or the class.  position counts the arguments a
+    call passes by position (None for a keyword-only parameter), and
+    default is the value a call that leaves the parameter out gives."""
+    for cls, fn in _defs_by_class(tree):
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        if cls and not static:
+            params = params[1:]
+        called = cls if fn.name == "__init__" else fn.name
+        owner = f"{cls}.{fn.name}" if cls and called != cls else called
+        defaults = list(zip(params[len(params) - len(args.defaults):],
+                            args.defaults))
+        defaults += [(a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults) if d]
+        for param, default in defaults:
+            value = _literal(default)
+            if value == VARIES:
+                value = "default " + ast.unparse(default)
+            position = params.index(param) if param in params else None
+            yield f"{owner}({param})", called, param, position, value
+
+
+def _calls(tree):
+    """(name, called by a bare name, positional arguments, keywords) for
+    each call of a name or an attribute; partial(f, ...) is a call of
+    f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "partial" and args:
+            func, args = args[0], args[1:]
+        if isinstance(func, ast.Name):
+            yield func.id, True, args, node.keywords
+        elif isinstance(func, ast.Attribute):
+            yield func.attr, False, args, node.keywords
+
+
+def _passed(args, keywords, param, position, default):
+    """The value one call gives the parameter."""
+    given = {k.arg: k.value for k in keywords}
+    if param in given:
+        return _literal(given[param])
+    if None in given or any(isinstance(a, ast.Starred) for a in args):
+        return VARIES
+    if position is not None and position < len(args):
+        return _literal(args[position])
+    return default
+
+
+def _option_values(trees):
+    """{(file name, option): the set of values the calls in trees give
+    it}.  A bare name called in a module that defines that name is that
+    module's function; any other call may reach every definition of its
+    name."""
+    defined = {path: {n.name for n in ast.walk(tree)
+                      if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+               for path, tree in trees.items()}
+    calls = [(path, *call) for path, tree in trees.items()
+             for call in _calls(tree)]
+    out = {}
+    for path, tree in trees.items():
+        for option, called, param, position, default in _options(tree):
+            out[path.name, option] = {
+                _passed(args, keywords, param, position, default)
+                for caller, name, bare, args, keywords in calls
+                if name == called and not (bare and caller != path
+                                           and called in defined[caller])}
+    return out
+
+
+def _single_valued(trees):
+    """(file name, option) of each parameter that the calls in trees
+    give fewer than two values, none of them VARIES: an option nothing
+    sets, or one every caller sets alike."""
+    return sorted(key for key, values in _option_values(trees).items()
+                  if len(values) < 2 and VARIES not in values)
+
+
+TRANSPORT = ("the oracle of the transport lemma in tests/test_besselzeta.py "
+             "rescales tau")
+CRITERION_11 = ("acceptance criterion 11 draws Schwartz functions with "
+                "random coefficients")
+ENTRY_POINT = "the tests drive the entry point with their own arguments"
+#: the options that the library gives one value, each with the reader
+#: outside it that gives another
+OPTIONS_READ_OUTSIDE = {
+    "besselzeta.py": {"tame_pairing(tau1)": TRANSPORT,
+                      "tame_pairing(tau2)": TRANSPORT},
+    "padic.py": {"SchwartzFn.coset(coeff)": CRITERION_11},
+    "cli.py": {"main(argv)": ENTRY_POINT},
+}
+SINGLE_VALUED = _single_valued(TREES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_option_takes_two_values_in_the_library(path):
+    """A parameter with a default is an option, and an option that the
+    library sets to one value only is a constant: the behaviour behind
+    its other values belongs in the tests.  OPTIONS_READ_OUTSIDE names
+    the reader of each exception."""
+    assert ({option for module, option in SINGLE_VALUED
+             if module == path.name}
+            == set(OPTIONS_READ_OUTSIDE.get(path.name, {})))
+
+
+def test_options_read_outside_the_library_have_their_readers():
+    tests = ROOT / "tests"
+    readers = {TRANSPORT: tests / "test_besselzeta.py",
+               CRITERION_11: tests / "test_acceptance.py",
+               ENTRY_POINT: tests / "test_cli.py"}
+    library = _option_values(TREES)
+    for module, options in OPTIONS_READ_OUTSIDE.items():
+        for option, reason in options.items():
+            reader = readers[reason]
+            # the reader's calls, resolved as if it were a library module
+            trees = dict(TREES)
+            trees[reader] = ast.parse(reader.read_text())
+            given = _option_values(trees)
+            assert given[module, option] - library[module, option], option
+
+
+def test_options_rule_flags_a_test_only_flag():
+    trees = {pathlib.Path("a.py"): ast.parse(
+                 "from functools import partial\n"
+                 "def check(x, perturb=False):\n"
+                 "    return x + perturb\n"
+                 "def scaled(x, k=1, *, mod=None):\n"
+                 "    return x * k\n"
+                 "def power(x, n=2):\n"
+                 "    return x ** n\n"
+                 "class Space:\n"
+                 "    def __init__(self, a, kinds=None):\n"
+                 "        self.a = a\n"
+                 "    def act(self, v, twice=False):\n"
+                 "        return v\n"
+                 "    @staticmethod\n"
+                 "    def make(a, b=0):\n"
+                 "        return Space(a)\n"
+                 "def intertwine(phi, mode='closed'):\n"
+                 "    return phi\n"
+                 "def run(n, opts):\n"
+                 "    space = Space(1)\n"
+                 "    return (check(1), scaled(1), scaled(2, k=3),\n"
+                 "            scaled(1, **opts), power(2),\n"
+                 "            partial(power, 2, 3), space.act(1),\n"
+                 "            Space.make(1, n))\n"),
+             pathlib.Path("b.py"): ast.parse(
+                 "from functools import partial\n"
+                 "from . import a\n"
+                 "def cases():\n"
+                 "    def intertwine(phi, hat):\n"
+                 "        return hat\n"
+                 "    return (partial(intertwine, 1),\n"
+                 "            a.intertwine(1, 'direct'))\n")}
+    assert _single_valued(trees) == [
+        ("a.py", "Space(kinds)"), ("a.py", "Space.act(twice)"),
+        ("a.py", "check(perturb)"), ("a.py", "intertwine(mode)")]
 
 
 #: methods that change a dict, list or set in place
