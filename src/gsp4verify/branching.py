@@ -13,9 +13,9 @@ acting on one factor adds (r - i) << shift to a key.  Only the sides of
 a twist failure are shown with tuple keys.  The Lie action, four times
 the Casimir and the echelon form (fraction-free, on primitive rows) run
 on Python ints; the isotypic projection clears the denominators of its
-input and makes one exact division over Q at the end; its eigenvalues
-are the candidates 4c(w), w a weight of the tensor space, where the
-Krylov polynomial vanishes.
+input, reads the Krylov relation off the same echelon and divides once
+over Q at the end; its eigenvalues are the candidates 4c(w), w a weight
+of the tensor space, where the Krylov polynomial vanishes.
 
 Provided here:
 
@@ -37,8 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import (mat, mat_add, mat_inv, mat_mul, mat_t, root_unipotent,
-                    solve)
+from .padic import mat, mat_add, mat_mul, mat_t, root_unipotent
 
 Q = Fraction
 
@@ -222,21 +221,25 @@ class TensorSpace:
 
 
 def _casimir_terms():
-    """The non-zero terms (x, y, 4g) of four times the Casimir sum g x y,
-    g running over the inverse Gram matrix of the trace form tr(x y)."""
+    """The terms (x, y, 4 / tr(x y)) of four times the Casimir, the sum
+    over x of x times its dual: the trace form pairs each basis element
+    x with exactly one y, and the dual of x is y / tr(x y).  Raises
+    ArithmeticError on a basis that the form does not pair so."""
     basis = lie_basis()
-    gram = [[sum(x[i][j] * y[j][i] for i in range(4) for j in range(4)
-                 if x[i][j])
-             for _, y in basis] for _, x in basis]
-    return tuple((x, y, _integral(4 * g))
-                 for (x, _), row in zip(basis, mat_inv(gram))
-                 for (y, _), g in zip(basis, row) if g)
+    for x, mx in basis:
+        pairs = [(y, tr) for y, my in basis
+                 if (tr := sum(mx[i][j] * my[j][i] for i in range(4)
+                               for j in range(4) if mx[i][j]))]
+        if len(pairs) != 1:
+            raise ArithmeticError(f"the trace form pairs {x} with "
+                                  f"{len(pairs)} basis elements")
+        yield x, pairs[0][0], _integral(4 / pairs[0][1])
 
 
 #: four times the Casimir of the trace form: 11 terms with coefficients
 #: 1, 2 and 4, one per basis element y, since the form is diagonal on the
 #: Cartan part and pairs each root vector with its negative
-_CASIMIR_TERMS = _casimir_terms()
+_CASIMIR_TERMS = tuple(_casimir_terms())
 
 
 def _casimir4(space: TensorSpace, vec: dict) -> dict:
@@ -365,6 +368,20 @@ class ProjectorError(AssertionError):
     as a failure."""
 
 
+def _krylov_relation(space: TensorSpace, vec: dict) -> list:
+    """Integers c_0, ..., c_n, c_n != 0, with sum c_i (4C)^i vec = 0 for
+    the least n: (4C)^i vec carries 1 at the marker key mark + i, above
+    every tensor key, so the markers of an echelon row say what it is."""
+    mark = 1 << (_FIELD * (space.a + space.b))
+    rows: list = []
+    while True:
+        red = _reduce(rows, {**vec, mark + len(rows): 1})
+        if min(red) >= mark:
+            return [red.get(mark + i, 0) for i in range(len(rows) + 1)]
+        rows.append((min(red), red))
+        vec = _casimir4(space, vec)
+
+
 def cartan_project(space: TensorSpace, vec: dict, target_weight) -> dict:
     """Component of vec in the isotypic part whose Casimir eigenvalue is
     that of target_weight, via a Krylov minimal polynomial of the
@@ -374,36 +391,21 @@ def cartan_project(space: TensorSpace, vec: dict, target_weight) -> dict:
     if not vec:
         return {}
     e0 = _casimir4_eigenvalue(target_weight)
-    # the Krylov vectors vec, 4C vec, (4C)^2 vec, ... over the integers,
-    # until one lies in the span of those before; the echelon rows span
-    # the same space and are triangular on their pivots
     scale = math.lcm(*(x.denominator for x in vec.values()))
-    cur = {k: int(x * scale) for k, x in vec.items()}
-    rows: list = []
-    krylov: list = []
-    while True:
-        red = _reduce(rows, cur)
-        if not red:
-            break
-        rows.append((min(red), red))
-        krylov.append(cur)
-        cur = _casimir4(space, cur)
-    # (4C)^n vec = sum_{i<n} t_i (4C)^i vec, read off the pivots
-    pivots = [pivot for pivot, _ in rows]
-    sol = solve([[Q(k.get(p, 0)) for k in krylov] for p in pivots],
-                [Q(cur.get(p, 0)) for p in pivots])
-    # the minimal polynomial x^n - sum t_i x^i of a diagonalisable 4C has
-    # n distinct roots among the candidates; fewer means a repeated root
+    base = {k: x.numerator * (scale // x.denominator) for k, x in vec.items()}
+    rel = _krylov_relation(space, base)
+    # the minimal polynomial sum c_i x^i of a diagonalisable 4C has n
+    # distinct roots among the candidates; fewer means a repeated root
     # or one outside them
     rts = [r for r in sorted(_casimir4_candidates(space))
-           if r ** len(sol) == sum(t * r ** i for i, t in enumerate(sol))]
-    if len(rts) != len(sol):
+           if not sum(c * r ** i for i, c in enumerate(rel))]
+    if len(rts) != len(rel) - 1:
         raise ProjectorError("projector not separating")
     if e0 not in rts:
         return {}
     if any(r > e0 for r in rts):
         raise ProjectorError("target eigenvalue is not maximal")
-    out, den = krylov[0], scale
+    out, den = base, scale
     for r in rts:
         if r != e0:
             img = _casimir4(space, out)

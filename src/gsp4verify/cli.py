@@ -478,19 +478,22 @@ def _split_list(value):
 
 
 def read_config_file(path):
-    """Flat key-value configuration: one `key = value` per line, `#`
-    comments allowed.  Returns a dict of raw string values."""
+    """Flat key-value configuration in UTF-8: one `key = value` per line,
+    `#` comments allowed.  Returns a dict of raw string values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigError("%s: not UTF-8 text" % path) from None
     raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key = value"
-                                  % (path, lineno))
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key = value" % (path, lineno))
+        key, _, value = line.partition("=")
+        raw[key.strip()] = value.strip()
     return raw
 
 

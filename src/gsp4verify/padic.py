@@ -8,9 +8,9 @@ equal (r, d) and equal hashes.  One kernel each gives the product, the
 similitude inverse mu^-1 J^-1 g^T J (on 2x2 matrices the adjugate), the
 multiplier and the level tests, which read integrality off d and
 congruences off r - d.  The public functions take and return Fraction
-matrices and convert at that boundary; one Gauss-Jordan loop, over Q or
-F_p, does the rest.  A Schwartz table is acted on by pulling each coset
-of its support back through the integer rows of g^-1.
+matrices and convert at that boundary; rref_modp is the one echelon,
+over F_p.  A Schwartz table is acted on by pulling each coset of its
+support back through the integer rows of g^-1.
 
 Provides the 4x4 symplectic similitude group (antidiagonal form), the
 GL2 x GL2 subgroup glued along the determinant, Iwasawa decompositions
@@ -150,53 +150,25 @@ def mat_det(a):
     return det
 
 
-def _gauss_jordan(m, ncols, p=None):
-    """Reduce the rows m in place to reduced row echelon form on their
-    first ncols columns; return the pivot columns.  The field is Q, or
-    F_p when p is given, with m then integers reduced mod p."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c] if p is None else pow(m[r][c], -1, p)
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        if p is not None:
-            m[:] = [[x % p for x in row] for row in m]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
-
-
-def mat_inv(a):
-    n = len(a)
-    m = [list(row) + list(e) for row, e in zip(a, identity(n))]
-    if len(_gauss_jordan(m, n)) < n:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def solve(a, rhs):
-    """The solution x of a x = rhs for a square nonsingular a."""
-    n = len(a)
-    m = [list(row) + [b] for row, b in zip(a, rhs)]
-    if len(_gauss_jordan(m, n)) < n:
-        raise ZeroDivisionError("singular matrix")
-    return tuple(row[n] for row in m)
-
-
 def rref_modp(rows, p: int):
     """The nonzero rows of the reduced row echelon form of rows over F_p."""
     m = [[x % p for x in row] for row in rows]
-    return m[:len(_gauss_jordan(m, len(m[0]), p))]
+    r = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == len(m):
+            break
+    return m[:r]
 
 
 def min_val(a, p: int):

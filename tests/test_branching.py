@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsp4verify import branching as br
 from gsp4verify.padic import identity, mat, mat_add, mat_mul, mat_t
-from test_padic import J4
+from test_padic import J4, _q
 
 # ---------------------------------------------------------------- Lie algebra
 
@@ -274,6 +274,61 @@ def test_casimir_commutes_with_lie_action():
             rhs = sp.apply_lie(name, br._casimir4(sp, vec))
             assert lhs == rhs
 
+
+
+def _trace_gram(basis):
+    """The trace form tr(x y) on a named basis, as a sympy matrix."""
+    mats = [sympy.Matrix(x) for _, x in basis]
+    return sympy.Matrix(len(mats), len(mats),
+                        lambda i, j: (mats[i] * mats[j]).trace())
+
+
+def test_casimir_terms_are_four_times_the_inverse_gram_matrix():
+    basis = br.lie_basis()
+    inv = _trace_gram(basis).inv()
+    want = tuple((x, y, _q(4 * inv[i, j]))
+                 for i, (x, _) in enumerate(basis)
+                 for j, (y, _) in enumerate(basis) if inv[i, j])
+    assert br._CASIMIR_TERMS == want
+    assert all(type(g) is int for _, _, g in br._CASIMIR_TERMS)
+
+
+def test_casimir_terms_reject_a_form_that_pairs_one_element_twice(
+        monkeypatch):
+    # x pairs with y and with z: no dual basis is read off one entry
+    basis = [("x", br._e(0, 1)), ("y", br._e(1, 0)),
+             ("z", mat_add(br._e(1, 0), br._e(2, 0)))]
+    assert list(_trace_gram(basis).row(0)) == [0, 1, 1]
+    monkeypatch.setattr(br, "lie_basis", lambda: basis)
+    with pytest.raises(ArithmeticError):
+        tuple(br._casimir_terms())
+
+
+def _krylov_relation_reference(space, vec):
+    """(-t_0, ..., -t_{n-1}, 1) for the first (4C)^n vec = sum_{i<n} t_i
+    (4C)^i vec, solved by sympy on every key of the Krylov vectors."""
+    krylov = [vec]
+    while True:
+        keys = sorted(set().union(*krylov))
+        m = sympy.Matrix([[k.get(key, 0) for k in krylov] for key in keys])
+        if m.rank() < len(krylov):
+            break
+        krylov.append(br._casimir4(space, krylov[-1]))
+    sol, free = m[:, :-1].gauss_jordan_solve(m[:, -1])
+    assert free.shape[0] == 0
+    return [-_q(t) for t in sol] + [1]
+
+
+def test_krylov_relation_matches_sympy_solve():
+    for a, b in br.grid():
+        sp = br.TensorSpace(a, b)
+        for q in range(a + 1):
+            for r in range(b + 1):
+                vec = br.hw_tensor(a, b, q, r)
+                rel = br._krylov_relation(sp, vec)
+                assert all(type(c) is int for c in rel) and rel[-1]
+                assert ([Q(c, rel[-1]) for c in rel]
+                        == _krylov_relation_reference(sp, vec)), (a, b, q, r)
 
 # -------------------------------------------------- cyclic modules and sizes
 
