@@ -9,26 +9,38 @@ highest-weight vectors and a twist identity for a one-parameter
 unipotent.
 """
 
-from gsp4verify.besselzeta import tame_norm_final_check, tame_pairing
+from gsp4verify.besselzeta import (depth_factor, tame_norm_final_check,
+                                   tame_pairing)
 from gsp4verify.normrel import (frobrecip_pairing_check, indept_identity,
                                 sufficiency_check, wild_coset_identity)
 from gsp4verify.branching import (TensorSpace, branch_decompose, build_rep,
                                   hw_vector, rep_dimension_formula,
                                   twist_lemma_check)
 
+
+
+def depth_one(datum):
+    """The depth-1 pairings of the spherical and the U-translated vector:
+    the depth factor times each depth-0 pairing."""
+    factor = depth_factor(1, datum.psi, datum.chi, datum.p)
+    return factor * datum.base["spherical"], factor * datum.base["ul"]
+
+
 print("== tame norm relation (combined form, formal prime) ==")
-# the weight-(1, 1) tame datum: its pairings are computed once and read
-# by both forms of the identity below
+# the weight-(1, 1) tame datum and its depth-1 pairings, computed once
+# and read by both forms of the identity below
 datum = tame_pairing(1, 1)
-ok, lhs, rhs = tame_norm_final_check(datum)
+b1, b2 = depth_one(datum)
+ok, lhs, rhs = tame_norm_final_check(datum, b1, b2)
 print("identity holds:", ok)
 print("both sides:", lhs)
 
 print()
 print("== frobenius-reciprocity pairing form of the same identity ==")
-ok, lhs, rhs = frobrecip_pairing_check(datum)
+ok, lhs, rhs = frobrecip_pairing_check(datum, b1, b2)
 print("pairing identity (formal):", ok)
-ok, _, _ = frobrecip_pairing_check(tame_pairing(1, 1, p=2))
+concrete = tame_pairing(1, 1, p=2)
+ok, _, _ = frobrecip_pairing_check(concrete, *depth_one(concrete))
 print("pairing identity (concrete p=2, enumerated cosets):", ok)
 
 print()

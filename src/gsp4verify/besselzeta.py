@@ -22,7 +22,7 @@ exists precisely when the denominator does not vanish there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .symcore import (ExactArithmeticError, RatFunc, as_ratfunc, dot, ell,
                       ell_pow, rescale, series_expand, sym)
@@ -295,17 +295,15 @@ def bilinear_form(zeta_u: RatFunc, psi_pair, chi_pair) -> RatFunc:
 
 @dataclass(frozen=True)
 class TameDatum:
-    """The weight-(k1, k2) tame datum at the prime p and its pairings.
+    """The weight-(k1, k2) tame datum at the prime p.
 
     ``base`` maps each vector label to its depth-0 pairing, the
     bilinear_form of the label's zeta integral; the depth enters only
-    through depth_factor, so pairing(label, t) is the depth-t pairing.
-    ``euler`` is prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the
-    reciprocal spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}):
-    the two factors on the right sides of the tame identities.  Each
-    pairing is computed once per datum and kept in ``_pairings``, and
-    each depth factor once per depth t, for both labels, in ``_depths``;
-    equality and repr ignore both."""
+    through depth_factor, so the depth-t pairing of a label is
+    depth_factor(t, psi, chi, p) times its base pairing.  ``euler`` is
+    prod_i (1 - prime^{k_i}/tau_i) and ``spin_recip`` the reciprocal
+    spin factor at -1/2, spin_reciprocal(sigma, prime^{-1}): the two
+    factors on the right sides of the tame identities."""
     k1: int
     k2: int
     p: int | None
@@ -317,18 +315,6 @@ class TameDatum:
     base: dict
     euler: RatFunc
     spin_recip: RatFunc
-    _pairings: dict = field(default_factory=dict, init=False,
-                            compare=False, repr=False)
-    _depths: dict = field(default_factory=dict, init=False,
-                          compare=False, repr=False)
-
-    def pairing(self, label: str, t: int) -> RatFunc:
-        key = (label, t)
-        if key not in self._pairings:
-            if t not in self._depths:
-                self._depths[t] = depth_factor(t, self.psi, self.chi, self.p)
-            self._pairings[key] = self._depths[t] * self.base[label]
-        return self._pairings[key]
 
 
 def tame_pairing(k1: int, k2: int, tau1=None, tau2=None,
@@ -398,32 +384,29 @@ def transport(datum: TameDatum, k1: int, k2: int) -> TameDatum:
         label: rescale(f, shifts) for label, f in datum.base.items()})
 
 
-def tame_norm_check(t: int, datum: TameDatum):
+def tame_norm_check(t: int, datum: TameDatum, bt: RatFunc):
     """Check the depth-t norm-relation identity for the spherical
-    vector of the tame datum: the pairing at depth t equals
+    vector of the tame datum: bt, the depth-t pairing, equals
     1/(prime^{2t-2} (prime+1)^2) * prod_i (1 - prime^{k_i}/tau_i)
     times the depth-0 pairing.  Returns (ok, lhs, rhs)."""
-    lhs = datum.pairing("spherical", t)
-    base = datum.pairing("spherical", 0)
-    lp = ell(datum.p)
+    lp, b0 = ell(datum.p), datum.base["spherical"]
     one = as_ratfunc(1, datum.p)
-    rhs = one / (lp ** (2 * t - 2) * (lp + 1) ** 2) * datum.euler * base
-    return lhs == rhs, lhs, rhs
+    rhs = one / (lp ** (2 * t - 2) * (lp + 1) ** 2) * datum.euler * b0
+    return bt == rhs, bt, rhs
 
 
-def tame_norm_ul_check(datum: TameDatum):
+def tame_norm_ul_check(datum: TameDatum, b2: RatFunc):
     """Check the depth-1 norm-relation identity for the U-translated
-    vector of the tame datum: the pairing equals prime/(prime+1)^2 times
-    [prod_i (1 - prime^{k_i}/tau_i) - reciprocal spin factor at -1/2]
-    times the depth-0 spherical pairing.  Returns (ok, lhs, rhs)."""
-    lhs = datum.pairing("ul", 1)
-    base = datum.pairing("spherical", 0)
-    lp = ell(datum.p)
-    rhs = lp / (lp + 1) ** 2 * (datum.euler - datum.spin_recip) * base
-    return lhs == rhs, lhs, rhs
+    vector of the tame datum: b2, its depth-1 pairing, equals
+    prime/(prime+1)^2 times [prod_i (1 - prime^{k_i}/tau_i) - reciprocal
+    spin factor at -1/2] times the depth-0 spherical pairing.  Returns
+    (ok, lhs, rhs)."""
+    lp, b0 = ell(datum.p), datum.base["spherical"]
+    rhs = lp / (lp + 1) ** 2 * (datum.euler - datum.spin_recip) * b0
+    return b2 == rhs, b2, rhs
 
 
-def tame_norm_final_check(datum: TameDatum):
+def tame_norm_final_check(datum: TameDatum, b1: RatFunc, b2: RatFunc):
     """Check the combined corollary for the tame datum: with B1 the
     depth-1 spherical pairing, B2 the depth-1 pairing of the
     U-translated vector and B0 the depth-0 pairing,
@@ -432,10 +415,7 @@ def tame_norm_final_check(datum: TameDatum):
             = l/(l-1) * (reciprocal spin factor at -1/2) * B0.
 
     Returns (ok, lhs, rhs)."""
-    b0 = datum.pairing("spherical", 0)
-    b1 = datum.pairing("spherical", 1)
-    b2 = datum.pairing("ul", 1)
     lp = ell(datum.p)
     lhs = (lp + 1) ** 2 * lp / (lp - 1) * b1 - (lp + 1) ** 2 / (lp - 1) * b2
-    rhs = lp / (lp - 1) * datum.spin_recip * b0
+    rhs = lp / (lp - 1) * datum.spin_recip * datum.base["spherical"]
     return lhs == rhs, lhs, rhs

@@ -202,18 +202,28 @@ def _cases_bessel(config):
         zeta("ul", datum), zeta_ul_closed(datum)))
 
 
+def _tame_needs(k1, k2, p, *depths):
+    """The needs of a tame case: the weight-(k1, k2) datum at the prime
+    p, then the depth-t pairing of each (label, t) in depths."""
+    return (("pairing", k1, k2, p),
+            *(("depth-pairing", k1, k2, p, label, t) for label, t in depths))
+
+
 def _cases_tame_norm(config):
     from .besselzeta import (tame_norm_check, tame_norm_final_check,
                              tame_norm_ul_check)
     weights = range(config.k_max + 1)
     for k1, k2 in product(weights, weights):
-        need, params = (("pairing", k1, k2, None),), {"k1": k1, "k2": k2}
+        params = {"k1": k1, "k2": k2}
         for t in range(1, config.t_max + 1):
-            yield ("depth-t%d-k%d%d" % (t, k1, k2), dict(params, t=t), need,
+            yield ("depth-t%d-k%d%d" % (t, k1, k2), dict(params, t=t),
+                   _tame_needs(k1, k2, None, ("spherical", t)),
                    partial(tame_norm_check, t))
-        yield "ul-k%d%d" % (k1, k2), params, need, tame_norm_ul_check
+        yield ("ul-k%d%d" % (k1, k2), params,
+               _tame_needs(k1, k2, None, ("ul", 1)), tame_norm_ul_check)
         if k1 and k2:
-            yield ("final-k%d%d" % (k1, k2), params, need,
+            yield ("final-k%d%d" % (k1, k2), params,
+                   _tame_needs(k1, k2, None, ("spherical", 1), ("ul", 1)),
                    tame_norm_final_check)
 
 
@@ -315,20 +325,22 @@ def _cases_local_data(config):
 def _cases_frobrecip(config):
     from .normrel import frobrecip_pairing_check
 
-    def scaled(datum):
+    def scaled(datum, b1, b2):
         # the identity is linear in the pairings: it holds for 5/7 of them
+        s = Fraction(5, 7)
         return frobrecip_pairing_check(replace(datum, base={
-            k: Fraction(5, 7) * v for k, v in datum.base.items()}))
+            k: s * v for k, v in datum.base.items()}), s * b1, s * b2)
 
+    ones = (("spherical", 1), ("ul", 1))  # the depth-1 pairings it reads
     weights = range(1, max(config.k_max, 1) + 1)
     for k1, k2 in product(weights, weights):
         yield ("pairing-k%d%d" % (k1, k2), {"k1": k1, "k2": k2},
-               (("pairing", k1, k2, None),), frobrecip_pairing_check)
+               _tame_needs(k1, k2, None, *ones), frobrecip_pairing_check)
     for p in _primes(config, (2,)):
         yield ("pairing-concrete-l%d" % p, {"ell": p, "k1": 1, "k2": 1},
-               (("pairing", 1, 1, p),), frobrecip_pairing_check)
+               _tame_needs(1, 1, p, *ones), frobrecip_pairing_check)
     yield ("pairing-scalar", {"k1": 1, "k2": 1},
-           (("pairing", 1, 1, None),), scaled)
+           _tame_needs(1, 1, None, *ones), scaled)
 
 
 _BUILDERS = {
@@ -368,12 +380,19 @@ def _pairing(value, k1, k2, p):
 #: the function that computes a shared value, by the kind heading its key,
 #: called with the run's value(key) and the rest of the key:
 #: ("pairing", k1, k2, p) is the weight-(k1, k2) tame datum at the prime p
-#: (formal if None; see _pairing), ("rep", a, b) the irreducible of
-#: highest weight (a+b, a, 0), ("hw", a, b, q, r) the highest-weight
-#: vector of its (q, r) summand, ("fourier", p, i) the transform of
-#: _gl2_phis(p)[i]
+#: (formal if None; see _pairing), ("depth", k1, k2, p, t) its depth_factor
+#: at t, ("depth-pairing", k1, k2, p, label, t) that factor times its base
+#: pairing of the label, ("rep", a, b) the irreducible of highest weight
+#: (a+b, a, 0), ("hw", a, b, q, r) the highest-weight vector of its (q, r)
+#: summand, ("fourier", p, i) the transform of _gl2_phis(p)[i]
 _SHARED = {
     "pairing": _pairing,
+    "depth": lambda value, k1, k2, p, t: _lib("besselzeta").depth_factor(
+        t, value(("pairing", k1, k2, p)).psi,
+        value(("pairing", k1, k2, p)).chi, p),
+    "depth-pairing": lambda value, k1, k2, p, label, t: (
+        value(("depth", k1, k2, p, t))
+        * value(("pairing", k1, k2, p)).base[label]),
     "rep": lambda value, a, b: _lib("branching").build_rep(a, b),
     "hw": lambda value, a, b, q, r: _lib("branching").hw_vector(
         a, b, q, r, _lib("branching").TensorSpace(a, b)),

@@ -399,23 +399,21 @@ def euler_element_eigenvalue(sigma):
     return hecke_polynomial(sigma, 1 / ell(sigma.p))
 
 
-def frobrecip_pairing_check(datum: TameDatum):
+def frobrecip_pairing_check(datum: TameDatum, b1, b2):
     """Verify the pairing identity that converts the tame computation
     into an Euler-factor statement for the tame datum: the
     full-level/parahoric coset sum of the depth-1 functional equals the
     transposed Euler element applied to the depth-0 functional, checked
     as a single rational identity after pairing with the spherical
-    vector.  Returns (ok, lhs, rhs)."""
+    vector.  b1 and b2 are the depth-1 pairings of the spherical and the
+    U-translated vector.  Returns (ok, lhs, rhs)."""
     p = datum.p
-    b0 = datum.pairing("spherical", 0)
     # the coset-sum bookkeeping: #(U0/U1) * vol(U1) = vol(U0), with the
     # parahoric index verified by explicit enumeration
     index_ok = (p is None or
                 len(siegel_parahoric_reps(p)) == (p + 1) * (p ** 2 + 1))
-    b1 = datum.pairing("spherical", 1)
-    b2 = datum.pairing("ul", 1)
     lp = ell(p)
     e = euler_element_eigenvalue(datum.sigma)
     lhs = (lp + 1) ** 2 * (lp / (lp - 1) * b1 - 1 / (lp - 1) * b2)
-    rhs = lp / (lp - 1) * e * b0
+    rhs = lp / (lp - 1) * e * datum.base["spherical"]
     return index_ok and lhs == rhs, lhs, rhs

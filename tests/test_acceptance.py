@@ -28,7 +28,8 @@ from gsp4verify.branching import (TensorSpace, W_INDEX, W_PRIME,
                                   twist_lemma_check, wedge_group_matrix)
 from gsp4verify.normrel import (indept_identity, sufficiency_check,
                                 wild_coset_identity)
-from test_besselzeta import corollary_with_ell_for_ell_minus_one
+from test_besselzeta import (corollary_with_ell_for_ell_minus_one,
+                             depth_ones, depth_pairing)
 from test_gsp4local import hecke_polynomial_plus_x
 
 I2 = ((1, 0), (0, 1))
@@ -138,9 +139,11 @@ def test_criterion_06_tame_norm_identities():
         for k2 in (0, 1, 2):
             datum = tame_pairing(k1, k2)
             for t in (1, 2, 3):
-                good, _, _ = tame_norm_check(t, datum)
+                good, _, _ = tame_norm_check(
+                    t, datum, depth_pairing(datum, "spherical", t))
                 ok &= good
-            good, _, _ = tame_norm_ul_check(datum)
+            good, _, _ = tame_norm_ul_check(datum,
+                                            depth_pairing(datum, "ul", 1))
             ok &= good
     _gate(6, "tame norm relation (both identities)", ok,
           time.monotonic() - start, 30)
@@ -151,7 +154,8 @@ def test_criterion_07_tame_norm_corollary():
     ok = True
     for k1 in (1, 2):
         for k2 in (1, 2):
-            good, _, _ = tame_norm_final_check(tame_pairing(k1, k2))
+            datum = tame_pairing(k1, k2)
+            good, _, _ = tame_norm_final_check(datum, *depth_ones(datum))
             ok &= good
     bad, _, _ = corollary_with_ell_for_ell_minus_one(tame_pairing(1, 1))
     ok &= not bad

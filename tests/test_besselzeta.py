@@ -1,7 +1,6 @@
 """Tests for the Bessel-value / zeta-integral module."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -245,6 +244,18 @@ def tame_data():
             for w in ((0, 0), (1, 1), (1, 2), (2, 1), (2, 2))}
 
 
+def depth_pairing(datum, label, t):
+    """The depth-t pairing of the labelled vector of the tame datum, the
+    depth factor times the base pairing, as the runner computes it."""
+    return depth_factor(t, datum.psi, datum.chi, datum.p) * datum.base[label]
+
+
+def depth_ones(datum):
+    """The depth-1 pairings B1 and B2 of the spherical and the
+    U-translated vector of the tame datum."""
+    return [depth_pairing(datum, label, 1) for label in ZETA_LABELS]
+
+
 # -- the old Y path, kept in sympy as the oracle of the limit at s = 0 ----------
 
 
@@ -313,7 +324,7 @@ def test_shared_pairing_matches_direct_bilinear_form(label, tame_data,
         one, lp = as_ratfunc(1, p), ell(p)
         for k1, k2 in ORACLE_WEIGHTS:
             datum = data[k1, k2]
-            b0 = datum.pairing(label, 0)
+            b0 = datum.base[label]
             assert same_value(b0, reference_pairing(
                 label, datum.sigma, datum.psi, datum.chi), sqrt_prime(p)), \
                 (p, k1, k2)
@@ -321,7 +332,7 @@ def test_shared_pairing_matches_direct_bilinear_form(label, tame_data,
                 expect = one / (lp ** (t - 1) * (lp + 1)) ** 2 * b0
                 for a, b in zip(datum.psi, datum.chi):
                     expect = expect * (one - (a / b) * ell_pow(-2, p))
-                got = datum.pairing(label, t)
+                got = depth_pairing(datum, label, t)
                 assert (got.num, got.den) == (expect.num, expect.den), \
                     (p, k1, k2, t)
 
@@ -561,12 +572,15 @@ def test_depth_factor_negative_depth():
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_tame_norm_relation(t, tame_data):
     for k1, k2 in ((0, 0), (1, 2), (2, 2)):
-        ok, lhs, rhs = tame_norm_check(t, tame_data[k1, k2])
+        datum = tame_data[k1, k2]
+        ok, lhs, rhs = tame_norm_check(
+            t, datum, depth_pairing(datum, "spherical", t))
         assert ok, (t, k1, k2, lhs, rhs)
 
 
 def test_tame_norm_t0_is_reference(tame_data):
-    ok, lhs, rhs = tame_norm_check(0, tame_data[1, 1])
+    datum = tame_data[1, 1]
+    ok, lhs, rhs = tame_norm_check(0, datum, datum.base["spherical"])
     # at depth 0 the displayed right side still carries the Euler
     # factors, so it does NOT reproduce the reference value: guards
     # against an off-by-one in the volume factors
@@ -575,28 +589,26 @@ def test_tame_norm_t0_is_reference(tame_data):
 
 @pytest.mark.parametrize("k1,k2", [(0, 0), (1, 2)])
 def test_tame_norm_ul_relation(k1, k2, tame_data):
-    ok, lhs, rhs = tame_norm_ul_check(tame_data[k1, k2])
+    datum = tame_data[k1, k2]
+    ok, lhs, rhs = tame_norm_ul_check(datum, depth_pairing(datum, "ul", 1))
     assert ok, (k1, k2, lhs, rhs)
 
 
 @pytest.mark.parametrize("k1,k2", [(1, 1), (2, 1), (2, 2)])
 def test_tame_norm_final(k1, k2, tame_data):
-    ok, lhs, rhs = tame_norm_final_check(tame_data[k1, k2])
+    datum = tame_data[k1, k2]
+    ok, lhs, rhs = tame_norm_final_check(datum, *depth_ones(datum))
     assert ok, (k1, k2, lhs, rhs)
 
 
 def corollary_with_ell_for_ell_minus_one(datum):
     """tame_norm_final_check with l in place of l - 1 on the corollary's
     left side, a damaged identity that must fail.  That side divides
-    both depth-1 pairings by l - 1, so the check reads the datum with
-    its depth-1 pairings times (l - 1)/l.  Returns (ok, lhs, rhs)."""
+    both depth-1 pairings by l - 1, so the check is handed them times
+    (l - 1)/l.  Returns (ok, lhs, rhs)."""
     lp = ell(datum.p)
-
-    def pairing(label, t):
-        value = datum.pairing(label, t)
-        return value * (lp - 1) / lp if t == 1 else value
-    return tame_norm_final_check(SimpleNamespace(
-        p=datum.p, spin_recip=datum.spin_recip, pairing=pairing))
+    return tame_norm_final_check(
+        datum, *(b * (lp - 1) / lp for b in depth_ones(datum)))
 
 
 def test_tame_norm_final_perturbed_fails(tame_data):
@@ -615,8 +627,8 @@ def test_formal_pairings_specialise_to_pinned_prime(k1, k2, p, tame_data):
     formal, pinned = tame_data[k1, k2], tame_pairing(k1, k2, p=p)
     for label in ZETA_LABELS:
         assert formal.base[label].with_prime(p) == pinned.base[label], label
-        assert (formal.pairing(label, 1).with_prime(p)
-                == pinned.pairing(label, 1)), label
+        assert (depth_pairing(formal, label, 1).with_prime(p)
+                == depth_pairing(pinned, label, 1)), label
     assert formal.euler.with_prime(p) == pinned.euler
 
 
@@ -632,8 +644,8 @@ def test_a_tame_weight_is_a_rescaling_of_tau(k1, k2, p):
     moved = tame_pairing(0, 0, lp ** -k1 * tau1, lp ** -k2 * tau2, p)
     for label in ZETA_LABELS:
         for t in range(4):
-            assert datum.pairing(label, t) == moved.pairing(label, t), \
-                (label, t)
+            assert (depth_pairing(datum, label, t)
+                    == depth_pairing(moved, label, t)), (label, t)
     assert datum.euler == moved.euler
     assert datum.spin_recip == moved.spin_recip
     assert datum.sigma == moved.sigma
@@ -648,7 +660,8 @@ def test_transport_equals_the_direct_datum(k1, k2, tame_data):
     assert got == want and repr(got) == repr(want)
     for label in ZETA_LABELS:
         for t in range(4):
-            f, g = got.pairing(label, t), want.pairing(label, t)
+            f, g = (depth_pairing(got, label, t),
+                    depth_pairing(want, label, t))
             assert (f.num, f.den) == (g.num, g.den), (label, t)
 
 
@@ -717,25 +730,6 @@ def test_formal_bessel_zetas_specialise_to_pinned_prime(p, formal_zetas):
         assert closed[label].with_prime(p) == want[label], label
 
 
-def test_pairing_kept_per_datum(monkeypatch):
-    # a datum computes each (label, t) pairing once and hands back the
-    # same object, from one depth factor per t for both labels; what it
-    # has kept does not enter equality
-    first, second = tame_pairing(0, 0, p=2), tame_pairing(0, 0, p=2)
-    depths = []
-    monkeypatch.setattr(besselzeta, "depth_factor",
-                        lambda t, *args, _fn=depth_factor:
-                        depths.append(t) or _fn(t, *args))
-    got = first.pairing("ul", 1)
-    assert first.pairing("ul", 1) is got
-    first.pairing("spherical", 1)
-    assert depths == [1]
-    assert got == depth_factor(1, first.psi, first.chi, 2) * first.base["ul"]
-    assert first == second and repr(first) == repr(second)
-    assert second.pairing("spherical", 2) is second.pairing("spherical", 2)
-    assert first == second
-
-
 def test_depth_zero_pairing_reduces_no_fraction(tame_data, monkeypatch):
     # the depth-0 factor is the constant 1, so the depth-0 pairing is the
     # datum's base pairing, with no reduction
@@ -745,7 +739,8 @@ def test_depth_zero_pairing_reduces_no_fraction(tame_data, monkeypatch):
             m.setattr(symcore, "_normalize_pair",
                       lambda *a, _fn=symcore._normalize_pair, **kw:
                       calls.append(a) or _fn(*a, **kw))
-            got = {label: datum.pairing(label, 0) for label in ZETA_LABELS}
+            got = {label: depth_pairing(datum, label, 0)
+                   for label in ZETA_LABELS}
         assert calls == []
         for label in ZETA_LABELS:
             want = datum.base[label]
@@ -755,5 +750,6 @@ def test_depth_zero_pairing_reduces_no_fraction(tame_data, monkeypatch):
 def test_concrete_prime_consistency():
     # the whole chain also runs with the prime pinned to 2
     datum = tame_pairing(1, 1, sym("tau1", 2), sym("tau2", 2), p=2)
-    ok, lhs, rhs = tame_norm_check(1, datum)
+    ok, lhs, rhs = tame_norm_check(1, datum,
+                                   depth_pairing(datum, "spherical", 1))
     assert lhs == rhs

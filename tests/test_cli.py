@@ -392,6 +392,48 @@ def test_tame_data_built_once_per_run(monkeypatch):
         assert sorted(calls, key=str) == [2, None]
 
 
+def test_depth_work_done_once_per_run(monkeypatch):
+    # the runner computes each depth factor once per (k1, k2, p, t) and
+    # each depth-t pairing once per (k1, k2, p, label, t); depth_factor
+    # is called inside the runner's "depth" values only, never by a check
+    from gsp4verify import besselzeta
+    shared, good = dict(cli._SHARED), besselzeta.depth_factor
+    kept = {"depth": [], "depth-pairing": []}
+    inside, factors = [], []
+
+    def counting(kind):
+        def compute(value, *key):
+            kept[kind].append(key)
+            inside.append(kind)
+            try:
+                return shared[kind](value, *key)
+            finally:
+                inside.pop()
+        return compute
+
+    def depth_factor(t, psi, chi, p=None):
+        factors.append((t, p, inside[-1:] == ["depth"]))
+        return good(t, psi, chi, p)
+    for kind in kept:
+        monkeypatch.setitem(cli._SHARED, kind, counting(kind))
+    monkeypatch.setattr(besselzeta, "depth_factor", depth_factor)
+    records = cli.run(cli.SuiteConfig(suites=("tame-norm", "frobrecip"),
+                                      k_max=1, t_max=2))
+    assert {r["status"] for r in records} == {"pass"}
+    # formal weights in {0, 1}^2 at depths 1 and 2, and (1, 1) at 2 at
+    # depth 1 for frobrecip's pinned case
+    formal = [(k1, k2, None) for k1 in (0, 1) for k2 in (0, 1)]
+    want = {
+        "depth": {w + (t,) for w in formal for t in (1, 2)} | {(1, 1, 2, 1)},
+        "depth-pairing": {w + (label, 1) for w in formal + [(1, 1, 2)]
+                          for label in ("spherical", "ul")}
+        | {w + ("spherical", 2) for w in formal}}
+    for kind, keys in kept.items():
+        assert len(keys) == len(set(keys)) and set(keys) == want[kind], kind
+    assert len(factors) == len(want["depth"]) == 9
+    assert all(by_runner for _, _, by_runner in factors)
+
+
 def test_default_tame_sweep_expands_once_per_prime(monkeypatch):
     # nine formal weights in tame-norm, four in frobrecip: one expansion
     # at the formal prime, and one at each pinned prime

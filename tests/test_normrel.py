@@ -13,6 +13,7 @@ from gsp4verify.padic import (LevelSpec, SchwartzFn, act_schwartz, gsp4_inv,
                               gsp4_multiplier, identity, in_level, mat,
                               mat_det, mat_mul, mat_t, min_val,
                               root_unipotent, val)
+from test_besselzeta import depth_ones
 from test_cli import euler_eigenvalue_times_ell
 from test_padic import sympy_inv
 
@@ -360,21 +361,25 @@ def test_frobrecip_scalar_case(tame_data):
     # the identity is linear in the pairings, so it holds for 5/7 of
     # them, and both sides scale by 5/7
     datum = tame_data[1, 1, None]
+    b1, b2 = depth_ones(datum)
     scaled = dataclasses.replace(datum, base={
         k: Q(5, 7) * v for k, v in datum.base.items()})
-    ok, lhs, rhs = nr.frobrecip_pairing_check(scaled)
-    _, lhs1, rhs1 = nr.frobrecip_pairing_check(datum)
+    ok, lhs, rhs = nr.frobrecip_pairing_check(scaled, Q(5, 7) * b1,
+                                              Q(5, 7) * b2)
+    _, lhs1, rhs1 = nr.frobrecip_pairing_check(datum, b1, b2)
     assert ok and lhs == Q(5, 7) * lhs1 and rhs == Q(5, 7) * rhs1
 
 
 def test_frobrecip_formal(tame_data):
     for k1, k2 in [(1, 1), (2, 1)]:
-        ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[k1, k2, None])
+        datum = tame_data[k1, k2, None]
+        ok, lhs, rhs = nr.frobrecip_pairing_check(datum, *depth_ones(datum))
         assert ok, (k1, k2)
 
 
 def test_frobrecip_concrete_prime(tame_data):
-    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, 2])
+    datum = tame_data[1, 1, 2]
+    ok, lhs, rhs = nr.frobrecip_pairing_check(datum, *depth_ones(datum))
     assert ok
 
 
@@ -384,8 +389,10 @@ def test_frobrecip_formal_sides_specialise_to_pinned_prime(p, tame_data):
     # those computed with p pinned, where the Euler element is summed
     # over explicit coset representatives instead of read off the spin
     # parameters.  A pole of the specialisation is a failure, not a skip
-    _, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, None])
-    ok, lhs_p, rhs_p = nr.frobrecip_pairing_check(tame_pairing(1, 1, p=p))
+    formal, pinned = tame_data[1, 1, None], tame_pairing(1, 1, p=p)
+    _, lhs, rhs = nr.frobrecip_pairing_check(formal, *depth_ones(formal))
+    ok, lhs_p, rhs_p = nr.frobrecip_pairing_check(pinned,
+                                                  *depth_ones(pinned))
     assert ok
     assert lhs.with_prime(p) == lhs_p
     assert rhs.with_prime(p) == rhs_p
@@ -395,13 +402,15 @@ def test_frobrecip_wrong_parahoric_index_fails(monkeypatch, tame_data):
     from gsp4verify import padic
     monkeypatch.setattr(nr, "siegel_parahoric_reps",
                         lambda p: padic.siegel_parahoric_reps(p)[:-1])
-    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, 2])
+    datum = tame_data[1, 1, 2]
+    ok, lhs, rhs = nr.frobrecip_pairing_check(datum, *depth_ones(datum))
     assert ok is False
 
 
 def test_frobrecip_perturbed_fails(monkeypatch, tame_data):
     euler_eigenvalue_times_ell(monkeypatch)
-    ok, lhs, rhs = nr.frobrecip_pairing_check(tame_data[1, 1, None])
+    datum = tame_data[1, 1, None]
+    ok, lhs, rhs = nr.frobrecip_pairing_check(datum, *depth_ones(datum))
     assert not ok
 
 
